@@ -1,7 +1,9 @@
 """Auxiliary c-number equations feeding the invariant construction.
 
 Two second-order ODEs are solved here with a fixed-step classical
-fourth-order Runge-Kutta scheme (deterministic, order-verifiable):
+fourth-order Runge-Kutta scheme (deterministic, order-verifiable).  Its
+one driver, ``_rk4``, steps every integrator of the package, these two
+and the four in the lindblad module:
 
 * the anti-damped nonlinear auxiliary equation
       rhoddot - kappa(t) rhodot + omega^2(t) rho = 1/rho^3,
@@ -156,7 +158,15 @@ def _step_count(t_max: float, h: float) -> int:
 
 def _half_grid_coefficients(omega_s: Schedule, kappa_s: Schedule | None,
                             n_steps: int, h: float):
-    """Coefficients at every stage time: nodes and midpoints, in one pass."""
+    """Stage times and coefficients: nodes and midpoints, in one pass.
+
+    Returns (times, omega^2, kappa) on the grid j*h/2, j = 0..2*n_steps;
+    kappa is zero when no friction schedule is given.
+    """
+    t_end = n_steps * h
+    scheds = (omega_s,) if kappa_s is None else (omega_s, kappa_s)
+    if not all(sched.covers(0.0, t_end) for sched in scheds):
+        raise ValidationError("schedules do not cover the integration window")
     half = 0.5 * h * np.arange(2 * n_steps + 1)
     w = np.asarray(omega_s.eval(half, 0), dtype=float)
     omega_sq = w * w
@@ -164,7 +174,42 @@ def _half_grid_coefficients(omega_s: Schedule, kappa_s: Schedule | None,
         kappa = np.zeros_like(half)
     else:
         kappa = np.asarray(kappa_s.eval(half, 0), dtype=float)
-    return omega_sq, kappa
+    return half, omega_sq, kappa
+
+
+def _rk4(rhs, stage, y0, n, h, record, every=1):
+    """Classical fourth-order Runge-Kutta over n fixed steps of size h.
+
+    ``stage(j)`` returns the right-hand-side data at time j*h/2 and
+    ``rhs(y, data)`` the derivative there; each step's end stage is reused
+    as the next step's start stage.  ``record(i, y)`` receives the state at
+    every ``every``-th node and at the last node.  The state is either a
+    complex ndarray or, for a real pair (r, v), one Python complex
+    r + 1j*v: both kinds go through the same combination, so the matrix
+    and scalar integrators round alike.  Returns the final state.
+    """
+    half = 0.5 * h
+    sixth = h / 6.0
+    y = y0
+    end = None
+    for i in range(n):
+        if i % every == 0:
+            record(i, y)
+        start = stage(2 * i) if end is None else end
+        mid = stage(2 * i + 1)
+        end = stage(2 * i + 2)
+        s1 = rhs(y, start)
+        s2 = rhs(y + half * s1, mid)
+        s3 = rhs(y + half * s2, mid)
+        s4 = rhs(y + h * s3, end)
+        y = y + sixth * (s1 + 2.0 * (s2 + s3) + s4)
+    record(n, y)
+    return y
+
+
+def _singularity(r: float, t: float) -> SingularityError:
+    return SingularityError(
+        f"rho reached {r:.3e} (floor {RHO_FLOOR:g}) near t = {t:.6g}")
 
 
 def solve_auxiliary(omega_s: Schedule, kappa_s: Schedule, init: ErmakovInit,
@@ -172,48 +217,33 @@ def solve_auxiliary(omega_s: Schedule, kappa_s: Schedule, init: ErmakovInit,
     """Integrate the anti-damped auxiliary equation with fixed-step RK4.
 
     Coefficients are evaluated at the stage times.  If rho drops below the
-    positivity floor at any stage, the 1/rho^3 term invalidates the step-size
-    assumptions and the run aborts with a SingularityError; no automatic
-    refinement is attempted.
+    positivity floor at any stage or node, the 1/rho^3 term invalidates the
+    step-size assumptions and the run aborts with a SingularityError naming
+    that time; no automatic refinement is attempted.
     """
     n = _step_count(t_max, h)
-    if not (omega_s.covers(0.0, n * h) and kappa_s.covers(0.0, n * h)):
-        raise ValidationError("schedules do not cover the integration window")
-    omega_sq, kappa = _half_grid_coefficients(omega_s, kappa_s, n, h)
+    _, omega_sq, kappa = _half_grid_coefficients(omega_s, kappa_s, n, h)
+    # memoryviews index to Python floats without a per-stage object list
+    ks, ws = memoryview(kappa), memoryview(omega_sq)
 
-    rho = np.empty(n + 1)
-    rhodot = np.empty(n + 1)
-    r, v = init.rho0, init.rhodot0
-    rho[0], rhodot[0] = r, v
-
-    def rhs(r_, v_, k_, w2_):
-        if r_ < RHO_FLOOR:
-            raise SingularityError(
-                f"rho reached {r_:.3e} (floor {RHO_FLOOR:g}) near t = {t_now:.6g}")
-        return v_, k_ * v_ - w2_ * r_ + 1.0 / (r_ * r_ * r_)
-
-    for i in range(n):
-        t_now = i * h
-        k0, w0 = kappa[2 * i], omega_sq[2 * i]
-        km, wm = kappa[2 * i + 1], omega_sq[2 * i + 1]
-        k1_, w1 = kappa[2 * i + 2], omega_sq[2 * i + 2]
-
-        a1, b1 = rhs(r, v, k0, w0)
-        a2, b2 = rhs(r + 0.5 * h * a1, v + 0.5 * h * b1, km, wm)
-        a3, b3 = rhs(r + 0.5 * h * a2, v + 0.5 * h * b2, km, wm)
-        a4, b4 = rhs(r + h * a3, v + h * b3, k1_, w1)
-
-        r += h * (a1 + 2 * a2 + 2 * a3 + a4) / 6.0
-        v += h * (b1 + 2 * b2 + 2 * b3 + b4) / 6.0
+    def rhs(y, j):
+        r, v = y.real, y.imag
         if r < RHO_FLOOR:
-            raise SingularityError(
-                f"rho reached {r:.3e} (floor {RHO_FLOOR:g}) near t = {(i + 1) * h:.6g}")
-        rho[i + 1], rhodot[i + 1] = r, v
+            raise _singularity(r, 0.5 * h * j)
+        return complex(v, ks[j] * v - ws[j] * r + 1.0 / (r * r * r))
 
+    ys = np.empty(n + 1, dtype=complex)
+
+    def record(i, y):
+        if y.real < RHO_FLOOR:
+            raise _singularity(y.real, i * h)
+        ys[i] = y
+
+    _rk4(rhs, lambda j: j, complex(init.rho0, init.rhodot0), n, h, record)
     ts = h * np.arange(n + 1)
-    node_kappa = kappa[::2]
-    node_wsq = omega_sq[::2]
-    rhoddot = node_kappa * rhodot - node_wsq * rho + rho ** -3.0
+    # contiguous copies: the dense-output lookups index them on every call
+    rho, rhodot = ys.real.copy(), ys.imag.copy()
+    rhoddot = kappa[::2] * rhodot - omega_sq[::2] * rho + rho ** -3.0
     return ErmakovSolution(ts=ts, rho=rho, rhodot=rhodot, rhoddot=rhoddot)
 
 
@@ -221,29 +251,15 @@ def solve_classical_mode(omega_s: Schedule, init: tuple[float, float],
                          t_max: float, h: float) -> ErmakovSolution:
     """Integrate the linear mode equation with the same integrator contract."""
     n = _step_count(t_max, h)
-    if not omega_s.covers(0.0, n * h):
-        raise ValidationError("schedule does not cover the integration window")
-    omega_sq, _ = _half_grid_coefficients(omega_s, None, n, h)
-
-    eps = np.empty(n + 1)
-    epsdot = np.empty(n + 1)
-    r, v = float(init[0]), float(init[1])
-    eps[0], epsdot[0] = r, v
-
-    for i in range(n):
-        w0, wm, w1 = omega_sq[2 * i], omega_sq[2 * i + 1], omega_sq[2 * i + 2]
-        a1, b1 = v, -w0 * r
-        a2, b2 = v + 0.5 * h * b1, -wm * (r + 0.5 * h * a1)
-        a3, b3 = v + 0.5 * h * b2, -wm * (r + 0.5 * h * a2)
-        a4, b4 = v + h * b3, -w1 * (r + h * a3)
-        r += h * (a1 + 2 * a2 + 2 * a3 + a4) / 6.0
-        v += h * (b1 + 2 * b2 + 2 * b3 + b4) / 6.0
-        eps[i + 1], epsdot[i + 1] = r, v
-
+    _, omega_sq, _ = _half_grid_coefficients(omega_s, None, n, h)
+    ys = np.empty(n + 1, dtype=complex)
+    _rk4(lambda y, w2: complex(y.imag, -w2 * y.real),
+         memoryview(omega_sq).__getitem__, complex(init[0], init[1]), n, h,
+         ys.__setitem__)
     ts = h * np.arange(n + 1)
-    epsddot = -omega_sq[::2] * eps
-    return ErmakovSolution(ts=ts, rho=eps, rhodot=epsdot, rhoddot=epsddot,
-                           enforce_floor=False)
+    eps, epsdot = ys.real, ys.imag
+    return ErmakovSolution(ts=ts, rho=eps, rhodot=epsdot,
+                           rhoddot=-omega_sq[::2] * eps, enforce_floor=False)
 
 
 def solve_tracking_reference(omega_s: Schedule, kappa_s: Schedule,

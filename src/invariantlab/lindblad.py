@@ -4,8 +4,9 @@ The auxiliary solution fixes, at every instant, a single Hermitian jump
 operator L = K1 + a2 K2 + a3 K3 and a strength alpha such that the
 resulting friction is exactly the declared kappa(t).  This module
 assembles that model and evolves density matrices, conserved
-observables, and the two closed moment systems with one fixed-step
-fourth-order integrator throughout, so convergence claims are uniform.
+observables, and the two closed moment systems, all through the one
+fixed-step RK4 driver ``auxiliary._rk4``, so convergence claims are
+uniform.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from .auxiliary import (
     ErmakovSolution,
     _half_grid_coefficients,
+    _rk4,
     _step_count,
     hermite_derivative,
     hermite_value,
@@ -95,33 +97,37 @@ class LindbladCoefficients:
         return self.alpha * (self.a2 - self.a3 * self.a3)
 
 
-def coefficients_at(sol: ErmakovSolution, kappa_s: Schedule,
-                    t: float) -> LindbladCoefficients:
-    """Dissipator coefficients induced by the auxiliary solution at t.
+def _jump_coefficients(kappa, r, v):
+    """(alpha, a2, a3) from the friction and the auxiliary solution.
 
     alpha = 4 kappa rho^4 / ((rho rhodot)^2 + 4), a2 = rhodot^2/(2 rho^2)
-    + rho^-4, a3 = -rhodot/(2 rho).  These satisfy alpha*(a2 - a3^2) =
-    kappa identically; the residual of that identity is checked here so
-    corrupted inputs fail loudly instead of dephasing the dissipator.
+    + rho^-4, a3 = -rhodot/(2 rho), elementwise on scalars or arrays.
+    These satisfy alpha*(a2 - a3^2) = kappa identically; the residual of
+    that identity is checked here so corrupted inputs fail loudly instead
+    of dephasing the dissipator.
     """
+    r2 = r * r
+    alpha = 4.0 * kappa * r2 * r2 / ((r * v) ** 2 + 4.0)
+    a2 = v * v / (2.0 * r2) + 1.0 / (r2 * r2)
+    a3 = -v / (2.0 * r)
+    dev = np.abs(alpha * (a2 - a3 * a3) - kappa).max()
+    if dev > COEFF_IDENTITY_TOL:
+        raise NumericalError(
+            f"coefficient identity alpha*(a2-a3^2) = kappa violated by {dev:.3e}")
+    return alpha, a2, a3
+
+
+def coefficients_at(sol: ErmakovSolution, kappa_s: Schedule,
+                    t: float) -> LindbladCoefficients:
+    """Dissipator coefficients induced by the auxiliary solution at t."""
     t = float(t)
     kappa = float(kappa_s.eval(t))
     if kappa < KAPPA_NEGATIVE_TOL:
         raise NegativeFrictionError(
             f"friction is negative at t={t:.6g}: kappa={kappa:.3e}")
-    kappa = max(kappa, 0.0)
-    r = sol.rho_at(t)
-    v = sol.rhodot_at(t)
-    r2 = r * r
-    alpha = 4.0 * kappa * r2 * r2 / ((r * v) ** 2 + 4.0)
-    a2 = v * v / (2.0 * r2) + 1.0 / (r2 * r2)
-    a3 = -v / (2.0 * r)
-    coeffs = LindbladCoefficients(t=t, alpha=alpha, a2=a2, a3=a3)
-    if abs(coeffs.friction - kappa) > COEFF_IDENTITY_TOL:
-        raise NumericalError(
-            f"coefficient identity violated at t={t:.6g}: "
-            f"alpha*(a2-a3^2)={coeffs.friction!r} vs kappa={kappa!r}")
-    return coeffs
+    alpha, a2, a3 = _jump_coefficients(max(kappa, 0.0), sol.rho_at(t),
+                                       sol.rhodot_at(t))
+    return LindbladCoefficients(t=t, alpha=alpha, a2=a2, a3=a3)
 
 
 # --------------------------------------------------------------------- model
@@ -255,16 +261,13 @@ def _density_rhs(state: np.ndarray, ops) -> np.ndarray:
 
 
 def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
-                   h: float, record_every: int = 100, *,
-                   resymmetrize: bool = False) -> Trajectory:
+                   h: float, record_every: int = 100) -> Trajectory:
     """Fixed-step fourth-order integration of the density-matrix equation.
 
     The right-hand side is -i[H, rho] - sum_n alpha_n (Ln^dag Ln rho +
     rho Ln^dag Ln - 2 Ln rho Ln^dag) with every operator evaluated at
     the stage times.  No renormalization or positivity projection is
     applied: trace drift and eigenvalue dips are reported, not hidden.
-    With ``resymmetrize`` the state is replaced by its Hermitian part
-    after every step (off by default).
     """
     cfg = model.basis
     if rho0.dim != cfg.dim:
@@ -273,9 +276,6 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
     if record_every < 1:
         raise ValidationError(f"record_every must be >= 1, got {record_every}")
     n = _step_count(t_max, h)
-    half = 0.5 * h
-
-    state = np.array(rho0.entries, dtype=complex)
     rec_ts: list[float] = []
     rec_states: list[DensityMatrix] = []
     rec_diag: list[tuple[float, float, float, float]] = []
@@ -308,26 +308,8 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
         rec_states.append(DensityMatrix(arr.copy(), validate=False))
         rec_diag.append((tr, herm, lo, tail))
 
-    ops_end = None
-    for i in range(n + 1):
-        if i % record_every == 0 or i == n:
-            record(i, state)
-        if i == n:
-            break
-        k0 = 2 * i
-        ops_a = ops_end if ops_end is not None else _density_stage_ops(model, half * k0)
-        ops_b = _density_stage_ops(model, half * (k0 + 1))
-        ops_c = _density_stage_ops(model, half * (k0 + 2))
-        ops_end = ops_c
-
-        s1 = _density_rhs(state, ops_a)
-        s2 = _density_rhs(state + half * s1, ops_b)
-        s3 = _density_rhs(state + half * s2, ops_b)
-        s4 = _density_rhs(state + h * s3, ops_c)
-        state = state + (h / 6.0) * (s1 + 2.0 * (s2 + s3) + s4)
-        if resymmetrize:
-            state = 0.5 * (state + state.conj().T)
-
+    _rk4(_density_rhs, lambda j: _density_stage_ops(model, 0.5 * h * j),
+         np.array(rho0.entries, dtype=complex), n, h, record, record_every)
     diag = np.array(rec_diag)
     return Trajectory(ts=np.array(rec_ts), states=tuple(rec_states),
                       trace=diag[:, 0], herm_dev=diag[:, 1],
@@ -398,9 +380,6 @@ def evolve_adjoint_observable(model: LindbladModel, q0: FockOperator,
     if record_every < 1:
         raise ValidationError(f"record_every must be >= 1, got {record_every}")
     n = _step_count(t_max, h)
-    half = 0.5 * h
-
-    q = np.array(q0.entries, dtype=complex)
     rec_ts: list[float] = []
     rec_ops: list[FockOperator] = []
     rec_dev: list[float] = []
@@ -427,26 +406,11 @@ def evolve_adjoint_observable(model: LindbladModel, q0: FockOperator,
         rec_ops.append(FockOperator(arr.copy()))
         rec_dev.append(dev)
 
-    ops_end = None
     # overflow between record points is caught at the next record; the
     # intermediate arithmetic may legitimately hit inf, so keep numpy quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n + 1):
-            if i % record_every == 0 or i == n:
-                record(i, q)
-            if i == n:
-                break
-            k0 = 2 * i
-            ops_a = ops_end if ops_end is not None else _adjoint_stage_ops(model, half * k0)
-            ops_b = _adjoint_stage_ops(model, half * (k0 + 1))
-            ops_c = _adjoint_stage_ops(model, half * (k0 + 2))
-            ops_end = ops_c
-
-            s1 = _adjoint_rhs(q, ops_a)
-            s2 = _adjoint_rhs(q + half * s1, ops_b)
-            s3 = _adjoint_rhs(q + half * s2, ops_b)
-            s4 = _adjoint_rhs(q + h * s3, ops_c)
-            q = q + (h / 6.0) * (s1 + 2.0 * (s2 + s3) + s4)
+        _rk4(_adjoint_rhs, lambda j: _adjoint_stage_ops(model, 0.5 * h * j),
+             np.array(q0.entries, dtype=complex), n, h, record, record_every)
 
     return OperatorTrajectory(ts=np.array(rec_ts), operators=tuple(rec_ops),
                               herm_dev=np.array(rec_dev),
@@ -493,6 +457,15 @@ def moments_from_state(rho: DensityMatrix, cfg: BasisConfig) -> MomentVector:
 
 
 # ------------------------------------------------------------- first moments
+
+
+def _check_stage_friction(kappa: np.ndarray, h: float):
+    """Reject friction below the tolerance anywhere on the stage grid."""
+    bad = kappa < KAPPA_NEGATIVE_TOL
+    if bad.any():
+        raise NegativeFrictionError(
+            f"friction is negative at t={0.5 * h * int(np.argmax(bad)):.6g}: "
+            f"kappa={kappa.min():.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -549,37 +522,19 @@ def evolve_first_moments(omega_s: Schedule, kappa_s: Schedule,
     friction equals kappa identically.
     """
     n = _step_count(t_max, h)
-    if not (omega_s.covers(0.0, n * h) and kappa_s.covers(0.0, n * h)):
-        raise ValidationError("schedules do not cover the integration window")
-    omega_sq, kappa = _half_grid_coefficients(omega_s, kappa_s, n, h)
-    if kappa.min() < KAPPA_NEGATIVE_TOL:
-        t_bad = 0.5 * h * int(np.argmax(kappa < KAPPA_NEGATIVE_TOL))
-        raise NegativeFrictionError(
-            f"friction is negative at t={t_bad:.6g}: kappa={kappa.min():.3e}")
+    _, omega_sq, kappa = _half_grid_coefficients(omega_s, kappa_s, n, h)
+    _check_stage_friction(kappa, h)
+    ks, ws = memoryview(kappa), memoryview(omega_sq)
 
-    xs = np.empty(n + 1)
-    ps = np.empty(n + 1)
-    x, p = float(m0[0]), float(m0[1])
-    xs[0], ps[0] = x, p
+    def rhs(y, j):
+        k = ks[j]
+        x, p = y.real, y.imag
+        return complex(p - k * x, -ws[j] * x - k * p)
 
-    def rhs(x_, p_, k_, w2_):
-        return p_ - k_ * x_, -w2_ * x_ - k_ * p_
-
-    for i in range(n):
-        k0, w0 = kappa[2 * i], omega_sq[2 * i]
-        km, wm = kappa[2 * i + 1], omega_sq[2 * i + 1]
-        k1_, w1 = kappa[2 * i + 2], omega_sq[2 * i + 2]
-
-        a1, b1 = rhs(x, p, k0, w0)
-        a2, b2 = rhs(x + 0.5 * h * a1, p + 0.5 * h * b1, km, wm)
-        a3, b3 = rhs(x + 0.5 * h * a2, p + 0.5 * h * b2, km, wm)
-        a4, b4 = rhs(x + h * a3, p + h * b3, k1_, w1)
-
-        x += h * (a1 + 2 * a2 + 2 * a3 + a4) / 6.0
-        p += h * (b1 + 2 * b2 + 2 * b3 + b4) / 6.0
-        xs[i + 1], ps[i + 1] = x, p
-
+    ys = np.empty(n + 1, dtype=complex)
+    _rk4(rhs, lambda j: j, complex(m0[0], m0[1]), n, h, ys.__setitem__)
     ts = h * np.arange(n + 1)
+    xs, ps = ys.real, ys.imag
     node_k = kappa[::2]
     node_w2 = omega_sq[::2]
     kdot = np.asarray(kappa_s.eval(ts, 1), dtype=float)
@@ -607,23 +562,24 @@ def first_moment_residual(series: FirstMomentSeries, omega_s: Schedule,
 # ------------------------------------------------------------ su(1,1) moments
 
 
-def closure_matrix(omega_sq: float, c: LindbladCoefficients) -> np.ndarray:
+def closure_matrix(omega_sq, alpha, a2, a3) -> np.ndarray:
     """Coefficient matrix of the closed K-moment system.
 
     The span of the three quadratic generators is preserved by both the
     Hamiltonian and double-commutator terms, so d<K_i>/dt = M_ij <K_j>
     exactly; this returns M for given omega^2 and jump coefficients.
-    The derivation is gated by a brute-force matrix check (see
-    ``_closure_matrix_verified``) before any moment run uses it.
+    Scalars give one 3x3 matrix, equal-shape arrays a stack of shape
+    (..., 3, 3).  The derivation is gated by a brute-force matrix check
+    (see ``_closure_matrix_verified``) before any moment run uses it.
     """
-    al, a2, a3 = c.alpha, c.a2, c.a3
-    diag = al * (4.0 * a3 * a3 - 2.0 * a2)
-    return np.array([
-        [diag, 2.0 * al * a2 * a2, -omega_sq + 2.0 * al * a2 * a3],
-        [2.0 * al, diag, 1.0 + 2.0 * al * a3],
-        [2.0 - 4.0 * al * a3, -2.0 * omega_sq - 4.0 * al * a2 * a3,
-         -4.0 * al * a2],
-    ])
+    diag = alpha * (4.0 * a3 * a3 - 2.0 * a2)
+    rows = (
+        (diag, 2.0 * alpha * a2 * a2, -omega_sq + 2.0 * alpha * a2 * a3),
+        (2.0 * alpha, diag, 1.0 + 2.0 * alpha * a3),
+        (2.0 - 4.0 * alpha * a3, -2.0 * omega_sq - 4.0 * alpha * a2 * a3,
+         -4.0 * alpha * a2),
+    )
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 @functools.lru_cache(maxsize=1)
@@ -640,8 +596,7 @@ def _closure_matrix_verified() -> bool:
              (2.3, 0.07, 1.7, -0.4),
              (0.5, 0.12, 3.0, 1.2))
     for omega_sq, alpha, a2, a3 in cases:
-        coeffs = LindbladCoefficients(t=0.0, alpha=alpha, a2=a2, a3=a3)
-        mat = closure_matrix(omega_sq, coeffs)
+        mat = closure_matrix(omega_sq, alpha, a2, a3)
         h_op = gens[0] + omega_sq * gens[1]
         l_op = gens[0] + a2 * gens[1] + a3 * gens[2]
         for i in range(3):
@@ -677,50 +632,15 @@ def evolve_su11_moments(omega_s: Schedule, kappa_s: Schedule,
     _closure_matrix_verified()
     _check_k_moments(*v0)
     n = _step_count(t_max, h)
-    if not (omega_s.covers(0.0, n * h) and kappa_s.covers(0.0, n * h)):
-        raise ValidationError("schedules do not cover the integration window")
-    half_ts = 0.5 * h * np.arange(2 * n + 1)
-    omega_sq, kappa = _half_grid_coefficients(omega_s, kappa_s, n, h)
-    if kappa.min() < KAPPA_NEGATIVE_TOL:
-        t_bad = 0.5 * h * int(np.argmax(kappa < KAPPA_NEGATIVE_TOL))
-        raise NegativeFrictionError(
-            f"friction is negative at t={t_bad:.6g}: kappa={kappa.min():.3e}")
-    kappa = np.maximum(kappa, 0.0)
-
+    half_ts, omega_sq, kappa = _half_grid_coefficients(omega_s, kappa_s, n, h)
+    _check_stage_friction(kappa, h)
     r = np.asarray(sol.rho_at(half_ts), dtype=float)
     v = np.asarray(sol.rhodot_at(half_ts), dtype=float)
-    r2 = r * r
-    alpha = 4.0 * kappa * r2 * r2 / ((r * v) ** 2 + 4.0)
-    a2 = v * v / (2.0 * r2) + 1.0 / (r2 * r2)
-    a3 = -v / (2.0 * r)
-    identity_dev = np.max(np.abs(alpha * (a2 - a3 * a3) - kappa))
-    if identity_dev > COEFF_IDENTITY_TOL:
-        raise NumericalError(
-            f"coefficient identity violated on the stage grid: {identity_dev:.3e}")
-
-    mats = np.zeros((2 * n + 1, 3, 3))
-    diag = alpha * (4.0 * a3 * a3 - 2.0 * a2)
-    mats[:, 0, 0] = diag
-    mats[:, 0, 1] = 2.0 * alpha * a2 * a2
-    mats[:, 0, 2] = -omega_sq + 2.0 * alpha * a2 * a3
-    mats[:, 1, 0] = 2.0 * alpha
-    mats[:, 1, 1] = diag
-    mats[:, 1, 2] = 1.0 + 2.0 * alpha * a3
-    mats[:, 2, 0] = 2.0 - 4.0 * alpha * a3
-    mats[:, 2, 1] = -2.0 * omega_sq - 4.0 * alpha * a2 * a3
-    mats[:, 2, 2] = -4.0 * alpha * a2
+    mats = closure_matrix(
+        omega_sq, *_jump_coefficients(np.maximum(kappa, 0.0), r, v))
 
     ys = np.empty((n + 1, 3))
-    y = np.array(v0, dtype=float)
-    ys[0] = y
-    for i in range(n):
-        m0, mm, m1 = mats[2 * i], mats[2 * i + 1], mats[2 * i + 2]
-        s1 = m0 @ y
-        s2 = mm @ (y + 0.5 * h * s1)
-        s3 = mm @ (y + 0.5 * h * s2)
-        s4 = m1 @ (y + h * s3)
-        y = y + (h / 6.0) * (s1 + 2.0 * (s2 + s3) + s4)
-        ys[i + 1] = y
-
+    _rk4(lambda y, m: m @ y, mats.__getitem__, np.array(v0, dtype=float),
+         n, h, ys.__setitem__)
     ts = h * np.arange(n + 1)
     return Su11MomentSeries(ts=ts, k1=ys[:, 0], k2=ys[:, 1], k3=ys[:, 2])

@@ -50,6 +50,7 @@ import numpy as np
 from .auxiliary import (
     ErmakovInit,
     ErmakovSolution,
+    _step_count,
     adiabatic_rho,
     adiabatic_rhodot,
     max_residual_between_nodes,
@@ -199,7 +200,7 @@ def _prepare(s: Scenario) -> _Prepared:
     gens = build_su11_generators(x_op, p_op)
     model = assemble_model(s.omega_schedule, s.kappa_schedule, sol, *gens, cfg)
     invariant = InvariantSpec(kind="weak", sol=sol, operators=gens)
-    n = int(round(s.t_max / s.step_h))
+    n = _step_count(s.t_max, s.step_h)
     idx = np.arange(0, n + 1, s.record_every)
     if idx[-1] != n:
         idx = np.append(idx, n)
@@ -239,6 +240,26 @@ def _moment_expectation_series(p: _Prepared, quad) -> ExpectationSeries:
     return ExpectationSeries(ts=ts, values=values)
 
 
+def _evolve(p: _Prepared):
+    """Run the scenario's backends: (trajectory, first, quad, series).
+
+    The density trajectory is None for ``backend = moments`` and the two
+    moment series are None for ``backend = fock``; the conserved
+    expectation comes from the density run whenever there is one.
+    """
+    backend = p.scenario.backend
+    traj = first = quad = None
+    if backend in ("fock", "both"):
+        traj = _fock_run(p)
+    if backend in ("moments", "both"):
+        first, quad = _moment_runs(p)
+    if traj is not None:
+        series = expectation_series(traj, p.invariant)
+    else:
+        series = _moment_expectation_series(p, quad)
+    return traj, first, quad, series
+
+
 def _spectrum_modes(dim: int) -> int:
     return min(SPECTRUM_MODES_CAP, dim // 3)
 
@@ -272,16 +293,13 @@ def run_scenario(s: Scenario, out_dir: str | None = None) -> SimulationResult:
     prec = s.csv_precision
     warnings: tuple[str, ...] = ()
 
-    if s.backend in ("fock", "both"):
-        traj = _fock_run(p)
+    traj, first, quad, series = _evolve(p)
+    if traj is not None:
         traj.write_csv(os.path.join(target, "trajectory.csv"), precision=prec)
-        series = expectation_series(traj, p.invariant)
         warnings = traj.warnings
     else:
-        first, quad = _moment_runs(p)
         _write_moment_trajectory(os.path.join(target, "trajectory.csv"),
                                  p, first, quad, prec)
-        series = _moment_expectation_series(p, quad)
 
     p.sol.write_csv(os.path.join(target, "ermakov.csv"), precision=prec,
                     every=s.record_every)
@@ -508,16 +526,7 @@ def verify_scenario(s: Scenario) -> RunReport:
     ]
 
     try:
-        traj = first = quad = None
-        if s.backend in ("fock", "both"):
-            traj = _fock_run(p)
-        if s.backend in ("moments", "both"):
-            first, quad = _moment_runs(p)
-
-        if traj is not None:
-            series = expectation_series(traj, p.invariant)
-        else:
-            series = _moment_expectation_series(p, quad)
+        traj, first, quad, series = _evolve(p)
         checks.append(_check_conservation(series, p))
 
         if traj is not None:
@@ -561,30 +570,17 @@ def sweep(s: Scenario, param: str, values: list[str],
     for value in values:
         sc = s.with_setting(param, value)
         p = _prepare(sc)
-        if sc.backend in ("fock", "both"):
-            traj = _fock_run(p)
-            series = expectation_series(traj, p.invariant)
-            final_x = traj.moments()[-1].mean_x
+        traj, first, _, series = _evolve(p)
+        if traj is not None:
+            final_x = moments_from_state(traj.states[-1], sc.basis).mean_x
         else:
-            first, quad = _moment_runs(p)
-            series = _moment_expectation_series(p, quad)
-            final_x = float(first.mean_x[p.record_idx[-1]])
-        aux = max_residual_between_nodes(p.sol, sc.omega_schedule,
-                                         sc.kappa_schedule)
-        times = np.linspace(0.0, sc.t_max, CONSTRAINT_SAMPLES)
-        constraint = max(
-            max(abs(r) for r in constraint_residuals(
-                p.sol, coefficients_at(p.sol, sc.kappa_schedule, float(t)),
-                sc.kappa_schedule, sc.omega_schedule, float(t)))
-            for t in times)
-        inv_res = max(invariant_residual(p.invariant, p.model, f * sc.t_max)
-                      for f in RESIDUAL_SAMPLE_FRACTIONS)
+            final_x = first.mean_x[p.record_idx[-1]]
         rows.append({
             "value": float(value),
             "max_rel_drift": float(series.max_rel_drift),
-            "max_aux_residual": float(aux),
-            "max_constraint_residual": float(constraint),
-            "max_invariant_residual": float(inv_res),
+            "max_aux_residual": _check_auxiliary_residual(p).measured,
+            "max_constraint_residual": _check_constraints(p).measured,
+            "max_invariant_residual": _check_invariant_residual(p).measured,
             "final_mean_x": float(final_x),
         })
     fmt = f"{{:.{s.csv_precision}g}}"

@@ -190,10 +190,6 @@ class ReflectedSchedule(Schedule):
 # ---------------------------------------------------------------------------
 
 
-def eval_schedule(s: Schedule, t, order: int = 0):
-    return s.eval(t, order)
-
-
 def modulated_frequency_sq(omega_s: Schedule, kappa_s: Schedule, t):
     """Effective squared frequency of the damped mean motion.
 

@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp
 from invariantlab.auxiliary import (
     ErmakovInit,
     ErmakovSolution,
+    _rk4,
     adiabatic_rho,
     adiabatic_rhodot,
     auxiliary_residual,
@@ -20,6 +21,50 @@ from invariantlab.schedules import ConstantSchedule, LinearSchedule, SinusoidSch
 
 W1 = ConstantSchedule(1.0)
 K0 = ConstantSchedule(0.0)
+
+
+# ------------------------------------------------------------------- driver
+
+
+def _rk4_max_error(kind: str, h: float) -> float:
+    """Driver error on y' = -i t w y, y(0) = 1, over [0, 1] (exact: exp)."""
+    if kind == "pair":
+        # a real pair (x, p) carried as x + ip:  x' = t p,  p' = -t x
+        w = 1.0
+        rhs = lambda y, t: complex(t * y.imag, -t * y.real)
+        y0 = complex(1.0, 0.0)
+    else:
+        w = np.array([1.0, 2.0, -0.5])
+        rhs = lambda y, t: -1j * t * w * y
+        y0 = np.ones(3, dtype=complex)
+    errors = []
+
+    def record(i, y):
+        errors.append(np.max(np.abs(y - np.exp(-0.5j * w * (i * h) ** 2))))
+
+    _rk4(rhs, lambda j: 0.5 * h * j, y0, round(1.0 / h), h, record)
+    return max(errors)
+
+
+@pytest.mark.parametrize("kind", ["pair", "array"])
+def test_rk4_driver_is_fourth_order_on_both_state_kinds(kind):
+    coarse, fine = _rk4_max_error(kind, 0.02), _rk4_max_error(kind, 0.01)
+    assert fine < 1e-8
+    assert 14.0 < coarse / fine < 18.0
+
+
+def test_rk4_driver_reuses_end_stages_and_records_every_kth_node():
+    stages, nodes = [], []
+
+    def stage(j):
+        stages.append(j)
+        return 1.0
+
+    y = _rk4(lambda y, c: c, stage, 0.0, 10, 0.1,
+             lambda i, y: nodes.append(i), every=3)
+    assert stages == list(range(21))  # 2n + 1 evaluations, none repeated
+    assert nodes == [0, 3, 6, 9, 10]
+    assert y == pytest.approx(1.0, abs=1e-12)
 
 
 # ------------------------------------------------------------------- solver
@@ -65,8 +110,18 @@ def test_against_high_accuracy_reference():
 
 
 def test_singularity_guard_fires():
-    with pytest.raises(SingularityError):
+    # the second stage of the first step lands on rho = 0: the error names
+    # that stage's time
+    with pytest.raises(SingularityError, match=r"near t = 0\.0005$"):
         solve_auxiliary(W1, K0, ErmakovInit(0.05, -100.0), 1.0, 1e-3)
+
+
+def test_singularity_guard_fires_after_a_step():
+    # omega*h = 5: every stage input stays positive, the combined step
+    # overshoots below the floor
+    with pytest.raises(SingularityError, match=r"near t = 0\.01$"):
+        solve_auxiliary(ConstantSchedule(500.0), K0, ErmakovInit(0.01, 0.0),
+                        1.0, 0.01)
 
 
 def test_perturbations_grow_at_half_kappa():

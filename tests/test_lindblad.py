@@ -303,14 +303,6 @@ def test_soft_negativity_marks_run_failed_without_raising():
     assert any("eigenvalue" in w for w in traj.warnings)
 
 
-def test_resymmetrize_pins_hermiticity_to_zero():
-    _, _, cfg, gens, sol, model = equilibrium_setup(dim=12, t_max=0.2)
-    rho0 = build_state(StateSpec(kind="coherent", beta=0.5), cfg)
-    traj = evolve_density(model, rho0, 0.2, H, record_every=50,
-                          resymmetrize=True)
-    assert float(np.max(traj.herm_dev)) == 0.0
-
-
 def test_oversized_coherent_state_rejected():
     cfg = BasisConfig(dim=12, omega_ref=1.0)
     with pytest.raises(SupportLeakError):

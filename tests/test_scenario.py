@@ -295,6 +295,16 @@ def test_verify_reports_backend_agreement_for_both(tmp_path):
     assert agreement.passed and agreement.measured <= 1e-5
 
 
+def test_backend_agreement_holds_when_the_step_does_not_divide_the_window(
+        tmp_path):
+    # 1.0 / 3e-4 = 3333.3: the integrators take 3334 steps, and the record
+    # grid must end on the same node
+    report = verify_scenario(load_text(
+        SMALL + "run.backend = both\nrun.step_h = 3e-4\n", tmp_path))
+    agreement = {c.name: c for c in report.checks}["backend-agreement"]
+    assert agreement.passed and agreement.measured <= 1e-12
+
+
 def test_verify_flags_a_dissipative_modulated_residual(tmp_path):
     # friction with a moving auxiliary solution leaves a genuine
     # operator-equation defect, far above the default residual budget
@@ -367,6 +377,18 @@ def test_sweep_rows_follow_input_order(tmp_path):
     assert first_line(out) == ("value,max_rel_drift,max_aux_residual,"
                                "max_constraint_residual,"
                                "max_invariant_residual,final_mean_x")
+
+
+@pytest.mark.parametrize("backend", ["fock", "moments"])
+def test_sweep_row_equals_the_verify_battery(tmp_path, backend):
+    s = load_text(SMALL + f"run.backend = {backend}\n", tmp_path)
+    (row,) = sweep(s, "kappa.value", ["0.05"], str(tmp_path / "sweep.csv"))
+    report = verify_scenario(s.with_setting("kappa.value", "0.05"))
+    measured = {c.name: c.measured for c in report.checks}
+    assert row["max_rel_drift"] == measured["conservation"]
+    assert row["max_aux_residual"] == measured["auxiliary-residual"]
+    assert row["max_constraint_residual"] == measured["constraint-identities"]
+    assert row["max_invariant_residual"] == measured["invariant-residual"]
 
 
 def test_sweep_rejects_an_empty_value_list(tmp_path):

@@ -7,7 +7,6 @@ from invariantlab.schedules import (
     LinearSchedule,
     SinusoidSchedule,
     TableSchedule,
-    eval_schedule,
     load_table_csv,
     modulated_frequency_sq,
     validate_schedules,
@@ -16,25 +15,25 @@ from invariantlab.schedules import (
 
 def test_constant_derivatives():
     s = ConstantSchedule(1.0)
-    assert eval_schedule(s, 3.7, 0) == 1.0
-    assert eval_schedule(s, 3.7, 1) == 0.0
-    assert eval_schedule(s, 3.7, 2) == 0.0
+    assert s.eval(3.7, 0) == 1.0
+    assert s.eval(3.7, 1) == 0.0
+    assert s.eval(3.7, 2) == 0.0
 
 
 def test_linear_eval():
     s = LinearSchedule(intercept=1.0, slope=0.1)
-    assert abs(eval_schedule(s, 2.0, 0) - 1.2) < 1e-15
-    assert eval_schedule(s, 5.0, 1) == 0.1
-    assert eval_schedule(s, 5.0, 2) == 0.0
+    assert abs(s.eval(2.0, 0) - 1.2) < 1e-15
+    assert s.eval(5.0, 1) == 0.1
+    assert s.eval(5.0, 2) == 0.0
 
 
 def test_sinusoid_eval():
     s = SinusoidSchedule(base=1.0, amplitude=0.5, frequency=0.2)
-    assert abs(eval_schedule(s, 0.0, 1) - 0.1) < 1e-15   # A*nu at zero phase
-    assert abs(eval_schedule(s, 0.0, 0) - 1.0) < 1e-15
+    assert abs(s.eval(0.0, 1) - 0.1) < 1e-15   # A*nu at zero phase
+    assert abs(s.eval(0.0, 0) - 1.0) < 1e-15
     t = np.pi / 0.4  # frequency*t = pi/2
-    assert abs(eval_schedule(s, t, 0) - 1.5) < 1e-12
-    assert abs(eval_schedule(s, t, 2) + 0.5 * 0.04) < 1e-14
+    assert abs(s.eval(t, 0) - 1.5) < 1e-12
+    assert abs(s.eval(t, 2) + 0.5 * 0.04) < 1e-14
 
 
 @pytest.mark.parametrize(
