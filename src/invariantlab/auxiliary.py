@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularityError, ValidationError
-from .schedules import ReflectedSchedule, Schedule
+from .schedules import ReflectedSchedule, Schedule, _check_window
 
 RHO_FLOOR = 1e-6
 
@@ -65,7 +65,38 @@ def hermite_derivative(ts, y, ydot, t):
     return d00 * y[idx] + d10 * ydot[idx] + d01 * y[idx + 1] + d11 * ydot[idx + 1]
 
 
+def _dense_at(ts, y, ydot, t, what: str, derivative: bool = False):
+    """Window-checked Hermite value (or its t-derivative) of a sampled series.
+
+    Returns a float for scalar t and an array otherwise.
+    """
+    t = _check_window(t, ts[0], ts[-1], what)
+    out = (hermite_derivative if derivative else hermite_value)(ts, y, ydot, t)
+    return out if t.ndim else float(out)
+
+
 # ------------------------------------------------------------------- records
+
+
+def _freeze_fields(record, *names: str):
+    """Store the named fields of a frozen record as read-only float arrays."""
+    for name in names:
+        arr = np.asarray(getattr(record, name), dtype=float)
+        arr.flags.writeable = False
+        object.__setattr__(record, name, arr)
+
+
+def _write_rows(path, header: str, rows, precision: int):
+    """Write a CSV artifact: the header line, then one line per row of floats.
+
+    Every float is rendered with ``precision`` significant digits, so
+    identical records give byte-identical files.
+    """
+    fmt = f"{{:.{precision}g}}"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(fmt.format(v) for v in row) + "\n")
 
 
 @dataclass(frozen=True)
@@ -94,10 +125,7 @@ class ErmakovSolution:
     enforce_floor: bool = True
 
     def __post_init__(self):
-        for name in ("ts", "rho", "rhodot", "rhoddot"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _freeze_fields(self, "ts", "rho", "rhodot", "rhoddot")
         if self.enforce_floor and np.any(self.rho < RHO_FLOOR):
             raise ValidationError("rho samples dip below the positivity floor")
 
@@ -109,22 +137,11 @@ class ErmakovSolution:
     def step(self) -> float:
         return float(self.ts[1] - self.ts[0])
 
-    def _check_window(self, t):
-        lo, hi = self.window
-        t = np.asarray(t, dtype=float)
-        if np.any(t < lo - 1e-12) or np.any(t > hi + 1e-12):
-            raise ValidationError(
-                f"time outside solution window [{lo:g}, {hi:g}]")
-
     def rho_at(self, t):
-        self._check_window(t)
-        out = hermite_value(self.ts, self.rho, self.rhodot, t)
-        return out if np.ndim(t) else float(out)
+        return _dense_at(self.ts, self.rho, self.rhodot, t, "solution")
 
     def rhodot_at(self, t):
-        self._check_window(t)
-        out = hermite_value(self.ts, self.rhodot, self.rhoddot, t)
-        return out if np.ndim(t) else float(out)
+        return _dense_at(self.ts, self.rhodot, self.rhoddot, t, "solution")
 
     def rhoddot_at(self, t):
         """Second derivative of the interpolated trajectory.
@@ -132,17 +149,13 @@ class ErmakovSolution:
         Taken as the analytic derivative of the rhodot interpolant, so it is
         independent of the equation's right-hand side away from the nodes.
         """
-        self._check_window(t)
-        out = hermite_derivative(self.ts, self.rhodot, self.rhoddot, t)
-        return out if np.ndim(t) else float(out)
+        return _dense_at(self.ts, self.rhodot, self.rhoddot, t, "solution",
+                         derivative=True)
 
     def write_csv(self, path, precision: int = 12, every: int = 1):
-        fmt = f"{{:.{precision}g}}"
-        with open(path, "w") as fh:
-            fh.write("t,rho,rhodot\n")
-            for i in range(0, len(self.ts), every):
-                fh.write(",".join(fmt.format(v) for v in
-                                  (self.ts[i], self.rho[i], self.rhodot[i])) + "\n")
+        _write_rows(path, "t,rho,rhodot",
+                    zip(self.ts[::every], self.rho[::every],
+                        self.rhodot[::every]), precision)
 
 
 # ----------------------------------------------------------------- integrate
@@ -263,14 +276,13 @@ def solve_classical_mode(omega_s: Schedule, init: tuple[float, float],
 
 
 def solve_tracking_reference(omega_s: Schedule, kappa_s: Schedule,
-                             window: float, h: float,
-                             margin: float | None = None) -> ErmakovSolution:
+                             window: float, h: float) -> ErmakovSolution:
     """Relaxed numerical solution on the slowly-varying branch over [0, window].
 
     Forward in time the branch the slow-variation series describes is
     repelling (perturbations grow at rate kappa/2), so shooting at it is
     hopeless.  Reflecting time turns the anti-damping into damping: this
-    integrates the reflected equation from a series seed placed ``margin``
+    integrates the reflected equation from a series seed placed a margin
     ahead of the window, letting the transient decay like exp(-kappa tau/2),
     then maps the samples back onto the forward grid.  Requires kappa > 0
     throughout (no relaxation otherwise).
@@ -279,9 +291,8 @@ def solve_tracking_reference(omega_s: Schedule, kappa_s: Schedule,
     if not k_probe > 0:
         raise ValidationError(
             "tracking reference needs kappa > 0 (got kappa(0) = %g)" % k_probe)
-    if margin is None:
-        # decay factor exp(-kappa*margin/2) ~ 1e-7 of the seed mismatch
-        margin = 2.0 * 16.2 / k_probe
+    # decay factor exp(-kappa*margin/2) ~ 1e-7 of the seed mismatch
+    margin = 2.0 * 16.2 / k_probe
     m = _step_count(window, h)
     n = m + int(np.ceil(margin / h))
     t_end = n * h
@@ -329,12 +340,12 @@ def adiabatic_rho(omega_s: Schedule, kappa_s: Schedule, t):
     return out if np.ndim(t) else float(out)
 
 
-def adiabatic_rhodot(omega_s: Schedule, kappa_s: Schedule, t: float,
-                     delta: float = 1e-5) -> float:
+def adiabatic_rhodot(omega_s: Schedule, kappa_s: Schedule, t: float) -> float:
     """Time derivative of the series by second-order finite differencing.
 
     Falls back to a one-sided stencil when a table window blocks one side.
     """
+    delta = 1e-5
 
     def f(u):
         return adiabatic_rho(omega_s, kappa_s, u)
@@ -371,13 +382,7 @@ def auxiliary_residual(sol: ErmakovSolution, omega_s: Schedule,
 
 
 def max_residual_between_nodes(sol: ErmakovSolution, omega_s: Schedule,
-                               kappa_s: Schedule, samples_per_gap: int = 1) -> float:
-    """Max |auxiliary_residual| over interval midpoints (optionally more)."""
-    h = sol.step
-    offsets = (np.arange(1, samples_per_gap + 1) / (samples_per_gap + 1.0)) * h
-    worst = 0.0
-    for off in offsets:
-        pts = sol.ts[:-1] + off
-        r = auxiliary_residual(sol, omega_s, kappa_s, pts)
-        worst = max(worst, float(np.max(np.abs(r))))
-    return worst
+                               kappa_s: Schedule) -> float:
+    """Max |auxiliary_residual| over the interval midpoints."""
+    pts = sol.ts[:-1] + 0.5 * sol.step
+    return float(np.max(np.abs(auxiliary_residual(sol, omega_s, kappa_s, pts))))

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auxiliary import ErmakovSolution
+from .auxiliary import ErmakovSolution, _freeze_fields, _write_rows
 from .errors import NumericalError, ValidationError
 from .lindblad import LindbladCoefficients, LindbladModel, Trajectory
 from .operators import (
@@ -57,7 +57,7 @@ from .operators import (
     interior_block,
     max_abs,
 )
-from .schedules import Schedule
+from .schedules import Schedule, _check_window
 
 __all__ = [
     "DEGENERATE_MODE_TOL",
@@ -203,23 +203,22 @@ class InvariantSpec:
         return linear_invariant_at(self.sol, *self.operators, t)
 
 
-def invariant_residual(inv: InvariantSpec, model: LindbladModel, t: float,
-                       h_t: float = FD_HALF_STEP) -> float:
+def invariant_residual(inv: InvariantSpec, model: LindbladModel,
+                       t: float) -> float:
     """Interior max-norm defect of the conservation operator equation.
 
     Evaluates ``i dI/dt - [H, I] - i sum_n alpha_n [L_n, [L_n, I]]`` for
     the ``weak`` kind and ``i dI/dt - [H, I]`` for the frictionless
     kinds, with dI/dt obtained by central differencing of the closed
-    form at half-step ``h_t`` — deliberately independent of the algebra
-    that constructed the observable.
+    form at half-step ``FD_HALF_STEP`` — deliberately independent of the
+    algebra that constructed the observable.
     """
-    if h_t <= 0:
-        raise ValidationError(f"h_t must be > 0, got {h_t}")
     cfg = model.basis
     if inv.dim != cfg.dim:
         raise ValidationError(
             f"invariant dimension {inv.dim} does not match basis {cfg.dim}")
-    d_op = (inv.at(t + h_t).entries - inv.at(t - h_t).entries) / (2.0 * h_t)
+    d_op = ((inv.at(t + FD_HALF_STEP).entries - inv.at(t - FD_HALF_STEP).entries)
+            / (2.0 * FD_HALF_STEP))
     i_op = inv.at(t).entries
     res = 1j * d_op - commutator(model.hamiltonian_at(t).entries, i_op)
     if inv.kind == "weak":
@@ -237,10 +236,7 @@ class ExpectationSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        for name in ("ts", "values"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _freeze_fields(self, "ts", "values")
         if self.ts.shape != self.values.shape:
             raise ValidationError("time and value grids differ in length")
 
@@ -255,14 +251,8 @@ class ExpectationSeries:
         return float(np.max(self.rel_drift))
 
     def write_csv(self, path, precision: int = 12):
-        fmt = f"{{:.{precision}g}}"
-        drift = self.rel_drift
-        with open(path, "w") as fh:
-            fh.write("t,expect_I,rel_drift\n")
-            for i in range(len(self.ts)):
-                fh.write(",".join(fmt.format(v) for v in
-                                  (self.ts[i], self.values[i], drift[i]))
-                         + "\n")
+        _write_rows(path, "t,expect_I,rel_drift",
+                    zip(self.ts, self.values, self.rel_drift), precision)
 
 
 def expectation_series(traj: Trajectory, inv: InvariantSpec) -> ExpectationSeries:
@@ -271,11 +261,7 @@ def expectation_series(traj: Trajectory, inv: InvariantSpec) -> ExpectationSerie
         raise ValidationError(
             f"invariant dimension {inv.dim} does not match "
             f"trajectory basis {traj.basis.dim}")
-    lo, hi = inv.window
-    if traj.ts[0] < lo - 1e-12 or traj.ts[-1] > hi + 1e-12:
-        raise ValidationError(
-            f"trajectory window [{traj.ts[0]:g}, {traj.ts[-1]:g}] is not "
-            f"covered by the invariant's window [{lo:g}, {hi:g}]")
+    _check_window(traj.ts, *inv.window, "invariant")
     values = np.array([expectation(inv.at(float(t)), state)
                        for t, state in zip(traj.ts, traj.states)])
     return ExpectationSeries(ts=np.asarray(traj.ts, dtype=float),
@@ -287,26 +273,21 @@ class SpectrumSeries:
     """Lowest eigenvalues over time, paired by sorted order.
 
     ``flagged`` lists (time index, level index) pairs where a level
-    moved more than the continuity bound between consecutive samples —
+    moved more than ``CONTINUITY_BOUND`` between consecutive samples —
     there the sorted-order pairing is unreliable.  Flagging is advisory,
     never fatal.
     """
 
     ts: np.ndarray
     levels: np.ndarray  # shape (len(ts), m), ascending along axis 1
-    continuity_bound: float
     flagged: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self):
-        ts = np.asarray(self.ts, dtype=float)
-        levels = np.asarray(self.levels, dtype=float)
-        if levels.shape[0] != ts.shape[0]:
+        _freeze_fields(self, "ts", "levels")
+        if self.levels.shape[0] != self.ts.shape[0]:
             raise ValidationError("level rows do not match the time grid")
-        if np.any(np.diff(levels, axis=1) < 0):
+        if np.any(np.diff(self.levels, axis=1) < 0):
             raise ValidationError("per-time eigenvalue lists must be sorted")
-        for name, arr in (("ts", ts), ("levels", levels)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     @property
     def m(self) -> int:
@@ -317,13 +298,10 @@ class SpectrumSeries:
         return not self.flagged
 
     def write_csv(self, path, precision: int = 12):
-        fmt = f"{{:.{precision}g}}"
         header = "t," + ",".join(f"lambda_{n}" for n in range(self.m))
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for i in range(len(self.ts)):
-                row = [self.ts[i], *self.levels[i]]
-                fh.write(",".join(fmt.format(v) for v in row) + "\n")
+        _write_rows(path, header,
+                    ((t, *row) for t, row in zip(self.ts, self.levels)),
+                    precision)
 
 
 def _operator_at_factory(source, times):
@@ -351,8 +329,7 @@ def _operator_at_factory(source, times):
         "trajectory, or a callable t -> FockOperator")
 
 
-def spectrum_series(source, times, m: int,
-                    continuity_bound: float = CONTINUITY_BOUND) -> SpectrumSeries:
+def spectrum_series(source, times, m: int) -> SpectrumSeries:
     """Lowest ``m`` eigenvalues of a time-indexed observable family.
 
     ``source`` may be an InvariantSpec (closed form), an operator
@@ -375,15 +352,13 @@ def spectrum_series(source, times, m: int,
     flagged = [(i + 1, n)
                for i in range(times.size - 1)
                for n in range(m)
-               if abs(levels[i + 1, n] - levels[i, n]) > continuity_bound]
-    return SpectrumSeries(ts=times, levels=levels,
-                          continuity_bound=continuity_bound,
-                          flagged=tuple(flagged))
+               if abs(levels[i + 1, n] - levels[i, n]) > CONTINUITY_BOUND]
+    return SpectrumSeries(ts=times, levels=levels, flagged=tuple(flagged))
 
 
 def drift_rhs(j_op: FockOperator, lam: np.ndarray, vecs: np.ndarray,
-              l_op: FockOperator | None, alpha: float, m: int,
-              gap_tol: float = DRIFT_GAP_TOL) -> tuple[np.ndarray, np.ndarray]:
+              l_op: FockOperator | None, alpha: float,
+              m: int) -> tuple[np.ndarray, np.ndarray]:
     """Predicted instantaneous eigenvalue drift of an evolving observable.
 
     For each retained eigenpair (lam[i], vecs[:, i]) of J, returns
@@ -392,7 +367,7 @@ def drift_rhs(j_op: FockOperator, lam: np.ndarray, vecs: np.ndarray,
 
     which equals d lam[i]/dt along the transport flow when the
     eigenvalue is simple.  Pairs among the lowest ``m`` whose gap to a
-    neighbor is below ``gap_tol`` are excluded (the formula needs a
+    neighbor is below ``DRIFT_GAP_TOL`` are excluded (the formula needs a
     one-dimensional eigenprojector).  Returns (kept indices, drifts).
     """
     lam = np.asarray(lam, dtype=float)
@@ -409,12 +384,12 @@ def drift_rhs(j_op: FockOperator, lam: np.ndarray, vecs: np.ndarray,
     for i in range(m):
         gap_lo = np.inf if i == 0 else lam[i] - lam[i - 1]
         gap_hi = np.inf if i == lam.size - 1 else lam[i + 1] - lam[i]
-        if min(gap_lo, gap_hi) >= gap_tol:
+        if min(gap_lo, gap_hi) >= DRIFT_GAP_TOL:
             kept.append(i)
     if not kept:
         raise NumericalError(
             f"all {m} candidate eigenpairs are degenerate within "
-            f"gap {gap_tol:g}; no drift prediction is possible")
+            f"gap {DRIFT_GAP_TOL:g}; no drift prediction is possible")
     kept = np.asarray(kept, dtype=int)
     if alpha == 0.0:
         return kept, np.zeros(kept.size)

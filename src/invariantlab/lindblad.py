@@ -19,11 +19,12 @@ import numpy as np
 
 from .auxiliary import (
     ErmakovSolution,
+    _dense_at,
+    _freeze_fields,
     _half_grid_coefficients,
     _rk4,
     _step_count,
-    hermite_derivative,
-    hermite_value,
+    _write_rows,
 )
 from .errors import (
     NegativeFrictionError,
@@ -57,12 +58,6 @@ MOMENT_BOUND_TOL = 1e-9
 CLOSURE_GATE_TOL = 1e-10
 
 
-def _freeze(a) -> np.ndarray:
-    out = np.asarray(a, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 # -------------------------------------------------------------- coefficients
 
 
@@ -78,14 +73,11 @@ class LindbladCoefficients:
     alpha: float
     a2: float
     a3: float
-    a1: float = 1.0
 
     def __post_init__(self):
         if self.alpha < 0.0:
             raise ValidationError(
                 f"dissipator strength must be >= 0, got {self.alpha}")
-        if self.a1 != 1.0:
-            raise ValidationError("the leading mixing weight is fixed to 1")
         if self.a2 - self.a3 * self.a3 < 0.0:
             raise ValidationError(
                 "mixing weights must satisfy a2 - a3^2 >= 0 "
@@ -219,8 +211,7 @@ class Trajectory:
     warnings: tuple[str, ...]
 
     def __post_init__(self):
-        for name in ("ts", "trace", "herm_dev", "min_eig", "tail_pop"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        _freeze_fields(self, "ts", "trace", "herm_dev", "min_eig", "tail_pop")
 
     @property
     def ok(self) -> bool:
@@ -230,14 +221,13 @@ class Trajectory:
         return [moments_from_state(s, self.basis) for s in self.states]
 
     def write_csv(self, path, precision: int = 12):
-        fmt = f"{{:.{precision}g}}"
-        with open(path, "w") as fh:
-            fh.write("t,mean_x,mean_p,k1,k2,k3,trace,herm_dev,min_eig,tail_pop\n")
-            for i, m in enumerate(self.moments()):
-                row = (self.ts[i], m.mean_x, m.mean_p, m.k1, m.k2, m.k3,
-                       self.trace[i], self.herm_dev[i], self.min_eig[i],
-                       self.tail_pop[i])
-                fh.write(",".join(fmt.format(v) for v in row) + "\n")
+        rows = ((t, m.mean_x, m.mean_p, m.k1, m.k2, m.k3, *health)
+                for t, m, *health in zip(self.ts, self.moments(), self.trace,
+                                         self.herm_dev, self.min_eig,
+                                         self.tail_pop))
+        _write_rows(path,
+                    "t,mean_x,mean_p,k1,k2,k3,trace,herm_dev,min_eig,tail_pop",
+                    rows, precision)
 
 
 def _density_stage_ops(model: LindbladModel, t: float):
@@ -305,7 +295,7 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
             if failed_at is None:
                 failed_at = t
         rec_ts.append(t)
-        rec_states.append(DensityMatrix(arr.copy(), validate=False))
+        rec_states.append(DensityMatrix(arr, validate=False))
         rec_diag.append((tr, herm, lo, tail))
 
     _rk4(_density_rhs, lambda j: _density_stage_ops(model, 0.5 * h * j),
@@ -331,8 +321,7 @@ class OperatorTrajectory:
     warnings: tuple[str, ...]
 
     def __post_init__(self):
-        for name in ("ts", "herm_dev"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        _freeze_fields(self, "ts", "herm_dev")
 
     @property
     def ok(self) -> bool:
@@ -403,7 +392,7 @@ def evolve_adjoint_observable(model: LindbladModel, q0: FockOperator,
             if failed_at is None:
                 failed_at = t
         rec_ts.append(t)
-        rec_ops.append(FockOperator(arr.copy()))
+        rec_ops.append(FockOperator(arr))
         rec_dev.append(dev)
 
     # overflow between record points is caught at the next record; the
@@ -480,36 +469,20 @@ class FirstMomentSeries:
     xddot: np.ndarray
 
     def __post_init__(self):
-        for name in ("ts", "mean_x", "mean_p", "xdot", "pdot", "xddot"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
-
-    @property
-    def window(self) -> tuple[float, float]:
-        return float(self.ts[0]), float(self.ts[-1])
-
-    def _check_window(self, t):
-        t = np.asarray(t, dtype=float)
-        lo, hi = self.window
-        if np.any(t < lo - 1e-12) or np.any(t > hi + 1e-12):
-            raise ValidationError(
-                f"time {t!r} outside recorded window [{lo:g}, {hi:g}]")
-        return t
+        _freeze_fields(self, "ts", "mean_x", "mean_p", "xdot", "pdot", "xddot")
 
     def x_at(self, t):
-        t = self._check_window(t)
-        return hermite_value(self.ts, self.mean_x, self.xdot, t)
+        return _dense_at(self.ts, self.mean_x, self.xdot, t, "moment series")
 
     def p_at(self, t):
-        t = self._check_window(t)
-        return hermite_value(self.ts, self.mean_p, self.pdot, t)
+        return _dense_at(self.ts, self.mean_p, self.pdot, t, "moment series")
 
     def xdot_at(self, t):
-        t = self._check_window(t)
-        return hermite_value(self.ts, self.xdot, self.xddot, t)
+        return _dense_at(self.ts, self.xdot, self.xddot, t, "moment series")
 
     def xddot_at(self, t):
-        t = self._check_window(t)
-        return hermite_derivative(self.ts, self.xdot, self.xddot, t)
+        return _dense_at(self.ts, self.xdot, self.xddot, t, "moment series",
+                         derivative=True)
 
 
 def evolve_first_moments(omega_s: Schedule, kappa_s: Schedule,
@@ -621,8 +594,7 @@ class Su11MomentSeries:
     k3: np.ndarray
 
     def __post_init__(self):
-        for name in ("ts", "k1", "k2", "k3"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        _freeze_fields(self, "ts", "k1", "k2", "k3")
 
 
 def evolve_su11_moments(omega_s: Schedule, kappa_s: Schedule,

@@ -51,6 +51,7 @@ from .auxiliary import (
     ErmakovInit,
     ErmakovSolution,
     _step_count,
+    _write_rows,
     adiabatic_rho,
     adiabatic_rhodot,
     max_residual_between_nodes,
@@ -82,9 +83,7 @@ from .operators import (
     build_canonical,
     build_state,
     build_su11_generators,
-    commutator,
-    interior_block,
-    max_abs,
+    check_su11_relations,
 )
 from .scenario import Scenario
 from .schedules import SinusoidSchedule
@@ -186,8 +185,6 @@ class _Prepared:
     model: LindbladModel
     invariant: InvariantSpec
     gens: tuple
-    x_op: object
-    p_op: object
     record_idx: np.ndarray
     record_ts: np.ndarray
 
@@ -196,8 +193,7 @@ def _prepare(s: Scenario) -> _Prepared:
     sol = solve_auxiliary(s.omega_schedule, s.kappa_schedule,
                           s.initial_auxiliary(), s.t_max, s.step_h)
     cfg = s.basis
-    x_op, p_op = build_canonical(cfg)
-    gens = build_su11_generators(x_op, p_op)
+    gens = build_su11_generators(*build_canonical(cfg))
     model = assemble_model(s.omega_schedule, s.kappa_schedule, sol, *gens, cfg)
     invariant = InvariantSpec(kind="weak", sol=sol, operators=gens)
     n = _step_count(s.t_max, s.step_h)
@@ -205,7 +201,7 @@ def _prepare(s: Scenario) -> _Prepared:
     if idx[-1] != n:
         idx = np.append(idx, n)
     return _Prepared(scenario=s, sol=sol, model=model, invariant=invariant,
-                     gens=gens, x_op=x_op, p_op=p_op, record_idx=idx,
+                     gens=gens, record_idx=idx,
                      record_ts=idx * s.step_h)
 
 
@@ -269,14 +265,10 @@ def _spectrum_modes(dim: int) -> int:
 
 
 def _write_moment_trajectory(path, p: _Prepared, first, quad, precision: int):
-    fmt = f"{{:.{precision}g}}"
     idx = p.record_idx
-    with open(path, "w") as fh:
-        fh.write("t,mean_x,mean_p,k1,k2,k3\n")
-        for j, i in enumerate(idx):
-            row = (p.record_ts[j], first.mean_x[i], first.mean_p[i],
-                   quad.k1[i], quad.k2[i], quad.k3[i])
-            fh.write(",".join(fmt.format(v) for v in row) + "\n")
+    _write_rows(path, "t,mean_x,mean_p,k1,k2,k3",
+                zip(p.record_ts, first.mean_x[idx], first.mean_p[idx],
+                    quad.k1[idx], quad.k2[idx], quad.k3[idx]), precision)
 
 
 def run_scenario(s: Scenario, out_dir: str | None = None) -> SimulationResult:
@@ -319,12 +311,7 @@ def run_scenario(s: Scenario, out_dir: str | None = None) -> SimulationResult:
 
 
 def _check_su11_algebra(p: _Prepared) -> CheckResult:
-    k1, k2, k3 = (g.entries for g in p.gens)
-    cut = p.scenario.basis.interior_dim
-    dev = max(
-        max_abs(interior_block(commutator(k1, k2) + 1j * k3, cut)),
-        max_abs(interior_block(commutator(k2, k3) - 2j * k2, cut)),
-        max_abs(interior_block(commutator(k3, k1) - 2j * k1, cut)))
+    dev = max(check_su11_relations(*p.gens, p.scenario.basis.interior_dim))
     return CheckResult("su11-algebra", dev, SU11_ALGEBRA_TOL,
                        dev <= SU11_ALGEBRA_TOL)
 
@@ -562,12 +549,20 @@ def sweep(s: Scenario, param: str, values: list[str],
 
     Rows land in input order.  Each run rebuilds the scenario through
     full validation, so an out-of-range value fails with the same error
-    a hand-edited file would produce.
+    a hand-edited file would produce.  Values must be numbers (they fill
+    the ``value`` column); any other value is rejected before the first
+    run.
     """
     if not values:
         raise ValidationError("sweep needs at least one value")
+    try:
+        numbers = [float(value) for value in values]
+    except ValueError:
+        raise ValidationError(
+            f"sweep values for {param} must be numbers, got "
+            f"{', '.join(values)}") from None
     rows: list[dict[str, float]] = []
-    for value in values:
+    for value, number in zip(values, numbers):
         sc = s.with_setting(param, value)
         p = _prepare(sc)
         traj, first, _, series = _evolve(p)
@@ -576,17 +571,14 @@ def sweep(s: Scenario, param: str, values: list[str],
         else:
             final_x = first.mean_x[p.record_idx[-1]]
         rows.append({
-            "value": float(value),
+            "value": number,
             "max_rel_drift": float(series.max_rel_drift),
             "max_aux_residual": _check_auxiliary_residual(p).measured,
             "max_constraint_residual": _check_constraints(p).measured,
             "max_invariant_residual": _check_invariant_residual(p).measured,
             "final_mean_x": float(final_x),
         })
-    fmt = f"{{:.{s.csv_precision}g}}"
-    with open(out_path, "w") as fh:
-        fh.write(SWEEP_HEADER + "\n")
-        for row in rows:
-            fh.write(",".join(fmt.format(row[k]) for k in
-                              SWEEP_HEADER.split(",")) + "\n")
+    keys = SWEEP_HEADER.split(",")
+    _write_rows(out_path, SWEEP_HEADER,
+                ([row[k] for k in keys] for row in rows), s.csv_precision)
     return rows

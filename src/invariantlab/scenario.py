@@ -47,8 +47,13 @@ VALIDATION_GRID_POINTS = 1001
 # ---------------------------------------------------------------------------
 # schema: key -> (type tag, default-as-text or None if required/conditional)
 
-_SCHEDULE_KEYS = ("kind", "value", "intercept", "slope", "base",
-                  "amplitude", "rate", "phase", "table")
+# the parameter keys of a schedule: each kind takes its own and forbids the rest
+_SCHEDULE_KEYS = ("value", "intercept", "slope", "base", "amplitude", "rate",
+                  "phase", "table")
+_SCHEDULE_KIND_KEYS = {"constant": ("value",),
+                       "linear": ("intercept", "slope"),
+                       "sinusoid": ("base", "amplitude", "rate", "phase"),
+                       "table": ("table",)}
 
 _SCHEMA: dict[str, tuple[str, str | None, str]] = {
     "basis.dim": ("int", "60", "Fock-space truncation dimension (>= 8)"),
@@ -228,11 +233,6 @@ class Scenario:
     settings: tuple[tuple[str, str], ...]
     base_dir: str
 
-    @property
-    def dissipative(self) -> bool:
-        grid = self.frequency_report.times
-        return bool(np.max(np.abs(self.kappa_schedule(grid))) > 0)
-
     def initial_auxiliary(self) -> ErmakovInit:
         if self.use_adiabatic_init:
             return ErmakovInit(
@@ -254,15 +254,12 @@ class Scenario:
 def _build_schedule(cfg: _Settings, prefix: str, base_dir: str) -> Schedule:
     kind = cfg.require(f"{prefix}.kind", "to describe the schedule")
     because = f"for {prefix}.kind = {kind}"
-    other = {"constant": ("intercept", "slope", "base", "amplitude", "rate", "phase", "table"),
-             "linear": ("value", "base", "amplitude", "rate", "phase", "table"),
-             "sinusoid": ("value", "intercept", "slope", "table"),
-             "table": ("value", "intercept", "slope", "base", "amplitude", "rate", "phase")}
-    if kind not in other:
+    if kind not in _SCHEDULE_KIND_KEYS:
         raise ValidationError(
             f"{prefix}.kind must be constant, linear, sinusoid, or table; got {kind!r}")
-    for name in other[kind]:
-        cfg.forbid(f"{prefix}.{name}", because)
+    for name in _SCHEDULE_KEYS:
+        if name not in _SCHEDULE_KIND_KEYS[kind]:
+            cfg.forbid(f"{prefix}.{name}", because)
     if kind == "constant":
         return ConstantSchedule(cfg.require(f"{prefix}.value", because))
     if kind == "linear":

@@ -21,6 +21,19 @@ from .errors import NegativeFrictionError, ParseError, ValidationError
 KAPPA_NEGATIVE_TOL = -1e-12
 
 
+def _check_window(t, lo, hi, what: str):
+    """Reject any time more than 1e-12 outside the sampled window [lo, hi].
+
+    Returns the times as a float array.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any(t < lo - 1e-12) or np.any(t > hi + 1e-12):
+        raise ValidationError(
+            f"time {float(np.min(t)):g}..{float(np.max(t)):g} outside "
+            f"{what} window [{lo:g}, {hi:g}]")
+    return t
+
+
 class Schedule:
     """Base: real coefficient of time with derivatives up to order 2."""
 
@@ -30,7 +43,8 @@ class Schedule:
     def eval(self, t, order: int = 0):
         if order not in (0, 1, 2):
             raise ValidationError(f"derivative order must be 0, 1 or 2, got {order}")
-        self._check_window(t)
+        if self.window is not None:
+            _check_window(t, *self.window, "schedule")
         return self._eval(np.asarray(t, dtype=float), order)
 
     def __call__(self, t):
@@ -41,16 +55,6 @@ class Schedule:
             return True
         lo, hi = self.window
         return lo <= t0 and t1 <= hi
-
-    def _check_window(self, t):
-        if self.window is None:
-            return
-        lo, hi = self.window
-        t = np.asarray(t, dtype=float)
-        if np.any(t < lo - 1e-12) or np.any(t > hi + 1e-12):
-            raise ValidationError(
-                f"time {float(np.min(t)):g}..{float(np.max(t)):g} outside "
-                f"schedule window [{lo:g}, {hi:g}]")
 
     def _eval(self, t: np.ndarray, order: int):
         raise NotImplementedError

@@ -253,13 +253,10 @@ def test_residual_strong_form_without_friction():
 
 
 def test_residual_argument_validation():
-    cfg, _, _, gens = make_frame(10)
+    _, _, _, gens = make_frame(10)
     omega_s, kappa_s = ConstantSchedule(1.0), ConstantSchedule(0.1)
     sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 1.0, H)
-    model = assemble_model(omega_s, kappa_s, sol, *gens, cfg)
     spec = InvariantSpec(kind="weak", sol=sol, operators=gens)
-    with pytest.raises(ValidationError):
-        invariant_residual(spec, model, 0.5, h_t=0.0)
     other = make_frame(12)
     other_model = assemble_model(omega_s, kappa_s, sol, *other[3], other[0])
     with pytest.raises(ValidationError):

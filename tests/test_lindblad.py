@@ -106,7 +106,6 @@ def test_coefficients_on_equilibrium():
     """rho = 1, rhodot = 0, kappa = 0.1: alpha = kappa, a2 = 1, a3 = 0."""
     _, kappa_s, _, _, sol, _ = equilibrium_setup(dim=8)
     c = coefficients_at(sol, kappa_s, 0.7)
-    assert c.a1 == 1.0
     np.testing.assert_allclose(c.alpha, 0.1, rtol=0, atol=1e-12)
     np.testing.assert_allclose(c.a2, 1.0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(c.a3, 0.0, rtol=0, atol=1e-12)
@@ -147,8 +146,6 @@ def test_negative_friction_rejected_in_coefficients():
 def test_coefficient_dataclass_validation():
     with pytest.raises(ValidationError):
         LindbladCoefficients(t=0.0, alpha=-1e-3, a2=1.0, a3=0.0)
-    with pytest.raises(ValidationError):
-        LindbladCoefficients(t=0.0, alpha=0.1, a2=1.0, a3=0.0, a1=2.0)
     with pytest.raises(ValidationError):
         LindbladCoefficients(t=0.0, alpha=0.1, a2=0.1, a3=1.0)
 

@@ -5,7 +5,12 @@ import pytest
 
 from invariantlab.cli import main
 from invariantlab.errors import ParseError, ValidationError
-from invariantlab.runner import run_scenario, sweep, verify_scenario
+from invariantlab.runner import (
+    ARTIFACT_FILES,
+    run_scenario,
+    sweep,
+    verify_scenario,
+)
 from invariantlab.scenario import (
     _SCHEMA,
     build_scenario,
@@ -50,7 +55,7 @@ def test_minimal_file_gets_all_defaults(tmp_path):
     assert s.csv_precision == 12
     assert isinstance(s.kappa_schedule, ConstantSchedule)
     assert s.kappa_schedule(5.0) == 0.0
-    assert not s.dissipative
+    assert not np.any(s.kappa_schedule(s.frequency_report.times))
     assert s.use_adiabatic_init
     assert s.state.kind == "coherent"
     assert abs(s.state.beta - 2 ** -0.5) < 1e-15
@@ -245,6 +250,33 @@ def test_frictionless_modulated_spectrum_is_time_constant(tmp_path):
     for n in range(5):
         np.testing.assert_allclose(table[f"lambda_{n}"], n + 0.5,
                                    rtol=0, atol=1e-6)
+
+
+def csv_cells(path):
+    with open(path) as fh:
+        next(fh)
+        return [cell for line in fh for cell in line.rstrip("\n").split(",")]
+
+
+def test_csv_precision_reaches_every_writer(tmp_path):
+    # a modulated, damped run on a step that is no round number, so every
+    # artifact has columns needing more than five significant digits
+    text = ("omega.kind = sinusoid\nomega.base = 1.0\n"
+            "omega.amplitude = 0.2\nomega.rate = 0.7\nkappa.value = 0.1\n"
+            "basis.dim = 16\nrun.t_max = 1.0\nrun.step_h = 0.000333333333333\n"
+            "outputs.csv_precision = 5\n")
+    paths = [tmp_path / "sweep.csv"]
+    for backend in ("fock", "moments"):
+        s = load_text(text + f"run.backend = {backend}\n", tmp_path,
+                      f"{backend}.cfg")
+        run_scenario(s, out_dir=str(tmp_path / backend))
+        paths += [tmp_path / backend / name for name in ARTIFACT_FILES]
+    sweep(s, "kappa.value", ["0.05", "0.1"], str(paths[0]))
+    for path in paths:
+        cells = csv_cells(path)
+        assert cells, path
+        wide = [c for c in cells if format(float(c), ".5g") != c]
+        assert not wide, f"{path}: {wide[:3]}"
 
 
 def test_moment_backend_writes_reduced_trajectory_columns(tmp_path):
@@ -446,6 +478,12 @@ def test_cli_sweep_writes_the_aggregate_csv(tmp_path, capsys):
     assert main(["sweep", "--config", cfg, "--param", "kappa.value",
                  "--values", ","]) == 2
     capsys.readouterr()
+    # a non-numeric value is a configuration error raised before any run
+    os.remove(tmp_path / "sw" / "sweep.csv")
+    assert main(["sweep", "--config", cfg, "--param", "run.backend",
+                 "--values", "fock,moments"]) == 2
+    assert "run.backend" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "sw" / "sweep.csv")
 
 
 def test_cli_schema_prints_every_key(capsys):
