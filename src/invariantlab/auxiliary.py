@@ -79,9 +79,13 @@ def _dense_at(ts, y, ydot, t, what: str, derivative: bool = False):
 
 
 def _freeze_fields(record, *names: str):
-    """Store the named fields of a frozen record as read-only float arrays."""
+    """Store the named fields of a frozen record as read-only float arrays.
+
+    Each field is a private contiguous copy, so the caller's arrays stay
+    writable and unaliased.
+    """
     for name in names:
-        arr = np.asarray(getattr(record, name), dtype=float)
+        arr = np.array(getattr(record, name), dtype=float)
         arr.flags.writeable = False
         object.__setattr__(record, name, arr)
 
@@ -254,8 +258,7 @@ def solve_auxiliary(omega_s: Schedule, kappa_s: Schedule, init: ErmakovInit,
 
     _rk4(rhs, lambda j: j, complex(init.rho0, init.rhodot0), n, h, record)
     ts = h * np.arange(n + 1)
-    # contiguous copies: the dense-output lookups index them on every call
-    rho, rhodot = ys.real.copy(), ys.imag.copy()
+    rho, rhodot = ys.real, ys.imag
     rhoddot = kappa[::2] * rhodot - omega_sq[::2] * rho + rho ** -3.0
     return ErmakovSolution(ts=ts, rho=rho, rhodot=rhodot, rhoddot=rhoddot)
 
@@ -309,8 +312,8 @@ def solve_tracking_reference(omega_s: Schedule, kappa_s: Schedule,
     rhoddot_f = back.rhoddot[::-1]
     ts_f = h * np.arange(n + 1)
     sl = slice(0, m + 1)
-    return ErmakovSolution(ts=ts_f[sl], rho=rho_f[sl].copy(),
-                           rhodot=rhodot_f[sl].copy(), rhoddot=rhoddot_f[sl].copy())
+    return ErmakovSolution(ts=ts_f[sl], rho=rho_f[sl], rhodot=rhodot_f[sl],
+                           rhoddot=rhoddot_f[sl])
 
 
 # ------------------------------------------------------------------ series

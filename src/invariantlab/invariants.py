@@ -49,7 +49,12 @@ import numpy as np
 
 from .auxiliary import ErmakovSolution, _freeze_fields, _write_rows
 from .errors import NumericalError, ValidationError
-from .lindblad import LindbladCoefficients, LindbladModel, Trajectory
+from .lindblad import (
+    LindbladModel,
+    OperatorTrajectory,
+    Trajectory,
+    _generator_arrays,
+)
 from .operators import (
     FockOperator,
     commutator,
@@ -88,6 +93,15 @@ DRIFT_GAP_TOL = 1e-6
 DEGENERATE_MODE_TOL = 1e-12
 
 
+def _weak_coefficients(r, v):
+    """(c1, c2, c3) = (rho^2, rhodot^2 + 1/rho^2, rho rhodot), elementwise.
+
+    The weak invariant is c1 K1 + c2 K2 - c3 K3, and its expectation
+    c1 <K1> + c2 <K2> - c3 <K3>.
+    """
+    return r * r, v * v + 1.0 / (r * r), r * v
+
+
 def weak_invariant_at(sol: ErmakovSolution, k1: FockOperator,
                       k2: FockOperator, k3: FockOperator,
                       t: float) -> FockOperator:
@@ -99,11 +113,9 @@ def weak_invariant_at(sol: ErmakovSolution, k1: FockOperator,
     """
     if not (k1.dim == k2.dim == k3.dim):
         raise ValidationError("generator dimensions differ")
-    r = float(sol.rho_at(t))
-    v = float(sol.rhodot_at(t))
-    return FockOperator((r * r) * k1.entries
-                        + (v * v + 1.0 / (r * r)) * k2.entries
-                        - (r * v) * k3.entries)
+    c1, c2, c3 = _weak_coefficients(float(sol.rho_at(t)),
+                                    float(sol.rhodot_at(t)))
+    return FockOperator(c1 * k1.entries + c2 * k2.entries - c3 * k3.entries)
 
 
 def lr_invariant_at(sol0: ErmakovSolution, x_op: FockOperator,
@@ -220,11 +232,11 @@ def invariant_residual(inv: InvariantSpec, model: LindbladModel,
     d_op = ((inv.at(t + FD_HALF_STEP).entries - inv.at(t - FD_HALF_STEP).entries)
             / (2.0 * FD_HALF_STEP))
     i_op = inv.at(t).entries
-    res = 1j * d_op - commutator(model.hamiltonian_at(t).entries, i_op)
-    if inv.kind == "weak":
-        for alpha, jump in model.dissipators_at(t):
-            l_arr = jump.entries
-            res -= 1j * alpha * commutator(l_arr, commutator(l_arr, i_op))
+    row = model.coefficients(t)
+    h_op, l_arr = _generator_arrays(model, row)
+    res = 1j * d_op - commutator(h_op, i_op)
+    if inv.kind == "weak" and l_arr is not None:
+        res -= 1j * row[1] * commutator(l_arr, commutator(l_arr, i_op))
     return max_abs(interior_block(res, cfg.interior_dim))
 
 
@@ -308,7 +320,7 @@ def _operator_at_factory(source, times):
     """Normalize the spectrum source to a t -> ndarray callable."""
     if isinstance(source, InvariantSpec):
         return lambda t: source.at(t).entries, source.dim
-    if hasattr(source, "operators") and hasattr(source, "ts"):
+    if isinstance(source, OperatorTrajectory):
         lookup = {round(float(t), 9): i for i, t in enumerate(source.ts)}
         missing = [t for t in times if round(float(t), 9) not in lookup]
         if missing:
@@ -321,21 +333,18 @@ def _operator_at_factory(source, times):
             return ops[lookup[round(float(t), 9)]].entries
 
         return from_records, ops[0].dim
-    if callable(source):
-        probe = source(float(times[0]))
-        return lambda t: source(t).entries, probe.dim
     raise ValidationError(
-        "spectrum source must be an InvariantSpec, an operator "
-        "trajectory, or a callable t -> FockOperator")
+        "spectrum source must be an InvariantSpec or an OperatorTrajectory, "
+        f"got {type(source).__name__}")
 
 
 def spectrum_series(source, times, m: int) -> SpectrumSeries:
     """Lowest ``m`` eigenvalues of a time-indexed observable family.
 
-    ``source`` may be an InvariantSpec (closed form), an operator
-    trajectory from the transport engine (``times`` must then be record
-    times), or any callable mapping t to a FockOperator.  Requires
-    m <= dim/3 so the reported levels stay clear of the truncation edge.
+    ``source`` is an InvariantSpec (closed form) or an
+    OperatorTrajectory from the transport engine (``times`` must then be
+    record times).  Requires m <= dim/3 so the reported levels stay clear
+    of the truncation edge.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -407,15 +416,16 @@ def drift_rhs(j_op: FockOperator, lam: np.ndarray, vecs: np.ndarray,
     return kept, drifts
 
 
-def constraint_residuals(sol: ErmakovSolution, coeffs: LindbladCoefficients,
+def constraint_residuals(sol: ErmakovSolution,
+                         coeffs: tuple[float, float, float],
                          kappa_s: Schedule, omega_s: Schedule,
                          t: float) -> tuple[float, float, float]:
     """Left-hand sides of the three coupled coefficient constraints.
 
-    The constraints tie the jump-operator coefficients (alpha, a2, a3)
-    to the auxiliary solution; with the construction used by
-    ``coefficients_at`` all three vanish identically.  They are
-    evaluated exactly as displayed — the second keeps its overall
+    The constraints tie the jump-operator coefficients ``coeffs`` =
+    (alpha, a2, a3) to the auxiliary solution; with the construction
+    used by ``LindbladModel.coefficients`` all three vanish
+    identically.  They are evaluated exactly as displayed — the second keeps its overall
     rhodot prefactor on the auxiliary bracket, no simplification is
     applied first — with rho'' reconstructed from the dissipative
     auxiliary equation.
@@ -424,7 +434,7 @@ def constraint_residuals(sol: ErmakovSolution, coeffs: LindbladCoefficients,
     v = float(sol.rhodot_at(t))
     w = float(omega_s.eval(t))
     kap = float(kappa_s.eval(t))
-    alpha, a2, a3 = coeffs.alpha, coeffs.a2, coeffs.a3
+    alpha, a2, a3 = coeffs
 
     rddot = kap * v - (w * w) * r + 1.0 / r ** 3
     bracket = rddot + (w * w) * r - 1.0 / r ** 3

@@ -2,8 +2,12 @@
 
 The auxiliary solution fixes, at every instant, a single Hermitian jump
 operator L = K1 + a2 K2 + a3 K3 and a strength alpha such that the
-resulting friction is exactly the declared kappa(t).  This module
-assembles that model and evolves density matrices, conserved
+resulting friction is exactly the declared kappa(t).  The model is a
+record of its inputs (schedules, auxiliary solution, generators) whose
+one method gives the four scalars (omega^2, alpha, a2, a3) that carry
+all of its time dependence.  Each integrator evaluates them once per run
+on the stage grid and forms every stage's matrices from the raw
+generator arrays.  This module evolves density matrices, conserved
 observables, and the two closed moment systems, all through the one
 fixed-step RK4 driver ``auxiliary._rk4``, so convergence claims are
 uniform.
@@ -13,7 +17,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -27,7 +30,6 @@ from .auxiliary import (
     _write_rows,
 )
 from .errors import (
-    NegativeFrictionError,
     NumericalError,
     PositivityLossError,
     TruncationLeakError,
@@ -47,7 +49,7 @@ from .operators import (
     interior_block,
     max_abs,
 )
-from .schedules import KAPPA_NEGATIVE_TOL, Schedule, modulated_frequency_sq
+from .schedules import Schedule, _check_friction, modulated_frequency_sq
 
 # |alpha*(a2 - a3^2) - kappa| above this means the coefficient algebra
 # was evaluated on corrupted inputs, not that the step size is too large.
@@ -58,35 +60,7 @@ MOMENT_BOUND_TOL = 1e-9
 CLOSURE_GATE_TOL = 1e-10
 
 
-# -------------------------------------------------------------- coefficients
-
-
-@dataclass(frozen=True)
-class LindbladCoefficients:
-    """Jump-operator mixing weights and strength at one time.
-
-    The first weight is fixed to 1; the combination alpha*(a2 - a3^2)
-    is the friction the dissipator realizes.
-    """
-
-    t: float
-    alpha: float
-    a2: float
-    a3: float
-
-    def __post_init__(self):
-        if self.alpha < 0.0:
-            raise ValidationError(
-                f"dissipator strength must be >= 0, got {self.alpha}")
-        if self.a2 - self.a3 * self.a3 < 0.0:
-            raise ValidationError(
-                "mixing weights must satisfy a2 - a3^2 >= 0 "
-                f"(got a2={self.a2}, a3={self.a3})")
-
-    @property
-    def friction(self) -> float:
-        """Damping rate alpha*(a2 - a3^2) realized by the dissipator."""
-        return self.alpha * (self.a2 - self.a3 * self.a3)
+# --------------------------------------------------------------------- model
 
 
 def _jump_coefficients(kappa, r, v):
@@ -109,62 +83,63 @@ def _jump_coefficients(kappa, r, v):
     return alpha, a2, a3
 
 
-def coefficients_at(sol: ErmakovSolution, kappa_s: Schedule,
-                    t: float) -> LindbladCoefficients:
-    """Dissipator coefficients induced by the auxiliary solution at t."""
-    t = float(t)
-    kappa = float(kappa_s.eval(t))
-    if kappa < KAPPA_NEGATIVE_TOL:
-        raise NegativeFrictionError(
-            f"friction is negative at t={t:.6g}: kappa={kappa:.3e}")
-    alpha, a2, a3 = _jump_coefficients(max(kappa, 0.0), sol.rho_at(t),
-                                       sol.rhodot_at(t))
-    return LindbladCoefficients(t=t, alpha=alpha, a2=a2, a3=a3)
-
-
-# --------------------------------------------------------------------- model
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LindbladModel:
-    """Time-dependent generator data: Hamiltonian and jump operators.
+    """The damped oscillator's generator: H = K1 + omega^2 K2 and one jump
+    operator L = K1 + a2 K2 + a3 K3 acting with strength alpha.
 
-    ``dissipators_at`` returns (strength, jump-operator) pairs; the list
-    is empty whenever the friction vanishes, which reduces the evolution
-    to unitary dynamics without special-casing the integrators.
+    All of its time dependence is the four scalars returned by
+    ``coefficients``; alpha vanishes with the friction, which reduces the
+    evolution to unitary dynamics without special-casing the integrators.
     """
 
-    hamiltonian_at: Callable[[float], FockOperator]
-    dissipators_at: Callable[[float], list[tuple[float, FockOperator]]]
+    omega_s: Schedule
+    kappa_s: Schedule
+    sol: ErmakovSolution
+    k1: FockOperator
+    k2: FockOperator
+    k3: FockOperator
     basis: BasisConfig
 
+    def __post_init__(self):
+        for gen in (self.k1, self.k2, self.k3):
+            if gen.dim != self.basis.dim:
+                raise ValidationError(
+                    f"generator dimension {gen.dim} does not match basis "
+                    f"{self.basis.dim}")
 
-def assemble_model(omega_s: Schedule, kappa_s: Schedule, sol: ErmakovSolution,
-                   k1: FockOperator, k2: FockOperator, k3: FockOperator,
-                   cfg: BasisConfig) -> LindbladModel:
-    """Oscillator model H = K1 + omega(t)^2 K2 with one Hermitian jump term."""
-    for gen in (k1, k2, k3):
-        if gen.dim != cfg.dim:
-            raise ValidationError(
-                f"generator dimension {gen.dim} does not match basis {cfg.dim}")
+    def coefficients(self, t):
+        """(omega^2, alpha, a2, a3) at time(s) t, from the auxiliary solution.
 
-    def hamiltonian_at(t: float) -> FockOperator:
-        w = float(omega_s.eval(t))
-        return FockOperator(k1.entries + (w * w) * k2.entries)
+        Floats for scalar t, equal-shape arrays otherwise.  Friction below
+        the tolerance at any of the times raises NegativeFrictionError.
+        """
+        w = self.omega_s.eval(t, 0)
+        kappa = self.kappa_s.eval(t, 0)
+        _check_friction(t, kappa)
+        alpha, a2, a3 = _jump_coefficients(
+            np.maximum(kappa, 0.0), self.sol.rho_at(t), self.sol.rhodot_at(t))
+        return w * w, alpha, a2, a3
 
-    def dissipators_at(t: float) -> list[tuple[float, FockOperator]]:
-        kappa = float(kappa_s.eval(t))
-        if kappa < KAPPA_NEGATIVE_TOL:
-            raise NegativeFrictionError(
-                f"friction is negative at t={float(t):.6g}: kappa={kappa:.3e}")
-        if kappa <= 0.0:
-            return []
-        c = coefficients_at(sol, kappa_s, t)
-        jump = FockOperator(k1.entries + c.a2 * k2.entries + c.a3 * k3.entries)
-        return [(c.alpha, jump)]
 
-    return LindbladModel(hamiltonian_at=hamiltonian_at,
-                         dissipators_at=dissipators_at, basis=cfg)
+def _generator_arrays(model: LindbladModel, row):
+    """Raw H and L arrays of one coefficient row (omega^2, alpha, a2, a3).
+
+    L is None when alpha = 0, that is wherever kappa <= 0: there the
+    evolution has no jump term.
+    """
+    omega_sq, alpha, a2, a3 = row
+    k1, k2 = model.k1.entries, model.k2.entries
+    h_op = k1 + omega_sq * k2
+    if not alpha > 0.0:
+        return h_op, None
+    return h_op, k1 + a2 * k2 + a3 * model.k3.entries
+
+
+def _stage_table(model: LindbladModel, n: int, h: float) -> np.ndarray:
+    """Rows (omega^2, alpha, a2, a3) on the stage grid j*h/2, j = 0..2n."""
+    half_ts, _, _ = _half_grid_coefficients(model.omega_s, model.kappa_s, n, h)
+    return np.column_stack(model.coefficients(half_ts))
 
 
 # --------------------------------------------------------------- diagnostics
@@ -230,22 +205,22 @@ class Trajectory:
                     rows, precision)
 
 
-def _density_stage_ops(model: LindbladModel, t: float):
-    h_op = model.hamiltonian_at(t).entries
+def _density_stage_ops(model: LindbladModel, row):
+    h_op, l_ = _generator_arrays(model, row)
     drift = -1j * h_op
-    jumps = []
-    for strength, jump in model.dissipators_at(t):
-        l_ = jump.entries
-        l_h = l_.conj().T
-        drift = drift - strength * (l_h @ l_)
-        jumps.append((2.0 * strength, l_, l_h))
-    return drift, drift.conj().T, jumps
+    if l_ is None:
+        return drift, drift.conj().T, None
+    alpha = row[1]
+    l_h = l_.conj().T
+    drift = drift - alpha * (l_h @ l_)
+    return drift, drift.conj().T, (2.0 * alpha, l_, l_h)
 
 
 def _density_rhs(state: np.ndarray, ops) -> np.ndarray:
-    drift, drift_h, jumps = ops
+    drift, drift_h, jump = ops
     out = drift @ state + state @ drift_h
-    for c, l_, l_h in jumps:
+    if jump is not None:
+        c, l_, l_h = jump
         out += c * (l_ @ state @ l_h)
     return out
 
@@ -298,7 +273,8 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
         rec_states.append(DensityMatrix(arr, validate=False))
         rec_diag.append((tr, herm, lo, tail))
 
-    _rk4(_density_rhs, lambda j: _density_stage_ops(model, 0.5 * h * j),
+    table = _stage_table(model, n, h)
+    _rk4(_density_rhs, lambda j: _density_stage_ops(model, table[j]),
          np.array(rho0.entries, dtype=complex), n, h, record, record_every)
     diag = np.array(rec_diag)
     return Trajectory(ts=np.array(rec_ts), states=tuple(rec_states),
@@ -328,23 +304,22 @@ class OperatorTrajectory:
         return self.failed_at is None
 
 
-def _adjoint_stage_ops(model: LindbladModel, t: float):
-    h_op = model.hamiltonian_at(t).entries
-    jumps = []
-    for strength, jump in model.dissipators_at(t):
-        l_ = jump.entries
-        l_h = l_.conj().T
-        jumps.append((strength, l_, l_h, l_h @ l_))
-    return h_op, jumps
+def _adjoint_stage_ops(model: LindbladModel, row):
+    h_op, l_ = _generator_arrays(model, row)
+    if l_ is None:
+        return h_op, None
+    l_h = l_.conj().T
+    return h_op, (row[1], l_, l_h, l_h @ l_)
 
 
 def _adjoint_rhs(q: np.ndarray, ops) -> np.ndarray:
     # grouped so that the generator annihilates the identity exactly,
     # not just to rounding: H q - q H and m q + q m - 2 l^dag q l both
     # cancel termwise at q = 1
-    h_op, jumps = ops
+    h_op, jump = ops
     out = -1j * (h_op @ q - q @ h_op)
-    for strength, l_, l_h, m in jumps:
+    if jump is not None:
+        strength, l_, l_h, m = jump
         out += strength * (m @ q + q @ m) - (2.0 * strength) * (l_h @ q @ l_)
     return out
 
@@ -397,8 +372,9 @@ def evolve_adjoint_observable(model: LindbladModel, q0: FockOperator,
 
     # overflow between record points is caught at the next record; the
     # intermediate arithmetic may legitimately hit inf, so keep numpy quiet
+    table = _stage_table(model, n, h)
     with np.errstate(over="ignore", invalid="ignore"):
-        _rk4(_adjoint_rhs, lambda j: _adjoint_stage_ops(model, 0.5 * h * j),
+        _rk4(_adjoint_rhs, lambda j: _adjoint_stage_ops(model, table[j]),
              np.array(q0.entries, dtype=complex), n, h, record, record_every)
 
     return OperatorTrajectory(ts=np.array(rec_ts), operators=tuple(rec_ops),
@@ -448,15 +424,6 @@ def moments_from_state(rho: DensityMatrix, cfg: BasisConfig) -> MomentVector:
 # ------------------------------------------------------------- first moments
 
 
-def _check_stage_friction(kappa: np.ndarray, h: float):
-    """Reject friction below the tolerance anywhere on the stage grid."""
-    bad = kappa < KAPPA_NEGATIVE_TOL
-    if bad.any():
-        raise NegativeFrictionError(
-            f"friction is negative at t={0.5 * h * int(np.argmax(bad)):.6g}: "
-            f"kappa={kappa.min():.3e}")
-
-
 @dataclass(frozen=True, eq=False)
 class FirstMomentSeries:
     """Mean position/momentum on a uniform grid, with dense output."""
@@ -495,8 +462,8 @@ def evolve_first_moments(omega_s: Schedule, kappa_s: Schedule,
     friction equals kappa identically.
     """
     n = _step_count(t_max, h)
-    _, omega_sq, kappa = _half_grid_coefficients(omega_s, kappa_s, n, h)
-    _check_stage_friction(kappa, h)
+    half_ts, omega_sq, kappa = _half_grid_coefficients(omega_s, kappa_s, n, h)
+    _check_friction(half_ts, kappa)
     ks, ws = memoryview(kappa), memoryview(omega_sq)
 
     def rhs(y, j):
@@ -597,19 +564,13 @@ class Su11MomentSeries:
         _freeze_fields(self, "ts", "k1", "k2", "k3")
 
 
-def evolve_su11_moments(omega_s: Schedule, kappa_s: Schedule,
-                        sol: ErmakovSolution, v0: tuple[float, float, float],
+def evolve_su11_moments(model: LindbladModel, v0: tuple[float, float, float],
                         t_max: float, h: float) -> Su11MomentSeries:
     """Integrate the exact closed system for the K-generator expectations."""
     _closure_matrix_verified()
     _check_k_moments(*v0)
     n = _step_count(t_max, h)
-    half_ts, omega_sq, kappa = _half_grid_coefficients(omega_s, kappa_s, n, h)
-    _check_stage_friction(kappa, h)
-    r = np.asarray(sol.rho_at(half_ts), dtype=float)
-    v = np.asarray(sol.rhodot_at(half_ts), dtype=float)
-    mats = closure_matrix(
-        omega_sq, *_jump_coefficients(np.maximum(kappa, 0.0), r, v))
+    mats = closure_matrix(*_stage_table(model, n, h).T)
 
     ys = np.empty((n + 1, 3))
     _rk4(lambda y, m: m @ y, mats.__getitem__, np.array(v0, dtype=float),

@@ -1,11 +1,12 @@
 """Pipeline orchestration: artifact runs, verification battery, sweeps.
 
-``run_scenario`` executes schedules -> auxiliary ODE -> model assembly ->
-evolution and writes four CSV artifacts.  ``verify_scenario`` runs the
-named check battery against the scenario's tolerances and returns a
-report whose overall flag feeds the CLI exit code.  ``sweep`` rebuilds
-the scenario once per parameter value (full validation each time) and
-aggregates summary metrics.
+``run_scenario`` executes schedules -> auxiliary ODE -> model (the
+``LindbladModel`` record of schedules, auxiliary solution and
+generators) -> evolution and writes four CSV artifacts.
+``verify_scenario`` runs the named check battery against the scenario's
+tolerances and returns a report whose overall flag feeds the CLI exit
+code.  ``sweep`` rebuilds the scenario once per parameter value (full
+validation each time) and aggregates summary metrics.
 
 Check names and their content:
 
@@ -61,6 +62,7 @@ from .errors import NumericalError, ValidationError
 from .invariants import (
     ExpectationSeries,
     InvariantSpec,
+    _weak_coefficients,
     constraint_residuals,
     drift_rhs,
     expectation_series,
@@ -70,8 +72,7 @@ from .invariants import (
 from .lindblad import (
     LindbladModel,
     Trajectory,
-    assemble_model,
-    coefficients_at,
+    _generator_arrays,
     evolve_adjoint_observable,
     evolve_density,
     evolve_first_moments,
@@ -80,6 +81,7 @@ from .lindblad import (
 )
 from .operators import (
     BasisConfig,
+    FockOperator,
     build_canonical,
     build_state,
     build_su11_generators,
@@ -194,7 +196,7 @@ def _prepare(s: Scenario) -> _Prepared:
                           s.initial_auxiliary(), s.t_max, s.step_h)
     cfg = s.basis
     gens = build_su11_generators(*build_canonical(cfg))
-    model = assemble_model(s.omega_schedule, s.kappa_schedule, sol, *gens, cfg)
+    model = LindbladModel(s.omega_schedule, s.kappa_schedule, sol, *gens, cfg)
     invariant = InvariantSpec(kind="weak", sol=sol, operators=gens)
     n = _step_count(s.t_max, s.step_h)
     idx = np.arange(0, n + 1, s.record_every)
@@ -220,19 +222,16 @@ def _moment_runs(p: _Prepared):
     m0 = moments_from_state(_initial_state(p), s.basis)
     first = evolve_first_moments(s.omega_schedule, s.kappa_schedule,
                                  (m0.mean_x, m0.mean_p), s.t_max, s.step_h)
-    quad = evolve_su11_moments(s.omega_schedule, s.kappa_schedule, p.sol,
-                               (m0.k1, m0.k2, m0.k3), s.t_max, s.step_h)
+    quad = evolve_su11_moments(p.model, (m0.k1, m0.k2, m0.k3), s.t_max,
+                               s.step_h)
     return first, quad
 
 
 def _moment_expectation_series(p: _Prepared, quad) -> ExpectationSeries:
     ts = p.record_ts
     idx = p.record_idx
-    r = np.asarray(p.sol.rho_at(ts))
-    v = np.asarray(p.sol.rhodot_at(ts))
-    values = (r * r * quad.k1[idx]
-              + (v * v + 1.0 / (r * r)) * quad.k2[idx]
-              - r * v * quad.k3[idx])
+    c1, c2, c3 = _weak_coefficients(p.sol.rho_at(ts), p.sol.rhodot_at(ts))
+    values = c1 * quad.k1[idx] + c2 * quad.k2[idx] - c3 * quad.k3[idx]
     return ExpectationSeries(ts=ts, values=values)
 
 
@@ -326,9 +325,9 @@ def _check_auxiliary_residual(p: _Prepared) -> CheckResult:
 def _check_constraints(p: _Prepared) -> CheckResult:
     s = p.scenario
     times = np.linspace(0.0, s.t_max, CONSTRAINT_SAMPLES)
+    _, alpha, a2, a3 = p.model.coefficients(times)
     worst = 0.0
-    for t in times:
-        coeffs = coefficients_at(p.sol, s.kappa_schedule, float(t))
+    for t, coeffs in zip(times, zip(alpha, a2, a3)):
         resids = constraint_residuals(p.sol, coeffs, s.kappa_schedule,
                                       s.omega_schedule, float(t))
         worst = max(worst, max(abs(r) for r in resids))
@@ -378,7 +377,7 @@ def _check_drift_crosscheck(p: _Prepared) -> CheckResult:
                           ErmakovInit(float(p.sol.rho_at(0.0)),
                                       float(p.sol.rhodot_at(0.0))),
                           t_end, h)
-    model = assemble_model(s.omega_schedule, s.kappa_schedule, sol, *gens, cfg)
+    model = LindbladModel(s.omega_schedule, s.kappa_schedule, sol, *gens, cfg)
     ot = evolve_adjoint_observable(model, gens[1], t_end, h, record_every=1)
     ts = np.asarray(ot.ts)
     i = int(np.argmin(np.abs(ts - t_probe)))
@@ -390,8 +389,9 @@ def _check_drift_crosscheck(p: _Prepared) -> CheckResult:
     fd = (lowest(i + 1) - lowest(i - 1)) / (ts[i + 1] - ts[i - 1])
     op = ot.operators[i]
     lam, vecs = np.linalg.eigh(op.entries)
-    dissipators = model.dissipators_at(float(ts[i]))
-    if not dissipators:
+    row = model.coefficients(float(ts[i]))
+    _, jump = _generator_arrays(model, row)
+    if jump is None:
         # frictionless transport is a unitary conjugation: the spectrum
         # is exactly constant, so the prediction is zero for every mode
         # (including parity-degenerate pairs the formula would skip)
@@ -400,8 +400,8 @@ def _check_drift_crosscheck(p: _Prepared) -> CheckResult:
                 "frictionless: drift is identically zero")
         return CheckResult("drift-crosscheck", dev, DRIFT_CROSSCHECK_TOL,
                            dev <= DRIFT_CROSSCHECK_TOL, note=note)
-    alpha, jump = dissipators[0]
-    kept, drifts = drift_rhs(op, lam, vecs, jump, alpha, m=DRIFT_PROBE_MODES)
+    kept, drifts = drift_rhs(op, lam, vecs, FockOperator(jump), float(row[1]),
+                             m=DRIFT_PROBE_MODES)
     kept = np.asarray(kept)
     # normalized by the drift scale: transported observables can grow by
     # many decades, and an absolute comparison at that scale would sit

@@ -34,6 +34,19 @@ def _check_window(t, lo, hi, what: str):
     return t
 
 
+def _check_friction(t, kappa):
+    """Reject friction below ``KAPPA_NEGATIVE_TOL``, naming the first such time.
+
+    ``t`` and ``kappa`` are a scalar pair or equal-shape arrays.
+    """
+    bad = np.ravel(kappa) < KAPPA_NEGATIVE_TOL
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NegativeFrictionError(
+            f"NegativeFriction: kappa({float(np.ravel(t)[i]):.6g}) = "
+            f"{float(np.ravel(kappa)[i]):.3e} < 0")
+
+
 class Schedule:
     """Base: real coefficient of time with derivatives up to order 2."""
 
@@ -230,11 +243,7 @@ def validate_schedules(omega_s: Schedule, kappa_s: Schedule, grid) -> FrequencyR
     """
     grid = np.asarray(grid, dtype=float)
     kappa = np.asarray(kappa_s.eval(grid, 0), dtype=float)
-    bad = kappa < KAPPA_NEGATIVE_TOL
-    if np.any(bad):
-        t_bad = float(grid[np.argmax(bad)])
-        raise NegativeFrictionError(
-            f"NegativeFriction: kappa({t_bad:g}) = {float(kappa[np.argmax(bad)]):g} < 0")
+    _check_friction(grid, kappa)
     omega_sq_mod = np.asarray(modulated_frequency_sq(omega_s, kappa_s, grid), dtype=float)
     neg = omega_sq_mod < 0
     return FrequencyReport(

@@ -17,6 +17,7 @@ bounds are attainable only at friction equilibria or without friction.
 The other eight criteria pass.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -39,8 +40,6 @@ from invariantlab.invariants import (
 )
 from invariantlab.lindblad import (
     LindbladModel,
-    assemble_model,
-    coefficients_at,
     evolve_adjoint_observable,
     evolve_density,
     evolve_first_moments,
@@ -70,6 +69,13 @@ def report(num: int, passed: bool, detail: str):
     assert passed, line
 
 
+def _jump_at(model, t):
+    """(alpha, L) of the model's jump term at t, L as a FockOperator."""
+    _, alpha, a2, a3 = model.coefficients(t)
+    return alpha, FockOperator(model.k1.entries + a2 * model.k2.entries
+                               + a3 * model.k3.entries)
+
+
 def _pipeline(omega_s, kappa_s, dim=BASELINE_DIM, t_max=BASELINE_T,
               h=BASELINE_H, record_every=RECORD):
     cfg = BasisConfig(dim=dim, omega_ref=float(omega_s(0.0)))
@@ -77,7 +83,7 @@ def _pipeline(omega_s, kappa_s, dim=BASELINE_DIM, t_max=BASELINE_T,
                        adiabatic_rhodot(omega_s, kappa_s, 0.0))
     sol = solve_auxiliary(omega_s, kappa_s, init, t_max, h)
     gens = build_su11_generators(*build_canonical(cfg))
-    model = assemble_model(omega_s, kappa_s, sol, *gens, cfg)
+    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
     inv = InvariantSpec(kind="weak", sol=sol, operators=gens)
     state0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
     traj = evolve_density(model, state0, t_max, h, record_every=record_every)
@@ -120,7 +126,7 @@ def test_criterion_02_damped_oscillation_law():
                        adiabatic_rhodot(omega_s, kappa_s, 0.0))
     sol = solve_auxiliary(omega_s, kappa_s, init, t_end, h)
     gens = build_su11_generators(*build_canonical(cfg))
-    model = assemble_model(omega_s, kappa_s, sol, *gens, cfg)
+    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
     state0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
     traj = evolve_density(model, state0, t_end, h, record_every=3142)
     fock_dev = abs(traj.moments()[-1].mean_x - target)
@@ -139,8 +145,7 @@ def test_criterion_03_constraint_identities(baseline):
     times = np.linspace(0.0, BASELINE_T, 100)
     worst = max(
         max(abs(r) for r in constraint_residuals(
-            baseline["sol"],
-            coefficients_at(baseline["sol"], baseline["kappa"], float(t)),
+            baseline["sol"], baseline["model"].coefficients(float(t))[1:],
             baseline["kappa"], baseline["omega"], float(t)))
         for t in times)
     report(3, worst <= bound,
@@ -154,17 +159,8 @@ def test_criterion_04_operator_equation_residual_and_mutant(baseline):
     sample_times = (2.0, 6.0, 10.0, 14.0, 18.0)
     residual = max(invariant_residual(inv, model, t) for t in sample_times)
 
-    g1, g2, g3 = baseline["gens"]
-    sol, kappa_s = baseline["sol"], baseline["kappa"]
-
-    def flipped_dissipators(t):
-        c = coefficients_at(sol, kappa_s, t)
-        bad = FockOperator(g1.entries + c.a2 * g2.entries - c.a3 * g3.entries)
-        return [(alpha, bad) for alpha, _ in model.dissipators_at(t)]
-
-    mutant = LindbladModel(hamiltonian_at=model.hamiltonian_at,
-                           dissipators_at=flipped_dissipators,
-                           basis=model.basis)
+    # sign-flipped a3: negating K3 gives the jump K1 + a2 K2 - a3 K3
+    mutant = dataclasses.replace(model, k3=FockOperator(-model.k3.entries))
     mutant_residual = max(invariant_residual(inv, mutant, t)
                           for t in sample_times)
 
@@ -210,7 +206,7 @@ def test_criterion_06_spectrum_and_drift_of_the_closed_form(baseline):
     for t in (4.0, 8.0, 12.0, 16.0):
         op = inv.at(t)
         lam, vecs = np.linalg.eigh(op.entries)
-        alpha, jump = model.dissipators_at(t)[0]
+        alpha, jump = _jump_at(model, t)
         _, drifts = drift_rhs(op, lam, vecs, jump, alpha, m=13)
         closed_drift = max(closed_drift, float(np.max(np.abs(drifts))))
 
@@ -222,8 +218,8 @@ def test_criterion_06_spectrum_and_drift_of_the_closed_form(baseline):
                                 ErmakovInit(float(baseline["sol"].rho_at(0.0)),
                                             float(baseline["sol"].rhodot_at(0.0))),
                                 1.0 + 2 * h, h)
-    probe_model = assemble_model(baseline["omega"], baseline["kappa"],
-                                 probe_sol, *probe_gens, probe_cfg)
+    probe_model = LindbladModel(baseline["omega"], baseline["kappa"],
+                                probe_sol, *probe_gens, probe_cfg)
     ot = evolve_adjoint_observable(probe_model, probe_gens[1], 1.0 + 2 * h, h,
                                    record_every=1)
     i = int(np.argmin(np.abs(np.asarray(ot.ts) - 1.0)))
@@ -234,7 +230,7 @@ def test_criterion_06_spectrum_and_drift_of_the_closed_form(baseline):
     fd = (lowest(i + 1) - lowest(i - 1)) / (ot.ts[i + 1] - ot.ts[i - 1])
     op = ot.operators[i]
     lam, vecs = np.linalg.eigh(op.entries)
-    alpha, jump = probe_model.dissipators_at(float(ot.ts[i]))[0]
+    alpha, jump = _jump_at(probe_model, float(ot.ts[i]))
     kept, drifts = drift_rhs(op, lam, vecs, jump, alpha, m=5)
     fd_dev = float(np.max(np.abs(drifts - fd[np.asarray(kept)])))
 
@@ -324,8 +320,7 @@ def test_criterion_10_backend_cross_validation(baseline):
     horizon = 10.0
     moments = baseline["traj"].moments()
     m0 = moments[0]
-    quad = evolve_su11_moments(baseline["omega"], baseline["kappa"],
-                               baseline["sol"], (m0.k1, m0.k2, m0.k3),
+    quad = evolve_su11_moments(baseline["model"], (m0.k1, m0.k2, m0.k3),
                                horizon, BASELINE_H)
     n_rec = int(round(horizon / (BASELINE_H * RECORD)))
     idx = np.arange(0, n_rec * RECORD + 1, RECORD)
@@ -357,7 +352,7 @@ def test_criterion_11_integrator_order():
                        adiabatic_rhodot(omega_m, kappa_m, 0.0))
     sol = solve_auxiliary(omega_m, kappa_m, init, 2.0, 1e-4)
     gens = build_su11_generators(*build_canonical(cfg))
-    model = assemble_model(omega_m, kappa_m, sol, *gens, cfg)
+    model = LindbladModel(omega_m, kappa_m, sol, *gens, cfg)
     state0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
 
     def final_state(h):

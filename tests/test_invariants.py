@@ -20,6 +20,7 @@ from invariantlab.auxiliary import (
 )
 from invariantlab.errors import NumericalError, ValidationError
 from invariantlab.invariants import (
+    ExpectationSeries,
     InvariantSpec,
     constraint_residuals,
     drift_rhs,
@@ -32,8 +33,6 @@ from invariantlab.invariants import (
 )
 from invariantlab.lindblad import (
     LindbladModel,
-    assemble_model,
-    coefficients_at,
     evolve_adjoint_observable,
     evolve_density,
 )
@@ -50,6 +49,13 @@ from invariantlab.operators import (
 from invariantlab.schedules import ConstantSchedule, SinusoidSchedule
 
 H = 1e-3
+
+
+def jump_at(model, t):
+    """(alpha, L) of the model's jump term at t, L as a FockOperator."""
+    _, alpha, a2, a3 = model.coefficients(t)
+    return alpha, FockOperator(model.k1.entries + a2 * model.k2.entries
+                               + a3 * model.k3.entries)
 
 
 def make_frame(dim):
@@ -191,7 +197,7 @@ def test_residual_vanishes_in_constant_case():
     cfg, _, _, gens = make_frame(20)
     omega_s, kappa_s = ConstantSchedule(1.0), ConstantSchedule(0.1)
     sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 1.0, H)
-    model = assemble_model(omega_s, kappa_s, sol, *gens, cfg)
+    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
     spec = InvariantSpec(kind="weak", sol=sol, operators=gens)
     assert invariant_residual(spec, model, 0.5) <= 1e-10
 
@@ -206,7 +212,7 @@ def test_residual_on_modulated_scenario_equals_friction_defect():
     cfg, _, _, gens = make_frame(60)
     omega_s, kappa_s = baseline_schedules()
     sol = solve_baseline(omega_s, kappa_s, 2.0)
-    model = assemble_model(omega_s, kappa_s, sol, *gens, cfg)
+    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
     spec = InvariantSpec(kind="weak", sol=sol, operators=gens)
     k3_norm = max_abs(interior_block(gens[2].entries, cfg.interior_dim))
     for t in (0.5, 1.0, 1.5):
@@ -222,15 +228,9 @@ def test_residual_detects_sign_flipped_jump_coefficient():
     cfg, _, _, (g1, g2, g3) = make_frame(40)
     omega_s, kappa_s = baseline_schedules()
     sol = solve_baseline(omega_s, kappa_s, 2.0)
-    good = assemble_model(omega_s, kappa_s, sol, g1, g2, g3, cfg)
-
-    def flipped_dissipators(t):
-        c = coefficients_at(sol, kappa_s, t)
-        jump = FockOperator(g1.entries + c.a2 * g2.entries - c.a3 * g3.entries)
-        return [(c.alpha, jump)]
-
-    bad = LindbladModel(hamiltonian_at=good.hamiltonian_at,
-                        dissipators_at=flipped_dissipators, basis=cfg)
+    good = LindbladModel(omega_s, kappa_s, sol, g1, g2, g3, cfg)
+    # negating K3 gives the jump operator K1 + a2 K2 - a3 K3
+    bad = dataclasses.replace(good, k3=FockOperator(-g3.entries))
     spec = InvariantSpec(kind="weak", sol=sol, operators=(g1, g2, g3))
     res_good = invariant_residual(spec, good, 1.0)
     res_bad = invariant_residual(spec, bad, 1.0)
@@ -242,7 +242,7 @@ def test_residual_strong_form_without_friction():
     cfg, x_op, p_op, gens = make_frame(40)
     omega_s, kappa_s = baseline_schedules(kappa=0.0)
     sol0 = solve_baseline(omega_s, kappa_s, 2.0)
-    model = assemble_model(omega_s, kappa_s, sol0, *gens, cfg)
+    model = LindbladModel(omega_s, kappa_s, sol0, *gens, cfg)
     lr = InvariantSpec(kind="lewis_riesenfeld", sol=sol0,
                        operators=(x_op, p_op))
     assert invariant_residual(lr, model, 1.0) <= 1e-6
@@ -258,7 +258,7 @@ def test_residual_argument_validation():
     sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 1.0, H)
     spec = InvariantSpec(kind="weak", sol=sol, operators=gens)
     other = make_frame(12)
-    other_model = assemble_model(omega_s, kappa_s, sol, *other[3], other[0])
+    other_model = LindbladModel(omega_s, kappa_s, sol, *other[3], other[0])
     with pytest.raises(ValidationError):
         invariant_residual(spec, other_model, 0.5)
 
@@ -279,7 +279,7 @@ def test_expectation_series_on_invariant_ground_state():
     cfg, _, _, gens = make_frame(40)
     omega_s, kappa_s = baseline_schedules()
     sol = solve_baseline(omega_s, kappa_s, 2.0)
-    model = assemble_model(omega_s, kappa_s, sol, *gens, cfg)
+    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
     spec = InvariantSpec(kind="weak", sol=sol, operators=gens)
     rho0 = build_state(StateSpec(kind="invariant_ground"), cfg,
                        invariant_op=spec.at(0.0))
@@ -304,7 +304,7 @@ def test_expectation_series_constant_case_coherent():
     cfg, _, _, gens = make_frame(40)
     omega_s, kappa_s = ConstantSchedule(1.0), ConstantSchedule(0.1)
     sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 2.0, H)
-    model = assemble_model(omega_s, kappa_s, sol, *gens, cfg)
+    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
     spec = InvariantSpec(kind="weak", sol=sol, operators=gens)
     rho0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
     traj = evolve_density(model, rho0, 2.0, H, record_every=200)
@@ -318,7 +318,7 @@ def test_expectation_series_strong_limit():
     omega_s, kappa_s = baseline_schedules(kappa=0.0)
     sol0 = solve_baseline(omega_s, kappa_s, 5.0)
     gens = build_su11_generators(x_op, p_op)
-    model = assemble_model(omega_s, kappa_s, sol0, *gens, cfg)
+    model = LindbladModel(omega_s, kappa_s, sol0, *gens, cfg)
     spec = InvariantSpec(kind="lewis_riesenfeld", sol=sol0,
                          operators=(x_op, p_op))
     rho0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
@@ -332,7 +332,7 @@ def test_expectation_series_linear_invariant():
     cfg, x_op, p_op, gens = make_frame(40)
     omega_s, kappa_s = ConstantSchedule(1.0), ConstantSchedule(0.0)
     sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 4.0, H)
-    model = assemble_model(omega_s, kappa_s, sol, *gens, cfg)
+    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
     mode = solve_classical_mode(omega_s, (1.0, 0.0), 4.0, H)
     spec = InvariantSpec(kind="linear", sol=mode, operators=(x_op, p_op))
     rho0 = build_state(StateSpec(kind="coherent", beta=0.5 + 0.5j), cfg)
@@ -346,7 +346,7 @@ def test_expectation_series_rejects_uncovered_window():
     omega_s, kappa_s = ConstantSchedule(1.0), ConstantSchedule(0.1)
     sol_short = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 1.0, H)
     sol_long = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 2.0, H)
-    model = assemble_model(omega_s, kappa_s, sol_long, *gens, cfg)
+    model = LindbladModel(omega_s, kappa_s, sol_long, *gens, cfg)
     rho0 = build_state(StateSpec(kind="fock", fock_n=0), cfg)
     traj = evolve_density(model, rho0, 2.0, H, record_every=500)
     spec = InvariantSpec(kind="weak", sol=sol_short, operators=gens)
@@ -354,11 +354,22 @@ def test_expectation_series_rejects_uncovered_window():
         expectation_series(traj, spec)
 
 
+def test_expectation_series_leaves_the_caller_arrays_writable():
+    """The record freezes private copies, never the caller's arrays."""
+    a = np.array([0.0, 0.5, 1.0])
+    v = np.array([1.0, 1.1, 1.2])
+    series = ExpectationSeries(ts=a, values=v)
+    assert a.flags.writeable and v.flags.writeable
+    assert not series.ts.flags.writeable and not series.values.flags.writeable
+    a[0], v[0] = -1.0, -1.0
+    assert series.ts[0] == 0.0 and series.values[0] == 1.0
+
+
 def test_expectation_series_csv(tmp_path):
     cfg, _, _, gens = make_frame(12)
     omega_s, kappa_s = ConstantSchedule(1.0), ConstantSchedule(0.1)
     sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 0.2, H)
-    model = assemble_model(omega_s, kappa_s, sol, *gens, cfg)
+    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
     rho0 = build_state(StateSpec(kind="fock", fock_n=0), cfg)
     traj = evolve_density(model, rho0, 0.2, H, record_every=100)
     spec = InvariantSpec(kind="weak", sol=sol, operators=gens)
@@ -406,7 +417,7 @@ def test_spectrum_of_transported_observable_drifts():
     cfg, _, _, gens = make_frame(16)
     omega_s, kappa_s = baseline_schedules()
     sol = solve_baseline(omega_s, kappa_s, 5.0)
-    model = assemble_model(omega_s, kappa_s, sol, *gens, cfg)
+    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
     ot = evolve_adjoint_observable(model, gens[1], 5.0, H, record_every=100)
     series = spectrum_series(ot, ot.ts, m=5)
     early = series.levels[np.asarray(ot.ts) <= 2.0]
@@ -424,10 +435,20 @@ def test_spectrum_argument_validation():
         spectrum_series(spec, [0.0, 0.5], m=5)  # m > dim/3
     with pytest.raises(ValidationError):
         spectrum_series(spec, [], m=2)
-    model = assemble_model(omega_s, kappa_s, sol, *gens, cfg)
+    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
     ot = evolve_adjoint_observable(model, gens[1], 0.2, H, record_every=100)
     with pytest.raises(ValidationError):
         spectrum_series(ot, [0.05], m=2)  # not a record time
+
+
+def test_spectrum_source_must_be_a_spec_or_an_operator_trajectory():
+    cfg, _, _, gens = make_frame(12)
+    sol = solve_auxiliary(ConstantSchedule(1.0), ConstantSchedule(0.1),
+                          ErmakovInit(1.0, 0.0), 1.0, H)
+    spec = InvariantSpec(kind="weak", sol=sol, operators=gens)
+    for source in (spec.at, spec.at(0.0), object()):
+        with pytest.raises(ValidationError, match="OperatorTrajectory"):
+            spectrum_series(source, [0.0, 0.5], m=2)
 
 
 def test_spectrum_csv(tmp_path):
@@ -470,10 +491,10 @@ def test_drift_of_constructed_invariant_follows_friction_law():
     cfg, _, _, gens = make_frame(40)
     omega_s, kappa_s = baseline_schedules()
     sol = solve_baseline(omega_s, kappa_s, 2.0)
-    model = assemble_model(omega_s, kappa_s, sol, *gens, cfg)
+    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
     t = 1.0
     inv = weak_invariant_at(sol, *gens, t)
-    alpha, jump = model.dissipators_at(t)[0]
+    alpha, jump = jump_at(model, t)
     lam, vecs = np.linalg.eigh(inv.entries)
     kept, drifts = drift_rhs(inv, lam, vecs, jump, alpha, m=13)
     assert kept.size == 13
@@ -491,7 +512,7 @@ def test_drift_matches_finite_difference_of_spectrum():
     cfg, _, _, gens = make_frame(16)
     omega_s, kappa_s = baseline_schedules()
     sol = solve_baseline(omega_s, kappa_s, 1.0 + 2 * h, h=h)
-    model = assemble_model(omega_s, kappa_s, sol, *gens, cfg)
+    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
     ot = evolve_adjoint_observable(model, gens[1], 1.0 + 2 * h, h,
                                    record_every=1)
     ts = np.asarray(ot.ts)
@@ -506,7 +527,7 @@ def test_drift_matches_finite_difference_of_spectrum():
     arr = ot.operators[i].entries
     sym = FockOperator(0.5 * (arr + arr.conj().T))
     lam, vecs = np.linalg.eigh(sym.entries)
-    alpha, jump = model.dissipators_at(float(ts[i]))[0]
+    alpha, jump = jump_at(model, float(ts[i]))
     kept, drifts = drift_rhs(sym, lam, vecs, jump, alpha, m=m)
     assert kept.size == m
     np.testing.assert_allclose(drifts, fd[kept], rtol=0, atol=1e-4)
@@ -538,12 +559,18 @@ def test_drift_argument_validation():
 # constraint equations
 
 
+def jump_coefficients(omega_s, kappa_s, sol, t):
+    """(alpha, a2, a3) of the model on ``sol`` at t."""
+    cfg, _, _, gens = make_frame(8)
+    return LindbladModel(omega_s, kappa_s, sol, *gens, cfg).coefficients(t)[1:]
+
+
 def test_constraints_vanish_on_construction():
     omega_s = SinusoidSchedule(1.0, 0.2, 0.1)
     kappa_s = SinusoidSchedule(0.1, 0.05, 0.3)
     sol = solve_baseline(omega_s, kappa_s, 4.0)
     for t in (0.3, 1.1, 2.9, 3.8):
-        coeffs = coefficients_at(sol, kappa_s, t)
+        coeffs = jump_coefficients(omega_s, kappa_s, sol, t)
         res = constraint_residuals(sol, coeffs, kappa_s, omega_s, t)
         assert max(abs(r) for r in res) <= 1e-9
 
@@ -552,8 +579,8 @@ def test_constraints_vanish_without_friction():
     omega_s = SinusoidSchedule(1.0, 0.2, 0.1)
     kappa_s = ConstantSchedule(0.0)
     sol0 = solve_baseline(omega_s, kappa_s, 2.0)
-    coeffs = coefficients_at(sol0, kappa_s, 1.0)
-    assert coeffs.alpha == 0.0
+    coeffs = jump_coefficients(omega_s, kappa_s, sol0, 1.0)
+    assert coeffs[0] == 0.0
     res = constraint_residuals(sol0, coeffs, kappa_s, omega_s, 1.0)
     assert max(abs(r) for r in res) <= 1e-12
 
@@ -561,7 +588,7 @@ def test_constraints_vanish_without_friction():
 def test_constraints_detect_perturbed_coefficient():
     omega_s, kappa_s = ConstantSchedule(1.0), ConstantSchedule(0.1)
     sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.3, 0.4), 1.0, H)
-    coeffs = coefficients_at(sol, kappa_s, 0.5)
-    bumped = dataclasses.replace(coeffs, a3=coeffs.a3 + 0.1)
+    alpha, a2, a3 = jump_coefficients(omega_s, kappa_s, sol, 0.5)
+    bumped = (alpha, a2, a3 + 0.1)
     res = constraint_residuals(sol, bumped, kappa_s, omega_s, 0.5)
     assert abs(res[0]) > 1e-4

@@ -12,10 +12,13 @@ Oracles used here:
     alpha*(a2 - a3^2) = kappa).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from invariantlab import lindblad
 from invariantlab.auxiliary import (
     ErmakovInit,
     adiabatic_rho,
@@ -31,10 +34,10 @@ from invariantlab.errors import (
     ValidationError,
 )
 from invariantlab.lindblad import (
-    LindbladCoefficients,
+    LindbladModel,
     MomentVector,
-    assemble_model,
-    coefficients_at,
+    _adjoint_stage_ops,
+    _density_stage_ops,
     evolve_adjoint_observable,
     evolve_density,
     evolve_first_moments,
@@ -55,7 +58,7 @@ from invariantlab.operators import (
     max_abs,
     trace_pair,
 )
-from invariantlab.schedules import ConstantSchedule, SinusoidSchedule
+from invariantlab.schedules import ConstantSchedule, LinearSchedule, SinusoidSchedule
 
 H = 1e-3
 
@@ -72,7 +75,7 @@ def equilibrium_setup(dim, kappa=0.1, omega=1.0, t_max=2.0, h=H):
     cfg = BasisConfig(dim=dim, omega_ref=omega)
     gens = build_su11_generators(*build_canonical(cfg))
     sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), t_max, h)
-    model = assemble_model(omega_s, kappa_s, sol, *gens, cfg)
+    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
     return omega_s, kappa_s, cfg, gens, sol, model
 
 
@@ -85,7 +88,7 @@ def modulated_setup(dim, kappa=0.1, t_max=1.0, h=H):
     init = ErmakovInit(adiabatic_rho(omega_s, kappa_s, 0.0),
                        adiabatic_rhodot(omega_s, kappa_s, 0.0))
     sol = solve_auxiliary(omega_s, kappa_s, init, t_max, h)
-    model = assemble_model(omega_s, kappa_s, sol, *gens, cfg)
+    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
     return omega_s, kappa_s, cfg, gens, sol, model
 
 
@@ -104,87 +107,116 @@ def quadratic_invariant(gens, sol, t):
 
 def test_coefficients_on_equilibrium():
     """rho = 1, rhodot = 0, kappa = 0.1: alpha = kappa, a2 = 1, a3 = 0."""
-    _, kappa_s, _, _, sol, _ = equilibrium_setup(dim=8)
-    c = coefficients_at(sol, kappa_s, 0.7)
-    np.testing.assert_allclose(c.alpha, 0.1, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(c.a2, 1.0, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(c.a3, 0.0, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(c.friction, 0.1, rtol=0, atol=1e-12)
+    *_, model = equilibrium_setup(dim=8)
+    omega_sq, alpha, a2, a3 = model.coefficients(0.7)
+    np.testing.assert_allclose(omega_sq, 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(alpha, 0.1, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a2, 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a3, 0.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(alpha * (a2 - a3 * a3), 0.1, rtol=0, atol=1e-12)
 
 
 def test_coefficients_narrow_solution():
     """rho = 2**-0.5 stationary (omega = 2): alpha = kappa/4, a2 = 4."""
     omega_s = ConstantSchedule(2.0)
     kappa_s = ConstantSchedule(0.1)
+    cfg = BasisConfig(dim=8, omega_ref=2.0)
+    gens = build_su11_generators(*build_canonical(cfg))
     sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(2.0 ** -0.5, 0.0), 1.0, H)
-    c = coefficients_at(sol, kappa_s, 0.5)
-    np.testing.assert_allclose(c.alpha, 0.025, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(c.a2, 4.0, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(c.a3, 0.0, rtol=0, atol=1e-10)
+    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
+    _, alpha, a2, a3 = model.coefficients(0.5)
+    np.testing.assert_allclose(alpha, 0.025, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a2, 4.0, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(a3, 0.0, rtol=0, atol=1e-10)
     # realized friction equals the schedule value
-    np.testing.assert_allclose(c.alpha * (c.a2 - c.a3 ** 2), 0.1,
+    np.testing.assert_allclose(alpha * (a2 - a3 ** 2), 0.1,
                                rtol=0, atol=1e-12)
 
 
 def test_coefficients_vanish_without_friction():
-    omega_s = ConstantSchedule(1.0)
-    kappa_s = ConstantSchedule(0.0)
-    sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 1.0, H)
-    c = coefficients_at(sol, kappa_s, 0.3)
-    assert c.alpha == 0.0
-    assert c.friction == 0.0
+    *_, model = equilibrium_setup(dim=8, kappa=0.0, t_max=1.0)
+    _, alpha, a2, a3 = model.coefficients(0.3)
+    assert alpha == 0.0
+    assert alpha * (a2 - a3 * a3) == 0.0
 
 
 def test_negative_friction_rejected_in_coefficients():
-    omega_s = ConstantSchedule(1.0)
-    kappa_s = ConstantSchedule(0.0)
-    sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 1.0, H)
+    *_, model = equilibrium_setup(dim=8, kappa=0.0, t_max=1.0)
+    negative = dataclasses.replace(model, kappa_s=ConstantSchedule(-0.01))
     with pytest.raises(NegativeFrictionError):
-        coefficients_at(sol, ConstantSchedule(-0.01), 0.5)
+        negative.coefficients(0.5)
 
 
-def test_coefficient_dataclass_validation():
-    with pytest.raises(ValidationError):
-        LindbladCoefficients(t=0.0, alpha=-1e-3, a2=1.0, a3=0.0)
-    with pytest.raises(ValidationError):
-        LindbladCoefficients(t=0.0, alpha=0.1, a2=0.1, a3=1.0)
+def test_array_coefficients_equal_the_scalar_ones():
+    """One vectorized evaluation gives, bit for bit, the scalar rows."""
+    *_, model = modulated_setup(dim=8)
+    ts = np.array([0.0, 0.1234, 0.5, 0.999, 1.0])
+    table = np.column_stack(model.coefficients(ts))
+    for t, row in zip(ts, table):
+        assert tuple(row) == model.coefficients(float(t))
 
 
 # ---------------------------------------------------------------------------
-# model assembly
+# model
+
+
+def _stage_arrays(model, t):
+    omega_sq, alpha, a2, a3 = model.coefficients(t)
+    g1, g2, g3 = model.k1.entries, model.k2.entries, model.k3.entries
+    return g1 + omega_sq * g2, alpha, g1 + a2 * g2 + a3 * g3
+
+
+def test_stage_operators_are_formed_from_the_coefficients():
+    """At the first, a middle and the last stage of a modulated dissipative
+    run, the integrators' stage matrices are exactly H and L formed from
+    ``model.coefficients(0.5*h*j)``."""
+    n = 1000
+    *_, model = modulated_setup(dim=12, t_max=n * H)
+    table = lindblad._stage_table(model, n, H)
+    for j in (0, n + 1, 2 * n):
+        row = table[j]
+        h_op, alpha, l_op = _stage_arrays(model, 0.5 * H * j)
+        assert row[1] == alpha > 0.0
+        l_h = l_op.conj().T
+        drift, drift_h, (c, l_, l_h2) = _density_stage_ops(model, row)
+        np.testing.assert_array_equal(drift, -1j * h_op - alpha * (l_h @ l_op))
+        np.testing.assert_array_equal(drift_h, drift.conj().T)
+        assert c == 2.0 * alpha
+        np.testing.assert_array_equal(l_, l_op)
+        np.testing.assert_array_equal(l_h2, l_h)
+        h_adj, (strength, l_a, l_ha, m) = _adjoint_stage_ops(model, row)
+        np.testing.assert_array_equal(h_adj, h_op)
+        assert strength == alpha
+        np.testing.assert_array_equal(l_a, l_op)
+        np.testing.assert_array_equal(m, l_h @ l_op)
 
 
 def test_hamiltonian_matches_generators():
     omega_s, _, cfg, (g1, g2, g3), sol, model = modulated_setup(dim=12)
     t = 0.4
     w = float(omega_s.eval(t))
-    h_op = model.hamiltonian_at(t)
-    assert h_op.hermitian
-    np.testing.assert_array_equal(h_op.entries,
-                                  g1.entries + (w * w) * g2.entries)
+    h_op = lindblad._generator_arrays(model, model.coefficients(t))[0]
+    assert FockOperator(h_op).hermitian
+    np.testing.assert_array_equal(h_op, g1.entries + (w * w) * g2.entries)
 
 
 def test_jump_operator_matches_coefficients():
-    _, kappa_s, cfg, (g1, g2, g3), sol, model = modulated_setup(dim=12)
+    _, _, cfg, (g1, g2, g3), sol, model = modulated_setup(dim=12)
     t = 0.4
-    terms = model.dissipators_at(t)
-    assert len(terms) == 1
-    weight, jump = terms[0]
-    c = coefficients_at(sol, kappa_s, t)
-    assert weight == c.alpha
-    assert jump.hermitian
+    row = model.coefficients(t)
+    _, alpha, a2, a3 = row
+    assert alpha > 0.0
+    jump = lindblad._generator_arrays(model, row)[1]
+    assert FockOperator(jump).hermitian
     np.testing.assert_array_equal(
-        jump.entries, g1.entries + c.a2 * g2.entries + c.a3 * g3.entries)
+        jump, g1.entries + a2 * g2.entries + a3 * g3.entries)
 
 
 def test_no_jump_terms_without_friction():
-    omega_s = ConstantSchedule(1.0)
-    kappa_s = ConstantSchedule(0.0)
-    cfg = BasisConfig(dim=10, omega_ref=1.0)
-    gens = build_su11_generators(*build_canonical(cfg))
-    sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 1.0, H)
-    model = assemble_model(omega_s, kappa_s, sol, *gens, cfg)
-    assert model.dissipators_at(0.5) == []
+    *_, model = equilibrium_setup(dim=10, kappa=0.0, t_max=1.0)
+    row = model.coefficients(0.5)
+    assert _density_stage_ops(model, row)[2] is None
+    assert _adjoint_stage_ops(model, row)[1] is None
 
 
 def test_generator_dimension_mismatch_rejected():
@@ -194,7 +226,7 @@ def test_generator_dimension_mismatch_rejected():
     wrong = build_su11_generators(*build_canonical(BasisConfig(dim=12, omega_ref=1.0)))
     sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 1.0, H)
     with pytest.raises(ValidationError):
-        assemble_model(omega_s, kappa_s, sol, *wrong, cfg)
+        LindbladModel(omega_s, kappa_s, sol, *wrong, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +241,7 @@ def test_unitary_mean_position_closed_form():
     gens = build_su11_generators(*build_canonical(cfg))
     t_max = float(np.pi)
     sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), t_max, H)
-    model = assemble_model(omega_s, kappa_s, sol, *gens, cfg)
+    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
     rho0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
     traj = evolve_density(model, rho0, t_max, H, record_every=157)
     xs = np.array([m.mean_x for m in traj.moments()])
@@ -253,20 +285,35 @@ def test_record_grid_is_uniform_and_includes_endpoint():
 
 
 def test_constant_jump_energy_is_conserved():
-    """A jump operator proportional to H leaves <H> exactly constant."""
-    from invariantlab.lindblad import LindbladModel
+    """A jump operator equal to H leaves <H> exactly constant.
 
-    cfg = BasisConfig(dim=30, omega_ref=1.0)
-    g1, g2, g3 = build_su11_generators(*build_canonical(cfg))
+    On the omega = 1 equilibrium (rho = 1, rhodot = 0) the jump operator
+    is L = K1 + K2 = H and its strength is alpha = kappa."""
+    _, _, cfg, (g1, g2, _), _, model = equilibrium_setup(dim=30, kappa=0.2)
     h_op = FockOperator(g1.entries + g2.entries)
-    model = LindbladModel(hamiltonian_at=lambda t: h_op,
-                          dissipators_at=lambda t: [(0.2, h_op)],
-                          basis=cfg)
+    _, alpha, l_op = _stage_arrays(model, 1.0)
+    assert alpha == 0.2
+    np.testing.assert_array_equal(l_op, h_op.entries)
     rho0 = build_state(StateSpec(kind="coherent", beta=1.0), cfg)
     traj = evolve_density(model, rho0, 2.0, H, record_every=250)
     energies = [float(np.trace(h_op.entries @ s.entries).real)
                 for s in traj.states]
     np.testing.assert_allclose(energies, energies[0], rtol=0, atol=1e-8)
+
+
+def test_friction_turning_negative_mid_window_names_the_stage_time():
+    """kappa = 0.05 - 0.1 t crosses zero at t = 0.5; with h = 0.01 the
+    first stage below the tolerance is t = 0.505."""
+    omega_s = ConstantSchedule(1.0)
+    kappa_s = LinearSchedule(0.05, -0.1)
+    cfg = BasisConfig(dim=10, omega_ref=1.0)
+    gens = build_su11_generators(*build_canonical(cfg))
+    sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 1.0, 0.01)
+    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
+    rho0 = build_state(StateSpec(kind="fock", fock_n=0), cfg)
+    with pytest.raises(NegativeFrictionError,
+                       match=r"NegativeFriction: kappa\(0\.505\) = -5\.000e-04"):
+        evolve_density(model, rho0, 1.0, 0.01)
 
 
 def test_truncation_leak_raises():
@@ -480,11 +527,8 @@ def test_first_moment_series_window_guard():
 
 
 def test_su11_vacuum_moments_are_stationary_without_friction():
-    omega_s = ConstantSchedule(1.0)
-    kappa_s = ConstantSchedule(0.0)
-    sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 5.0, H)
-    series = evolve_su11_moments(omega_s, kappa_s, sol, (0.25, 0.25, 0.0),
-                                 5.0, H)
+    *_, model = equilibrium_setup(dim=8, kappa=0.0, t_max=5.0)
+    series = evolve_su11_moments(model, (0.25, 0.25, 0.0), 5.0, H)
     np.testing.assert_allclose(series.k1, 0.25, rtol=0, atol=1e-12)
     np.testing.assert_allclose(series.k2, 0.25, rtol=0, atol=1e-12)
     np.testing.assert_allclose(series.k3, 0.0, rtol=0, atol=1e-12)
@@ -492,11 +536,8 @@ def test_su11_vacuum_moments_are_stationary_without_friction():
 
 def test_su11_rotation_closed_form():
     """kappa = 0, omega = 1: k1 - k2 and k3 rotate at frequency 2."""
-    omega_s = ConstantSchedule(1.0)
-    kappa_s = ConstantSchedule(0.0)
-    sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 6.0, H)
-    series = evolve_su11_moments(omega_s, kappa_s, sol, (0.25, 0.75, 0.0),
-                                 6.0, H)
+    *_, model = equilibrium_setup(dim=8, kappa=0.0, t_max=6.0)
+    series = evolve_su11_moments(model, (0.25, 0.75, 0.0), 6.0, H)
     ts = series.ts
     np.testing.assert_allclose(series.k1 + series.k2, 1.0, rtol=0, atol=1e-10)
     np.testing.assert_allclose(series.k1 - series.k2, -0.5 * np.cos(2 * ts),
@@ -511,8 +552,7 @@ def test_su11_moments_match_density_backend():
     rho0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
     traj = evolve_density(model, rho0, 2.0, H, record_every=200)
     m0 = moments_from_state(rho0, cfg)
-    series = evolve_su11_moments(omega_s, kappa_s, sol,
-                                 (m0.k1, m0.k2, m0.k3), 2.0, H)
+    series = evolve_su11_moments(model, (m0.k1, m0.k2, m0.k3), 2.0, H)
     dense = {round(t, 9): i for i, t in enumerate(series.ts)}
     for i, t in enumerate(traj.ts):
         j = dense[round(float(t), 9)]
@@ -523,13 +563,11 @@ def test_su11_moments_match_density_backend():
 
 
 def test_su11_seed_must_satisfy_uncertainty_bound():
-    omega_s = ConstantSchedule(1.0)
-    kappa_s = ConstantSchedule(0.0)
-    sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 1.0, H)
+    *_, model = equilibrium_setup(dim=8, kappa=0.0, t_max=1.0)
     with pytest.raises(ValidationError):
-        evolve_su11_moments(omega_s, kappa_s, sol, (0.25, 0.25, 0.5), 1.0, H)
+        evolve_su11_moments(model, (0.25, 0.25, 0.5), 1.0, H)
     with pytest.raises(ValidationError):
-        evolve_su11_moments(omega_s, kappa_s, sol, (-0.1, 0.25, 0.0), 1.0, H)
+        evolve_su11_moments(model, (-0.1, 0.25, 0.0), 1.0, H)
 
 
 # ---------------------------------------------------------------------------
