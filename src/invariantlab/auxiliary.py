@@ -130,7 +130,10 @@ class ErmakovSolution:
 
     def __post_init__(self):
         _freeze_fields(self, "ts", "rho", "rhodot", "rhoddot")
-        if self.enforce_floor and np.any(self.rho < RHO_FLOOR):
+        samples = (self.rho, self.rhodot, self.rhoddot)
+        if not all(np.isfinite(a).all() for a in samples):
+            raise ValidationError("solution samples must be finite")
+        if self.enforce_floor and not np.all(self.rho >= RHO_FLOOR):
             raise ValidationError("rho samples dip below the positivity floor")
 
     @property
@@ -243,16 +246,18 @@ def solve_auxiliary(omega_s: Schedule, kappa_s: Schedule, init: ErmakovInit,
     # memoryviews index to Python floats without a per-stage object list
     ks, ws = memoryview(kappa), memoryview(omega_sq)
 
+    # an overflowed rho turns inf, then nan: "not >=" fails on the nan at
+    # the next stage, and the node check also on an inf that ends the run
     def rhs(y, j):
         r, v = y.real, y.imag
-        if r < RHO_FLOOR:
+        if not r >= RHO_FLOOR:
             raise _singularity(r, 0.5 * h * j)
         return complex(v, ks[j] * v - ws[j] * r + 1.0 / (r * r * r))
 
     ys = np.empty(n + 1, dtype=complex)
 
     def record(i, y):
-        if y.real < RHO_FLOOR:
+        if not RHO_FLOOR <= y.real < np.inf:
             raise _singularity(y.real, i * h)
         ys[i] = y
 

@@ -233,7 +233,7 @@ def invariant_residual(inv: InvariantSpec, model: LindbladModel,
             / (2.0 * FD_HALF_STEP))
     i_op = inv.at(t).entries
     row = model.coefficients(t)
-    h_op, l_arr = _generator_arrays(model, row)
+    h_op, l_arr = _generator_arrays(model.generators, row)
     res = 1j * d_op - commutator(h_op, i_op)
     if inv.kind == "weak" and l_arr is not None:
         res -= 1j * row[1] * commutator(l_arr, commutator(l_arr, i_op))

@@ -11,6 +11,17 @@ generator arrays.  This module evolves density matrices, conserved
 observables, and the two closed moment systems, all through the one
 fixed-step RK4 driver ``auxiliary._rk4``, so convergence claims are
 uniform.
+
+K1, K2 and K3 are quadratic in a and a^dag, so H and L connect only
+Fock levels n and n +- 2 and the generator never mixes even and odd
+levels.  The density integrator therefore holds the state as its four
+parity blocks (even-even, even-odd, odd-even, odd-odd), each
+ceil(N/2) x ceil(N/2), and multiplies them by the even and odd diagonal
+blocks of H, L and the drift: half the flops of the dense product.  An
+odd dimension pads the odd side with one zero level, whose rows and
+columns stay exactly zero.  Recorded states are reassembled to the dense
+N x N matrix, and ``LindbladModel`` refuses generators with an entry
+between levels of opposite parity, which the blocks would drop.
 """
 
 from __future__ import annotations
@@ -77,7 +88,7 @@ def _jump_coefficients(kappa, r, v):
     a2 = v * v / (2.0 * r2) + 1.0 / (r2 * r2)
     a3 = -v / (2.0 * r)
     dev = np.abs(alpha * (a2 - a3 * a3) - kappa).max()
-    if dev > COEFF_IDENTITY_TOL:
+    if not dev <= COEFF_IDENTITY_TOL:  # also trips on nan
         raise NumericalError(
             f"coefficient identity alpha*(a2-a3^2) = kappa violated by {dev:.3e}")
     return alpha, a2, a3
@@ -102,11 +113,25 @@ class LindbladModel:
     basis: BasisConfig
 
     def __post_init__(self):
-        for gen in (self.k1, self.k2, self.k3):
+        for name in ("k1", "k2", "k3"):
+            gen = getattr(self, name)
             if gen.dim != self.basis.dim:
                 raise ValidationError(
                     f"generator dimension {gen.dim} does not match basis "
                     f"{self.basis.dim}")
+            rows, cols = np.nonzero(gen.entries)
+            odd = (rows - cols) % 2 == 1
+            if odd.any():
+                i, j = rows[odd][0], cols[odd][0]
+                raise ValidationError(
+                    f"generator {name} couples Fock levels {i} and {j} of "
+                    f"opposite parity (entry {gen.entries[i, j]:.3e}); the "
+                    "parity-block density evolution would drop it")
+
+    @property
+    def generators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The raw (K1, K2, K3) arrays."""
+        return self.k1.entries, self.k2.entries, self.k3.entries
 
     def coefficients(self, t):
         """(omega^2, alpha, a2, a3) at time(s) t, from the auxiliary solution.
@@ -122,18 +147,20 @@ class LindbladModel:
         return w * w, alpha, a2, a3
 
 
-def _generator_arrays(model: LindbladModel, row):
-    """Raw H and L arrays of one coefficient row (omega^2, alpha, a2, a3).
+def _generator_arrays(gens, row):
+    """H and L arrays of one coefficient row (omega^2, alpha, a2, a3).
 
-    L is None when alpha = 0, that is wherever kappa <= 0: there the
-    evolution has no jump term.
+    ``gens`` is (K1, K2, K3): the dense arrays of ``model.generators`` or
+    their stacked parity blocks, on which H and L come out as exactly the
+    parity blocks of the dense ones.  L is None when alpha = 0, that is
+    wherever kappa <= 0: there the evolution has no jump term.
     """
     omega_sq, alpha, a2, a3 = row
-    k1, k2 = model.k1.entries, model.k2.entries
+    k1, k2, k3 = gens
     h_op = k1 + omega_sq * k2
     if not alpha > 0.0:
         return h_op, None
-    return h_op, k1 + a2 * k2 + a3 * model.k3.entries
+    return h_op, k1 + a2 * k2 + a3 * k3
 
 
 def _stage_table(model: LindbladModel, n: int, h: float) -> np.ndarray:
@@ -205,15 +232,44 @@ class Trajectory:
                     rows, precision)
 
 
-def _density_stage_ops(model: LindbladModel, row):
-    h_op, l_ = _generator_arrays(model, row)
+def _parity_split(arr: np.ndarray) -> np.ndarray:
+    """Parity blocks of an n x n array as a (2, 2, m, m) stack, m = ceil(n/2).
+
+    Block [p, q] holds the rows of parity p and the columns of parity q
+    (0 even, 1 odd): the ee, eo, oe and oo blocks in that order.  An odd n
+    is padded with one zero level, the last odd one.
+    """
+    n = arr.shape[0]
+    m = (n + 1) // 2
+    padded = np.zeros((2 * m, 2 * m), dtype=complex)
+    padded[:n, :n] = arr
+    return padded.reshape(m, 2, m, 2).transpose(1, 3, 0, 2).copy()
+
+
+def _parity_join(blocks: np.ndarray, n: int) -> np.ndarray:
+    """The dense n x n array of a (2, 2, m, m) parity-block stack."""
+    m = blocks.shape[-1]
+    return blocks.transpose(2, 0, 3, 1).reshape(2 * m, 2 * m)[:n, :n]
+
+
+def _diagonal_blocks(model: LindbladModel) -> tuple[np.ndarray, ...]:
+    """(K1, K2, K3) as (2, m, m) stacks of their even and odd blocks."""
+    return tuple(_parity_split(k)[[0, 1], [0, 1]] for k in model.generators)
+
+
+def _density_stage_ops(blocks, row):
+    # each (2, m, m) operator stack acts on the rows of parity p as
+    # op[:, None] and on the columns of parity q as op^dag[None], so that
+    # one broadcast matmul covers all four blocks of the state
+    h_op, l_ = _generator_arrays(blocks, row)
     drift = -1j * h_op
-    if l_ is None:
-        return drift, drift.conj().T, None
-    alpha = row[1]
-    l_h = l_.conj().T
-    drift = drift - alpha * (l_h @ l_)
-    return drift, drift.conj().T, (2.0 * alpha, l_, l_h)
+    jump = None
+    if l_ is not None:
+        alpha = row[1]
+        l_h = l_.conj().swapaxes(1, 2)
+        drift = drift - alpha * (l_h @ l_)
+        jump = (2.0 * alpha, l_[:, None], l_h[None])
+    return drift[:, None], drift.conj().swapaxes(1, 2)[None], jump
 
 
 def _density_rhs(state: np.ndarray, ops) -> np.ndarray:
@@ -233,6 +289,8 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
     rho Ln^dag Ln - 2 Ln rho Ln^dag) with every operator evaluated at
     the stage times.  No renormalization or positivity projection is
     applied: trace drift and eigenvalue dips are reported, not hidden.
+    The state is stepped as its four parity blocks (module docstring) and
+    recorded as the dense matrix.
     """
     cfg = model.basis
     if rho0.dim != cfg.dim:
@@ -247,9 +305,10 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
     warnings: list[str] = []
     failed_at: float | None = None
 
-    def record(i: int, arr: np.ndarray):
+    def record(i: int, blocks: np.ndarray):
         nonlocal failed_at
         t = h * i
+        arr = _parity_join(blocks, cfg.dim)
         tr, herm, lo, tail = _diagnostics(arr, cfg)
         if tail > cfg.tail_threshold:
             raise TruncationLeakError(
@@ -274,8 +333,9 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
         rec_diag.append((tr, herm, lo, tail))
 
     table = _stage_table(model, n, h)
-    _rk4(_density_rhs, lambda j: _density_stage_ops(model, table[j]),
-         np.array(rho0.entries, dtype=complex), n, h, record, record_every)
+    gens = _diagonal_blocks(model)
+    _rk4(_density_rhs, lambda j: _density_stage_ops(gens, table[j]),
+         _parity_split(rho0.entries), n, h, record, record_every)
     diag = np.array(rec_diag)
     return Trajectory(ts=np.array(rec_ts), states=tuple(rec_states),
                       trace=diag[:, 0], herm_dev=diag[:, 1],
@@ -304,8 +364,8 @@ class OperatorTrajectory:
         return self.failed_at is None
 
 
-def _adjoint_stage_ops(model: LindbladModel, row):
-    h_op, l_ = _generator_arrays(model, row)
+def _adjoint_stage_ops(gens, row):
+    h_op, l_ = _generator_arrays(gens, row)
     if l_ is None:
         return h_op, None
     l_h = l_.conj().T
@@ -373,8 +433,9 @@ def evolve_adjoint_observable(model: LindbladModel, q0: FockOperator,
     # overflow between record points is caught at the next record; the
     # intermediate arithmetic may legitimately hit inf, so keep numpy quiet
     table = _stage_table(model, n, h)
+    gens = model.generators
     with np.errstate(over="ignore", invalid="ignore"):
-        _rk4(_adjoint_rhs, lambda j: _adjoint_stage_ops(model, table[j]),
+        _rk4(_adjoint_rhs, lambda j: _adjoint_stage_ops(gens, table[j]),
              np.array(q0.entries, dtype=complex), n, h, record, record_every)
 
     return OperatorTrajectory(ts=np.array(rec_ts), operators=tuple(rec_ops),

@@ -390,7 +390,7 @@ def _check_drift_crosscheck(p: _Prepared) -> CheckResult:
     op = ot.operators[i]
     lam, vecs = np.linalg.eigh(op.entries)
     row = model.coefficients(float(ts[i]))
-    _, jump = _generator_arrays(model, row)
+    _, jump = _generator_arrays(model.generators, row)
     if jump is None:
         # frictionless transport is a unitary conjugation: the spectrum
         # is exactly constant, so the prediction is zero for every mode

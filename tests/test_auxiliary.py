@@ -124,6 +124,26 @@ def test_singularity_guard_fires_after_a_step():
                         1.0, 0.01)
 
 
+def test_overflowed_solution_raises_singularity():
+    # kappa = 20 anti-damps rhodot until rho overflows near t = 35 and the
+    # next stage computes inf - inf; the nan must fail the floor check
+    # instead of filling the rest of the samples
+    with pytest.raises(SingularityError, match=r"rho reached nan") as info:
+        solve_auxiliary(ConstantSchedule(1.0), ConstantSchedule(20.0),
+                        ErmakovInit(1.0, 0.1), 80.0, 1e-2)
+    assert info.value.exit_code == 3
+
+
+@pytest.mark.parametrize("field", ["rho", "rhodot", "rhoddot"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solution_record_rejects_non_finite_samples(field, bad):
+    ts = np.linspace(0.0, 1.0, 5)
+    fields = {"rho": np.ones(5), "rhodot": np.zeros(5), "rhoddot": np.zeros(5)}
+    fields[field][2] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        ErmakovSolution(ts=ts, **fields)
+
+
 def test_perturbations_grow_at_half_kappa():
     # the friction enters anti-damped: deviations from the fixed point grow
     # like exp(+kappa t / 2) while the mean motion (tested in the evolution

@@ -147,6 +147,12 @@ def test_negative_friction_rejected_in_coefficients():
         negative.coefficients(0.5)
 
 
+def test_coefficient_identity_check_trips_on_nan():
+    """A nan rho must fail the identity check, not pass ``dev > tol``."""
+    with pytest.raises(NumericalError, match="coefficient identity"):
+        lindblad._jump_coefficients(0.1, np.array([1.0, np.nan]), np.zeros(2))
+
+
 def test_array_coefficients_equal_the_scalar_ones():
     """One vectorized evaluation gives, bit for bit, the scalar rows."""
     *_, model = modulated_setup(dim=8)
@@ -166,36 +172,131 @@ def _stage_arrays(model, t):
     return g1 + omega_sq * g2, alpha, g1 + a2 * g2 + a3 * g3
 
 
+def _split(arr, m):
+    """(2, 2, m, m) parity blocks of arr by strided slicing, zero-padded."""
+    out = np.zeros((2, 2, m, m), dtype=complex)
+    for p in (0, 1):
+        for q in (0, 1):
+            blk = arr[p::2, q::2]
+            out[p, q, :blk.shape[0], :blk.shape[1]] = blk
+    return out
+
+
+def _join(blocks, dim):
+    out = np.empty((dim, dim), dtype=complex)
+    for p in (0, 1):
+        for q in (0, 1):
+            rows, cols = len(range(p, dim, 2)), len(range(q, dim, 2))
+            out[p::2, q::2] = blocks[p, q, :rows, :cols]
+    return out
+
+
+def _random_state(dim, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
 def test_stage_operators_are_formed_from_the_coefficients():
     """At the first, a middle and the last stage of a modulated dissipative
-    run, the integrators' stage matrices are exactly H and L formed from
-    ``model.coefficients(0.5*h*j)``."""
+    run, the integrators' stage matrices are H and L formed from
+    ``model.coefficients(0.5*h*j)``: the density stage's H and L blocks are
+    bit for bit the parity blocks of the dense ones, its drift differs
+    from the dense drift only by the rounding of the L^dag L product, and
+    the adjoint stage is dense and exact."""
     n = 1000
     *_, model = modulated_setup(dim=12, t_max=n * H)
     table = lindblad._stage_table(model, n, H)
+    blocks = lindblad._diagonal_blocks(model)
     for j in (0, n + 1, 2 * n):
         row = table[j]
         h_op, alpha, l_op = _stage_arrays(model, 0.5 * H * j)
         assert row[1] == alpha > 0.0
         l_h = l_op.conj().T
-        drift, drift_h, (c, l_, l_h2) = _density_stage_ops(model, row)
-        np.testing.assert_array_equal(drift, -1j * h_op - alpha * (l_h @ l_op))
-        np.testing.assert_array_equal(drift_h, drift.conj().T)
+        h_blk, l_blk = lindblad._generator_arrays(blocks, row)
+        drift, drift_h, (c, l_, l_h2) = _density_stage_ops(blocks, row)
         assert c == 2.0 * alpha
-        np.testing.assert_array_equal(l_, l_op)
-        np.testing.assert_array_equal(l_h2, l_h)
-        h_adj, (strength, l_a, l_ha, m) = _adjoint_stage_ops(model, row)
+        product = l_h @ l_op
+        dense_drift = -1j * h_op - alpha * product
+        for p in (0, 1):
+            par = slice(p, None, 2)
+            np.testing.assert_array_equal(h_blk[p], h_op[par, par])
+            np.testing.assert_array_equal(l_blk[p], l_op[par, par])
+            np.testing.assert_array_equal(l_[p, 0], l_op[par, par])
+            np.testing.assert_array_equal(l_h2[0, p], l_h[par, par])
+            np.testing.assert_array_equal(drift_h[0, p], drift[p, 0].conj().T)
+            # a sum over the levels of one parity, not over all of them
+            # with exact zeros in between: equal up to a few roundings
+            np.testing.assert_allclose(
+                drift[p, 0], dense_drift[par, par], rtol=0,
+                atol=4 * np.finfo(float).eps * alpha * max_abs(product))
+        h_adj, (strength, l_a, l_ha, m) = _adjoint_stage_ops(model.generators,
+                                                             row)
         np.testing.assert_array_equal(h_adj, h_op)
         assert strength == alpha
         np.testing.assert_array_equal(l_a, l_op)
-        np.testing.assert_array_equal(m, l_h @ l_op)
+        np.testing.assert_array_equal(m, product)
+
+
+@pytest.mark.parametrize("dim", [9, 12])
+def test_block_rhs_equals_the_dense_generator(dim):
+    """Reassembled, the block right-hand side is drift rho + rho drift^dag
+    + 2 alpha L rho L^dag on the dense matrices, and the padding level of
+    an odd dimension stays exactly zero."""
+    *_, model = modulated_setup(dim=dim)
+    m = (dim + 1) // 2
+    rho = _random_state(dim, 7)
+    h_op, alpha, l_op = _stage_arrays(model, 0.3)
+    l_h = l_op.conj().T
+    drift = -1j * h_op - alpha * (l_h @ l_op)
+    dense = (drift @ rho + rho @ drift.conj().T
+             + 2.0 * alpha * (l_op @ rho @ l_h))
+    ops = _density_stage_ops(lindblad._diagonal_blocks(model),
+                             model.coefficients(0.3))
+    out = lindblad._density_rhs(_split(rho, m), ops)
+    assert max_abs(_join(out, dim) - dense) <= 1e-14 * np.linalg.norm(rho)
+    if dim % 2:
+        assert not out[:, 1, :, m - 1].any() and not out[1, :, m - 1, :].any()
+
+
+def test_odd_dimension_evolution_matches_a_dense_rk4():
+    """At dim 41 (one padding level) every recorded state agrees with a
+    classical RK4 on dense matrices written out here."""
+    n, every = 200, 40
+    _, _, cfg, _, _, model = modulated_setup(dim=41, t_max=n * H)
+    rho0 = build_state(StateSpec(kind="coherent", beta=complex(0.8, 0.5)), cfg)
+    traj = evolve_density(model, rho0, n * H, H, record_every=every)
+
+    def rhs(rho, t):
+        h_op, alpha, l_op = _stage_arrays(model, t)
+        l_h = l_op.conj().T
+        m = l_h @ l_op
+        return (-1j * (h_op @ rho - rho @ h_op)
+                + alpha * (2.0 * l_op @ rho @ l_h - m @ rho - rho @ m))
+
+    rho = np.array(rho0.entries)
+    expected = [rho]
+    for i in range(n):
+        t = i * H
+        s1 = rhs(rho, t)
+        s2 = rhs(rho + 0.5 * H * s1, t + 0.5 * H)
+        s3 = rhs(rho + 0.5 * H * s2, t + 0.5 * H)
+        s4 = rhs(rho + H * s3, t + H)
+        rho = rho + (H / 6.0) * (s1 + 2.0 * (s2 + s3) + s4)
+        if (i + 1) % every == 0:
+            expected.append(rho)
+    assert len(traj.states) == len(expected) == 1 + n // every
+    for state, ref in zip(traj.states, expected):
+        assert max_abs(state.entries - ref) <= 1e-12
 
 
 def test_hamiltonian_matches_generators():
     omega_s, _, cfg, (g1, g2, g3), sol, model = modulated_setup(dim=12)
     t = 0.4
     w = float(omega_s.eval(t))
-    h_op = lindblad._generator_arrays(model, model.coefficients(t))[0]
+    row = model.coefficients(t)
+    h_op = lindblad._generator_arrays(model.generators, row)[0]
     assert FockOperator(h_op).hermitian
     np.testing.assert_array_equal(h_op, g1.entries + (w * w) * g2.entries)
 
@@ -206,7 +307,7 @@ def test_jump_operator_matches_coefficients():
     row = model.coefficients(t)
     _, alpha, a2, a3 = row
     assert alpha > 0.0
-    jump = lindblad._generator_arrays(model, row)[1]
+    jump = lindblad._generator_arrays(model.generators, row)[1]
     assert FockOperator(jump).hermitian
     np.testing.assert_array_equal(
         jump, g1.entries + a2 * g2.entries + a3 * g3.entries)
@@ -215,8 +316,19 @@ def test_jump_operator_matches_coefficients():
 def test_no_jump_terms_without_friction():
     *_, model = equilibrium_setup(dim=10, kappa=0.0, t_max=1.0)
     row = model.coefficients(0.5)
-    assert _density_stage_ops(model, row)[2] is None
-    assert _adjoint_stage_ops(model, row)[1] is None
+    assert _density_stage_ops(lindblad._diagonal_blocks(model), row)[2] is None
+    assert _adjoint_stage_ops(model.generators, row)[1] is None
+
+
+def test_generator_coupling_opposite_parities_rejected():
+    """One (0, 1) entry in K3 would be dropped by the parity blocks."""
+    omega_s, kappa_s, cfg, (g1, g2, g3), sol, _ = equilibrium_setup(
+        dim=10, t_max=0.01)
+    k3 = np.array(g3.entries)
+    k3[0, 1] = 1e-3
+    with pytest.raises(ValidationError,
+                       match=r"generator k3 couples Fock levels 0 and 1"):
+        LindbladModel(omega_s, kappa_s, sol, g1, g2, FockOperator(k3), cfg)
 
 
 def test_generator_dimension_mismatch_rejected():
