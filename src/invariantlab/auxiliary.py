@@ -2,8 +2,9 @@
 
 Two second-order ODEs are solved here with a fixed-step classical
 fourth-order Runge-Kutta scheme (deterministic, order-verifiable).  Its
-one driver, ``_rk4``, steps every integrator of the package, these two
-and the four in the lindblad module:
+driver, ``_rk4``, steps these two and the density and adjoint
+integrators of the lindblad module; the two linear moment systems there
+apply the same scheme as exact one-step maps (``lindblad._linear_rk4``):
 
 * the anti-damped nonlinear auxiliary equation
       rhoddot - kappa(t) rhodot + omega^2(t) rho = 1/rho^3,

@@ -223,7 +223,10 @@ def invariant_residual(inv: InvariantSpec, model: LindbladModel,
     the ``weak`` kind and ``i dI/dt - [H, I]`` for the frictionless
     kinds, with dI/dt obtained by central differencing of the closed
     form at half-step ``FD_HALF_STEP`` — deliberately independent of the
-    algebra that constructed the observable.
+    algebra that constructed the observable.  Below about 1e-10 the value
+    reads the rounding of that difference, not the construction: a
+    frictionless run's residual moves by several percent when the
+    auxiliary solution moves at the 1e-15 level.
     """
     cfg = model.basis
     if inv.dim != cfg.dim:

@@ -8,9 +8,13 @@ one method gives the four scalars (omega^2, alpha, a2, a3) that carry
 all of its time dependence.  Each integrator evaluates them once per run
 on the stage grid and forms every stage's matrices from the raw
 generator arrays.  This module evolves density matrices, conserved
-observables, and the two closed moment systems, all through the one
-fixed-step RK4 driver ``auxiliary._rk4``, so convergence claims are
-uniform.
+observables, and the two closed moment systems, all with the classical
+fixed-step RK4 scheme, so convergence claims are uniform.  Density
+matrices and observables step through the driver ``auxiliary._rk4``; the
+adjoint builds its stage operands a block of stages at a time.  The two
+moment systems are linear, y' = A(t) y, so ``_linear_rk4`` forms each
+step's exact RK4 map from the stage matrices, a block of steps at once,
+and applies the maps in turn.  Blocks are sized by ``STAGE_BLOCK_BYTES``.
 
 K1, K2 and K3 are quadratic in a and a^dag, so H and L connect only
 Fock levels n and n +- 2 and the generator never mixes even and odd
@@ -69,6 +73,15 @@ POSITIVITY_HARD_FLOOR = -1e-6
 ADJOINT_HERM_TOL = 1e-10
 MOMENT_BOUND_TOL = 1e-9
 CLOSURE_GATE_TOL = 1e-10
+# Stage operands (adjoint) and step maps (moment systems) are formed a
+# block at a time, as many per block as fit in this many bytes: three
+# stages of a dim-60 adjoint, about 1500 steps of the 3x3 moment system.
+STAGE_BLOCK_BYTES = 1 << 20
+
+
+def _block_length(item_bytes: int) -> int:
+    """Items per block: as many as fit in STAGE_BLOCK_BYTES, at least one."""
+    return max(1, STAGE_BLOCK_BYTES // item_bytes)
 
 
 # --------------------------------------------------------------------- model
@@ -364,24 +377,77 @@ class OperatorTrajectory:
         return self.failed_at is None
 
 
-def _adjoint_stage_ops(gens, row):
-    h_op, l_ = _generator_arrays(gens, row)
-    if l_ is None:
-        return h_op, None
-    l_h = l_.conj().T
-    return h_op, (row[1], l_, l_h, l_h @ l_)
+def _adjoint_stage_block(gens, rows) -> list[tuple]:
+    """Adjoint right-hand-side operands of a block of stage rows.
+
+    Per stage (left, right, L, alpha), with left = [H, L^dag L, L^dag]
+    and right = [H, L^dag L] stacked, so that ``_adjoint_rhs`` is three
+    matmul calls.  H, L and L^dag L are formed for the whole block with
+    the arithmetic of ``_generator_arrays``; a stage with alpha = 0 keeps
+    only [H] on both sides and no jump term.
+    """
+    k1, k2, k3 = gens
+    omega_sq, alpha, a2, a3 = (c[:, None, None] for c in np.asarray(rows).T)
+    h_op = k1 + omega_sq * k2
+    l_ = k1 + a2 * k2 + a3 * k3
+    l_h = l_.conj().swapaxes(1, 2)
+    m = l_h @ l_
+    left = np.stack((h_op, m, l_h), axis=1)
+    right = np.stack((h_op, m), axis=1)
+    return [(lt, rt, lj, s) if s > 0.0 else (lt[:1], rt[:1], None, s)
+            for lt, rt, lj, s in zip(left, right, l_, alpha.ravel())]
 
 
 def _adjoint_rhs(q: np.ndarray, ops) -> np.ndarray:
     # grouped so that the generator annihilates the identity exactly,
     # not just to rounding: H q - q H and m q + q m - 2 l^dag q l both
     # cancel termwise at q = 1
-    h_op, jump = ops
-    out = -1j * (h_op @ q - q @ h_op)
-    if jump is not None:
-        strength, l_, l_h, m = jump
-        out += strength * (m @ q + q @ m) - (2.0 * strength) * (l_h @ q @ l_)
+    left, right, l_, strength = ops
+    lq = left @ q
+    qr = q @ right
+    out = -1j * (lq[0] - qr[0])
+    if l_ is not None:
+        out += strength * (lq[1] + qr[1]) - (2.0 * strength) * (lq[2] @ l_)
     return out
+
+
+def _transport_steps(model: LindbladModel, q0: np.ndarray, t_max: float,
+                     h: float, record, every: int = 1):
+    """Step the adjoint equation from the array q0 with classical RK4.
+
+    ``record(i, q)`` receives the node state at every ``every``-th node
+    and the last, after a check that it is finite; each is a fresh array.
+    The stage operands are built ``_block_length`` stages at a time.
+    """
+    n = _step_count(t_max, h)
+    table = _stage_table(model, n, h)
+    gens = model.generators
+    # left (3), right (2) and L: six complex dim x dim arrays per stage
+    per = _block_length(6 * 16 * model.basis.dim ** 2)
+    block, lo = [], 0
+
+    def stage(j: int):
+        nonlocal block, lo
+        if not lo <= j < lo + len(block):
+            block, lo = _adjoint_stage_block(gens, table[j:j + per]), j
+        return block[j - lo]
+
+    def checked(i: int, q: np.ndarray):
+        if not np.all(np.isfinite(q.view(float))):
+            # the adjoint flow amplifies components at rates set by the
+            # squared level gaps of the jump operator, so generic
+            # observables eventually outgrow float range; conserved
+            # observables built for the model stay bounded
+            raise NumericalError(
+                f"observable grew beyond float range by t={h * i:.6g}; "
+                "shorten the window or seed with a conserved observable")
+        record(i, q)
+
+    # overflow between record points is caught at the next record; the
+    # intermediate arithmetic may legitimately hit inf, so keep numpy quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        _rk4(_adjoint_rhs, stage, np.array(q0, dtype=complex), n, h,
+             checked, every)
 
 
 def evolve_adjoint_observable(model: LindbladModel, q0: FockOperator,
@@ -403,7 +469,6 @@ def evolve_adjoint_observable(model: LindbladModel, q0: FockOperator,
             f"(deviation {q0.herm_deviation():.3e})")
     if record_every < 1:
         raise ValidationError(f"record_every must be >= 1, got {record_every}")
-    n = _step_count(t_max, h)
     rec_ts: list[float] = []
     rec_ops: list[FockOperator] = []
     rec_dev: list[float] = []
@@ -413,14 +478,6 @@ def evolve_adjoint_observable(model: LindbladModel, q0: FockOperator,
     def record(i: int, arr: np.ndarray):
         nonlocal failed_at
         t = h * i
-        if not np.all(np.isfinite(arr.view(float))):
-            # the adjoint flow amplifies components at rates set by the
-            # squared level gaps of the jump operator, so generic
-            # observables eventually outgrow float range; conserved
-            # observables built for the model stay bounded
-            raise NumericalError(
-                f"observable grew beyond float range by t={t:.6g}; "
-                "shorten the window or seed with a conserved observable")
         dev = max_abs(arr - arr.conj().T)
         if dev > ADJOINT_HERM_TOL:
             warnings.append(f"t={t:.6g}: hermiticity deviation {dev:.3e}")
@@ -430,20 +487,44 @@ def evolve_adjoint_observable(model: LindbladModel, q0: FockOperator,
         rec_ops.append(FockOperator(arr))
         rec_dev.append(dev)
 
-    # overflow between record points is caught at the next record; the
-    # intermediate arithmetic may legitimately hit inf, so keep numpy quiet
-    table = _stage_table(model, n, h)
-    gens = model.generators
-    with np.errstate(over="ignore", invalid="ignore"):
-        _rk4(_adjoint_rhs, lambda j: _adjoint_stage_ops(gens, table[j]),
-             np.array(q0.entries, dtype=complex), n, h, record, record_every)
-
+    _transport_steps(model, q0.entries, t_max, h, record, record_every)
     return OperatorTrajectory(ts=np.array(rec_ts), operators=tuple(rec_ops),
                               herm_dev=np.array(rec_dev),
                               failed_at=failed_at, warnings=tuple(warnings))
 
 
 # -------------------------------------------------------------- moment types
+
+
+def _linear_rk4(stage_mats, y0, n: int, h: float) -> np.ndarray:
+    """Classical RK4 nodes of the linear system y' = A(t) y over n steps.
+
+    ``stage_mats(lo, hi)`` returns A at the stage times j*h/2, j = lo..hi-1,
+    as a (hi - lo, d, d) stack.  An RK4 step is linear in y: with A1, A2,
+    A3 its start, middle and end matrices it is y <- P y, where
+    P = I + h/6 (A1 + 2 (B2 + B3) + B4), B2 = A2 (I + h/2 A1),
+    B3 = A2 (I + h/2 B2) and B4 = A3 (I + h B3).  The maps of a block of
+    steps are formed at once and then applied in turn, which equals
+    stepping ``auxiliary._rk4`` up to rounding.  Returns the (n + 1, d)
+    node values.
+    """
+    ys = np.empty((n + 1, len(y0)))
+    ys[0] = y0
+    eye = np.eye(ys.shape[1])
+    # the stage matrices, B2, B3, B4, P and their temporaries: about ten
+    # d x d float arrays per step
+    per = _block_length(10 * eye.nbytes)
+    for lo in range(0, n, per):
+        hi = min(n, lo + per)
+        a = stage_mats(2 * lo, 2 * hi + 1)
+        a1, a2, a3 = a[:-1:2], a[1::2], a[2::2]
+        b2 = a2 @ (eye + (0.5 * h) * a1)
+        b3 = a2 @ (eye + (0.5 * h) * b2)
+        b4 = a3 @ (eye + h * b3)
+        maps = eye + (h / 6.0) * (a1 + 2.0 * (b2 + b3) + b4)
+        for i, p in enumerate(maps, lo):
+            ys[i + 1] = p @ ys[i]
+    return ys
 
 
 def _check_k_moments(k1: float, k2: float, k3: float):
@@ -525,17 +606,17 @@ def evolve_first_moments(omega_s: Schedule, kappa_s: Schedule,
     n = _step_count(t_max, h)
     half_ts, omega_sq, kappa = _half_grid_coefficients(omega_s, kappa_s, n, h)
     _check_friction(half_ts, kappa)
-    ks, ws = memoryview(kappa), memoryview(omega_sq)
 
-    def rhs(y, j):
-        k = ks[j]
-        x, p = y.real, y.imag
-        return complex(p - k * x, -ws[j] * x - k * p)
+    def stage_mats(lo, hi):
+        a = np.empty((hi - lo, 2, 2))
+        a[:, 0, 0] = a[:, 1, 1] = -kappa[lo:hi]
+        a[:, 0, 1] = 1.0
+        a[:, 1, 0] = -omega_sq[lo:hi]
+        return a
 
-    ys = np.empty(n + 1, dtype=complex)
-    _rk4(rhs, lambda j: j, complex(m0[0], m0[1]), n, h, ys.__setitem__)
+    ys = _linear_rk4(stage_mats, m0, n, h)
     ts = h * np.arange(n + 1)
-    xs, ps = ys.real, ys.imag
+    xs, ps = ys[:, 0], ys[:, 1]
     node_k = kappa[::2]
     node_w2 = omega_sq[::2]
     kdot = np.asarray(kappa_s.eval(ts, 1), dtype=float)
@@ -631,10 +712,7 @@ def evolve_su11_moments(model: LindbladModel, v0: tuple[float, float, float],
     _closure_matrix_verified()
     _check_k_moments(*v0)
     n = _step_count(t_max, h)
-    mats = closure_matrix(*_stage_table(model, n, h).T)
-
-    ys = np.empty((n + 1, 3))
-    _rk4(lambda y, m: m @ y, mats.__getitem__, np.array(v0, dtype=float),
-         n, h, ys.__setitem__)
+    table = _stage_table(model, n, h)
+    ys = _linear_rk4(lambda lo, hi: closure_matrix(*table[lo:hi].T), v0, n, h)
     ts = h * np.arange(n + 1)
     return Su11MomentSeries(ts=ts, k1=ys[:, 0], k2=ys[:, 1], k3=ys[:, 2])

@@ -30,7 +30,10 @@ adiabatic-scaling    slow-rate error scaling of the series initialization
 ``spectrum-constancy`` and the four state checks need the full density
 backend and are skipped for ``backend = moments``; ``backend-agreement``
 runs only for ``backend = both``; ``adiabatic-scaling`` runs only when
-the scenario declares ``run.adiabatic_epsilon``.
+the scenario declares ``run.adiabatic_epsilon``.  ``verify_scenario``
+and ``sweep`` refuse a ``run.t_max`` below the shortest window the
+differencing checks fit in (1e-3 with the constants here; see
+``_check_battery_window``).
 
 The transport-equation residual of the dissipative closed form has an
 exact friction defect ``|kappa rho rhodot|`` times the interior norm of
@@ -60,6 +63,7 @@ from .auxiliary import (
 )
 from .errors import NumericalError, ValidationError
 from .invariants import (
+    FD_HALF_STEP,
     ExpectationSeries,
     InvariantSpec,
     _weak_coefficients,
@@ -73,7 +77,7 @@ from .lindblad import (
     LindbladModel,
     Trajectory,
     _generator_arrays,
-    evolve_adjoint_observable,
+    _transport_steps,
     evolve_density,
     evolve_first_moments,
     evolve_su11_moments,
@@ -255,6 +259,26 @@ def _evolve(p: _Prepared):
     return traj, first, quad, series
 
 
+def _check_battery_window(s: Scenario):
+    """Refuse a run.t_max shorter than the battery's minimum window.
+
+    ``invariant-residual`` differences the closed form at f*t_max +-
+    FD_HALF_STEP for every sample fraction f, and ``drift-crosscheck``
+    needs a probe node either side of its probe time t_max/2.  The
+    residual's sample times may overhang the solution window by the same
+    1e-12 that every window check admits.
+    """
+    fracs = RESIDUAL_SAMPLE_FRACTIONS
+    edge = min(min(fracs), 1.0 - max(fracs))
+    least = max(FD_HALF_STEP / edge, 2.0 * DRIFT_PROBE_STEP)
+    if s.t_max < least - 1e-12:
+        raise ValidationError(
+            f"run.t_max = {s.t_max:g} is below the verify battery's minimum "
+            f"window {least:.6g}: invariant-residual differences the "
+            f"invariant at {min(RESIDUAL_SAMPLE_FRACTIONS):g}*t_max "
+            f"+- {FD_HALF_STEP:g}")
+
+
 def _spectrum_modes(dim: int) -> int:
     return min(SPECTRUM_MODES_CAP, dim // 3)
 
@@ -359,11 +383,11 @@ def _check_spectrum(p: _Prepared) -> CheckResult:
                        dev <= tol and series.pairing_ok, note=note)
 
 
-def _check_drift_crosscheck(p: _Prepared) -> CheckResult:
-    """Drift formula vs differenced eigenvalues of a transported observable.
+def _drift_probe(p: _Prepared) -> tuple[LindbladModel, float, int]:
+    """The drift probe's model, window end and node nearest the probe time.
 
-    Runs at a fixed probe dimension and step: the transport flow expands
-    generic observables, so a small basis keeps the spectrum series in
+    The probe runs at a fixed dimension and step: the transport flow
+    expands generic observables, so a small basis keeps the spectrum in
     float range over a unit window while the fine step keeps the finite
     difference below the comparison threshold.
     """
@@ -378,18 +402,29 @@ def _check_drift_crosscheck(p: _Prepared) -> CheckResult:
                                       float(p.sol.rhodot_at(0.0))),
                           t_end, h)
     model = LindbladModel(s.omega_schedule, s.kappa_schedule, sol, *gens, cfg)
-    ot = evolve_adjoint_observable(model, gens[1], t_end, h, record_every=1)
-    ts = np.asarray(ot.ts)
+    ts = h * np.arange(_step_count(t_end, h) + 1)
     i = int(np.argmin(np.abs(ts - t_probe)))
+    # _check_battery_window refuses the windows that would leave none
+    assert i >= 1, f"probe node {i} has no predecessor"
+    return model, t_end, i
 
-    def lowest(j: int) -> np.ndarray:
-        lam = np.linalg.eigvalsh(ot.operators[j].entries)
-        return lam[:DRIFT_PROBE_MODES]
 
-    fd = (lowest(i + 1) - lowest(i - 1)) / (ts[i + 1] - ts[i - 1])
-    op = ot.operators[i]
+def _drift_from_nodes(p: _Prepared, model: LindbladModel, ts,
+                      nodes) -> CheckResult:
+    """Drift formula vs the differenced spectrum of three transported nodes.
+
+    ``nodes`` are the transported K2 arrays at the times ``ts``: the node
+    nearest the probe time and its two neighbours.
+    """
+    t_probe = min(1.0, 0.5 * p.scenario.t_max)
+
+    def lowest(arr: np.ndarray) -> np.ndarray:
+        return np.linalg.eigvalsh(arr)[:DRIFT_PROBE_MODES]
+
+    fd = (lowest(nodes[2]) - lowest(nodes[0])) / (ts[2] - ts[0])
+    op = FockOperator(nodes[1])
     lam, vecs = np.linalg.eigh(op.entries)
-    row = model.coefficients(float(ts[i]))
+    row = model.coefficients(float(ts[1]))
     _, jump = _generator_arrays(model.generators, row)
     if jump is None:
         # frictionless transport is a unitary conjugation: the spectrum
@@ -412,6 +447,25 @@ def _check_drift_crosscheck(p: _Prepared) -> CheckResult:
     note = f"probe dim {DRIFT_PROBE_DIM} at t={t_probe:g}, {kept.size} modes"
     return CheckResult("drift-crosscheck", dev, DRIFT_CROSSCHECK_TOL,
                        dev <= DRIFT_CROSSCHECK_TOL, note=note)
+
+
+def _check_drift_crosscheck(p: _Prepared) -> CheckResult:
+    """Drift formula vs differenced eigenvalues of a transported observable.
+
+    Transports K2 through the probe window and keeps only the three nodes
+    the centered difference reads, not the whole trajectory.
+    """
+    model, t_end, i = _drift_probe(p)
+    kept: dict[int, np.ndarray] = {}
+
+    def keep(j: int, q: np.ndarray):
+        if abs(j - i) <= 1:
+            kept[j] = q
+
+    _transport_steps(model, model.k2.entries, t_end, DRIFT_PROBE_STEP, keep)
+    ts = DRIFT_PROBE_STEP * np.arange(i - 1, i + 2)
+    nodes = [kept[j] for j in range(i - 1, i + 2)]
+    return _drift_from_nodes(p, model, ts, nodes)
 
 
 def _state_checks(traj: Trajectory, p: _Prepared) -> list[CheckResult]:
@@ -501,9 +555,12 @@ def verify_scenario(s: Scenario) -> RunReport:
     Operator- and auxiliary-level checks come first so their measured
     values survive even when the state evolution itself diverges (for
     example an over-coarse step): a divergence is reported as a failed
-    ``conservation`` check carrying the error message, not raised.
+    ``conservation`` check carrying the error message, not raised.  A
+    ``run.t_max`` below the battery's minimum window is refused with a
+    ValidationError first (``_check_battery_window``).
     """
     start = time.perf_counter()
+    _check_battery_window(s)
     p = _prepare(s)
     checks: list[CheckResult] = [
         _check_su11_algebra(p),
@@ -550,8 +607,8 @@ def sweep(s: Scenario, param: str, values: list[str],
     Rows land in input order.  Each run rebuilds the scenario through
     full validation, so an out-of-range value fails with the same error
     a hand-edited file would produce.  Values must be numbers (they fill
-    the ``value`` column); any other value is rejected before the first
-    run.
+    the ``value`` column); any other value, and any ``run.t_max`` below
+    the battery's minimum window, is rejected before the first run.
     """
     if not values:
         raise ValidationError("sweep needs at least one value")
@@ -561,9 +618,11 @@ def sweep(s: Scenario, param: str, values: list[str],
         raise ValidationError(
             f"sweep values for {param} must be numbers, got "
             f"{', '.join(values)}") from None
+    scenarios = [s.with_setting(param, value) for value in values]
+    for sc in scenarios:
+        _check_battery_window(sc)
     rows: list[dict[str, float]] = []
-    for value, number in zip(values, numbers):
-        sc = s.with_setting(param, value)
+    for sc, number in zip(scenarios, numbers):
         p = _prepare(sc)
         traj, first, _, series = _evolve(p)
         if traj is not None:

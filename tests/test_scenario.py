@@ -1,10 +1,13 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from invariantlab import runner
 from invariantlab.cli import main
-from invariantlab.errors import ParseError, ValidationError
+from invariantlab.errors import NumericalError, ParseError, ValidationError
+from invariantlab.lindblad import evolve_adjoint_observable
 from invariantlab.runner import (
     ARTIFACT_FILES,
     run_scenario,
@@ -29,6 +32,9 @@ kappa.value = 0.1
 basis.dim = 16
 run.t_max = 1.0
 """
+
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
 def write_cfg(tmp_path, text, name="case.cfg"):
@@ -394,6 +400,54 @@ def test_declared_epsilon_must_match_the_schedule_rate(tmp_path):
             "run.adiabatic_epsilon = 0.1\n", tmp_path))
 
 
+# ---------------------------------------------------------------- drift probe
+
+MODULATED = """\
+omega.kind = sinusoid
+omega.base = 1.0
+omega.amplitude = 0.2
+omega.rate = 0.1
+kappa.value = 0.1
+basis.dim = 16
+run.t_max = 2.0
+"""
+
+
+def test_drift_probe_equals_the_probe_on_the_full_trajectory(tmp_path):
+    """Keeping only the three differenced nodes gives the check exactly
+    the result of the whole record_every=1 trajectory."""
+    p = runner._prepare(load_text(MODULATED, tmp_path))
+    model, t_end, i = runner._drift_probe(p)
+    ot = evolve_adjoint_observable(model, model.k2, t_end,
+                                   runner.DRIFT_PROBE_STEP, record_every=1)
+    full = runner._drift_from_nodes(
+        p, model, ot.ts[i - 1:i + 2],
+        [op.entries for op in ot.operators[i - 1:i + 2]])
+    probe = runner._check_drift_crosscheck(p)
+    assert probe == full
+    assert probe.passed and probe.note.endswith("5 modes")
+
+
+def test_drift_probe_overflow_raises(tmp_path):
+    s = load_text(MODULATED.replace("kappa.value = 0.1", "kappa.value = 10.0"),
+                  tmp_path)
+    with pytest.raises(NumericalError, match="float range"):
+        runner._check_drift_crosscheck(runner._prepare(s))
+
+
+def test_drift_probe_traced_peak_stays_small():
+    """The probe keeps three transported operators, not all 5003, and its
+    stage operands a block at a time."""
+    p = runner._prepare(load_scenario(os.path.join(SCENARIOS, "baseline.cfg")))
+    tracemalloc.start()
+    try:
+        runner._check_drift_crosscheck(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+
+
 # ---------------------------------------------------------------- sweeping
 
 
@@ -429,6 +483,17 @@ def test_sweep_rejects_an_empty_value_list(tmp_path):
         sweep(s, "kappa.value", [], str(tmp_path / "sweep.csv"))
 
 
+def test_sweep_refuses_a_short_window_before_the_first_run(tmp_path,
+                                                           monkeypatch):
+    s = load_text(SMALL + "run.step_h = 1e-4\n", tmp_path)
+    prepared = []
+    monkeypatch.setattr(runner, "_prepare", prepared.append)
+    with pytest.raises(ValidationError,
+                       match=r"run\.t_max = 0\.0005 .* 0\.001"):
+        sweep(s, "run.t_max", ["1.0", "5e-4"], str(tmp_path / "sweep.csv"))
+    assert prepared == []
+
+
 def test_sweep_rejects_a_bad_value_through_validation(tmp_path):
     s = load_text(SMALL, tmp_path)
     with pytest.raises(ValidationError, match="NegativeFriction"):
@@ -459,6 +524,24 @@ def test_cli_verify_exit_codes_follow_the_report(tmp_path, capsys):
     assert main(["verify", "--config", bad]) == 1
     out = capsys.readouterr().out
     assert "overall: FAIL" in out and "FAIL conservation" in out
+
+
+@pytest.mark.parametrize("t_max", ["5e-4", "2e-4"])
+def test_cli_verify_refuses_a_window_below_the_battery_minimum(
+        tmp_path, capsys, t_max):
+    """invariant-residual differences at 0.1*t_max +- 1e-4, so below
+    t_max = 1e-3 it would leave the solution window (and at 2e-4 the
+    drift probe would have no node before its probe time)."""
+    text = SMALL.replace("run.t_max = 1.0", f"run.t_max = {t_max}")
+    cfg = write_cfg(tmp_path, text + "run.step_h = 1e-4\n")
+    assert main(["verify", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"run.t_max = {float(t_max):g}" in err
+    assert "minimum window 0.001" in err
+    at_minimum = write_cfg(tmp_path, SMALL.replace("run.t_max = 1.0",
+                                                   "run.t_max = 1e-3")
+                           + "run.step_h = 1e-4\n", "minimum.cfg")
+    assert main(["verify", "--config", at_minimum]) == 0
 
 
 def test_cli_reports_config_errors_with_exit_code_two(tmp_path, capsys):
