@@ -1,18 +1,17 @@
-"""Auxiliary c-number equations feeding the invariant construction.
+"""Auxiliary c-number equation feeding the invariant construction.
 
-Two second-order ODEs are solved here with a fixed-step classical
-fourth-order Runge-Kutta scheme (deterministic, order-verifiable).  Its
-driver, ``_rk4``, steps these two and the density and adjoint
-integrators of the lindblad module; the two linear moment systems there
-apply the same scheme as exact one-step maps (``lindblad._linear_rk4``):
+The anti-damped nonlinear auxiliary equation
 
-* the anti-damped nonlinear auxiliary equation
-      rhoddot - kappa(t) rhodot + omega^2(t) rho = 1/rho^3,
-  whose solution parametrizes the weak invariant.  Note the friction term
-  carries the opposite sign to the damped mean motion, so perturbations
-  around the slow solution *grow* at rate kappa/2;
-* the linear mode equation  epsdot' + omega^2(t) eps = 0  behind the
-  first-order invariant.
+    rhoddot - kappa(t) rhodot + omega^2(t) rho = 1/rho^3,
+
+whose solution parametrizes the weak invariant, is solved here with a
+fixed-step classical fourth-order Runge-Kutta scheme (deterministic,
+order-verifiable).  Note the friction term carries the opposite sign to
+the damped mean motion, so perturbations around the slow solution *grow*
+at rate kappa/2.  The scheme's driver, ``_rk4``, steps this equation and
+the density and adjoint integrators of the lindblad module; the two
+linear moment systems there apply the same scheme as exact one-step maps
+(``lindblad._linear_rk4``).
 
 Solutions are sampled on the step grid and evaluated densely by cubic
 Hermite interpolation; the second derivative stored alongside comes from
@@ -118,23 +117,21 @@ class ErmakovInit:
 class ErmakovSolution:
     """Sampled (rho, rhodot) trajectory with dense Hermite evaluation.
 
-    ``rhoddot`` holds the ODE right-hand side at the nodes.  The same record
-    shape carries linear-mode solutions (enforce_floor=False), whose values
-    legitimately cross zero.
+    ``rhoddot`` holds the ODE right-hand side at the nodes; every rho
+    sample must clear the positivity floor.
     """
 
     ts: np.ndarray
     rho: np.ndarray
     rhodot: np.ndarray
     rhoddot: np.ndarray
-    enforce_floor: bool = True
 
     def __post_init__(self):
         _freeze_fields(self, "ts", "rho", "rhodot", "rhoddot")
         samples = (self.rho, self.rhodot, self.rhoddot)
         if not all(np.isfinite(a).all() for a in samples):
             raise ValidationError("solution samples must be finite")
-        if self.enforce_floor and not np.all(self.rho >= RHO_FLOOR):
+        if not np.all(self.rho >= RHO_FLOOR):
             raise ValidationError("rho samples dip below the positivity floor")
 
     @property
@@ -160,10 +157,11 @@ class ErmakovSolution:
         return _dense_at(self.ts, self.rhodot, self.rhoddot, t, "solution",
                          derivative=True)
 
-    def write_csv(self, path, precision: int = 12, every: int = 1):
+    def write_csv(self, path, precision: int = 12, idx=slice(None)):
+        """Write the rows at node indices ``idx`` (default: every node)."""
         _write_rows(path, "t,rho,rhodot",
-                    zip(self.ts[::every], self.rho[::every],
-                        self.rhodot[::every]), precision)
+                    zip(self.ts[idx], self.rho[idx], self.rhodot[idx]),
+                    precision)
 
 
 # ----------------------------------------------------------------- integrate
@@ -177,24 +175,19 @@ def _step_count(t_max: float, h: float) -> int:
     return int(np.ceil(t_max / h - 1e-9))
 
 
-def _half_grid_coefficients(omega_s: Schedule, kappa_s: Schedule | None,
+def _half_grid_coefficients(omega_s: Schedule, kappa_s: Schedule,
                             n_steps: int, h: float):
     """Stage times and coefficients: nodes and midpoints, in one pass.
 
-    Returns (times, omega^2, kappa) on the grid j*h/2, j = 0..2*n_steps;
-    kappa is zero when no friction schedule is given.
+    Returns (times, omega^2, kappa) on the grid j*h/2, j = 0..2*n_steps.
     """
     t_end = n_steps * h
-    scheds = (omega_s,) if kappa_s is None else (omega_s, kappa_s)
-    if not all(sched.covers(0.0, t_end) for sched in scheds):
+    if not (omega_s.covers(0.0, t_end) and kappa_s.covers(0.0, t_end)):
         raise ValidationError("schedules do not cover the integration window")
     half = 0.5 * h * np.arange(2 * n_steps + 1)
     w = np.asarray(omega_s.eval(half, 0), dtype=float)
     omega_sq = w * w
-    if kappa_s is None:
-        kappa = np.zeros_like(half)
-    else:
-        kappa = np.asarray(kappa_s.eval(half, 0), dtype=float)
+    kappa = np.asarray(kappa_s.eval(half, 0), dtype=float)
     return half, omega_sq, kappa
 
 
@@ -267,21 +260,6 @@ def solve_auxiliary(omega_s: Schedule, kappa_s: Schedule, init: ErmakovInit,
     rho, rhodot = ys.real, ys.imag
     rhoddot = kappa[::2] * rhodot - omega_sq[::2] * rho + rho ** -3.0
     return ErmakovSolution(ts=ts, rho=rho, rhodot=rhodot, rhoddot=rhoddot)
-
-
-def solve_classical_mode(omega_s: Schedule, init: tuple[float, float],
-                         t_max: float, h: float) -> ErmakovSolution:
-    """Integrate the linear mode equation with the same integrator contract."""
-    n = _step_count(t_max, h)
-    _, omega_sq, _ = _half_grid_coefficients(omega_s, None, n, h)
-    ys = np.empty(n + 1, dtype=complex)
-    _rk4(lambda y, w2: complex(y.imag, -w2 * y.real),
-         memoryview(omega_sq).__getitem__, complex(init[0], init[1]), n, h,
-         ys.__setitem__)
-    ts = h * np.arange(n + 1)
-    eps, epsdot = ys.real, ys.imag
-    return ErmakovSolution(ts=ts, rho=eps, rhodot=epsdot,
-                           rhoddot=-omega_sq[::2] * eps, enforce_floor=False)
 
 
 def solve_tracking_reference(omega_s: Schedule, kappa_s: Schedule,

@@ -1,17 +1,13 @@
 """Closed-form conserved observables and their verification toolkit.
 
-Three families of observables are constructed from auxiliary-equation
-data:
-
-* the quadratic form ``rho^2 K1 + (rhodot^2 + 1/rho^2) K2 - rho rhodot K3``
-  built on a solution of the dissipative auxiliary equation, whose
-  expectation is conserved under the damped evolution up to the defect
-  quantified below;
-* the same quadratic form specialized to a frictionless auxiliary
-  solution, written directly in the canonical pair as
-  ``[(rho p - rhodot x)^2 + x^2/rho^2] / 2``;
-* the linear form ``eps p - epsdot x`` built on a classical mode of the
-  undamped oscillator, conserved under unitary evolution.
+One observable is constructed from auxiliary-equation data: the
+quadratic form ``rho^2 K1 + (rhodot^2 + 1/rho^2) K2 - rho rhodot K3``
+built on a solution of the dissipative auxiliary equation, whose
+expectation is conserved under the damped evolution up to the defect
+quantified below.  On a frictionless solution it is the Lewis-Riesenfeld
+invariant, written in the canonical pair as
+``[(rho p - rhodot x)^2 + x^2/rho^2] / 2`` (``lr_invariant_at``, the
+independent reference the tests compare the quadratic form against).
 
 The verification toolkit evaluates operator-equation residuals by
 central differencing of the closed forms (so the check is independent
@@ -65,7 +61,6 @@ from .operators import (
 from .schedules import Schedule, _check_window
 
 __all__ = [
-    "DEGENERATE_MODE_TOL",
     "DRIFT_GAP_TOL",
     "ExpectationSeries",
     "InvariantSpec",
@@ -74,10 +69,8 @@ __all__ = [
     "drift_rhs",
     "expectation_series",
     "invariant_residual",
-    "linear_invariant_at",
     "lr_invariant_at",
     "spectrum_series",
-    "weak_invariant_at",
 ]
 
 # Half-step for central differencing of closed-form time derivatives.
@@ -88,9 +81,6 @@ CONTINUITY_BOUND = 0.1
 # Eigenpairs closer than this to a neighbor are excluded from drift
 # predictions (the projector formula needs simple eigenvalues).
 DRIFT_GAP_TOL = 1e-6
-# A linear mode with |eps| + |epsdot| below this at some time is the
-# identically-zero solution and yields no observable.
-DEGENERATE_MODE_TOL = 1e-12
 
 
 def _weak_coefficients(r, v):
@@ -102,29 +92,13 @@ def _weak_coefficients(r, v):
     return r * r, v * v + 1.0 / (r * r), r * v
 
 
-def weak_invariant_at(sol: ErmakovSolution, k1: FockOperator,
-                      k2: FockOperator, k3: FockOperator,
-                      t: float) -> FockOperator:
-    """Quadratic conserved observable on a dissipative auxiliary solution.
-
-    Returns ``rho^2 K1 + (rhodot^2 + 1/rho^2) K2 - rho rhodot K3``
-    evaluated at ``t``.  The coefficient matrix has unit discriminant
-    for every (rho, rhodot), so the interior spectrum sits at n + 1/2.
-    """
-    if not (k1.dim == k2.dim == k3.dim):
-        raise ValidationError("generator dimensions differ")
-    c1, c2, c3 = _weak_coefficients(float(sol.rho_at(t)),
-                                    float(sol.rhodot_at(t)))
-    return FockOperator(c1 * k1.entries + c2 * k2.entries - c3 * k3.entries)
-
-
 def lr_invariant_at(sol0: ErmakovSolution, x_op: FockOperator,
                     p_op: FockOperator, t: float) -> FockOperator:
     """Frictionless quadratic invariant in its canonical-pair form.
 
     Returns ``[(rho p - rhodot x)^2 + x^2 / rho^2] / 2`` for a solution
     of the undamped auxiliary equation; expanding the square reproduces
-    ``weak_invariant_at`` on the same (rho, rhodot) exactly.
+    ``InvariantSpec.at`` on the same (rho, rhodot) exactly.
     """
     if x_op.dim != p_op.dim:
         raise ValidationError("canonical-pair dimensions differ")
@@ -135,69 +109,26 @@ def lr_invariant_at(sol0: ErmakovSolution, x_op: FockOperator,
     return FockOperator(0.5 * (a @ a) + (0.5 / (r * r)) * x2)
 
 
-def linear_invariant_at(mode: ErmakovSolution, x_op: FockOperator,
-                        p_op: FockOperator, t: float) -> FockOperator:
-    """Linear conserved observable ``eps p - epsdot x`` on a classical mode.
-
-    The identically-zero mode would produce the zero operator, which is
-    conserved but carries no information; it is rejected as degenerate.
-    """
-    if x_op.dim != p_op.dim:
-        raise ValidationError("canonical-pair dimensions differ")
-    e = float(mode.rho_at(t))
-    ed = float(mode.rhodot_at(t))
-    if abs(e) + abs(ed) <= DEGENERATE_MODE_TOL:
-        raise ValidationError(
-            f"degenerate mode at t={t:.6g}: eps and epsdot both vanish, "
-            "the resulting observable is the zero operator")
-    return FockOperator(e * p_op.entries - ed * x_op.entries)
-
-
 @dataclass(frozen=True)
 class InvariantSpec:
-    """A conserved-observable family: kind, source solution, operators.
+    """The weak invariant on an auxiliary solution: ``operators`` = (K1, K2, K3).
 
-    kinds:
-      * ``weak``              — quadratic form on a dissipative auxiliary
-                                solution; operators = (K1, K2, K3)
-      * ``lewis_riesenfeld``  — quadratic form on a frictionless solution
-                                written in the canonical pair;
-                                operators = (x, p)
-      * ``linear``            — linear form on a classical mode;
-                                operators = (x, p)
-
-    The caller is responsible for supplying a frictionless solution for
-    the ``lewis_riesenfeld`` kind (the solution object does not record
-    which friction schedule produced it).
+    ``at(t)`` returns ``rho^2 K1 + (rhodot^2 + 1/rho^2) K2 - rho rhodot K3``.
+    The coefficient matrix has unit discriminant for every (rho, rhodot),
+    so the interior spectrum sits at n + 1/2.  On a frictionless solution
+    this is the Lewis-Riesenfeld invariant.
     """
 
-    kind: str
     sol: ErmakovSolution
-    operators: tuple[FockOperator, ...]
-
-    KINDS = ("weak", "lewis_riesenfeld", "linear")
+    operators: tuple[FockOperator, FockOperator, FockOperator]
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if len(self.operators) != 3:
             raise ValidationError(
-                f"kind must be one of {self.KINDS}, got {self.kind!r}")
-        want = 3 if self.kind == "weak" else 2
-        if len(self.operators) != want:
-            raise ValidationError(
-                f"{self.kind} invariant needs {want} operators, "
+                "the weak invariant needs 3 operators (K1, K2, K3), "
                 f"got {len(self.operators)}")
-        dims = {op.dim for op in self.operators}
-        if len(dims) != 1:
+        if len({op.dim for op in self.operators}) != 1:
             raise ValidationError("operator dimensions differ")
-        if self.kind == "linear":
-            if self.sol.enforce_floor:
-                raise ValidationError(
-                    "linear invariant needs a classical mode "
-                    "(solve_classical_mode), not an auxiliary solution")
-        elif not self.sol.enforce_floor:
-            raise ValidationError(
-                f"{self.kind} invariant needs an auxiliary solution, "
-                "not a classical mode")
 
     @property
     def dim(self) -> int:
@@ -208,22 +139,22 @@ class InvariantSpec:
         return self.sol.window
 
     def at(self, t: float) -> FockOperator:
-        if self.kind == "weak":
-            return weak_invariant_at(self.sol, *self.operators, t)
-        if self.kind == "lewis_riesenfeld":
-            return lr_invariant_at(self.sol, *self.operators, t)
-        return linear_invariant_at(self.sol, *self.operators, t)
+        k1, k2, k3 = self.operators
+        c1, c2, c3 = _weak_coefficients(float(self.sol.rho_at(t)),
+                                        float(self.sol.rhodot_at(t)))
+        return FockOperator(c1 * k1.entries + c2 * k2.entries
+                            - c3 * k3.entries)
 
 
 def invariant_residual(inv: InvariantSpec, model: LindbladModel,
                        t: float) -> float:
     """Interior max-norm defect of the conservation operator equation.
 
-    Evaluates ``i dI/dt - [H, I] - i sum_n alpha_n [L_n, [L_n, I]]`` for
-    the ``weak`` kind and ``i dI/dt - [H, I]`` for the frictionless
-    kinds, with dI/dt obtained by central differencing of the closed
-    form at half-step ``FD_HALF_STEP`` — deliberately independent of the
-    algebra that constructed the observable.  Below about 1e-10 the value
+    Evaluates ``i dI/dt - [H, I] - i sum_n alpha_n [L_n, [L_n, I]]``
+    (where the friction vanishes the model has no jump operator and this
+    is ``i dI/dt - [H, I]``), with dI/dt obtained by central differencing
+    of the closed form at half-step ``FD_HALF_STEP`` — deliberately
+    independent of the algebra that constructed the observable.  Below about 1e-10 the value
     reads the rounding of that difference, not the construction: a
     frictionless run's residual moves by several percent when the
     auxiliary solution moves at the 1e-15 level.
@@ -238,7 +169,7 @@ def invariant_residual(inv: InvariantSpec, model: LindbladModel,
     row = model.coefficients(t)
     h_op, l_arr = _generator_arrays(model.generators, row)
     res = 1j * d_op - commutator(h_op, i_op)
-    if inv.kind == "weak" and l_arr is not None:
+    if l_arr is not None:
         res -= 1j * row[1] * commutator(l_arr, commutator(l_arr, i_op))
     return max_abs(interior_block(res, cfg.interior_dim))
 

@@ -201,7 +201,7 @@ def _prepare(s: Scenario) -> _Prepared:
     cfg = s.basis
     gens = build_su11_generators(*build_canonical(cfg))
     model = LindbladModel(s.omega_schedule, s.kappa_schedule, sol, *gens, cfg)
-    invariant = InvariantSpec(kind="weak", sol=sol, operators=gens)
+    invariant = InvariantSpec(sol=sol, operators=gens)
     n = _step_count(s.t_max, s.step_h)
     idx = np.arange(0, n + 1, s.record_every)
     if idx[-1] != n:
@@ -317,7 +317,7 @@ def run_scenario(s: Scenario, out_dir: str | None = None) -> SimulationResult:
                                  p, first, quad, prec)
 
     p.sol.write_csv(os.path.join(target, "ermakov.csv"), precision=prec,
-                    every=s.record_every)
+                    idx=p.record_idx)
     series.write_csv(os.path.join(target, "invariant.csv"), precision=prec)
     level_series = spectrum_series(p.invariant, p.record_ts,
                                    m=_spectrum_modes(s.basis.dim))
@@ -383,8 +383,8 @@ def _check_spectrum(p: _Prepared) -> CheckResult:
                        dev <= tol and series.pairing_ok, note=note)
 
 
-def _drift_probe(p: _Prepared) -> tuple[LindbladModel, float, int]:
-    """The drift probe's model, window end and node nearest the probe time.
+def _drift_probe(p: _Prepared) -> tuple[LindbladModel, float, float, int]:
+    """The drift probe's model, probe time, window end and nearest node.
 
     The probe runs at a fixed dimension and step: the transport flow
     expands generic observables, so a small basis keeps the spectrum in
@@ -406,18 +406,16 @@ def _drift_probe(p: _Prepared) -> tuple[LindbladModel, float, int]:
     i = int(np.argmin(np.abs(ts - t_probe)))
     # _check_battery_window refuses the windows that would leave none
     assert i >= 1, f"probe node {i} has no predecessor"
-    return model, t_end, i
+    return model, t_probe, t_end, i
 
 
-def _drift_from_nodes(p: _Prepared, model: LindbladModel, ts,
+def _drift_from_nodes(model: LindbladModel, t_probe: float, ts,
                       nodes) -> CheckResult:
     """Drift formula vs the differenced spectrum of three transported nodes.
 
     ``nodes`` are the transported K2 arrays at the times ``ts``: the node
-    nearest the probe time and its two neighbours.
+    nearest the probe time ``t_probe`` and its two neighbours.
     """
-    t_probe = min(1.0, 0.5 * p.scenario.t_max)
-
     def lowest(arr: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(arr)[:DRIFT_PROBE_MODES]
 
@@ -455,7 +453,7 @@ def _check_drift_crosscheck(p: _Prepared) -> CheckResult:
     Transports K2 through the probe window and keeps only the three nodes
     the centered difference reads, not the whole trajectory.
     """
-    model, t_end, i = _drift_probe(p)
+    model, t_probe, t_end, i = _drift_probe(p)
     kept: dict[int, np.ndarray] = {}
 
     def keep(j: int, q: np.ndarray):
@@ -465,7 +463,7 @@ def _check_drift_crosscheck(p: _Prepared) -> CheckResult:
     _transport_steps(model, model.k2.entries, t_end, DRIFT_PROBE_STEP, keep)
     ts = DRIFT_PROBE_STEP * np.arange(i - 1, i + 2)
     nodes = [kept[j] for j in range(i - 1, i + 2)]
-    return _drift_from_nodes(p, model, ts, nodes)
+    return _drift_from_nodes(model, t_probe, ts, nodes)
 
 
 def _state_checks(traj: Trajectory, p: _Prepared) -> list[CheckResult]:
@@ -555,9 +553,11 @@ def verify_scenario(s: Scenario) -> RunReport:
     Operator- and auxiliary-level checks come first so their measured
     values survive even when the state evolution itself diverges (for
     example an over-coarse step): a divergence is reported as a failed
-    ``conservation`` check carrying the error message, not raised.  A
-    ``run.t_max`` below the battery's minimum window is refused with a
-    ValidationError first (``_check_battery_window``).
+    ``conservation`` check carrying the error message, not raised, and
+    an overflow of the drift probe likewise as a failed
+    ``drift-crosscheck``.  A ``run.t_max`` below the battery's minimum
+    window is refused with a ValidationError first
+    (``_check_battery_window``).
     """
     start = time.perf_counter()
     _check_battery_window(s)
@@ -583,7 +583,12 @@ def verify_scenario(s: Scenario) -> RunReport:
             "conservation", math.inf, s.tolerances.conservation, False,
             note=f"evolution diverged: {exc}"))
 
-    checks.append(_check_drift_crosscheck(p))
+    try:
+        checks.append(_check_drift_crosscheck(p))
+    except NumericalError as exc:
+        checks.append(CheckResult(
+            "drift-crosscheck", math.inf, DRIFT_CROSSCHECK_TOL, False,
+            note=f"probe diverged: {exc}"))
     checks.append(_check_schedule_validity(p))
     if s.adiabatic_epsilon is not None:
         checks.append(_check_adiabatic_scaling(p))

@@ -84,7 +84,7 @@ def _pipeline(omega_s, kappa_s, dim=BASELINE_DIM, t_max=BASELINE_T,
     sol = solve_auxiliary(omega_s, kappa_s, init, t_max, h)
     gens = build_su11_generators(*build_canonical(cfg))
     model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
-    inv = InvariantSpec(kind="weak", sol=sol, operators=gens)
+    inv = InvariantSpec(sol=sol, operators=gens)
     state0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
     traj = evolve_density(model, state0, t_max, h, record_every=record_every)
     return dict(omega=omega_s, kappa=kappa_s, cfg=cfg, sol=sol, gens=gens,

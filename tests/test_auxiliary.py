@@ -13,7 +13,6 @@ from invariantlab.auxiliary import (
     auxiliary_residual,
     max_residual_between_nodes,
     solve_auxiliary,
-    solve_classical_mode,
     solve_tracking_reference,
 )
 from invariantlab.errors import SingularityError, ValidationError
@@ -164,27 +163,6 @@ def test_init_validation():
         solve_auxiliary(W1, K0, ErmakovInit(1.0, 0.0), 1.0, -0.1)
 
 
-# -------------------------------------------------------------- linear mode
-
-
-def test_mode_cosine():
-    mode = solve_classical_mode(W1, (1.0, 0.0), 4.0, 1e-3)
-    assert abs(mode.rho_at(np.pi) + 1.0) <= 1e-8
-    ts = np.linspace(0.0, 4.0, 50)
-    np.testing.assert_allclose(mode.rho_at(ts), np.cos(ts), atol=1e-9)
-
-
-def test_mode_sine():
-    mode = solve_classical_mode(W1, (0.0, 1.0), 4.0, 1e-3)
-    ts = np.linspace(0.0, 4.0, 50)
-    np.testing.assert_allclose(mode.rho_at(ts), np.sin(ts), atol=1e-9)
-
-
-def test_mode_omega_two():
-    mode = solve_classical_mode(ConstantSchedule(2.0), (1.0, 0.0), 4.0, 1e-3)
-    assert abs(mode.rho_at(np.pi) - 1.0) <= 1e-8  # cos(2 pi)
-
-
 # ---------------------------------------------------------------- residuals
 
 
@@ -303,12 +281,14 @@ def test_tracking_reference_satisfies_equation():
 def test_csv_export(tmp_path):
     sol = solve_auxiliary(W1, K0, ErmakovInit(1.2, 0.0), 1.0, 1e-2)
     path = tmp_path / "aux.csv"
-    sol.write_csv(path, every=10)
+    sol.write_csv(path, idx=np.array([0, 10, 100]))
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "t,rho,rhodot"
-    assert len(lines) == 1 + 11
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [0.0, 0.1, 1.0]
     t, rho, rhodot = (float(v) for v in lines[1].split(","))
     assert (t, rho, rhodot) == (0.0, 1.2, 0.0)
+    sol.write_csv(path)
+    assert len(path.read_text().strip().split("\n")) == 1 + 101
 
 
 def test_solution_record_is_immutable():

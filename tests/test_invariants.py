@@ -16,7 +16,6 @@ from invariantlab.auxiliary import (
     adiabatic_rho,
     adiabatic_rhodot,
     solve_auxiliary,
-    solve_classical_mode,
 )
 from invariantlab.errors import NumericalError, ValidationError
 from invariantlab.invariants import (
@@ -26,10 +25,8 @@ from invariantlab.invariants import (
     drift_rhs,
     expectation_series,
     invariant_residual,
-    linear_invariant_at,
     lr_invariant_at,
     spectrum_series,
-    weak_invariant_at,
 )
 from invariantlab.lindblad import (
     LindbladModel,
@@ -83,7 +80,7 @@ def test_weak_invariant_on_equilibrium_is_plain_energy():
     cfg, _, _, (g1, g2, g3) = make_frame(12)
     sol = solve_auxiliary(ConstantSchedule(1.0), ConstantSchedule(0.1),
                           ErmakovInit(1.0, 0.0), 1.0, H)
-    inv = weak_invariant_at(sol, g1, g2, g3, 0.5)
+    inv = InvariantSpec(sol, (g1, g2, g3)).at(0.5)
     assert inv.hermitian
     np.testing.assert_allclose(max_abs(inv.entries - g1.entries - g2.entries),
                                0.0, atol=1e-12)
@@ -105,7 +102,7 @@ def test_weak_invariant_spectrum_is_half_integers():
     cfg, _, _, gens = make_frame(60)
     sol = solve_auxiliary(ConstantSchedule(1.0), ConstantSchedule(0.1),
                           ErmakovInit(1.3, 0.4), 1.0, H)
-    inv = weak_invariant_at(sol, *gens, 0.0)
+    inv = InvariantSpec(sol, gens).at(0.0)
     lam = np.linalg.eigvalsh(inv.entries)[:11]
     np.testing.assert_allclose(lam, np.arange(11) + 0.5, rtol=0, atol=1e-6)
     assert lam[0] > 0.0
@@ -116,7 +113,7 @@ def test_weak_invariant_outside_window_rejected():
     sol = solve_auxiliary(ConstantSchedule(1.0), ConstantSchedule(0.1),
                           ErmakovInit(1.0, 0.0), 1.0, H)
     with pytest.raises(ValidationError):
-        weak_invariant_at(sol, *gens, 2.0)
+        InvariantSpec(sol, gens).at(2.0)
 
 
 def test_lr_invariant_on_equilibrium_is_plain_energy():
@@ -137,54 +134,25 @@ def test_lr_invariant_equals_expanded_quadratic_form():
     sol0 = solve_baseline(omega_s, ConstantSchedule(0.0), 3.0)
     for t in (0.0, 0.9, 2.4):
         direct = lr_invariant_at(sol0, x_op, p_op, t)
-        expanded = weak_invariant_at(sol0, *gens, t)
+        expanded = InvariantSpec(sol0, gens).at(t)
         assert max_abs(direct.entries - expanded.entries) <= 1e-12
-
-
-def test_linear_invariant_at_time_zero_is_momentum():
-    cfg, x_op, p_op, _ = make_frame(16)
-    mode = solve_classical_mode(ConstantSchedule(1.0), (1.0, 0.0), 1.0, H)
-    a_op = linear_invariant_at(mode, x_op, p_op, 0.0)
-    np.testing.assert_array_equal(a_op.entries, p_op.entries)
-
-
-def test_linear_invariant_degenerate_mode_rejected():
-    cfg, x_op, p_op, _ = make_frame(16)
-    mode = solve_classical_mode(ConstantSchedule(1.0), (0.0, 0.0), 1.0, H)
-    with pytest.raises(ValidationError, match="degenerate"):
-        linear_invariant_at(mode, x_op, p_op, 0.5)
 
 
 # ---------------------------------------------------------------------------
 # InvariantSpec
 
 
-def test_spec_kind_validation():
+def test_spec_validation():
     cfg, x_op, p_op, gens = make_frame(10)
     sol = solve_auxiliary(ConstantSchedule(1.0), ConstantSchedule(0.0),
                           ErmakovInit(1.0, 0.0), 1.0, H)
-    mode = solve_classical_mode(ConstantSchedule(1.0), (1.0, 0.0), 1.0, H)
-    with pytest.raises(ValidationError):
-        InvariantSpec(kind="quadratic", sol=sol, operators=gens)
-    with pytest.raises(ValidationError):
-        InvariantSpec(kind="weak", sol=sol, operators=(x_op, p_op))
-    with pytest.raises(ValidationError):
-        InvariantSpec(kind="weak", sol=mode, operators=gens)
-    with pytest.raises(ValidationError):
-        InvariantSpec(kind="linear", sol=sol, operators=(x_op, p_op))
-    spec = InvariantSpec(kind="weak", sol=sol, operators=gens)
+    with pytest.raises(ValidationError, match="3 operators"):
+        InvariantSpec(sol=sol, operators=(x_op, p_op))
+    with pytest.raises(ValidationError, match="dimensions differ"):
+        InvariantSpec(sol=sol, operators=(*gens[:2], make_frame(12)[3][2]))
+    spec = InvariantSpec(sol=sol, operators=gens)
     assert spec.dim == 10
     assert spec.window == (0.0, 1.0)
-
-
-def test_spec_at_dispatches_to_closed_forms():
-    cfg, x_op, p_op, gens = make_frame(14)
-    omega_s, kappa_s = baseline_schedules()
-    sol = solve_baseline(omega_s, kappa_s, 2.0)
-    spec = InvariantSpec(kind="weak", sol=sol, operators=gens)
-    t = 1.1
-    assert max_abs(spec.at(t).entries
-                   - weak_invariant_at(sol, *gens, t).entries) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +166,7 @@ def test_residual_vanishes_in_constant_case():
     omega_s, kappa_s = ConstantSchedule(1.0), ConstantSchedule(0.1)
     sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 1.0, H)
     model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
-    spec = InvariantSpec(kind="weak", sol=sol, operators=gens)
+    spec = InvariantSpec(sol=sol, operators=gens)
     assert invariant_residual(spec, model, 0.5) <= 1e-10
 
 
@@ -213,7 +181,7 @@ def test_residual_on_modulated_scenario_equals_friction_defect():
     omega_s, kappa_s = baseline_schedules()
     sol = solve_baseline(omega_s, kappa_s, 2.0)
     model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
-    spec = InvariantSpec(kind="weak", sol=sol, operators=gens)
+    spec = InvariantSpec(sol=sol, operators=gens)
     k3_norm = max_abs(interior_block(gens[2].entries, cfg.interior_dim))
     for t in (0.5, 1.0, 1.5):
         res = invariant_residual(spec, model, t)
@@ -231,7 +199,7 @@ def test_residual_detects_sign_flipped_jump_coefficient():
     good = LindbladModel(omega_s, kappa_s, sol, g1, g2, g3, cfg)
     # negating K3 gives the jump operator K1 + a2 K2 - a3 K3
     bad = dataclasses.replace(good, k3=FockOperator(-g3.entries))
-    spec = InvariantSpec(kind="weak", sol=sol, operators=(g1, g2, g3))
+    spec = InvariantSpec(sol=sol, operators=(g1, g2, g3))
     res_good = invariant_residual(spec, good, 1.0)
     res_bad = invariant_residual(spec, bad, 1.0)
     assert res_bad > 1e-2
@@ -239,24 +207,19 @@ def test_residual_detects_sign_flipped_jump_coefficient():
 
 
 def test_residual_strong_form_without_friction():
-    cfg, x_op, p_op, gens = make_frame(40)
+    cfg, _, _, gens = make_frame(40)
     omega_s, kappa_s = baseline_schedules(kappa=0.0)
     sol0 = solve_baseline(omega_s, kappa_s, 2.0)
     model = LindbladModel(omega_s, kappa_s, sol0, *gens, cfg)
-    lr = InvariantSpec(kind="lewis_riesenfeld", sol=sol0,
-                       operators=(x_op, p_op))
-    assert invariant_residual(lr, model, 1.0) <= 1e-6
-
-    mode = solve_classical_mode(omega_s, (1.0, 0.0), 2.0, H)
-    lin = InvariantSpec(kind="linear", sol=mode, operators=(x_op, p_op))
-    assert invariant_residual(lin, model, 1.0) <= 1e-6
+    spec = InvariantSpec(sol=sol0, operators=gens)
+    assert invariant_residual(spec, model, 1.0) <= 1e-6
 
 
 def test_residual_argument_validation():
     _, _, _, gens = make_frame(10)
     omega_s, kappa_s = ConstantSchedule(1.0), ConstantSchedule(0.1)
     sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 1.0, H)
-    spec = InvariantSpec(kind="weak", sol=sol, operators=gens)
+    spec = InvariantSpec(sol=sol, operators=gens)
     other = make_frame(12)
     other_model = LindbladModel(omega_s, kappa_s, sol, *other[3], other[0])
     with pytest.raises(ValidationError):
@@ -280,7 +243,7 @@ def test_expectation_series_on_invariant_ground_state():
     omega_s, kappa_s = baseline_schedules()
     sol = solve_baseline(omega_s, kappa_s, 2.0)
     model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
-    spec = InvariantSpec(kind="weak", sol=sol, operators=gens)
+    spec = InvariantSpec(sol=sol, operators=gens)
     rho0 = build_state(StateSpec(kind="invariant_ground"), cfg,
                        invariant_op=spec.at(0.0))
     traj = evolve_density(model, rho0, 2.0, H, record_every=200)
@@ -305,7 +268,7 @@ def test_expectation_series_constant_case_coherent():
     omega_s, kappa_s = ConstantSchedule(1.0), ConstantSchedule(0.1)
     sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 2.0, H)
     model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
-    spec = InvariantSpec(kind="weak", sol=sol, operators=gens)
+    spec = InvariantSpec(sol=sol, operators=gens)
     rho0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
     traj = evolve_density(model, rho0, 2.0, H, record_every=200)
     series = expectation_series(traj, spec)
@@ -314,31 +277,15 @@ def test_expectation_series_constant_case_coherent():
 
 def test_expectation_series_strong_limit():
     """kappa = 0: the frictionless invariant is conserved to 1e-6."""
-    cfg, x_op, p_op, _ = make_frame(40)
+    cfg, _, _, gens = make_frame(40)
     omega_s, kappa_s = baseline_schedules(kappa=0.0)
     sol0 = solve_baseline(omega_s, kappa_s, 5.0)
-    gens = build_su11_generators(x_op, p_op)
     model = LindbladModel(omega_s, kappa_s, sol0, *gens, cfg)
-    spec = InvariantSpec(kind="lewis_riesenfeld", sol=sol0,
-                         operators=(x_op, p_op))
+    spec = InvariantSpec(sol=sol0, operators=gens)
     rho0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
     traj = evolve_density(model, rho0, 5.0, H, record_every=500)
     series = expectation_series(traj, spec)
     assert series.max_rel_drift <= 1e-6
-
-
-def test_expectation_series_linear_invariant():
-    """<eps p - epsdot x> is constant under the matching unitary flow."""
-    cfg, x_op, p_op, gens = make_frame(40)
-    omega_s, kappa_s = ConstantSchedule(1.0), ConstantSchedule(0.0)
-    sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 4.0, H)
-    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
-    mode = solve_classical_mode(omega_s, (1.0, 0.0), 4.0, H)
-    spec = InvariantSpec(kind="linear", sol=mode, operators=(x_op, p_op))
-    rho0 = build_state(StateSpec(kind="coherent", beta=0.5 + 0.5j), cfg)
-    traj = evolve_density(model, rho0, 4.0, H, record_every=400)
-    series = expectation_series(traj, spec)
-    assert float(np.max(np.abs(series.values - series.values[0]))) <= 1e-7
 
 
 def test_expectation_series_rejects_uncovered_window():
@@ -349,7 +296,7 @@ def test_expectation_series_rejects_uncovered_window():
     model = LindbladModel(omega_s, kappa_s, sol_long, *gens, cfg)
     rho0 = build_state(StateSpec(kind="fock", fock_n=0), cfg)
     traj = evolve_density(model, rho0, 2.0, H, record_every=500)
-    spec = InvariantSpec(kind="weak", sol=sol_short, operators=gens)
+    spec = InvariantSpec(sol=sol_short, operators=gens)
     with pytest.raises(ValidationError):
         expectation_series(traj, spec)
 
@@ -372,7 +319,7 @@ def test_expectation_series_csv(tmp_path):
     model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
     rho0 = build_state(StateSpec(kind="fock", fock_n=0), cfg)
     traj = evolve_density(model, rho0, 0.2, H, record_every=100)
-    spec = InvariantSpec(kind="weak", sol=sol, operators=gens)
+    spec = InvariantSpec(sol=sol, operators=gens)
     series = expectation_series(traj, spec)
     path = tmp_path / "invariant.csv"
     series.write_csv(path)
@@ -389,7 +336,7 @@ def test_spectrum_of_constructed_invariant_is_static_half_integers():
     cfg, _, _, gens = make_frame(40)
     omega_s, kappa_s = baseline_schedules()
     sol = solve_baseline(omega_s, kappa_s, 2.0)
-    spec = InvariantSpec(kind="weak", sol=sol, operators=gens)
+    spec = InvariantSpec(sol=sol, operators=gens)
     times = np.linspace(0.0, 2.0, 11)
     series = spectrum_series(spec, times, m=13)
     want = np.broadcast_to(np.arange(13) + 0.5, series.levels.shape)
@@ -398,11 +345,10 @@ def test_spectrum_of_constructed_invariant_is_static_half_integers():
 
 
 def test_spectrum_constant_in_strong_limit():
-    cfg, x_op, p_op, _ = make_frame(40)
+    cfg, _, _, gens = make_frame(40)
     omega_s, kappa_s = baseline_schedules(kappa=0.0)
     sol0 = solve_baseline(omega_s, kappa_s, 5.0)
-    spec = InvariantSpec(kind="lewis_riesenfeld", sol=sol0,
-                         operators=(x_op, p_op))
+    spec = InvariantSpec(sol=sol0, operators=gens)
     times = np.linspace(0.0, 5.0, 26)
     series = spectrum_series(spec, times, m=10)
     spread = np.max(series.levels, axis=0) - np.min(series.levels, axis=0)
@@ -430,7 +376,7 @@ def test_spectrum_argument_validation():
     cfg, _, _, gens = make_frame(12)
     omega_s, kappa_s = ConstantSchedule(1.0), ConstantSchedule(0.1)
     sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 1.0, H)
-    spec = InvariantSpec(kind="weak", sol=sol, operators=gens)
+    spec = InvariantSpec(sol=sol, operators=gens)
     with pytest.raises(ValidationError):
         spectrum_series(spec, [0.0, 0.5], m=5)  # m > dim/3
     with pytest.raises(ValidationError):
@@ -445,7 +391,7 @@ def test_spectrum_source_must_be_a_spec_or_an_operator_trajectory():
     cfg, _, _, gens = make_frame(12)
     sol = solve_auxiliary(ConstantSchedule(1.0), ConstantSchedule(0.1),
                           ErmakovInit(1.0, 0.0), 1.0, H)
-    spec = InvariantSpec(kind="weak", sol=sol, operators=gens)
+    spec = InvariantSpec(sol=sol, operators=gens)
     for source in (spec.at, spec.at(0.0), object()):
         with pytest.raises(ValidationError, match="OperatorTrajectory"):
             spectrum_series(source, [0.0, 0.5], m=2)
@@ -455,7 +401,7 @@ def test_spectrum_csv(tmp_path):
     cfg, _, _, gens = make_frame(12)
     omega_s, kappa_s = ConstantSchedule(1.0), ConstantSchedule(0.1)
     sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 1.0, H)
-    spec = InvariantSpec(kind="weak", sol=sol, operators=gens)
+    spec = InvariantSpec(sol=sol, operators=gens)
     series = spectrum_series(spec, [0.0, 0.5, 1.0], m=4)
     path = tmp_path / "spectrum.csv"
     series.write_csv(path)
@@ -472,7 +418,7 @@ def test_drift_zero_without_dissipation():
     cfg, _, _, gens = make_frame(20)
     omega_s, kappa_s = baseline_schedules(kappa=0.0)
     sol0 = solve_baseline(omega_s, kappa_s, 1.0)
-    inv = weak_invariant_at(sol0, *gens, 0.7)
+    inv = InvariantSpec(sol0, gens).at(0.7)
     lam, vecs = np.linalg.eigh(inv.entries)
     kept, drifts = drift_rhs(inv, lam, vecs, None, 0.0, m=6)
     np.testing.assert_array_equal(kept, np.arange(6))
@@ -493,7 +439,7 @@ def test_drift_of_constructed_invariant_follows_friction_law():
     sol = solve_baseline(omega_s, kappa_s, 2.0)
     model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
     t = 1.0
-    inv = weak_invariant_at(sol, *gens, t)
+    inv = InvariantSpec(sol, gens).at(t)
     alpha, jump = jump_at(model, t)
     lam, vecs = np.linalg.eigh(inv.entries)
     kept, drifts = drift_rhs(inv, lam, vecs, jump, alpha, m=13)

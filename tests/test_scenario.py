@@ -299,6 +299,19 @@ def test_moment_backend_writes_reduced_trajectory_columns(tmp_path):
         np.testing.assert_allclose(table[col], fock[col], rtol=0, atol=1e-6)
 
 
+def test_every_artifact_ends_at_the_last_record_time(tmp_path):
+    """A window the record stride does not divide still ends every
+    artifact, ermakov.csv included, on the final node."""
+    s = load_text(SMALL.replace("run.t_max = 1.0", "run.t_max = 0.25"),
+                  tmp_path)
+    out = tmp_path / "out"
+    run_scenario(s, out_dir=str(out))
+    times = [read_csv(out / name)["t"] for name in ARTIFACT_FILES]
+    np.testing.assert_array_equal(times[0], [0.0, 0.1, 0.2, 0.25])
+    for t in times[1:]:
+        np.testing.assert_array_equal(t, times[0])
+
+
 # ---------------------------------------------------------------- verifying
 
 
@@ -417,11 +430,11 @@ def test_drift_probe_equals_the_probe_on_the_full_trajectory(tmp_path):
     """Keeping only the three differenced nodes gives the check exactly
     the result of the whole record_every=1 trajectory."""
     p = runner._prepare(load_text(MODULATED, tmp_path))
-    model, t_end, i = runner._drift_probe(p)
+    model, t_probe, t_end, i = runner._drift_probe(p)
     ot = evolve_adjoint_observable(model, model.k2, t_end,
                                    runner.DRIFT_PROBE_STEP, record_every=1)
     full = runner._drift_from_nodes(
-        p, model, ot.ts[i - 1:i + 2],
+        model, t_probe, ot.ts[i - 1:i + 2],
         [op.entries for op in ot.operators[i - 1:i + 2]])
     probe = runner._check_drift_crosscheck(p)
     assert probe == full
@@ -433,6 +446,23 @@ def test_drift_probe_overflow_raises(tmp_path):
                   tmp_path)
     with pytest.raises(NumericalError, match="float range"):
         runner._check_drift_crosscheck(runner._prepare(s))
+
+
+def test_verify_reports_a_drift_probe_overflow_as_a_failed_check(
+        tmp_path, capsys):
+    """The probe's overflow fails drift-crosscheck; every other check of
+    the battery is still reported and the exit code is that of a failed
+    check, not of an aborted run."""
+    cfg = write_cfg(tmp_path, SMALL.replace("kappa.value = 0.1",
+                                            "kappa.value = 5")
+                    .replace("run.t_max = 1.0", "run.t_max = 2.0"))
+    assert main(["verify", "--config", cfg]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    drift = [line for line in lines if "drift-crosscheck" in line]
+    assert len(drift) == 1
+    assert drift[0].startswith("FAIL drift-crosscheck: measured inf")
+    assert "grew beyond float range" in drift[0]
+    assert lines[-1].startswith("overall: FAIL (12 checks")
 
 
 def test_drift_probe_traced_peak_stays_small():
