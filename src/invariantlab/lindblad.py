@@ -19,13 +19,24 @@ and applies the maps in turn.  Blocks are sized by ``STAGE_BLOCK_BYTES``.
 K1, K2 and K3 are quadratic in a and a^dag, so H and L connect only
 Fock levels n and n +- 2 and the generator never mixes even and odd
 levels.  The density integrator therefore holds the state as its four
-parity blocks (even-even, even-odd, odd-even, odd-odd), each
-ceil(N/2) x ceil(N/2), and multiplies them by the even and odd diagonal
-blocks of H, L and the drift: half the flops of the dense product.  An
-odd dimension pads the odd side with one zero level, whose rows and
-columns stay exactly zero.  Recorded states are reassembled to the dense
-N x N matrix, and ``LindbladModel`` refuses generators with an entry
-between levels of opposite parity, which the blocks would drop.
+parity blocks (even-even, even-odd, odd-even, odd-odd), each m x m with
+m = ceil(N/2), and multiplies them by the even and odd diagonal blocks
+of H, L and the drift: half the flops of the dense product.  Within a
+block H and L are tridiagonal and the drift pentadiagonal, so each block
+is cut into max(1, m // TILE_ROWS) row tiles (``_Tiling``) and a tile is
+multiplied only by the rows and columns its band reaches: tile-wide
+windows of the operators, formed each stage from generator windows cut
+once per run, and of the state, which is held with a zero margin of
+BAND_MARGIN levels around each block so that every window is a strided
+view.  Each of the four products is one matmul over all tiles of all
+four blocks.  With one tile, that is below 2 TILE_ROWS levels per block
+(every shipped scenario), there is no margin and the products are the
+plain block products.  An odd dimension pads the odd side with one zero
+level; that level, the margins and the levels the last tile covers past
+m stay exactly zero.  Recorded states are reassembled to the dense N x N
+matrix, and ``LindbladModel`` refuses generators with an entry between
+levels of opposite parity or more than two levels apart, which the
+blocks or tiles would drop.
 """
 
 from __future__ import annotations
@@ -77,6 +88,13 @@ CLOSURE_GATE_TOL = 1e-10
 # block at a time, as many per block as fit in this many bytes: three
 # stages of a dim-60 adjoint, about 1500 steps of the 3x3 moment system.
 STAGE_BLOCK_BYTES = 1 << 20
+# The density right-hand side cuts each m-level parity block into
+# max(1, m // TILE_ROWS) row tiles; a tile's band reaches BAND_MARGIN
+# levels past its rows.  Measured on one BLAS thread, two tiles of 20
+# rows (m = 40) already take 0.8 of the whole-block time, and more tiles
+# gain more; 16 only breaks even at m = 32 and 24 gains less from m = 60.
+TILE_ROWS = 20
+BAND_MARGIN = 2
 
 
 def _block_length(item_bytes: int) -> int:
@@ -140,6 +158,13 @@ class LindbladModel:
                     f"generator {name} couples Fock levels {i} and {j} of "
                     f"opposite parity (entry {gen.entries[i, j]:.3e}); the "
                     "parity-block density evolution would drop it")
+            far = np.abs(rows - cols) > 2
+            if far.any():
+                i, j = rows[far][0], cols[far][0]
+                raise ValidationError(
+                    f"generator {name} couples Fock levels {i} and {j}, "
+                    f"more than 2 apart (entry {gen.entries[i, j]:.3e}); the "
+                    "tiled density evolution would drop it")
 
     @property
     def generators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -245,52 +270,171 @@ class Trajectory:
                     rows, precision)
 
 
-def _parity_split(arr: np.ndarray) -> np.ndarray:
-    """Parity blocks of an n x n array as a (2, 2, m, m) stack, m = ceil(n/2).
+def _window_spec(shape, count: int, window, step, start=(0, 0)):
+    """(shape, offset, strides) of ``count`` windows in a complex array.
+
+    The array is C-contiguous of ``shape``; window t covers ``window``
+    rows and columns of its last two axes from (row, column) ``start +
+    t * step``.  The view has shape (*lead, count, *window), without the
+    count axis for one window; offset and strides are in bytes.  None
+    stands for the whole array: a view that equals it.
+    """
+    item = np.dtype(complex).itemsize
+    strides = [item]
+    for n in reversed(shape[1:]):
+        strides.insert(0, strides[0] * n)
+    *lead, sr, sc = strides
+    axes = [(window[0], sr), (window[1], sc)]
+    tile_axis = ([(count, step[0] * sr + step[1] * sc)] if count > 1 else [])
+    axes = [*zip(shape[:-2], lead), *tile_axis, *axes]
+    spec = (tuple(n for n, _ in axes), start[0] * sr + start[1] * sc,
+            tuple(s for _, s in axes))
+    return None if spec == (tuple(shape), 0, tuple(strides)) else spec
+
+
+def _view(a: np.ndarray, spec) -> np.ndarray:
+    """The view ``spec`` (from ``_window_spec``) of the C-contiguous ``a``."""
+    if spec is None:
+        return a
+    shape, offset, strides = spec
+    return np.ndarray(shape, a.dtype, a, offset, strides)
+
+
+class _Tiling:
+    """Row tiles of the m x m parity blocks of one dim-N density run.
+
+    A block is cut into ``count`` tiles of ``rows`` levels.  Together
+    they span s = count * rows >= m levels; the levels past m are zero.
+    A padded block is ``side`` = s + 2 ``margin`` square, so level k sits
+    at padded index margin + k.  Within a block H and L reach one level
+    on either side of the diagonal and L^dag L and the drift BAND_MARGIN
+    levels, so tile t's band lies in its window: the w = rows + 2 margin
+    padded levels from t * rows.  Every window has the same width, and
+    the margins hold what the edge tiles reach past the block; within
+    its window a tile's rows are margin..margin+rows-1.  One tile spans
+    the whole block and needs no margin: its window is the block.
+
+    The view specs are computed once per run: every operand the
+    right-hand side multiplies is a view of a stage's operator windows,
+    of the state or of one of the two scratch arrays it reuses within a
+    call.
+    """
+
+    def __init__(self, dim: int):
+        m = (dim + 1) // 2
+        count = max(1, m // TILE_ROWS)
+        b = -(-m // count)
+        g = BAND_MARGIN if count > 1 else 0
+        s = count * b
+        p = s + 2 * g
+        w = b + 2 * g
+        self.count, self.rows, self.margin, self.side = count, b, g, p
+        # the diagonal windows of a (2, side, side) operator stack
+        self.op_windows = _window_spec((2, p, p), count, (w, w), (b, b))
+        # the state: the rows and columns the tiles' bands read.  The left
+        # products write whole padded rows, whose margin columns come out
+        # zero, the right ones the span's columns of the span's rows
+        state = (2, 2, p, p)
+        self.state_rows = _window_spec(state, count, (w, p), (b, 0))
+        self.state_cols = _window_spec(state, count, (s, w), (0, b), (g, 0))
+        self.out_rows = _window_spec(state, count, (b, p), (b, 0), (g, 0))
+        # scratch: a right-side product, column tile by column tile, laid
+        # out as the state with zero margins, so that it adds to the
+        # output as one contiguous array (numpy 2.4 adds row-strided
+        # complex arrays about 3x slower); and L rho, the span's rows
+        self.part = np.zeros(state, dtype=complex)
+        self.part_tiles = _view(
+            self.part, _window_spec(state, count, (s, b), (0, b), (g, g)))
+        shape = (2, 2, s, p)
+        l_rho = np.empty(shape, dtype=complex)
+        self.l_rho_rows = _view(
+            l_rho, _window_spec(shape, count, (b, p), (b, 0)))
+        self.l_rho_cols = _view(
+            l_rho, _window_spec(shape, count, (s, w), (0, b)))
+
+
+def _parity_split(arr: np.ndarray, tiling: _Tiling) -> np.ndarray:
+    """Padded parity blocks of an n x n array as a (2, 2, side, side) stack.
 
     Block [p, q] holds the rows of parity p and the columns of parity q
-    (0 even, 1 odd): the ee, eo, oe and oo blocks in that order.  An odd n
-    is padded with one zero level, the last odd one.
+    (0 even, 1 odd): the ee, eo, oe and oo blocks in that order, at
+    padded indices margin..margin+m-1, m = ceil(n/2).  An odd n pads the
+    odd side with one zero level, the last odd one; every padding entry
+    is zero.
     """
     n = arr.shape[0]
     m = (n + 1) // 2
     padded = np.zeros((2 * m, 2 * m), dtype=complex)
     padded[:n, :n] = arr
-    return padded.reshape(m, 2, m, 2).transpose(1, 3, 0, 2).copy()
+    g = tiling.margin
+    blocks = np.zeros((2, 2, tiling.side, tiling.side), dtype=complex)
+    blocks[:, :, g:g + m, g:g + m] = padded.reshape(m, 2, m, 2).transpose(
+        1, 3, 0, 2)
+    return blocks
 
 
-def _parity_join(blocks: np.ndarray, n: int) -> np.ndarray:
-    """The dense n x n array of a (2, 2, m, m) parity-block stack."""
-    m = blocks.shape[-1]
-    return blocks.transpose(2, 0, 3, 1).reshape(2 * m, 2 * m)[:n, :n]
+def _parity_join(blocks: np.ndarray, n: int, tiling: _Tiling) -> np.ndarray:
+    """The dense n x n array of a padded parity-block stack."""
+    m = (n + 1) // 2
+    g = tiling.margin
+    core = blocks[:, :, g:g + m, g:g + m]
+    return core.transpose(2, 0, 3, 1).reshape(2 * m, 2 * m)[:n, :n]
 
 
-def _diagonal_blocks(model: LindbladModel) -> tuple[np.ndarray, ...]:
-    """(K1, K2, K3) as (2, m, m) stacks of their even and odd blocks."""
-    return tuple(_parity_split(k)[[0, 1], [0, 1]] for k in model.generators)
+def _diagonal_windows(model: LindbladModel,
+                      tiling: _Tiling) -> tuple[np.ndarray, ...]:
+    """(K1, K2, K3) as stacks of the tiles' windows of their padded even and
+    odd blocks: (2, count, width, width), or the (2, m, m) blocks for one
+    tile."""
+    return tuple(np.array(_view(_parity_split(k, tiling)[[0, 1], [0, 1]],
+                                tiling.op_windows))
+                 for k in model.generators)
 
 
-def _density_stage_ops(blocks, row):
-    # each (2, m, m) operator stack acts on the rows of parity p as
-    # op[:, None] and on the columns of parity q as op^dag[None], so that
-    # one broadcast matmul covers all four blocks of the state
-    h_op, l_ = _generator_arrays(blocks, row)
-    drift = -1j * h_op
+def _density_stage_ops(tiling: _Tiling, windows, row):
+    """Right-hand-side operands of one stage: (tiling, drift, drift^dag, jump).
+
+    H, L and the drift are formed on the generator windows.  The drift is
+    a (2, 1, count, rows, width) stack of row tiles acting on the rows of
+    parity p and drift^dag a (2, count, width, rows) stack of column tiles
+    acting on the columns of parity q, so that one broadcast matmul covers
+    all tiles of all four blocks of the state.  jump is None without
+    friction, else (2 alpha, L, L^dag) in the same layouts, views of L's
+    windows.
+    """
+    h_win, l_win = _generator_arrays(windows, row)
+    tile = slice(tiling.margin, tiling.margin + tiling.rows)
+    drift = -1j * h_win[..., tile, :]
     jump = None
-    if l_ is not None:
+    if l_win is not None:
         alpha = row[1]
-        l_h = l_.conj().swapaxes(1, 2)
-        drift = drift - alpha * (l_h @ l_)
-        jump = (2.0 * alpha, l_[:, None], l_h[None])
-    return drift[:, None], drift.conj().swapaxes(1, 2)[None], jump
+        l_c = l_win.conj()
+        # a tile's rows of L^dag L: its band lies in the window
+        drift -= alpha * (l_c[..., tile].swapaxes(-1, -2) @ l_win)
+        jump = (2.0 * alpha, l_win[..., tile, :][:, None],
+                l_c[..., tile, :].swapaxes(-1, -2))
+    return tiling, drift[:, None], drift.conj().swapaxes(-1, -2), jump
 
 
 def _density_rhs(state: np.ndarray, ops) -> np.ndarray:
-    drift, drift_h, jump = ops
-    out = drift @ state + state @ drift_h
+    # drift rho + rho drift^dag + 2 alpha (L rho) L^dag with each product
+    # one matmul over all tiles of all four blocks: the left ones by row
+    # tiles, the right ones by column tiles.  The margins and the levels
+    # past m come out exactly zero.
+    tiling, drift, drift_h, jump = ops
+    out = np.empty_like(state)
+    g = tiling.margin
+    if g:
+        out[:, :, :g] = out[:, :, -g:] = 0.0
+    rows = _view(state, tiling.state_rows)
+    np.matmul(drift, rows, out=_view(out, tiling.out_rows))
+    np.matmul(_view(state, tiling.state_cols), drift_h, out=tiling.part_tiles)
+    out += tiling.part
     if jump is not None:
         c, l_, l_h = jump
-        out += c * (l_ @ state @ l_h)
+        np.matmul(l_, rows, out=tiling.l_rho_rows)
+        np.matmul(tiling.l_rho_cols, l_h, out=tiling.part_tiles)
+        out += c * tiling.part
     return out
 
 
@@ -302,8 +446,11 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
     rho Ln^dag Ln - 2 Ln rho Ln^dag) with every operator evaluated at
     the stage times.  No renormalization or positivity projection is
     applied: trace drift and eigenvalue dips are reported, not hidden.
-    The state is stepped as its four parity blocks (module docstring) and
-    recorded as the dense matrix.
+    The state is stepped as its four parity blocks, each cut into row
+    tiles and held with a zero margin of BAND_MARGIN levels when a block
+    has 2 TILE_ROWS levels or more (module docstring); one tile has no
+    margin and multiplies whole blocks.  States are recorded as the dense
+    matrix.
     """
     cfg = model.basis
     if rho0.dim != cfg.dim:
@@ -321,7 +468,7 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
     def record(i: int, blocks: np.ndarray):
         nonlocal failed_at
         t = h * i
-        arr = _parity_join(blocks, cfg.dim)
+        arr = _parity_join(blocks, cfg.dim, tiling)
         tr, herm, lo, tail = _diagnostics(arr, cfg)
         if tail > cfg.tail_threshold:
             raise TruncationLeakError(
@@ -346,9 +493,10 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
         rec_diag.append((tr, herm, lo, tail))
 
     table = _stage_table(model, n, h)
-    gens = _diagonal_blocks(model)
-    _rk4(_density_rhs, lambda j: _density_stage_ops(gens, table[j]),
-         _parity_split(rho0.entries), n, h, record, record_every)
+    tiling = _Tiling(cfg.dim)
+    windows = _diagonal_windows(model, tiling)
+    _rk4(_density_rhs, lambda j: _density_stage_ops(tiling, windows, table[j]),
+         _parity_split(rho0.entries, tiling), n, h, record, record_every)
     diag = np.array(rec_diag)
     return Trajectory(ts=np.array(rec_ts), states=tuple(rec_states),
                       trace=diag[:, 0], herm_dev=diag[:, 1],

@@ -173,23 +173,33 @@ def _stage_arrays(model, t):
     return g1 + omega_sq * g2, alpha, g1 + a2 * g2 + a3 * g3
 
 
-def _split(arr, m):
-    """(2, 2, m, m) parity blocks of arr by strided slicing, zero-padded."""
-    out = np.zeros((2, 2, m, m), dtype=complex)
-    for p in (0, 1):
-        for q in (0, 1):
-            blk = arr[p::2, q::2]
-            out[p, q, :blk.shape[0], :blk.shape[1]] = blk
+def _padded(arr, tiling):
+    """The zero-padded (side x side) layout of one m x m parity block."""
+    g = tiling.margin
+    out = np.zeros((tiling.side, tiling.side), dtype=complex)
+    out[g:g + arr.shape[0], g:g + arr.shape[1]] = arr
     return out
 
 
-def _join(blocks, dim):
+def _split(arr, tiling):
+    """(2, 2, side, side) padded parity blocks of arr by strided slicing."""
+    return np.array([[_padded(arr[p::2, q::2], tiling) for q in (0, 1)]
+                     for p in (0, 1)])
+
+
+def _join(blocks, dim, tiling):
+    g = tiling.margin
     out = np.empty((dim, dim), dtype=complex)
     for p in (0, 1):
         for q in (0, 1):
             rows, cols = len(range(p, dim, 2)), len(range(q, dim, 2))
-            out[p::2, q::2] = blocks[p, q, :rows, :cols]
+            out[p::2, q::2] = blocks[p, q, g:g + rows, g:g + cols]
     return out
+
+
+def _tile_axis(a, tiling):
+    """``a`` with its tile axis before the last two, which one tile lacks."""
+    return a if tiling.count > 1 else a[..., None, :, :]
 
 
 def _random_state(dim, seed):
@@ -199,39 +209,77 @@ def _random_state(dim, seed):
     return rho / np.trace(rho).real
 
 
-def test_stage_operators_are_formed_from_the_coefficients():
-    """At the first, a middle and the last stage of a modulated dissipative
-    run, the integrators' stage matrices are H and L formed from
-    ``model.coefficients(0.5*h*j)``: the density stage's H and L blocks are
-    bit for bit the parity blocks of the dense ones, its drift differs
-    from the dense drift only by the rounding of the L^dag L product, and
-    the adjoint stage is dense and exact."""
-    n = 1000
-    *_, model = modulated_setup(dim=12, t_max=n * H)
+def test_tile_count_and_margin_follow_the_basis_size():
+    """One tile, with no margin, below 2 TILE_ROWS levels per block; from
+    there m // TILE_ROWS tiles of ceil(m / count) rows and a margin of 2."""
+    r = lindblad.TILE_ROWS
+    # (dim, tiles, rows per tile); m = ceil(dim / 2)
+    for dim, count, rows in ((4 * r - 3, 1, 2 * r - 1), (4 * r, 2, r),
+                             (4 * r + 1, 2, r + 1), (8 * r, 4, r)):
+        tiling = lindblad._Tiling(dim)
+        assert (tiling.count, tiling.rows) == (count, rows)
+        margin = 2 if count > 1 else 0
+        assert tiling.margin == margin
+        assert tiling.side == count * rows + 2 * margin
+
+
+def _check_density_stage_operators(dim, n):
+    """The density-stage half of the test below at one dimension; returns
+    the model and its stage table."""
+    *_, model = modulated_setup(dim=dim, t_max=n * H)
     table = lindblad._stage_table(model, n, H)
-    blocks = lindblad._diagonal_blocks(model)
+    tiling = lindblad._Tiling(dim)
+    windows = lindblad._diagonal_windows(model, tiling)
+    b, g = tiling.rows, tiling.margin
+    w = b + 2 * g
     for j in (0, n + 1, 2 * n):
         row = table[j]
         h_op, alpha, l_op = _stage_arrays(model, 0.5 * H * j)
         assert row[1] == alpha > 0.0
         l_h = l_op.conj().T
-        h_blk, l_blk = lindblad._generator_arrays(blocks, row)
-        drift, drift_h, (c, l_, l_h2) = _density_stage_ops(blocks, row)
-        assert c == 2.0 * alpha
+        h_win, l_win = (_tile_axis(a, tiling)
+                        for a in lindblad._generator_arrays(windows, row))
+        tiling_, drift, drift_h, (c, l_, l_h2) = _density_stage_ops(
+            tiling, windows, row)
+        assert tiling_ is tiling and c == 2.0 * alpha
+        drift, drift_h, l_, l_h2 = (_tile_axis(a, tiling)
+                                    for a in (drift, drift_h, l_, l_h2))
         product = l_h @ l_op
         dense_drift = -1j * h_op - alpha * product
         for p in (0, 1):
             par = slice(p, None, 2)
-            np.testing.assert_array_equal(h_blk[p], h_op[par, par])
-            np.testing.assert_array_equal(l_blk[p], l_op[par, par])
-            np.testing.assert_array_equal(l_[p, 0], l_op[par, par])
-            np.testing.assert_array_equal(l_h2[0, p], l_h[par, par])
-            np.testing.assert_array_equal(drift_h[0, p], drift[p, 0].conj().T)
-            # a sum over the levels of one parity, not over all of them
-            # with exact zeros in between: equal up to a few roundings
-            np.testing.assert_allclose(
-                drift[p, 0], dense_drift[par, par], rtol=0,
-                atol=4 * np.finfo(float).eps * alpha * max_abs(product))
+            h_pad, l_pad, lh_pad, drift_pad = (
+                _padded(a[par, par], tiling)
+                for a in (h_op, l_op, l_h, dense_drift))
+            for t in range(tiling.count):
+                win = slice(t * b, t * b + w)
+                tile = slice(g + t * b, g + (t + 1) * b)
+                np.testing.assert_array_equal(h_win[p, t], h_pad[win, win])
+                np.testing.assert_array_equal(l_win[p, t], l_pad[win, win])
+                np.testing.assert_array_equal(l_[p, 0, t], l_pad[tile, win])
+                np.testing.assert_array_equal(l_h2[p, t], lh_pad[win, tile])
+                np.testing.assert_array_equal(drift_h[p, t],
+                                              drift[p, 0, t].conj().T)
+                # a sum over the levels of one parity, not over all of
+                # them with exact zeros in between: equal up to a few
+                # roundings
+                np.testing.assert_allclose(
+                    drift[p, 0, t], drift_pad[tile, win], rtol=0,
+                    atol=4 * np.finfo(float).eps * alpha * max_abs(product))
+    return model, table
+
+
+def test_stage_operators_are_formed_from_the_coefficients():
+    """At the first, a middle and the last stage of a modulated dissipative
+    run, the integrators' stage matrices are H and L formed from
+    ``model.coefficients(0.5*h*j)``: the density stage's H and L windows
+    and its L and L^dag tiles are bit for bit those of the padded parity
+    blocks of the dense ones, its drift tiles differ from the dense drift
+    only by the rounding of the L^dag L product, and the adjoint stage is
+    dense and exact.  Dim 12 has one tile, dim 81 two."""
+    n = 1000
+    _check_density_stage_operators(81, n)
+    model, table = _check_density_stage_operators(12, n)
     # the adjoint operands of the same three stages, formed as one block
     adjoint = _adjoint_stage_block(model.generators, table[[0, n + 1, 2 * n]])
     for j, (left, right, l_a, strength) in zip((0, n + 1, 2 * n), adjoint):
@@ -245,32 +293,80 @@ def test_stage_operators_are_formed_from_the_coefficients():
             np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("dim", [9, 12])
+@pytest.mark.parametrize("dim", [9, 12, 81, 160])
 def test_block_rhs_equals_the_dense_generator(dim):
-    """Reassembled, the block right-hand side is drift rho + rho drift^dag
-    + 2 alpha L rho L^dag on the dense matrices, and the padding level of
-    an odd dimension stays exactly zero."""
+    """Reassembled, the tiled block right-hand side is drift rho + rho
+    drift^dag + 2 alpha L rho L^dag on the dense matrices, and every
+    padding entry (the margins, the levels past m and the padding level of
+    an odd dimension) stays exactly zero.  Dims 9 and 12 have one tile;
+    81 has two tiles of 21 rows over a 41-level block, 160 four."""
     *_, model = modulated_setup(dim=dim)
-    m = (dim + 1) // 2
+    tiling = lindblad._Tiling(dim)
     rho = _random_state(dim, 7)
     h_op, alpha, l_op = _stage_arrays(model, 0.3)
     l_h = l_op.conj().T
     drift = -1j * h_op - alpha * (l_h @ l_op)
     dense = (drift @ rho + rho @ drift.conj().T
              + 2.0 * alpha * (l_op @ rho @ l_h))
-    ops = _density_stage_ops(lindblad._diagonal_blocks(model),
+    ops = _density_stage_ops(tiling, lindblad._diagonal_windows(model, tiling),
                              model.coefficients(0.3))
-    out = lindblad._density_rhs(_split(rho, m), ops)
-    assert max_abs(_join(out, dim) - dense) <= 1e-14 * np.linalg.norm(rho)
-    if dim % 2:
-        assert not out[:, 1, :, m - 1].any() and not out[1, :, m - 1, :].any()
+    out = lindblad._density_rhs(_split(rho, tiling), ops)
+    assert out.shape == (2, 2, tiling.side, tiling.side)
+    # rounding of the larger operators of the wider bases: 16 ulp of the
+    # largest entry (below the 1e-14 |rho| of earlier versions at dims 9, 12)
+    assert (max_abs(_join(out, dim, tiling) - dense)
+            <= 16 * np.finfo(float).eps * max_abs(dense))
+    # zero the entries that hold levels; what is left is padding
+    g = tiling.margin
+    padding = out.copy()
+    for p in (0, 1):
+        for q in (0, 1):
+            padding[p, q, g:g + len(range(p, dim, 2)),
+                    g:g + len(range(q, dim, 2))] = 0.0
+    assert not padding.any()
+
+
+def test_one_tile_rhs_is_the_per_block_products():
+    """Below 2 TILE_ROWS levels per block the kernel is the plain block
+    product, in its grouping, bit for bit: drift[p] rho[p,q] + rho[p,q]
+    drift[q]^dag, then + 2 alpha (L[p] rho[p,q]) L[q]^dag.  This is what
+    keeps the shipped scenarios' artifacts byte-identical."""
+    dim = 12
+    *_, model = modulated_setup(dim=dim)
+    tiling = lindblad._Tiling(dim)
+    assert tiling.count == 1 and tiling.margin == 0
+    row = model.coefficients(0.3)
+    _, alpha, _, _ = row
+    h_op, l_op = lindblad._generator_arrays(model.generators, row)
+    rho = _random_state(dim, 11)
+    h_blk = [h_op[p::2, p::2] for p in (0, 1)]
+    l_blk = [l_op[p::2, p::2] for p in (0, 1)]
+    drift = [-1j * h - alpha * (l.conj().T @ l) for h, l in zip(h_blk, l_blk)]
+    expected = np.empty((2, 2, dim // 2, dim // 2), dtype=complex)
+    for p in (0, 1):
+        for q in (0, 1):
+            blk = rho[p::2, q::2]
+            out = drift[p] @ blk + blk @ drift[q].conj().T
+            out += 2.0 * alpha * ((l_blk[p] @ blk) @ l_blk[q].conj().T)
+            expected[p, q] = out
+    ops = _density_stage_ops(tiling, lindblad._diagonal_windows(model, tiling),
+                             row)
+    np.testing.assert_array_equal(
+        lindblad._density_rhs(_split(rho, tiling), ops), expected)
 
 
 def test_odd_dimension_evolution_matches_a_dense_rk4():
-    """At dim 41 (one padding level) every recorded state agrees with a
+    """At dim 41 (one tile, one padding level) and dim 81 (two tiles,
+    margins and three padding levels) every recorded state agrees with a
     classical RK4 on dense matrices written out here."""
+    for dim in (41, 81):
+        _check_against_a_dense_rk4(dim)
+
+
+def _check_against_a_dense_rk4(dim):
+    """The test above at one dimension."""
     n, every = 200, 40
-    _, _, cfg, _, _, model = modulated_setup(dim=41, t_max=n * H)
+    _, _, cfg, _, _, model = modulated_setup(dim=dim, t_max=n * H)
     rho0 = build_state(StateSpec(kind="coherent", beta=complex(0.8, 0.5)), cfg)
     traj = evolve_density(model, rho0, n * H, H, record_every=every)
 
@@ -322,7 +418,9 @@ def test_jump_operator_matches_coefficients():
 def test_no_jump_terms_without_friction():
     *_, model = equilibrium_setup(dim=10, kappa=0.0, t_max=1.0)
     row = model.coefficients(0.5)
-    assert _density_stage_ops(lindblad._diagonal_blocks(model), row)[2] is None
+    tiling = lindblad._Tiling(10)
+    windows = lindblad._diagonal_windows(model, tiling)
+    assert _density_stage_ops(tiling, windows, row)[3] is None
     left, right, l_, strength = _adjoint_stage_block(model.generators,
                                                       [row])[0]
     assert l_ is None and strength == 0.0
@@ -338,6 +436,19 @@ def test_generator_coupling_opposite_parities_rejected():
     with pytest.raises(ValidationError,
                        match=r"generator k3 couples Fock levels 0 and 1"):
         LindbladModel(omega_s, kappa_s, sol, g1, g2, FockOperator(k3), cfg)
+
+
+def test_generator_coupling_beyond_the_band_rejected():
+    """One (1, 5) entry in K2 has even offset 4 (block offset 2): the tiles'
+    margins, which reach block offset 1, would drop it."""
+    omega_s, kappa_s, cfg, (g1, g2, g3), sol, _ = equilibrium_setup(
+        dim=10, t_max=0.01)
+    k2 = np.array(g2.entries)
+    k2[1, 5] = k2[5, 1] = 1e-3
+    with pytest.raises(ValidationError,
+                       match=r"generator k2 couples Fock levels 1 and 5, "
+                             r"more than 2 apart"):
+        LindbladModel(omega_s, kappa_s, sol, g1, FockOperator(k2), g3, cfg)
 
 
 def test_generator_dimension_mismatch_rejected():
