@@ -197,27 +197,65 @@ def _rk4(rhs, stage, y0, n, h, record, every=1):
     ``stage(j)`` returns the right-hand-side data at time j*h/2 and
     ``rhs(y, data)`` the derivative there; each step's end stage is reused
     as the next step's start stage.  ``record(i, y)`` receives the state at
-    every ``every``-th node and at the last node.  The state is either a
-    complex ndarray or, for a real pair (r, v), one Python complex
-    r + 1j*v: both kinds go through the same combination, so the matrix
-    and scalar integrators round alike.  Returns the final state.
+    every ``every``-th node and at the last node.  The state is either an
+    ndarray or, for a real pair (r, v), one Python complex r + 1j*v.  Both
+    kinds take y + c s for the stage states and y + h/6 (s1 + 2 (s2 + s3)
+    + s4) for the step, in that operation order, so the matrix and scalar
+    integrators round alike.
+
+    Buffers: an ndarray state is stepped in a private copy of y0, which the
+    driver owns, with one more array for the stage states and the
+    combination; a step allocates no state-sized array.  ``record`` gets a
+    copy, and the returned state is the driver's copy, which no later step
+    writes.  ``rhs`` may write its slope into a buffer of its own and
+    return that: the driver calls it four times per step, uses all four
+    slopes of a step before the next step's first call and keeps none
+    after, so four buffers used in rotation never overwrite a slope still
+    in use.  A slope must not alias the ``y`` it was computed from.
     """
     half = 0.5 * h
     sixth = h / 6.0
-    y = y0
+    if isinstance(y0, np.ndarray):
+        y = np.array(y0)
+        arg = np.empty_like(y)
+
+        def step(y, start, mid, end):
+            s1 = rhs(y, start)
+            s2 = rhs(np.add(np.multiply(s1, half, out=arg), y, out=arg), mid)
+            s3 = rhs(np.add(np.multiply(s2, half, out=arg), y, out=arg), mid)
+            s4 = rhs(np.add(np.multiply(s3, h, out=arg), y, out=arg), end)
+            acc = np.add(s2, s3, out=arg)
+            acc *= 2.0
+            acc += s1
+            acc += s4
+            acc *= sixth
+            return np.add(y, acc, out=y)
+
+        copy = np.copy
+    else:
+        # a Python complex has no in-place form: the same arithmetic on
+        # fresh values, one call per step as for arrays
+        y = y0
+
+        def step(y, start, mid, end):
+            s1 = rhs(y, start)
+            s2 = rhs(y + half * s1, mid)
+            s3 = rhs(y + half * s2, mid)
+            s4 = rhs(y + h * s3, end)
+            return y + sixth * (s1 + 2.0 * (s2 + s3) + s4)
+
+        def copy(y):
+            return y
+
     end = None
     for i in range(n):
         if i % every == 0:
-            record(i, y)
+            record(i, copy(y))
         start = stage(2 * i) if end is None else end
         mid = stage(2 * i + 1)
         end = stage(2 * i + 2)
-        s1 = rhs(y, start)
-        s2 = rhs(y + half * s1, mid)
-        s3 = rhs(y + half * s2, mid)
-        s4 = rhs(y + h * s3, end)
-        y = y + sixth * (s1 + 2.0 * (s2 + s3) + s4)
-    record(n, y)
+        y = step(y, start, mid, end)
+    record(n, copy(y))
     return y
 
 

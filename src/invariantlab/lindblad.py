@@ -37,11 +37,19 @@ m stay exactly zero.  Recorded states are reassembled to the dense N x N
 matrix, and ``LindbladModel`` refuses generators with an entry between
 levels of opposite parity or more than two levels apart, which the
 blocks or tiles would drop.
+
+A density run allocates its state-sized buffers once.  The driver owns
+the state and the array its stage states and step combination are
+formed in (``auxiliary._rk4``); the run's ``_Tiling`` owns the
+right-hand side's two scratch arrays and the four slopes it writes in
+rotation, one per RK4 slope of a step.  Between records a step
+allocates only the stage operands, which are operator windows.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,7 +325,11 @@ class _Tiling:
     The view specs are computed once per run: every operand the
     right-hand side multiplies is a view of a stage's operator windows,
     of the state or of one of the two scratch arrays it reuses within a
-    call.
+    call.  The run's buffers live here: the two scratch arrays and the
+    four slopes the right-hand side writes in rotation (``slopes``), all
+    zero-initialised.  The margins of a slope and of the right-side
+    scratch only ever receive sums and products of zeros, so they stay
+    zero without being reset.
     """
 
     def __init__(self, dim: int):
@@ -351,6 +363,10 @@ class _Tiling:
             l_rho, _window_spec(shape, count, (b, p), (b, 0)))
         self.l_rho_cols = _view(
             l_rho, _window_spec(shape, count, (s, w), (0, b)))
+        # the four RK4 slopes of a step: the driver calls the right-hand
+        # side four times per step and uses every slope before the next
+        # step's first call (``auxiliary._rk4``)
+        self.slopes = itertools.cycle(np.zeros((4, *state), dtype=complex))
 
 
 def _parity_split(arr: np.ndarray, tiling: _Tiling) -> np.ndarray:
@@ -419,13 +435,11 @@ def _density_stage_ops(tiling: _Tiling, windows, row):
 def _density_rhs(state: np.ndarray, ops) -> np.ndarray:
     # drift rho + rho drift^dag + 2 alpha (L rho) L^dag with each product
     # one matmul over all tiles of all four blocks: the left ones by row
-    # tiles, the right ones by column tiles.  The margins and the levels
-    # past m come out exactly zero.
+    # tiles, the right ones by column tiles.  The levels past m come out
+    # exactly zero, and the margin rows only ever receive zeros.  The
+    # result is the tiling's next slope buffer, overwritten four calls on.
     tiling, drift, drift_h, jump = ops
-    out = np.empty_like(state)
-    g = tiling.margin
-    if g:
-        out[:, :, :g] = out[:, :, -g:] = 0.0
+    out = next(tiling.slopes)
     rows = _view(state, tiling.state_rows)
     np.matmul(drift, rows, out=_view(out, tiling.out_rows))
     np.matmul(_view(state, tiling.state_cols), drift_h, out=tiling.part_tiles)
@@ -434,7 +448,8 @@ def _density_rhs(state: np.ndarray, ops) -> np.ndarray:
         c, l_, l_h = jump
         np.matmul(l_, rows, out=tiling.l_rho_rows)
         np.matmul(tiling.l_rho_cols, l_h, out=tiling.part_tiles)
-        out += c * tiling.part
+        tiling.part *= c
+        out += tiling.part
     return out
 
 
@@ -594,7 +609,7 @@ def _transport_steps(model: LindbladModel, q0: np.ndarray, t_max: float,
     # overflow between record points is caught at the next record; the
     # intermediate arithmetic may legitimately hit inf, so keep numpy quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        _rk4(_adjoint_rhs, stage, np.array(q0, dtype=complex), n, h,
+        _rk4(_adjoint_rhs, stage, np.asarray(q0, dtype=complex), n, h,
              checked, every)
 
 

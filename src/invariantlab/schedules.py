@@ -14,7 +14,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import NegativeFrictionError, ParseError, ValidationError
 
@@ -143,6 +142,10 @@ class TableSchedule(Schedule):
         self.times = times
         self.values = values
         self.window = (float(times[0]), float(times[-1]))
+        # imported here: scipy is needed only for table schedules, and
+        # loading it costs about as much as the rest of the package
+        from scipy.interpolate import CubicSpline
+
         self._spline = CubicSpline(times, values, bc_type="natural")
         self._d1 = self._spline.derivative(1)
         self._d2 = self._spline.derivative(2)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.integrate import solve_ivp
 from invariantlab.auxiliary import (
     ErmakovInit,
     ErmakovSolution,
+    _half_grid_coefficients,
     _rk4,
     adiabatic_rho,
     adiabatic_rhodot,
@@ -64,6 +66,79 @@ def test_rk4_driver_reuses_end_stages_and_records_every_kth_node():
     assert stages == list(range(21))  # 2n + 1 evaluations, none repeated
     assert nodes == [0, 3, 6, 9, 10]
     assert y == pytest.approx(1.0, abs=1e-12)
+
+
+def _array_run(rhs, y0, n, h):
+    """(final state, arrays handed to record, their values when handed)."""
+    handed, values = [], []
+
+    def record(i, y):
+        handed.append(y)
+        values.append(y.copy())
+
+    y = _rk4(rhs, lambda j: 0.5 * h * j, y0, n, h, record, every=3)
+    return y, handed, values
+
+
+def test_rk4_driver_hands_out_arrays_no_later_step_writes():
+    """An array state is stepped in the driver's own buffers: the caller's
+    y0 and every array handed to ``record`` keep their values through the
+    later steps, and the returned state aliases none of them.  A
+    right-hand side that returns its slopes in four buffers used in
+    rotation steps bit for bit as one that returns fresh arrays; three
+    buffers would overwrite a step's first slope before its combination."""
+    w = np.array([1.0, 2.0, -0.5])
+    h, n = 0.05, 20
+    y0 = np.ones(3, dtype=complex)
+
+    def fresh(y, t):
+        return (-1j * t * w) * y
+
+    def rotating(count):
+        buffers = itertools.cycle(np.zeros((count, 3), dtype=complex))
+        return lambda y, t: np.multiply(-1j * t * w, y, out=next(buffers))
+
+    y, handed, values = _array_run(fresh, y0, n, h)
+    np.testing.assert_array_equal(y0, np.ones(3))
+    assert len(handed) == 8  # nodes 0, 3, ..., 18 and 20
+    for arr, value in zip(handed, values):
+        np.testing.assert_array_equal(arr, value)
+    np.testing.assert_array_equal(y, values[-1])
+    assert not any(np.shares_memory(y, a) for a in (y0, *handed))
+
+    y4, _, values4 = _array_run(rotating(4), y0, n, h)
+    np.testing.assert_array_equal(y4, y)
+    for got, want in zip(values4, values):
+        np.testing.assert_array_equal(got, want)
+    y3, _, _ = _array_run(rotating(3), y0, n, h)
+    assert not np.array_equal(y3, y)
+
+
+def test_rk4_scalar_nodes_are_the_plain_complex_loop():
+    """The scalar path steps one Python complex through y + c s and
+    y + h/6 (s1 + 2 (s2 + s3) + s4): every node of ``solve_auxiliary``
+    equals bit for bit a plain loop that writes that arithmetic out."""
+    omega_s, kappa_s = SinusoidSchedule(1.0, 0.2, 0.1), ConstantSchedule(0.1)
+    h, n = 1e-2, 300
+    sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.1, 0.05), n * h, h)
+    _, omega_sq, kappa = _half_grid_coefficients(omega_s, kappa_s, n, h)
+    ks, ws = kappa.tolist(), omega_sq.tolist()
+
+    def rhs(y, j):
+        r, v = y.real, y.imag
+        return complex(v, ks[j] * v - ws[j] * r + 1.0 / (r * r * r))
+
+    y = complex(1.1, 0.05)
+    nodes = [y]
+    for i in range(n):
+        s1 = rhs(y, 2 * i)
+        s2 = rhs(y + 0.5 * h * s1, 2 * i + 1)
+        s3 = rhs(y + 0.5 * h * s2, 2 * i + 1)
+        s4 = rhs(y + h * s3, 2 * i + 2)
+        y = y + (h / 6.0) * (s1 + 2.0 * (s2 + s3) + s4)
+        nodes.append(y)
+    np.testing.assert_array_equal(sol.rho, [z.real for z in nodes])
+    np.testing.assert_array_equal(sol.rhodot, [z.imag for z in nodes])
 
 
 # ------------------------------------------------------------------- solver

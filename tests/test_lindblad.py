@@ -13,6 +13,7 @@ Oracles used here:
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,8 +299,9 @@ def test_block_rhs_equals_the_dense_generator(dim):
     """Reassembled, the tiled block right-hand side is drift rho + rho
     drift^dag + 2 alpha L rho L^dag on the dense matrices, and every
     padding entry (the margins, the levels past m and the padding level of
-    an odd dimension) stays exactly zero.  Dims 9 and 12 have one tile;
-    81 has two tiles of 21 rows over a 41-level block, 160 four."""
+    an odd dimension) stays exactly zero, also in a reused slope buffer.
+    Dims 9 and 12 have one tile; 81 has two tiles of 21 rows over a
+    41-level block, 160 four."""
     *_, model = modulated_setup(dim=dim)
     tiling = lindblad._Tiling(dim)
     rho = _random_state(dim, 7)
@@ -310,7 +312,9 @@ def test_block_rhs_equals_the_dense_generator(dim):
              + 2.0 * alpha * (l_op @ rho @ l_h))
     ops = _density_stage_ops(tiling, lindblad._diagonal_windows(model, tiling),
                              model.coefficients(0.3))
-    out = lindblad._density_rhs(_split(rho, tiling), ops)
+    state = _split(rho, tiling)
+    for _ in range(5):  # the fifth call reuses the first slope buffer
+        out = lindblad._density_rhs(state, ops)
     assert out.shape == (2, 2, tiling.side, tiling.side)
     # rounding of the larger operators of the wider bases: 16 ulp of the
     # largest entry (below the 1e-14 |rho| of earlier versions at dims 9, 12)
@@ -391,6 +395,127 @@ def _check_against_a_dense_rk4(dim):
     assert len(traj.states) == len(expected) == 1 + n // every
     for state, ref in zip(traj.states, expected):
         assert max_abs(state.entries - ref) <= 1e-12
+
+
+def _fresh_density_rhs(state, ops):
+    """The density right-hand side with a fresh result array per call, its
+    margin rows zeroed each call, and a fresh 2 alpha * (L rho) L^dag: the
+    per-call reference for the tiling's slope buffers."""
+    tiling, drift, drift_h, jump = ops
+    out = np.empty_like(state)
+    g = tiling.margin
+    if g:
+        out[:, :, :g] = out[:, :, -g:] = 0.0
+    rows = lindblad._view(state, tiling.state_rows)
+    np.matmul(drift, rows, out=lindblad._view(out, tiling.out_rows))
+    np.matmul(lindblad._view(state, tiling.state_cols), drift_h,
+              out=tiling.part_tiles)
+    out += tiling.part
+    if jump is not None:
+        c, l_, l_h = jump
+        np.matmul(l_, rows, out=tiling.l_rho_rows)
+        np.matmul(tiling.l_rho_cols, l_h, out=tiling.part_tiles)
+        out += c * tiling.part
+    return out
+
+
+def _reference_density(model, rho0, n, h, every):
+    """The recorded states of a plain RK4 loop on the padded parity blocks
+    that builds every array fresh: each stage's operands from
+    ``_density_stage_ops`` and the right-hand side above."""
+    dim = model.basis.dim
+    table = lindblad._stage_table(model, n, h)
+    tiling = lindblad._Tiling(dim)
+    windows = lindblad._diagonal_windows(model, tiling)
+
+    def rhs(rho, j):
+        return _fresh_density_rhs(
+            rho, _density_stage_ops(tiling, windows, table[j]))
+
+    rho = lindblad._parity_split(rho0.entries, tiling)
+    nodes = [lindblad._parity_join(rho, dim, tiling)]
+    for i in range(n):
+        s1 = rhs(rho, 2 * i)
+        s2 = rhs(rho + 0.5 * h * s1, 2 * i + 1)
+        s3 = rhs(rho + 0.5 * h * s2, 2 * i + 1)
+        s4 = rhs(rho + h * s3, 2 * i + 2)
+        rho = rho + (h / 6.0) * (s1 + 2.0 * (s2 + s3) + s4)
+        if (i + 1) % every == 0 or i + 1 == n:
+            nodes.append(lindblad._parity_join(rho, dim, tiling))
+    return nodes
+
+
+@pytest.mark.parametrize("dim, kappa, n", [(12, 0.1, 30), (41, 0.1, 30),
+                                           (41, 0.0, 30), (81, 0.1, 30),
+                                           (160, 0.1, 4)])
+def test_density_buffers_reproduce_the_fresh_array_rk4(dim, kappa, n):
+    """``evolve_density`` steps in the driver's state buffers and the
+    tiling's slope buffers; every state it records equals bit for bit the
+    fresh-array loop above.  Dims 12 and 41 (one padding level) have one
+    tile, 81 two and 160 four; dim 41 also runs without friction."""
+    _, _, cfg, _, _, model = modulated_setup(dim=dim, kappa=kappa,
+                                             t_max=n * H)
+    rho0 = build_state(StateSpec(kind="coherent", beta=complex(0.5, 0.3)), cfg)
+    traj = evolve_density(model, rho0, n * H, H, record_every=7)
+    expected = _reference_density(model, rho0, n, H, 7)
+    assert len(traj.states) == len(expected) == 2 + (n - 1) // 7
+    for state, ref in zip(traj.states, expected):
+        np.testing.assert_array_equal(state.entries, ref)
+
+
+def _density_step_allocations(dim, monkeypatch):
+    """(largest rise of traced memory over an interval, state bytes)."""
+    n = 6
+    _, _, cfg, _, _, model = modulated_setup(dim=dim, t_max=n * H)
+    rho0 = build_state(StateSpec(kind="coherent", beta=complex(0.5, 0.3)), cfg)
+    side = lindblad._Tiling(dim).side
+    rises, opened = [], []
+
+    def close():
+        if opened:
+            rises.append(tracemalloc.get_traced_memory()[1] - opened.pop())
+
+    def open_():
+        tracemalloc.reset_peak()
+        opened.append(tracemalloc.get_traced_memory()[0])
+
+    build, rhs = lindblad._density_stage_ops, lindblad._density_rhs
+
+    def stage_ops(*args):
+        close()
+        ops = build(*args)
+        open_()
+        return ops
+
+    def traced_rhs(state, ops):
+        close()
+        open_()
+        return rhs(state, ops)
+
+    monkeypatch.setattr(lindblad, "_density_stage_ops", stage_ops)
+    monkeypatch.setattr(lindblad, "_density_rhs", traced_rhs)
+    tracemalloc.start()
+    try:
+        evolve_density(model, rho0, n * H, H, record_every=n)
+    finally:
+        tracemalloc.stop()
+    # 3 stage formations on the first step, 2 on the later ones, 4 calls
+    # a step; the interval after the last call is left open
+    assert len(rises) == 6 * n
+    return max(rises), 4 * side * side * np.dtype(complex).itemsize
+
+
+@pytest.mark.parametrize("dim", [41, 160])
+def test_density_steps_allocate_no_state_sized_array(dim, monkeypatch):
+    """Between records, an ``evolve_density`` step allocates no array the
+    size of the padded state: traced with tracemalloc, memory never rises
+    by one state over an interval that runs from one right-hand-side call
+    or stage-operand formation to the next.  The intervals hold the
+    right-hand-side calls and the RK4 combination; the stage operands are
+    left out, formed fresh each stage, and at one tile (dim 41) their
+    windows are whole blocks.  Dim 160 has four tiles."""
+    rise, state_bytes = _density_step_allocations(dim, monkeypatch)
+    assert rise < state_bytes
 
 
 def test_hamiltonian_matches_generators():

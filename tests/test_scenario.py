@@ -1,9 +1,14 @@
+import glob
 import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import invariantlab
 from invariantlab import runner
 from invariantlab.cli import main
 from invariantlab.errors import NumericalError, ParseError, ValidationError
@@ -165,6 +170,37 @@ def test_table_schedule_path_is_relative_to_the_config(tmp_path):
     s = load_text("omega.kind = table\nomega.table = freq.csv\n"
                   "run.t_max = 2.0\n", tmp_path)
     assert abs(s.omega_schedule(2.0) - 1.1) < 1e-12
+
+
+def test_only_a_table_schedule_imports_scipy(tmp_path):
+    """In a fresh interpreter, loading every shipped scenario leaves scipy
+    out of ``sys.modules``; a table scenario loaded after them imports it
+    and its schedule interpolates."""
+    rows = "t,value\n" + "".join(
+        f"{t},{1.0 + 0.05 * t}\n" for t in np.linspace(0.0, 2.5, 11))
+    (tmp_path / "freq.csv").write_text(rows)
+    table = write_cfg(tmp_path, "omega.kind = table\nomega.table = freq.csv\n"
+                      "run.t_max = 2.0\n")
+    shipped = sorted(glob.glob(os.path.join(SCENARIOS, "*.cfg")))
+    code = textwrap.dedent("""
+        import sys
+        from invariantlab.scenario import load_scenario
+        *shipped, table = sys.argv[1:]
+        for path in shipped:
+            load_scenario(path)
+        print("scipy" in sys.modules)
+        s = load_scenario(table)
+        print("scipy" in sys.modules, repr(s.omega_schedule(2.0)))
+    """)
+    src = os.path.dirname(os.path.dirname(invariantlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code, *shipped, table],
+                         env=env, capture_output=True, text=True, check=True)
+    first, second = out.stdout.splitlines()
+    assert len(shipped) == 4 and first == "False"
+    imported, value = second.split()
+    assert imported == "True" and abs(float(value) - 1.1) < 1e-12
 
 
 def test_table_not_covering_the_window_is_rejected(tmp_path):
