@@ -176,30 +176,32 @@ def _step_count(t_max: float, h: float) -> int:
 
 
 def _half_grid_coefficients(omega_s: Schedule, kappa_s: Schedule,
-                            n_steps: int, h: float):
+                            n_steps: int, h: float, first: int = 0):
     """Stage times and coefficients: nodes and midpoints, in one pass.
 
-    Returns (times, omega^2, kappa) on the grid j*h/2, j = 0..2*n_steps.
+    Returns (times, omega^2, kappa) on the grid j*h/2, j = 2*first ..
+    2*(first + n_steps): the n_steps steps that start at node ``first``.
     """
-    t_end = n_steps * h
-    if not (omega_s.covers(0.0, t_end) and kappa_s.covers(0.0, t_end)):
+    t0, t_end = first * h, (first + n_steps) * h
+    if not (omega_s.covers(t0, t_end) and kappa_s.covers(t0, t_end)):
         raise ValidationError("schedules do not cover the integration window")
-    half = 0.5 * h * np.arange(2 * n_steps + 1)
+    half = 0.5 * h * np.arange(2 * first, 2 * (first + n_steps) + 1)
     w = np.asarray(omega_s.eval(half, 0), dtype=float)
     omega_sq = w * w
     kappa = np.asarray(kappa_s.eval(half, 0), dtype=float)
     return half, omega_sq, kappa
 
 
-def _rk4(rhs, stage, y0, n, h, record, every=1):
+def _rk4(rhs, stage, y0, n, h, record, every=1, skip=0):
     """Classical fourth-order Runge-Kutta over n fixed steps of size h.
 
     ``stage(j)`` returns the right-hand-side data at time j*h/2 and
     ``rhs(y, data)`` the derivative there; each step's end stage is reused
-    as the next step's start stage.  ``record(i, y)`` receives the state at
-    every ``every``-th node and at the last node.  The state is either an
-    ndarray or, for a real pair (r, v), one Python complex r + 1j*v.  Both
-    kinds take y + c s for the stage states and y + h/6 (s1 + 2 (s2 + s3)
+    as the next step's start stage.  A negative h steps backward in time.
+    ``record(i, y)`` receives the state at the nodes skip, skip + every,
+    ... below n and at the last node n.  The state is either an ndarray
+    or, for a real pair (r, v), one Python complex r + 1j*v.  Both kinds
+    take y + c s for the stage states and y + h/6 (s1 + 2 (s2 + s3)
     + s4) for the step, in that operation order, so the matrix and scalar
     integrators round alike.
 
@@ -248,9 +250,11 @@ def _rk4(rhs, stage, y0, n, h, record, every=1):
             return y
 
     end = None
+    due = skip
     for i in range(n):
-        if i % every == 0:
+        if i == due:
             record(i, copy(y))
+            due += every
         start = stage(2 * i) if end is None else end
         mid = stage(2 * i + 1)
         end = stage(2 * i + 2)

@@ -11,7 +11,8 @@ generator arrays.  This module evolves density matrices, conserved
 observables, and the two closed moment systems, all with the classical
 fixed-step RK4 scheme, so convergence claims are uniform.  Density
 matrices and observables step through the driver ``auxiliary._rk4``; the
-adjoint builds its stage operands a block of stages at a time.  The two
+adjoint builds its stage operands a block of stages at a time and also
+steps backward in time, the direction in which its flow contracts.  The two
 moment systems are linear, y' = A(t) y, so ``_linear_rk4`` forms each
 step's exact RK4 map from the stage matrices, a block of steps at once,
 and applies the maps in turn.  Blocks are sized by ``STAGE_BLOCK_BYTES``.
@@ -209,9 +210,12 @@ def _generator_arrays(gens, row):
     return h_op, k1 + a2 * k2 + a3 * k3
 
 
-def _stage_table(model: LindbladModel, n: int, h: float) -> np.ndarray:
-    """Rows (omega^2, alpha, a2, a3) on the stage grid j*h/2, j = 0..2n."""
-    half_ts, _, _ = _half_grid_coefficients(model.omega_s, model.kappa_s, n, h)
+def _stage_table(model: LindbladModel, n: int, h: float,
+                 first: int = 0) -> np.ndarray:
+    """Rows (omega^2, alpha, a2, a3) on the stage grid j*h/2 of the n steps
+    that start at node ``first``: j = 2*first .. 2*(first + n)."""
+    half_ts, _, _ = _half_grid_coefficients(model.omega_s, model.kappa_s, n, h,
+                                            first)
     return np.column_stack(model.coefficients(half_ts))
 
 
@@ -574,16 +578,28 @@ def _adjoint_rhs(q: np.ndarray, ops) -> np.ndarray:
     return out
 
 
-def _transport_steps(model: LindbladModel, q0: np.ndarray, t_max: float,
-                     h: float, record, every: int = 1):
-    """Step the adjoint equation from the array q0 with classical RK4.
+def _transport_steps(model: LindbladModel, q0: np.ndarray, first: int,
+                     last: int, h: float, record, every: int = 1,
+                     skip: int = 0):
+    """Step the adjoint equation with classical RK4 from node ``first`` to
+    node ``last`` of the grid t = i*h, backward in time when last < first.
 
-    ``record(i, q)`` receives the node state at every ``every``-th node
-    and the last, after a check that it is finite; each is a fresh array.
-    The stage operands are built ``_block_length`` stages at a time.
+    Backward, each step is an RK4 step of size -h over the stage table read
+    in descending order.  That is the well-posed direction: the adjoint
+    equation is the Heisenberg picture of the Lindblad map, which
+    transports an observable from a later time back to an earlier one by
+    a unital, completely positive contraction.  Forward, its double
+    commutator is anti-diffusive and amplifies every component at rates
+    set by alpha and the squared level gaps of the jump operator.
+
+    ``record(i, q)`` receives the state at node i after ``skip`` steps and
+    every ``every``-th step from there, and at node ``last``, after a check
+    that it is finite; each is a fresh array.  The stage operands are
+    built ``_block_length`` stages at a time.
     """
-    n = _step_count(t_max, h)
-    table = _stage_table(model, n, h)
+    n = abs(last - first)
+    sign = 1 if last >= first else -1
+    table = _stage_table(model, n, h, min(first, last))[::sign]
     gens = model.generators
     # left (3), right (2) and L: six complex dim x dim arrays per stage
     per = _block_length(6 * 16 * model.basis.dim ** 2)
@@ -596,21 +612,24 @@ def _transport_steps(model: LindbladModel, q0: np.ndarray, t_max: float,
         return block[j - lo]
 
     def checked(i: int, q: np.ndarray):
+        node = first + sign * i
         if not np.all(np.isfinite(q.view(float))):
-            # the adjoint flow amplifies components at rates set by the
-            # squared level gaps of the jump operator, so generic
-            # observables eventually outgrow float range; conserved
-            # observables built for the model stay bounded
+            # forward, the flow amplifies generic observables past float
+            # range; backward it contracts, and an overflow means that
+            # h*alpha times the squared level gaps of L has left RK4's
+            # stability region
             raise NumericalError(
-                f"observable grew beyond float range by t={h * i:.6g}; "
-                "shorten the window or seed with a conserved observable")
-        record(i, q)
+                f"observable grew beyond float range by t={h * node:.6g}: "
+                "forward in time the flow amplifies it, backward the step "
+                "is too large for RK4")
+        record(node, q)
 
-    # overflow between record points is caught at the next record; the
-    # intermediate arithmetic may legitimately hit inf, so keep numpy quiet
+    # overflow between record points is caught at the next record, and a
+    # non-finite entry stays non-finite to the last node; the intermediate
+    # arithmetic may legitimately hit inf, so keep numpy quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        _rk4(_adjoint_rhs, stage, np.asarray(q0, dtype=complex), n, h,
-             checked, every)
+        _rk4(_adjoint_rhs, stage, np.asarray(q0, dtype=complex), n, sign * h,
+             checked, every, skip)
 
 
 def evolve_adjoint_observable(model: LindbladModel, q0: FockOperator,
@@ -650,7 +669,8 @@ def evolve_adjoint_observable(model: LindbladModel, q0: FockOperator,
         rec_ops.append(FockOperator(arr))
         rec_dev.append(dev)
 
-    _transport_steps(model, q0.entries, t_max, h, record, record_every)
+    _transport_steps(model, q0.entries, 0, _step_count(t_max, h), h, record,
+                     record_every)
     return OperatorTrajectory(ts=np.array(rec_ts), operators=tuple(rec_ops),
                               herm_dev=np.array(rec_dev),
                               failed_at=failed_at, warnings=tuple(warnings))

@@ -68,6 +68,27 @@ def test_rk4_driver_reuses_end_stages_and_records_every_kth_node():
     assert y == pytest.approx(1.0, abs=1e-12)
 
 
+def test_rk4_driver_records_from_the_skipped_node_on():
+    nodes = []
+    _rk4(lambda y, c: c, lambda j: 1.0, 0.0, 12, 0.1,
+         lambda i, y: nodes.append(i), every=3, skip=5)
+    assert nodes == [5, 8, 11, 12]
+
+
+@pytest.mark.parametrize("kind", ["pair", "array"])
+def test_rk4_driver_steps_backward_with_a_negative_step(kind):
+    """y' = -i t w y from its exact value at t = 1 back to t = 0, with the
+    stage data read at the descending times 1 - j*h/2."""
+    w = 1.0 if kind == "pair" else np.array([1.0, 2.0, -0.5])
+    y1 = np.exp(-0.5j * w)
+    if kind == "pair":
+        y1 = complex(y1)
+    h = 0.01
+    y0 = _rk4(lambda y, t: -1j * t * w * y, lambda j: 1.0 - 0.5 * h * j, y1,
+              100, -h, lambda i, y: None)
+    assert np.max(np.abs(np.asarray(y0) - 1.0)) < 1e-8
+
+
 def _array_run(rhs, y0, n, h):
     """(final state, arrays handed to record, their values when handed)."""
     handed, values = [], []

@@ -800,11 +800,15 @@ def test_transported_invariant_tracks_closed_form_with_friction():
     assert max(devs) <= 2e-2
 
 
-def _reference_transport(model, q0, n, h):
+def _reference_transport(model, q0, n, h, first=0, backward=False):
     """Every node of a plain RK4 loop on the adjoint equation, with each
     stage's H and L from ``_generator_arrays`` and the grouped right-hand
-    side: the per-stage reference for the block operands."""
-    table = lindblad._stage_table(model, n, h)
+    side: the per-stage reference for the block operands.  The n steps
+    start at node ``first``, or end there when ``backward``, and then run
+    at step -h over the stage rows in descending order."""
+    table = lindblad._stage_table(model, n, h, first)
+    if backward:
+        table, h = table[::-1], -h
 
     def rhs(q, j):
         h_op, l_ = lindblad._generator_arrays(model.generators, table[j])
@@ -851,6 +855,22 @@ def test_block_stage_operands_reproduce_the_per_stage_transport(kappa,
     assert len(ot.operators) == len(expected)
     for op, ref in zip(ot.operators, expected):
         np.testing.assert_array_equal(op.entries, ref)
+
+
+def test_backward_transport_reproduces_the_per_stage_reference():
+    """Stepping from node first + n back to node first reads the stage
+    rows of that window in descending order: every recorded node equals
+    the plain backward RK4 loop bit for bit and carries its own index."""
+    first, n = 30, 60
+    *_, gens, _, model = modulated_setup(dim=20, t_max=(first + n) * H)
+    nodes = []
+    lindblad._transport_steps(model, gens[1].entries, first + n, first, H,
+                              lambda i, q: nodes.append((i, q)))
+    assert [i for i, _ in nodes] == list(range(first + n, first - 1, -1))
+    expected = _reference_transport(model, gens[1].entries, n, H, first,
+                                     backward=True)
+    for (_, q), ref in zip(nodes, expected, strict=True):
+        np.testing.assert_array_equal(q, ref)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 import invariantlab
-from invariantlab import runner
+from invariantlab import lindblad, runner
 from invariantlab.cli import main
 from invariantlab.errors import NumericalError, ParseError, ValidationError
-from invariantlab.lindblad import evolve_adjoint_observable
 from invariantlab.runner import (
     ARTIFACT_FILES,
     run_scenario,
@@ -464,17 +463,54 @@ run.t_max = 2.0
 
 def test_drift_probe_equals_the_probe_on_the_full_trajectory(tmp_path):
     """Keeping only the three differenced nodes gives the check exactly
-    the result of the whole record_every=1 trajectory."""
+    the result of the same backward transport recorded at every node."""
     p = runner._prepare(load_text(MODULATED, tmp_path))
-    model, t_probe, t_end, i = runner._drift_probe(p)
-    ot = evolve_adjoint_observable(model, model.k2, t_end,
-                                   runner.DRIFT_PROBE_STEP, record_every=1)
+    model, t_probe, i, last = runner._drift_probe(p)
+    h = runner.DRIFT_PROBE_STEP
+    recorded: dict[int, np.ndarray] = {}
+    lindblad._transport_steps(model, model.k2.entries, last, i - 1, h,
+                              recorded.__setitem__)
+    assert sorted(recorded) == list(range(i - 1, last + 1))
     full = runner._drift_from_nodes(
-        model, t_probe, ot.ts[i - 1:i + 2],
-        [op.entries for op in ot.operators[i - 1:i + 2]])
+        model, t_probe, h * np.arange(i - 1, i + 2),
+        [recorded[j] for j in range(i - 1, i + 2)])
     probe = runner._check_drift_crosscheck(p)
     assert probe == full
     assert probe.passed and probe.note.endswith("5 modes")
+
+
+@pytest.mark.parametrize("shipped", [True, False], ids=["baseline", "t_max-2"])
+def test_drift_probe_steps_one_window_and_copies_three_nodes(
+        tmp_path, monkeypatch, shipped):
+    """The probe costs 4 (W/h + 1) right-hand-side calls whatever the run
+    window (20 on the baseline, 2 here), and the driver copies only the
+    three nodes the check keeps: the last three of the backward run."""
+    calls = []
+    rhs = lindblad._adjoint_rhs
+
+    def counted_rhs(q, ops):
+        calls.append(None)
+        return rhs(q, ops)
+
+    copied = []
+    rk4 = lindblad._rk4
+
+    def counted_rk4(*args):
+        *head, record, every, skip = args
+
+        def record_counted(i, y):
+            copied.append(i)
+            record(i, y)
+        return rk4(*head, record_counted, every, skip)
+
+    monkeypatch.setattr(lindblad, "_adjoint_rhs", counted_rhs)
+    monkeypatch.setattr(lindblad, "_rk4", counted_rk4)
+    s = (load_scenario(os.path.join(SCENARIOS, "baseline.cfg")) if shipped
+         else load_text(MODULATED, tmp_path))
+    assert runner._check_drift_crosscheck(runner._prepare(s)).passed
+    steps = round(runner.DRIFT_PROBE_WINDOW / runner.DRIFT_PROBE_STEP) + 1
+    assert len(calls) == 4 * steps
+    assert copied == [steps - 2, steps - 1, steps]
 
 
 def test_drift_probe_overflow_raises(tmp_path):
@@ -484,21 +520,41 @@ def test_drift_probe_overflow_raises(tmp_path):
         runner._check_drift_crosscheck(runner._prepare(s))
 
 
+@pytest.mark.parametrize("text", [
+    SMALL.replace("kappa.value = 0.1", "kappa.value = 5")
+    .replace("run.t_max = 1.0", "run.t_max = 2.0"),
+    MODULATED.replace("kappa.value = 0.1", "kappa.value = 1"),
+], ids=["constant-kappa-5", "modulated-kappa-1"])
+def test_drift_probe_passes_on_strongly_damped_scenarios(tmp_path, text):
+    """Backward transport keeps K2 bounded where the forward flow blew it
+    up: the forward probe overflowed on the first scenario and read
+    2.57e-4 on the second."""
+    check = runner._check_drift_crosscheck(runner._prepare(
+        load_text(text, tmp_path)))
+    assert check.threshold == runner.DRIFT_CROSSCHECK_TOL == 1e-4
+    assert check.passed and check.measured <= 1e-6
+
+
 def test_verify_reports_a_drift_probe_overflow_as_a_failed_check(
         tmp_path, capsys):
     """The probe's overflow fails drift-crosscheck; every other check of
-    the battery is still reported and the exit code is that of a failed
-    check, not of an aborted run."""
-    cfg = write_cfg(tmp_path, SMALL.replace("kappa.value = 0.1",
-                                            "kappa.value = 5")
-                    .replace("run.t_max = 1.0", "run.t_max = 2.0"))
+    the battery is still reported with a finite measurement and the exit
+    code is that of a failed check, not of an aborted run.  The moment
+    backend keeps the rest of this battery finite: the density run of
+    the same scenario leaks out of its basis at t = 0.8."""
+    cfg = write_cfg(tmp_path, MODULATED.replace("kappa.value = 0.1",
+                                                "kappa.value = 10.0")
+                    + "run.backend = moments\n")
     assert main(["verify", "--config", cfg]) == 1
-    lines = capsys.readouterr().out.splitlines()
+    *lines, overall = capsys.readouterr().out.splitlines()
     drift = [line for line in lines if "drift-crosscheck" in line]
     assert len(drift) == 1
     assert drift[0].startswith("FAIL drift-crosscheck: measured inf")
     assert "grew beyond float range" in drift[0]
-    assert lines[-1].startswith("overall: FAIL (12 checks")
+    assert overall.startswith("overall: FAIL (7 checks")
+    for line in lines:
+        if line not in drift:
+            assert np.isfinite(float(line.split("measured ")[1].split()[0]))
 
 
 def test_drift_probe_traced_peak_stays_small():
