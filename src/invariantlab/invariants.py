@@ -47,7 +47,6 @@ from .auxiliary import ErmakovSolution, _freeze_fields, _write_rows
 from .errors import NumericalError, ValidationError
 from .lindblad import (
     LindbladModel,
-    OperatorTrajectory,
     Trajectory,
     _generator_arrays,
 )
@@ -254,46 +253,21 @@ class SpectrumSeries:
                     precision)
 
 
-def _operator_at_factory(source, times):
-    """Normalize the spectrum source to a t -> ndarray callable."""
-    if isinstance(source, InvariantSpec):
-        return lambda t: source.at(t).entries, source.dim
-    if isinstance(source, OperatorTrajectory):
-        lookup = {round(float(t), 9): i for i, t in enumerate(source.ts)}
-        missing = [t for t in times if round(float(t), 9) not in lookup]
-        if missing:
-            raise ValidationError(
-                f"time {missing[0]:g} is not a record time of the "
-                "operator trajectory")
-        ops = source.operators
+def spectrum_series(spec: InvariantSpec, times, m: int) -> SpectrumSeries:
+    """Lowest ``m`` eigenvalues of the closed-form invariant at ``times``.
 
-        def from_records(t):
-            return ops[lookup[round(float(t), 9)]].entries
-
-        return from_records, ops[0].dim
-    raise ValidationError(
-        "spectrum source must be an InvariantSpec or an OperatorTrajectory, "
-        f"got {type(source).__name__}")
-
-
-def spectrum_series(source, times, m: int) -> SpectrumSeries:
-    """Lowest ``m`` eigenvalues of a time-indexed observable family.
-
-    ``source`` is an InvariantSpec (closed form) or an
-    OperatorTrajectory from the transport engine (``times`` must then be
-    record times).  Requires m <= dim/3 so the reported levels stay clear
-    of the truncation edge.
+    Requires m <= dim/3 so the reported levels stay clear of the
+    truncation edge.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValidationError("times must be a non-empty 1-d sequence")
-    at, dim = _operator_at_factory(source, times)
-    if not 1 <= m <= dim // 3:
+    if not 1 <= m <= spec.dim // 3:
         raise ValidationError(
-            f"m must lie in [1, dim/3] = [1, {dim // 3}], got {m}")
+            f"m must lie in [1, dim/3] = [1, {spec.dim // 3}], got {m}")
     levels = np.empty((times.size, m))
     for i, t in enumerate(times):
-        arr = at(float(t))
+        arr = spec.at(float(t)).entries
         sym = 0.5 * (arr + arr.conj().T)
         levels[i] = np.linalg.eigvalsh(sym)[:m]
     flagged = [(i + 1, n)

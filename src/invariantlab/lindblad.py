@@ -10,10 +10,11 @@ on the stage grid and forms every stage's matrices from the raw
 generator arrays.  This module evolves density matrices, conserved
 observables, and the two closed moment systems, all with the classical
 fixed-step RK4 scheme, so convergence claims are uniform.  Density
-matrices and observables step through the driver ``auxiliary._rk4``; the
-adjoint builds its stage operands a block of stages at a time and also
-steps backward in time, the direction in which its flow contracts.  The two
-moment systems are linear, y' = A(t) y, so ``_linear_rk4`` forms each
+matrices and observables step through the driver ``auxiliary._rk4`` on
+one right-hand side: for the Hermitian jump operator the observable's
+adjoint equation is the density equation with alpha negated, and it
+steps backward in time, the direction in which its flow contracts.  The
+two moment systems are linear, y' = A(t) y, so ``_linear_rk4`` forms each
 step's exact RK4 map from the stage matrices, a block of steps at once,
 and applies the maps in turn.  Blocks are sized by ``STAGE_BLOCK_BYTES``.
 
@@ -93,9 +94,8 @@ POSITIVITY_HARD_FLOOR = -1e-6
 ADJOINT_HERM_TOL = 1e-10
 MOMENT_BOUND_TOL = 1e-9
 CLOSURE_GATE_TOL = 1e-10
-# Stage operands (adjoint) and step maps (moment systems) are formed a
-# block at a time, as many per block as fit in this many bytes: three
-# stages of a dim-60 adjoint, about 1500 steps of the 3x3 moment system.
+# The moment systems' step maps are formed a block at a time, as many per
+# block as fit in this many bytes: about 1500 steps of the 3x3 system.
 STAGE_BLOCK_BYTES = 1 << 20
 # The density right-hand side cuts each m-level parity block into
 # max(1, m // TILE_ROWS) row tiles; a tile's band reaches BAND_MARGIN
@@ -174,6 +174,11 @@ class LindbladModel:
                     f"generator {name} couples Fock levels {i} and {j}, "
                     f"more than 2 apart (entry {gen.entries[i, j]:.3e}); the "
                     "tiled density evolution would drop it")
+            if not gen.hermitian:
+                raise ValidationError(
+                    f"generator {name} is not Hermitian (deviation "
+                    f"{gen.herm_deviation():.3e}); the observable transport "
+                    "needs a Hermitian jump operator")
 
     @property
     def generators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -200,12 +205,13 @@ def _generator_arrays(gens, row):
     ``gens`` is (K1, K2, K3): the dense arrays of ``model.generators`` or
     their stacked parity blocks, on which H and L come out as exactly the
     parity blocks of the dense ones.  L is None when alpha = 0, that is
-    wherever kappa <= 0: there the evolution has no jump term.
+    wherever kappa <= 0: there the evolution has no jump term.  A
+    negative alpha is the observable transport's (``_transport_steps``).
     """
     omega_sq, alpha, a2, a3 = row
     k1, k2, k3 = gens
     h_op = k1 + omega_sq * k2
-    if not alpha > 0.0:
+    if alpha == 0.0:
         return h_op, None
     return h_op, k1 + a2 * k2 + a3 * k3
 
@@ -222,22 +228,20 @@ def _stage_table(model: LindbladModel, n: int, h: float,
 # --------------------------------------------------------------- diagnostics
 
 
+def _require_finite(arr: np.ndarray, message: str):
+    """Raise NumericalError(message) unless every entry of ``arr`` is finite."""
+    if not np.isfinite(arr).all():
+        raise NumericalError(message)
+
+
 def _diagnostics(arr: np.ndarray, cfg: BasisConfig) -> tuple[float, float, float, float]:
+    """(trace, hermiticity deviation, min eigenvalue, tail population)."""
     tr = float(np.trace(arr).real)
     herm = max_abs(arr - arr.conj().T)
     sym = 0.5 * (arr + arr.conj().T)
     lo = float(np.linalg.eigvalsh(sym)[0])
     tail = float(np.sum(np.diag(arr).real[cfg.dim - cfg.n_tail:]))
     return tr, herm, lo, tail
-
-
-def state_diagnostics(rho: DensityMatrix,
-                      cfg: BasisConfig) -> tuple[float, float, float, float]:
-    """(trace, hermiticity deviation, min eigenvalue, tail population)."""
-    if rho.dim != cfg.dim:
-        raise ValidationError(
-            f"state dimension {rho.dim} does not match basis {cfg.dim}")
-    return _diagnostics(rho.entries, cfg)
 
 
 # ------------------------------------------------------------ density matrix
@@ -248,8 +252,9 @@ class Trajectory:
     """Recorded density-matrix evolution with per-sample health metrics.
 
     A sample outside the state tolerances marks the run failed at the
-    first offending time but does not abort it; hard breaches (tail
-    leakage, eigenvalues below the hard floor) raise during evolution.
+    first offending time but does not abort it; hard breaches (a
+    non-finite state, tail leakage, eigenvalues below the hard floor)
+    raise during evolution.
     """
 
     ts: np.ndarray
@@ -488,6 +493,7 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
         nonlocal failed_at
         t = h * i
         arr = _parity_join(blocks, cfg.dim, tiling)
+        _require_finite(arr, f"density matrix is not finite at t={t:.6g}")
         tr, herm, lo, tail = _diagnostics(arr, cfg)
         if tail > cfg.tail_threshold:
             raise TruncationLeakError(
@@ -544,45 +550,18 @@ class OperatorTrajectory:
         return self.failed_at is None
 
 
-def _adjoint_stage_block(gens, rows) -> list[tuple]:
-    """Adjoint right-hand-side operands of a block of stage rows.
-
-    Per stage (left, right, L, alpha), with left = [H, L^dag L, L^dag]
-    and right = [H, L^dag L] stacked, so that ``_adjoint_rhs`` is three
-    matmul calls.  H, L and L^dag L are formed for the whole block with
-    the arithmetic of ``_generator_arrays``; a stage with alpha = 0 keeps
-    only [H] on both sides and no jump term.
-    """
-    k1, k2, k3 = gens
-    omega_sq, alpha, a2, a3 = (c[:, None, None] for c in np.asarray(rows).T)
-    h_op = k1 + omega_sq * k2
-    l_ = k1 + a2 * k2 + a3 * k3
-    l_h = l_.conj().swapaxes(1, 2)
-    m = l_h @ l_
-    left = np.stack((h_op, m, l_h), axis=1)
-    right = np.stack((h_op, m), axis=1)
-    return [(lt, rt, lj, s) if s > 0.0 else (lt[:1], rt[:1], None, s)
-            for lt, rt, lj, s in zip(left, right, l_, alpha.ravel())]
-
-
-def _adjoint_rhs(q: np.ndarray, ops) -> np.ndarray:
-    # grouped so that the generator annihilates the identity exactly,
-    # not just to rounding: H q - q H and m q + q m - 2 l^dag q l both
-    # cancel termwise at q = 1
-    left, right, l_, strength = ops
-    lq = left @ q
-    qr = q @ right
-    out = -1j * (lq[0] - qr[0])
-    if l_ is not None:
-        out += strength * (lq[1] + qr[1]) - (2.0 * strength) * (lq[2] @ l_)
-    return out
-
-
 def _transport_steps(model: LindbladModel, q0: np.ndarray, first: int,
                      last: int, h: float, record, every: int = 1,
                      skip: int = 0):
     """Step the adjoint equation with classical RK4 from node ``first`` to
     node ``last`` of the grid t = i*h, backward in time when last < first.
+
+    For the one jump operator L = L^dag (``LindbladModel`` refuses
+    non-Hermitian generators) the adjoint right-hand side -i[H, Q] +
+    alpha (L^2 Q + Q L^2 - 2 L Q L) is the density one with alpha replaced
+    by -alpha (Lindblad, CMP 48, 119, 1976): Q is stepped as a density
+    state on ``_density_rhs`` over the stage table with its alpha column
+    negated.
 
     Backward, each step is an RK4 step of size -h over the stage table read
     in descending order.  That is the well-posed direction: the adjoint
@@ -592,44 +571,38 @@ def _transport_steps(model: LindbladModel, q0: np.ndarray, first: int,
     commutator is anti-diffusive and amplifies every component at rates
     set by alpha and the squared level gaps of the jump operator.
 
-    ``record(i, q)`` receives the state at node i after ``skip`` steps and
-    every ``every``-th step from there, and at node ``last``, after a check
-    that it is finite; each is a fresh array.  The stage operands are
-    built ``_block_length`` stages at a time.
+    ``record(i, q)`` receives the dense state at node i after ``skip``
+    steps and every ``every``-th step from there, and at node ``last``,
+    after a check that it is finite; each is a fresh array.
     """
     n = abs(last - first)
     sign = 1 if last >= first else -1
     table = _stage_table(model, n, h, min(first, last))[::sign]
-    gens = model.generators
-    # left (3), right (2) and L: six complex dim x dim arrays per stage
-    per = _block_length(6 * 16 * model.basis.dim ** 2)
-    block, lo = [], 0
+    table[:, 1] *= -1.0  # the density generator at -alpha
+    dim = model.basis.dim
+    tiling = _Tiling(dim)
+    windows = _diagonal_windows(model, tiling)
 
-    def stage(j: int):
-        nonlocal block, lo
-        if not lo <= j < lo + len(block):
-            block, lo = _adjoint_stage_block(gens, table[j:j + per]), j
-        return block[j - lo]
-
-    def checked(i: int, q: np.ndarray):
+    def checked(i: int, blocks: np.ndarray):
         node = first + sign * i
-        if not np.all(np.isfinite(q.view(float))):
-            # forward, the flow amplifies generic observables past float
-            # range; backward it contracts, and an overflow means that
-            # h*alpha times the squared level gaps of L has left RK4's
-            # stability region
-            raise NumericalError(
-                f"observable grew beyond float range by t={h * node:.6g}: "
-                "forward in time the flow amplifies it, backward the step "
-                "is too large for RK4")
+        q = _parity_join(blocks, dim, tiling)
+        # forward, the flow amplifies generic observables past float
+        # range; backward it contracts, and an overflow means that
+        # h*alpha times the squared level gaps of L has left RK4's
+        # stability region
+        _require_finite(q, "observable grew beyond float range by "
+                           f"t={h * node:.6g}: forward in time the flow "
+                           "amplifies it, backward the step is too large "
+                           "for RK4")
         record(node, q)
 
     # overflow between record points is caught at the next record, and a
     # non-finite entry stays non-finite to the last node; the intermediate
     # arithmetic may legitimately hit inf, so keep numpy quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        _rk4(_adjoint_rhs, stage, np.asarray(q0, dtype=complex), n, sign * h,
-             checked, every, skip)
+        _rk4(_density_rhs,
+             lambda j: _density_stage_ops(tiling, windows, table[j]),
+             _parity_split(q0, tiling), n, sign * h, checked, every, skip)
 
 
 def evolve_adjoint_observable(model: LindbladModel, q0: FockOperator,
@@ -637,9 +610,11 @@ def evolve_adjoint_observable(model: LindbladModel, q0: FockOperator,
                               record_every: int = 100) -> OperatorTrajectory:
     """Evolve an observable so its expectation in the evolving state is fixed.
 
-    Integrates dQ/dt = -i[H, Q] + sum_n alpha_n (Ln^dag Ln Q + Q Ln^dag Ln
-    - 2 Ln^dag Q Ln), the trace-pairing adjoint of the density equation:
+    Integrates dQ/dt = -i[H, Q] + alpha (L^dag L Q + Q L^dag L
+    - 2 L^dag Q L), the trace-pairing adjoint of the density equation:
     tr[Q(t) rho(t)] is constant when both evolve under the same model.
+    It is ``_transport_steps`` forward from t = 0 plus a Hermiticity
+    record per node; only tests and the benchmark's tracer call it.
     """
     cfg = model.basis
     if q0.dim != cfg.dim:

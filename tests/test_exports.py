@@ -1,19 +1,26 @@
-"""Every name a package module exports in ``__all__`` exists.
+"""Every name a package module exports in ``__all__`` exists, and every
+name the benchmark's tracer wraps by attribute.
 
 A stale entry (a name deleted but left in ``__all__``) breaks
-``from module import *`` although a plain import still succeeds.
+``from module import *`` although a plain import still succeeds.  The
+tracer (``perfbench/tracing.py``, run by ``perfbench/run.py --trace 1``)
+reads some package functions and classes by attribute when it installs,
+so deleting one of them breaks the traced benchmark.
 """
 
 import importlib
+import os
 import pkgutil
 
 import pytest
 
 import invariantlab
+from invariantlab import lindblad
 
 MODULES = ["invariantlab"] + [
     f"invariantlab.{info.name}"
     for info in pkgutil.iter_modules(invariantlab.__path__)]
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -22,3 +29,18 @@ def test_every_exported_name_exists(name):
     missing = [attr for attr in getattr(module, "__all__", ())
                if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
+    """The tracer wraps the package's functions, its hooks included, and
+    uninstalling restores every original."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    original = lindblad.evolve_adjoint_observable
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert lindblad.evolve_adjoint_observable is not original
+    finally:
+        tracer.uninstall()
+    assert lindblad.evolve_adjoint_observable is original

@@ -486,7 +486,7 @@ def test_drift_probe_steps_one_window_and_copies_three_nodes(
     window (20 on the baseline, 2 here), and the driver copies only the
     three nodes the check keeps: the last three of the backward run."""
     calls = []
-    rhs = lindblad._adjoint_rhs
+    rhs = lindblad._density_rhs
 
     def counted_rhs(q, ops):
         calls.append(None)
@@ -503,7 +503,7 @@ def test_drift_probe_steps_one_window_and_copies_three_nodes(
             record(i, y)
         return rk4(*head, record_counted, every, skip)
 
-    monkeypatch.setattr(lindblad, "_adjoint_rhs", counted_rhs)
+    monkeypatch.setattr(lindblad, "_density_rhs", counted_rhs)
     monkeypatch.setattr(lindblad, "_rk4", counted_rk4)
     s = (load_scenario(os.path.join(SCENARIOS, "baseline.cfg")) if shipped
          else load_text(MODULATED, tmp_path))
@@ -557,9 +557,36 @@ def test_verify_reports_a_drift_probe_overflow_as_a_failed_check(
             assert np.isfinite(float(line.split("measured ")[1].split()[0]))
 
 
+STIFF = """\
+omega.kind = constant
+omega.value = 1.0
+kappa.value = 5000
+state.beta_re = 0
+basis.dim = 16
+run.t_max = 2
+"""
+
+
+def test_a_non_finite_density_state_fails_the_run_at_its_record_time(
+        tmp_path, capsys):
+    """At kappa = 5000 the density state leaves float range before its
+    first record after t = 0.  ``verify`` reports that as a failed
+    conservation check naming the time (exit 1) and ``run`` exits with the
+    numerical-failure code 3; eigvalsh never sees the non-finite state,
+    which used to end both in an uncaught LinAlgError."""
+    cfg = write_cfg(tmp_path, STIFF)
+    assert main(["verify", "--config", cfg]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    (conservation,) = [line for line in lines if "conservation" in line]
+    assert conservation.startswith("FAIL conservation: measured inf")
+    assert "density matrix is not finite at t=0.1" in conservation
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert ("error: density matrix is not finite at t=0.1"
+            in capsys.readouterr().err)
+
+
 def test_drift_probe_traced_peak_stays_small():
-    """The probe keeps three transported operators, not all 5003, and its
-    stage operands a block at a time."""
+    """The probe keeps three transported operators, not all 5003."""
     p = runner._prepare(load_scenario(os.path.join(SCENARIOS, "baseline.cfg")))
     tracemalloc.start()
     try:
