@@ -85,7 +85,7 @@ from .operators import (
     interior_block,
     max_abs,
 )
-from .schedules import Schedule, _check_friction, modulated_frequency_sq
+from .schedules import Schedule, _check_friction
 
 # |alpha*(a2 - a3^2) - kappa| above this means the coefficient algebra
 # was evaluated on corrupted inputs, not that the step size is too large.
@@ -520,8 +520,12 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
     table = _stage_table(model, n, h)
     tiling = _Tiling(cfg.dim)
     windows = _diagonal_windows(model, tiling)
-    _rk4(_density_rhs, lambda j: _density_stage_ops(tiling, windows, table[j]),
-         _parity_split(rho0.entries, tiling), n, h, record, record_every)
+    # a diverging state overflows between records; the next record's
+    # finiteness check reports it, so keep numpy quiet as the transport does
+    with np.errstate(over="ignore", invalid="ignore"):
+        _rk4(_density_rhs,
+             lambda j: _density_stage_ops(tiling, windows, table[j]),
+             _parity_split(rho0.entries, tiling), n, h, record, record_every)
     diag = np.array(rec_diag)
     return Trajectory(ts=np.array(rec_ts), states=tuple(rec_states),
                       trace=diag[:, 0], herm_dev=diag[:, 1],
@@ -552,39 +556,46 @@ class OperatorTrajectory:
 
 def _transport_steps(model: LindbladModel, q0: np.ndarray, first: int,
                      last: int, h: float, record, every: int = 1,
-                     skip: int = 0):
+                     skip: int = 0, stride: int = 1):
     """Step the adjoint equation with classical RK4 from node ``first`` to
-    node ``last`` of the grid t = i*h, backward in time when last < first.
+    node ``last`` of the grid t = i*h, backward in time when last < first,
+    in steps of ``stride`` nodes; ``stride`` must divide |last - first|.
 
     For the one jump operator L = L^dag (``LindbladModel`` refuses
     non-Hermitian generators) the adjoint right-hand side -i[H, Q] +
     alpha (L^2 Q + Q L^2 - 2 L Q L) is the density one with alpha replaced
     by -alpha (Lindblad, CMP 48, 119, 1976): Q is stepped as a density
     state on ``_density_rhs`` over the stage table with its alpha column
-    negated.
+    negated.  A step of ``stride`` nodes reads every ``stride``-th row of
+    the grid's stage table, so with stride 1 it is the plain grid run and
+    two runs that meet at a node step exactly as one run through it.
 
-    Backward, each step is an RK4 step of size -h over the stage table read
-    in descending order.  That is the well-posed direction: the adjoint
-    equation is the Heisenberg picture of the Lindblad map, which
+    Backward, each step is an RK4 step of size -stride*h over the stage
+    table read in descending order.  That is the well-posed direction: the
+    adjoint equation is the Heisenberg picture of the Lindblad map, which
     transports an observable from a later time back to an earlier one by
     a unital, completely positive contraction.  Forward, its double
     commutator is anti-diffusive and amplifies every component at rates
     set by alpha and the squared level gaps of the jump operator.
+    ``_adjoint_norm_bound`` bounds the step that keeps RK4 stable.
 
-    ``record(i, q)`` receives the dense state at node i after ``skip``
-    steps and every ``every``-th step from there, and at node ``last``,
-    after a check that it is finite; each is a fresh array.
+    ``record(i, q)`` receives the dense state at node first +- i*stride
+    for the step counts i = skip, skip + every, ... below the last step,
+    and at node ``last``, after a check that it is finite; each is a
+    fresh array.
     """
-    n = abs(last - first)
+    n, rest = divmod(abs(last - first), stride)
+    assert rest == 0, f"stride {stride} does not divide {first} to {last}"
     sign = 1 if last >= first else -1
-    table = _stage_table(model, n, h, min(first, last))[::sign]
+    table = _stage_table(model, n * stride, h, min(first, last))
+    table = table[::stride][::sign]
     table[:, 1] *= -1.0  # the density generator at -alpha
     dim = model.basis.dim
     tiling = _Tiling(dim)
     windows = _diagonal_windows(model, tiling)
 
     def checked(i: int, blocks: np.ndarray):
-        node = first + sign * i
+        node = first + sign * stride * i
         q = _parity_join(blocks, dim, tiling)
         # forward, the flow amplifies generic observables past float
         # range; backward it contracts, and an overflow means that
@@ -602,7 +613,26 @@ def _transport_steps(model: LindbladModel, q0: np.ndarray, first: int,
     with np.errstate(over="ignore", invalid="ignore"):
         _rk4(_density_rhs,
              lambda j: _density_stage_ops(tiling, windows, table[j]),
-             _parity_split(q0, tiling), n, sign * h, checked, every, skip)
+             _parity_split(q0, tiling), n, sign * stride * h, checked, every,
+             skip)
+
+
+def _adjoint_norm_bound(model: LindbladModel, table: np.ndarray) -> float:
+    """A bound on the adjoint generator's norm over the rows of ``table``.
+
+    Lambda = 2 |H| + 4 max|alpha| |L|^2, with |H| <= |K1| + max|omega^2|
+    |K2| and |L| <= max(|K1| + |a2| |K2| + |a3| |K3|) over the rows
+    (spectral norms): |[H, Q]| <= 2 |H| |Q| and |L^2 Q + Q L^2 - 2 L Q L|
+    <= 4 |L|^2 |Q|.  It bounds the spectral radius of the generator at
+    every row, so backward, where the flow contracts, a step h with
+    h*Lambda <= 1 puts every scaled eigenvalue in the left half of the
+    unit disk, inside RK4's stability region.
+    """
+    n1, n2, n3 = (np.linalg.norm(g, 2) for g in model.generators)
+    omega_sq, alpha, a2, a3 = np.abs(table).T
+    h_norm = n1 + omega_sq.max() * n2
+    l_norm = (n1 + a2 * n2 + a3 * n3).max()
+    return float(2.0 * h_norm + 4.0 * alpha.max() * l_norm ** 2)
 
 
 def evolve_adjoint_observable(model: LindbladModel, q0: FockOperator,
@@ -783,20 +813,6 @@ def evolve_first_moments(omega_s: Schedule, kappa_s: Schedule,
     xddot = pdot - kdot * xs - node_k * xdot
     return FirstMomentSeries(ts=ts, mean_x=xs, mean_p=ps,
                              xdot=xdot, pdot=pdot, xddot=xddot)
-
-
-def first_moment_residual(series: FirstMomentSeries, omega_s: Schedule,
-                          kappa_s: Schedule, t):
-    """Defect of the mean motion in its second-order damped form.
-
-    Evaluates xddot + 2 kappa xdot + (omega^2 + kappa^2 + kappadot) x
-    from the recorded series; zero for exact solutions, O(h^4) between
-    nodes for converged runs.
-    """
-    kap = np.asarray(kappa_s.eval(t, 0), dtype=float)
-    w2_mod = modulated_frequency_sq(omega_s, kappa_s, t)
-    return (series.xddot_at(t) + 2.0 * kap * series.xdot_at(t)
-            + w2_mod * series.x_at(t))
 
 
 # ------------------------------------------------------------ su(1,1) moments

@@ -76,7 +76,9 @@ from .invariants import (
 from .lindblad import (
     LindbladModel,
     Trajectory,
+    _adjoint_norm_bound,
     _generator_arrays,
+    _stage_table,
     _transport_steps,
     evolve_density,
     evolve_first_moments,
@@ -114,11 +116,15 @@ STATE_TAIL_TOL = 1e-8
 DRIFT_CROSSCHECK_TOL = 1e-4
 # Probe settings for the drift cross-check.  K2 is transported backward
 # in time, the direction in which the adjoint flow contracts, from
-# DRIFT_PROBE_WINDOW past the probe time; the small dimension and fine
-# step keep the finite differences of its spectrum below the comparison
-# threshold (see the drift tests for the calibration).  A shorter window
-# leaves more of the seed's non-stationary part: at 0.25, the adiabatic
-# scenario reads 1.45e-7 instead of 1.8e-8.
+# DRIFT_PROBE_WINDOW past the probe time.  It relaxes at a coarse step,
+# the largest multiple k of DRIFT_PROBE_STEP with k*h times the bound on
+# the adjoint generator's norm at most 1, to the node after the probe
+# node, and the three differenced nodes are stepped at DRIFT_PROBE_STEP
+# itself; the small dimension and fine step keep the finite differences
+# of its spectrum below the comparison threshold (see the drift tests for
+# the calibration).  A shorter window leaves more of the seed's
+# non-stationary part: at 0.25, the adiabatic scenario reads 1.45e-7
+# instead of 1.8e-8.
 DRIFT_PROBE_DIM = 16
 DRIFT_PROBE_STEP = 2e-4
 DRIFT_PROBE_MODES = 5
@@ -387,16 +393,22 @@ def _check_spectrum(p: _Prepared) -> CheckResult:
                        dev <= tol and series.pairing_ok, note=note)
 
 
-def _drift_probe(p: _Prepared) -> tuple[LindbladModel, float, int, int]:
-    """The drift probe's model, probe time, probe node and seed node.
+def _drift_probe(p: _Prepared) -> tuple[LindbladModel, float, int, int, int]:
+    """The drift probe's model, probe time, probe node, seed node and
+    coarse stride.
 
     The model is the run's, on the auxiliary solution ``p.sol``, at the
-    probe's fixed dimension.  K2 is seeded at the node DRIFT_PROBE_WINDOW
-    past the probe time, clipped to the run window, and transported
-    backward to the node before the probe node.  Backward in time the
-    adjoint flow contracts (see ``_transport_steps``), so the transported
-    K2 stays bounded; forward it overflows within a unit window at
-    kappa = 5.
+    probe's fixed dimension.  Backward in time the adjoint flow contracts
+    (see ``_transport_steps``), so the transported K2 stays bounded;
+    forward it overflows within a unit window at kappa = 5.  The stride k
+    is the largest with k*h*Lambda <= 1, Lambda the adjoint generator's
+    norm bound over the window's stage table (``_adjoint_norm_bound``),
+    so the coarse step stays inside RK4's stability region; a stiff
+    window gets k = 1, the fine step alone.  K2 is seeded at the node
+    DRIFT_PROBE_WINDOW past the probe time, clipped to the run window and
+    brought down to a whole number of coarse steps from the node after
+    the probe node: the window is short of DRIFT_PROBE_WINDOW by less
+    than one coarse step.
     """
     s = p.scenario
     h = DRIFT_PROBE_STEP
@@ -410,7 +422,10 @@ def _drift_probe(p: _Prepared) -> tuple[LindbladModel, float, int, int]:
     # _check_battery_window refuses the windows that would leave no node
     # either side of the probe node
     assert 1 <= i < last, f"probe node {i} lacks a neighbour"
-    return model, t_probe, i, last
+    bound = _adjoint_norm_bound(model, _stage_table(model, last - i + 1, h,
+                                                    i - 1))
+    k = max(1, math.floor(1.0 / (h * bound)))
+    return model, t_probe, i, i + 1 + (last - i - 1) // k * k, k
 
 
 def _drift_from_nodes(model: LindbladModel, t_probe: float, ts,
@@ -451,19 +466,36 @@ def _drift_from_nodes(model: LindbladModel, t_probe: float, ts,
                        dev <= DRIFT_CROSSCHECK_TOL, note=note)
 
 
+def _probe_nodes(model: LindbladModel, i: int, seed: int,
+                 k: int) -> list[np.ndarray]:
+    """Transported K2 at the nodes i - 1, i and i + 1.
+
+    K2 relaxes backward from the seed node to node i + 1 in steps of k
+    nodes, keeping only that last node, and is then stepped node by node
+    to i - 1.  With k = 1 the two runs step exactly as one run from the
+    seed node.
+    """
+    nodes: list[np.ndarray] = []
+    keep = lambda j, q: nodes.append(q)
+    _transport_steps(model, model.k2.entries, seed, i + 1, DRIFT_PROBE_STEP,
+                     keep, skip=(seed - i - 1) // k, stride=k)
+    _transport_steps(model, nodes[0], i + 1, i - 1, DRIFT_PROBE_STEP, keep,
+                     skip=1)
+    return nodes[::-1]
+
+
 def _check_drift_crosscheck(p: _Prepared) -> CheckResult:
     """Drift formula vs differenced eigenvalues of a transported observable.
 
-    Transports K2 backward from the seed node to the node before the probe
-    node and records only the three nodes the centered difference reads,
-    which are the last three of the run.
+    The drift law holds for whatever observable the flow carries through
+    the probe node, so the coarse relaxation changes which descendant of
+    K2 is probed, not what is checked: the three differenced nodes are
+    stepped at the fine step.
     """
-    model, t_probe, i, last = _drift_probe(p)
-    nodes: list[np.ndarray] = []
-    _transport_steps(model, model.k2.entries, last, i - 1, DRIFT_PROBE_STEP,
-                     lambda j, q: nodes.append(q), skip=last - i - 1)
+    model, t_probe, i, seed, k = _drift_probe(p)
     ts = DRIFT_PROBE_STEP * np.arange(i - 1, i + 2)
-    return _drift_from_nodes(model, t_probe, ts, nodes[::-1])
+    return _drift_from_nodes(model, t_probe, ts,
+                             _probe_nodes(model, i, seed, k))
 
 
 def _state_checks(traj: Trajectory, p: _Prepared) -> list[CheckResult]:

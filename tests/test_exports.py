@@ -1,5 +1,6 @@
-"""Every name a package module exports in ``__all__`` exists, and every
-name the benchmark's tracer wraps by attribute.
+"""Every name a package module exports in ``__all__`` exists, every
+name the benchmark's tracer wraps by attribute, and the benchmark's
+correctness gate passes its own self-test.
 
 A stale entry (a name deleted but left in ``__all__``) breaks
 ``from module import *`` although a plain import still succeeds.  The
@@ -11,6 +12,8 @@ so deleting one of them breaks the traced benchmark.
 import importlib
 import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -44,3 +47,12 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert lindblad.evolve_adjoint_observable is original
+
+
+def test_benchmark_gate_selftest_passes():
+    """``perfbench/gate_selftest.py`` exits 0: the gate passes the recorded
+    reference against itself and trips on every perturbation it tries."""
+    done = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "gate_selftest.py")],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr

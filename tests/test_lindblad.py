@@ -43,7 +43,6 @@ from invariantlab.lindblad import (
     evolve_density,
     evolve_first_moments,
     evolve_su11_moments,
-    first_moment_residual,
     moments_from_state,
 )
 from invariantlab.operators import (
@@ -58,7 +57,12 @@ from invariantlab.operators import (
     max_abs,
     trace_pair,
 )
-from invariantlab.schedules import ConstantSchedule, LinearSchedule, SinusoidSchedule
+from invariantlab.schedules import (
+    ConstantSchedule,
+    LinearSchedule,
+    SinusoidSchedule,
+    modulated_frequency_sq,
+)
 
 H = 1e-3
 
@@ -827,24 +831,29 @@ def _reference_transport(model, q0, n, h, first=0, backward=False):
     return _plain_rk4(rhs, np.array(q0, dtype=complex), n, h)
 
 
-def _negated_alpha_transport(model, q0, n, h, first=0, backward=False):
+def _negated_alpha_transport(model, q0, n, h, first=0, backward=False,
+                             stride=1):
     """The nodes of ``_reference_transport``'s window, stepped instead by
     the fresh-array density loop over the same stage rows with alpha
-    negated."""
-    table = lindblad._stage_table(model, n, h, first)
+    negated; with ``stride`` k, n steps of k*h over every k-th row."""
+    table = lindblad._stage_table(model, n * stride, h, first)[::stride]
+    h *= stride
     if backward:
         table, h = table[::-1], -h
     return _reference_blocks(model, table * np.array([1.0, -1.0, 1.0, 1.0]),
                              q0, n, h)
 
 
-def _transported(model, q0, first, n, backward):
+def _transported(model, q0, first, n, backward, stride=1):
     """(node indices, nodes) that ``_transport_steps`` records over the n
-    steps from node ``first``, or back to it when ``backward``."""
+    steps of ``stride`` nodes from node ``first``, or back to it when
+    ``backward``."""
     nodes = []
-    ends = (first + n, first) if backward else (first, first + n)
+    span = n * stride
+    ends = (first + span, first) if backward else (first, first + span)
     lindblad._transport_steps(model, q0, *ends, H,
-                              lambda i, q: nodes.append((i, q)))
+                              lambda i, q: nodes.append((i, q)),
+                              stride=stride)
     return [i for i, _ in nodes], [q for _, q in nodes]
 
 
@@ -905,6 +914,57 @@ def test_transport_agrees_with_the_dense_adjoint_equation(dim, kappa,
     bound = n * np.finfo(float).eps * q_norm * (1.0 + H * scale)
     dev = max(max_abs(q - ref) for q, ref in zip(nodes, expected, strict=True))
     assert dev <= bound
+
+
+@pytest.mark.parametrize("backward", [False, True],
+                         ids=["forward", "backward"])
+def test_a_strided_transport_steps_every_strided_stage_row(backward):
+    """With stride 3 every recorded node is the fresh-array loop's at step
+    3h over every third stage row of the window, bit for bit, and carries
+    its index on the fine grid."""
+    first, n, stride = 30, 20, 3
+    *_, gens, _, model = modulated_setup(dim=20,
+                                         t_max=(first + n * stride) * H)
+    idx, nodes = _transported(model, gens[1].entries, first, n, backward,
+                              stride)
+    order = range(first, first + n * stride + 1, stride)
+    assert idx == list(order[::-1] if backward else order)
+    expected = _negated_alpha_transport(model, gens[1].entries, n, H, first,
+                                        backward, stride)
+    for q, ref in zip(nodes, expected, strict=True):
+        np.testing.assert_array_equal(q, ref)
+
+
+def _adjoint_superoperator(h_op, l_, alpha):
+    """The adjoint generator Q -> -i[H, Q] + alpha (L^2 Q + Q L^2
+    - 2 L Q L) as a matrix on the row-major flattening of Q, where
+    A Q B flattens to kron(A, B^T) q."""
+    eye = np.eye(len(h_op))
+    l2 = l_ @ l_
+    return (-1j * (np.kron(h_op, eye) - np.kron(eye, h_op.T))
+            + alpha * (np.kron(l2, eye) + np.kron(eye, l2.T)
+                       - 2.0 * np.kron(l_, l_.T)))
+
+
+@pytest.mark.parametrize("kappa", [0.1, 5.0])
+def test_adjoint_norm_bound_covers_the_superoperator_spectrum(kappa):
+    """At each of a few stage rows, Lambda of that row is at least the
+    largest |eigenvalue| of the dense 256 x 256 adjoint superoperator of
+    the dim-16 generators, and the bound over the whole table is at
+    least every row's.  Measured: the radius is about 0.1 of the bound."""
+    *_, model = modulated_setup(dim=16, kappa=kappa)
+    table = lindblad._stage_table(model, 4, 0.2)
+    re, im = np.random.default_rng(16).normal(size=(2, 16, 16))
+    q = re + 1j * im
+    for row in table[::2]:
+        h_op, l_ = lindblad._generator_arrays(model.generators, row)
+        gen = _adjoint_superoperator(h_op, l_, row[1])
+        want = (-1j * (h_op @ q - q @ h_op)
+                + row[1] * (l_ @ l_ @ q + q @ l_ @ l_ - 2.0 * l_ @ q @ l_))
+        np.testing.assert_allclose(gen @ q.ravel(), want.ravel(), atol=1e-9)
+        radius = np.abs(np.linalg.eigvals(gen)).max()
+        bound = lindblad._adjoint_norm_bound(model, row[None])
+        assert radius <= bound <= lindblad._adjoint_norm_bound(model, table)
 
 
 # ---------------------------------------------------------------------------
@@ -1004,13 +1064,19 @@ def test_first_moments_zero_seed_stays_zero():
 
 
 def test_first_moment_residual_small_on_solution():
+    """The recorded mean motion solves its second-order damped form,
+    xddot + 2 kappa xdot + (omega^2 + kappa^2 + kappadot) x = 0, at the
+    nodes and between them."""
     omega_s = SinusoidSchedule(1.0, 0.2, 0.3)
     kappa_s = SinusoidSchedule(0.05, 0.02, 0.2)
     series = evolve_first_moments(omega_s, kappa_s, (1.0, 0.3), 2.0, H)
     nodes = series.ts[::100]
     mids = nodes[:-1] + 0.5 * H
     for pts in (nodes, mids):
-        res = np.asarray(first_moment_residual(series, omega_s, kappa_s, pts))
+        res = (series.xddot_at(pts) + 2.0 * kappa_s.eval(pts, 0)
+               * series.xdot_at(pts)
+               + modulated_frequency_sq(omega_s, kappa_s, pts)
+               * series.x_at(pts))
         assert float(np.max(np.abs(res))) <= 1e-8
 
 

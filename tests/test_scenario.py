@@ -463,17 +463,24 @@ run.t_max = 2.0
 
 def test_drift_probe_equals_the_probe_on_the_full_trajectory(tmp_path):
     """Keeping only the three differenced nodes gives the check exactly
-    the result of the same backward transport recorded at every node."""
+    the result of the same two backward runs recorded at every node: the
+    relaxation from the seed node to the node after the probe node in
+    steps of k nodes, then the differenced nodes one node at a time."""
     p = runner._prepare(load_text(MODULATED, tmp_path))
-    model, t_probe, i, last = runner._drift_probe(p)
+    model, t_probe, i, seed, k = runner._drift_probe(p)
     h = runner.DRIFT_PROBE_STEP
-    recorded: dict[int, np.ndarray] = {}
-    lindblad._transport_steps(model, model.k2.entries, last, i - 1, h,
-                              recorded.__setitem__)
-    assert sorted(recorded) == list(range(i - 1, last + 1))
+    assert k > 1
+    coarse: dict[int, np.ndarray] = {}
+    lindblad._transport_steps(model, model.k2.entries, seed, i + 1, h,
+                              coarse.__setitem__, stride=k)
+    assert sorted(coarse) == list(range(i + 1, seed + 1, k))
+    fine: dict[int, np.ndarray] = {}
+    lindblad._transport_steps(model, coarse[i + 1], i + 1, i - 1, h,
+                              fine.__setitem__)
+    assert sorted(fine) == [i - 1, i, i + 1]
     full = runner._drift_from_nodes(
         model, t_probe, h * np.arange(i - 1, i + 2),
-        [recorded[j] for j in range(i - 1, i + 2)])
+        [fine[j] for j in range(i - 1, i + 2)])
     probe = runner._check_drift_crosscheck(p)
     assert probe == full
     assert probe.passed and probe.note.endswith("5 modes")
@@ -482,9 +489,11 @@ def test_drift_probe_equals_the_probe_on_the_full_trajectory(tmp_path):
 @pytest.mark.parametrize("shipped", [True, False], ids=["baseline", "t_max-2"])
 def test_drift_probe_steps_one_window_and_copies_three_nodes(
         tmp_path, monkeypatch, shipped):
-    """The probe costs 4 (W/h + 1) right-hand-side calls whatever the run
-    window (20 on the baseline, 2 here), and the driver copies only the
-    three nodes the check keeps: the last three of the backward run."""
+    """The probe costs 4 (c + 2) right-hand-side calls, c the coarse steps
+    of k nodes across a window short of W/h nodes by less than k, whatever
+    the run window (20 on the baseline, 2 here), and the driver copies
+    only the three nodes the check keeps: the last of the coarse run and
+    the two fine steps after it."""
     calls = []
     rhs = lindblad._density_rhs
 
@@ -507,10 +516,14 @@ def test_drift_probe_steps_one_window_and_copies_three_nodes(
     monkeypatch.setattr(lindblad, "_rk4", counted_rk4)
     s = (load_scenario(os.path.join(SCENARIOS, "baseline.cfg")) if shipped
          else load_text(MODULATED, tmp_path))
-    assert runner._check_drift_crosscheck(runner._prepare(s)).passed
-    steps = round(runner.DRIFT_PROBE_WINDOW / runner.DRIFT_PROBE_STEP) + 1
-    assert len(calls) == 4 * steps
-    assert copied == [steps - 2, steps - 1, steps]
+    p = runner._prepare(s)
+    assert runner._check_drift_crosscheck(p).passed
+    _, _, i, seed, k = runner._drift_probe(p)
+    window = round(runner.DRIFT_PROBE_WINDOW / runner.DRIFT_PROBE_STEP)
+    coarse = (seed - i - 1) // k
+    assert k > 1 and seed == i + 1 + coarse * k and 0 <= i + window - seed < k
+    assert len(calls) == 4 * (coarse + 2)
+    assert copied == [coarse, 1, 2]
 
 
 def test_drift_probe_overflow_raises(tmp_path):
@@ -533,6 +546,50 @@ def test_drift_probe_passes_on_strongly_damped_scenarios(tmp_path, text):
         load_text(text, tmp_path)))
     assert check.threshold == runner.DRIFT_CROSSCHECK_TOL == 1e-4
     assert check.passed and check.measured <= 1e-6
+
+
+@pytest.mark.parametrize("text, stride", [
+    (SMALL.replace("kappa.value = 0.1", "kappa.value = 5")
+     .replace("run.t_max = 1.0", "run.t_max = 2.0"), 1),
+    (MODULATED.replace("kappa.value = 0.1", "kappa.value = 1"), 2),
+], ids=["constant-kappa-5", "modulated-kappa-1"])
+def test_a_stride_one_drift_probe_is_the_single_rate_transport(
+        tmp_path, text, stride):
+    """With k = 1 the probe's two runs give, bit for bit, the three nodes
+    of one fine run from the seed node W/h nodes past the probe node.
+    The norm bound leaves constant kappa = 5 no room for a coarse step
+    (h Lambda = 1.94), so its probe is that single-rate transport; at
+    modulated kappa = 1, h Lambda = 0.41 admits k = 2."""
+    p = runner._prepare(load_text(text, tmp_path))
+    model, _, i, seed, k = runner._drift_probe(p)
+    h = runner.DRIFT_PROBE_STEP
+    last = i + round(runner.DRIFT_PROBE_WINDOW / h)
+    assert k == stride and seed == last - (last - i - 1) % k
+    single: list[np.ndarray] = []
+    lindblad._transport_steps(model, model.k2.entries, last, i - 1, h,
+                              lambda j, q: single.append(q),
+                              skip=last - i - 1)
+    probe = runner._probe_nodes(model, i, last, 1)
+    for q, ref in zip(probe, single[::-1], strict=True):
+        np.testing.assert_array_equal(q, ref)
+
+
+@pytest.mark.parametrize("name", [
+    "adiabatic", "baseline", "equilibrium", "frictionless"])
+def test_the_coarse_relaxation_moves_the_shipped_checks_by_1e_10(name):
+    """On every shipped scenario the probe relaxes at a coarse step, and
+    its reading agrees with that of the same seed transported at the fine
+    step throughout to 1e-10 absolute.  Measured: at most 2.4e-11
+    (adiabatic)."""
+    p = runner._prepare(load_scenario(os.path.join(SCENARIOS, f"{name}.cfg")))
+    model, t_probe, i, seed, k = runner._drift_probe(p)
+    assert k > 1
+    ts = runner.DRIFT_PROBE_STEP * np.arange(i - 1, i + 2)
+    fine = runner._drift_from_nodes(model, t_probe, ts,
+                                    runner._probe_nodes(model, i, seed, 1))
+    probe = runner._check_drift_crosscheck(p)
+    assert probe.passed and fine.passed
+    assert abs(probe.measured - fine.measured) <= 1e-10
 
 
 def test_verify_reports_a_drift_probe_overflow_as_a_failed_check(
@@ -568,12 +625,14 @@ run.t_max = 2
 
 
 def test_a_non_finite_density_state_fails_the_run_at_its_record_time(
-        tmp_path, capsys):
+        tmp_path, capsys, recwarn):
     """At kappa = 5000 the density state leaves float range before its
     first record after t = 0.  ``verify`` reports that as a failed
     conservation check naming the time (exit 1) and ``run`` exits with the
     numerical-failure code 3; eigvalsh never sees the non-finite state,
-    which used to end both in an uncaught LinAlgError."""
+    which used to end both in an uncaught LinAlgError.  Neither raises a
+    numpy RuntimeWarning on the way, which outside pytest would print to
+    stderr ahead of the report."""
     cfg = write_cfg(tmp_path, STIFF)
     assert main(["verify", "--config", cfg]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -581,8 +640,10 @@ def test_a_non_finite_density_state_fails_the_run_at_its_record_time(
     assert conservation.startswith("FAIL conservation: measured inf")
     assert "density matrix is not finite at t=0.1" in conservation
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
-    assert ("error: density matrix is not finite at t=0.1"
-            in capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert "error: density matrix is not finite at t=0.1" in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_drift_probe_traced_peak_stays_small():
