@@ -693,11 +693,15 @@ def _linear_rk4(stage_mats, y0, n: int, h: float) -> np.ndarray:
     P = I + h/6 (A1 + 2 (B2 + B3) + B4), B2 = A2 (I + h/2 A1),
     B3 = A2 (I + h/2 B2) and B4 = A3 (I + h B3).  The maps of a block of
     steps are formed at once and then applied in turn, which equals
-    stepping ``auxiliary._rk4`` up to rounding.  Returns the (n + 1, d)
-    node values.
+    stepping ``auxiliary._rk4`` up to rounding.  Each map multiplies the
+    previous node, held by reference, and writes its node row in place
+    (``ndarray.dot`` with ``out``): the same matrix-vector products as
+    indexing both rows, bit for bit, at about half the cost.  Returns the
+    (n + 1, d) node values.
     """
     ys = np.empty((n + 1, len(y0)))
     ys[0] = y0
+    y = ys[0]
     eye = np.eye(ys.shape[1])
     # the stage matrices, B2, B3, B4, P and their temporaries: about ten
     # d x d float arrays per step
@@ -710,8 +714,8 @@ def _linear_rk4(stage_mats, y0, n: int, h: float) -> np.ndarray:
         b3 = a2 @ (eye + (0.5 * h) * b2)
         b4 = a3 @ (eye + h * b3)
         maps = eye + (h / 6.0) * (a1 + 2.0 * (b2 + b3) + b4)
-        for i, p in enumerate(maps, lo):
-            ys[i + 1] = p @ ys[i]
+        for i, p in enumerate(maps, lo + 1):
+            y = p.dot(y, out=ys[i])
     return ys
 
 

@@ -33,7 +33,15 @@ runs only for ``backend = both``; ``adiabatic-scaling`` runs only when
 the scenario declares ``run.adiabatic_epsilon``.  ``verify_scenario``
 and ``sweep`` refuse a ``run.t_max`` below the shortest window the
 differencing checks fit in (1e-3 with the constants here; see
-``_check_battery_window``).
+``_check_battery_window``), and ``verify_scenario`` a declared epsilon
+other than the omega sinusoid's rate, both before integrating anything.
+
+Each system is integrated once.  ``adiabatic-scaling`` reuses the run's
+auxiliary solution where its declared-rate problem is the run's own,
+and the mean equations are integrated only for their three readers
+(``_first_moments``): ``backend-agreement``, the moments
+``trajectory.csv`` and ``sweep``'s ``final_mean_x`` without a density
+run.
 
 The transport-equation residual of the dissipative closed form has an
 exact friction defect ``|kappa rho rhodot|`` times the interior norm of
@@ -74,7 +82,10 @@ from .invariants import (
     spectrum_series,
 )
 from .lindblad import (
+    FirstMomentSeries,
     LindbladModel,
+    MomentVector,
+    Su11MomentSeries,
     Trajectory,
     _adjoint_norm_bound,
     _generator_arrays,
@@ -231,14 +242,21 @@ def _fock_run(p: _Prepared) -> Trajectory:
                           p.scenario.step_h, record_every=p.scenario.record_every)
 
 
-def _moment_runs(p: _Prepared):
+def _moment_run(p: _Prepared) -> tuple[MomentVector, Su11MomentSeries]:
+    """The initial moment vector and the closed K-moment series."""
     s = p.scenario
     m0 = moments_from_state(_initial_state(p), s.basis)
-    first = evolve_first_moments(s.omega_schedule, s.kappa_schedule,
-                                 (m0.mean_x, m0.mean_p), s.t_max, s.step_h)
     quad = evolve_su11_moments(p.model, (m0.k1, m0.k2, m0.k3), s.t_max,
                                s.step_h)
-    return first, quad
+    return m0, quad
+
+
+def _first_moments(p: _Prepared, m0: MomentVector) -> FirstMomentSeries:
+    """The mean series from the initial moments ``m0``, for its three
+    readers only (see the module docstring)."""
+    s = p.scenario
+    return evolve_first_moments(s.omega_schedule, s.kappa_schedule,
+                                (m0.mean_x, m0.mean_p), s.t_max, s.step_h)
 
 
 def _moment_expectation_series(p: _Prepared, quad) -> ExpectationSeries:
@@ -250,23 +268,24 @@ def _moment_expectation_series(p: _Prepared, quad) -> ExpectationSeries:
 
 
 def _evolve(p: _Prepared):
-    """Run the scenario's backends: (trajectory, first, quad, series).
+    """Run the scenario's backends: (trajectory, m0, quad, series).
 
-    The density trajectory is None for ``backend = moments`` and the two
-    moment series are None for ``backend = fock``; the conserved
-    expectation comes from the density run whenever there is one.
+    The density trajectory is None for ``backend = moments``, and the
+    initial moment vector and K-moment series are None for
+    ``backend = fock``; the conserved expectation comes from the density
+    run whenever there is one.  The means are left to ``_first_moments``.
     """
     backend = p.scenario.backend
-    traj = first = quad = None
+    traj = m0 = quad = None
     if backend in ("fock", "both"):
         traj = _fock_run(p)
     if backend in ("moments", "both"):
-        first, quad = _moment_runs(p)
+        m0, quad = _moment_run(p)
     if traj is not None:
         series = expectation_series(traj, p.invariant)
     else:
         series = _moment_expectation_series(p, quad)
-    return traj, first, quad, series
+    return traj, m0, quad, series
 
 
 def _check_battery_window(s: Scenario):
@@ -318,13 +337,13 @@ def run_scenario(s: Scenario, out_dir: str | None = None) -> SimulationResult:
     prec = s.csv_precision
     warnings: tuple[str, ...] = ()
 
-    traj, first, quad, series = _evolve(p)
+    traj, m0, quad, series = _evolve(p)
     if traj is not None:
         traj.write_csv(os.path.join(target, "trajectory.csv"), precision=prec)
         warnings = traj.warnings
     else:
         _write_moment_trajectory(os.path.join(target, "trajectory.csv"),
-                                 p, first, quad, prec)
+                                 p, _first_moments(p, m0), quad, prec)
 
     p.sol.write_csv(os.path.join(target, "ermakov.csv"), precision=prec,
                     idx=p.record_idx)
@@ -538,6 +557,22 @@ def _check_schedule_validity(p: _Prepared) -> CheckResult:
                        warning=True, note=note or "advisory only")
 
 
+def _check_declared_epsilon(s: Scenario):
+    """Refuse a run.adiabatic_epsilon other than the sinusoid's rate.
+
+    ``adiabatic-scaling`` halves the rate of the omega sinusoid, so the
+    declared epsilon must be that rate (to 1e-12).  Checked before the
+    battery integrates anything.
+    """
+    eps = s.adiabatic_epsilon
+    sched = s.omega_schedule
+    if eps is not None and (not isinstance(sched, SinusoidSchedule)
+                            or abs(sched.frequency - eps) > 1e-12):
+        raise ValidationError(
+            "run.adiabatic_epsilon requires omega.kind = sinusoid with "
+            "omega.rate equal to the declared epsilon")
+
+
 def _check_adiabatic_scaling(p: _Prepared) -> CheckResult:
     """Error-scaling of the slow-motion series under rate halving.
 
@@ -549,15 +584,15 @@ def _check_adiabatic_scaling(p: _Prepared) -> CheckResult:
     depends on the window length only — over a fixed window that factor
     cancels in the ratio and the displayed truncation order (third in
     the rate when friction is present) shows through as a ratio near 8.
+    Where a rate's problem is the run's own (the rebuilt sinusoid equals
+    the scenario's and the series start equals its initial value), the
+    run's solution ``p.sol`` is that solve, bit for bit, and is reused.
+    The declared epsilon is validated up front
+    (``_check_declared_epsilon``).
     """
     s = p.scenario
     eps = s.adiabatic_epsilon
     sched = s.omega_schedule
-    if not isinstance(sched, SinusoidSchedule) or abs(
-            sched.frequency - eps) > 1e-12:
-        raise ValidationError(
-            "run.adiabatic_epsilon requires omega.kind = sinusoid with "
-            "omega.rate equal to the declared epsilon")
 
     def error_at(rate: float) -> float:
         omega_s = SinusoidSchedule(sched.base, sched.amplitude, rate,
@@ -565,8 +600,11 @@ def _check_adiabatic_scaling(p: _Prepared) -> CheckResult:
         init = ErmakovInit(
             adiabatic_rho(omega_s, s.kappa_schedule, 0.0),
             adiabatic_rhodot(omega_s, s.kappa_schedule, 0.0))
-        sol = solve_auxiliary(omega_s, s.kappa_schedule, init,
-                              s.t_max, s.step_h)
+        if omega_s == sched and init == s.initial_auxiliary():
+            sol = p.sol
+        else:
+            sol = solve_auxiliary(omega_s, s.kappa_schedule, init,
+                                  s.t_max, s.step_h)
         ts = np.asarray(sol.ts)
         series = adiabatic_rho(omega_s, s.kappa_schedule, ts)
         return float(np.max(np.abs(np.asarray(sol.rho) - series)))
@@ -588,11 +626,13 @@ def verify_scenario(s: Scenario) -> RunReport:
     ``conservation`` check carrying the error message, not raised, and
     an overflow of the drift probe likewise as a failed
     ``drift-crosscheck``.  A ``run.t_max`` below the battery's minimum
-    window is refused with a ValidationError first
-    (``_check_battery_window``).
+    window (``_check_battery_window``) and a ``run.adiabatic_epsilon``
+    other than the omega sinusoid's rate (``_check_declared_epsilon``)
+    are refused with a ValidationError first.
     """
     start = time.perf_counter()
     _check_battery_window(s)
+    _check_declared_epsilon(s)
     p = _prepare(s)
     checks: list[CheckResult] = [
         _check_su11_algebra(p),
@@ -602,14 +642,15 @@ def verify_scenario(s: Scenario) -> RunReport:
     ]
 
     try:
-        traj, first, quad, series = _evolve(p)
+        traj, m0, quad, series = _evolve(p)
         checks.append(_check_conservation(series, p))
 
         if traj is not None:
             checks.append(_check_spectrum(p))
             checks.extend(_state_checks(traj, p))
         if s.backend == "both":
-            checks.append(_check_backend_agreement(p, traj, first, quad))
+            checks.append(_check_backend_agreement(
+                p, traj, _first_moments(p, m0), quad))
     except NumericalError as exc:
         checks.append(CheckResult(
             "conservation", math.inf, s.tolerances.conservation, False,
@@ -661,11 +702,11 @@ def sweep(s: Scenario, param: str, values: list[str],
     rows: list[dict[str, float]] = []
     for sc, number in zip(scenarios, numbers):
         p = _prepare(sc)
-        traj, first, _, series = _evolve(p)
+        traj, m0, _, series = _evolve(p)
         if traj is not None:
             final_x = moments_from_state(traj.states[-1], sc.basis).mean_x
         else:
-            final_x = first.mean_x[p.record_idx[-1]]
+            final_x = _first_moments(p, m0).mean_x[p.record_idx[-1]]
         rows.append({
             "value": number,
             "max_rel_drift": float(series.max_rel_drift),

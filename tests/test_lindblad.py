@@ -1014,6 +1014,38 @@ def test_step_maps_equal_the_stepped_rk4(d):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _indexed_nodes(a_of_t, y0, n, h):
+    """The step maps of ``_linear_rk4``, formed per block alike, applied
+    as ys[i + 1] = P @ ys[i]."""
+    d = len(y0)
+    eye = np.eye(d)
+    per = lindblad._block_length(10 * eye.nbytes)
+    ys = np.empty((n + 1, d))
+    ys[0] = y0
+    for lo in range(0, n, per):
+        hi = min(n, lo + per)
+        a = a_of_t(0.5 * h * np.arange(2 * lo, 2 * hi + 1))
+        a1, a2, a3 = a[:-1:2], a[1::2], a[2::2]
+        b2 = a2 @ (eye + (0.5 * h) * a1)
+        b3 = a2 @ (eye + (0.5 * h) * b2)
+        b4 = a3 @ (eye + h * b3)
+        maps = eye + (h / 6.0) * (a1 + 2.0 * (b2 + b3) + b4)
+        for i, p in enumerate(maps, lo):
+            ys[i + 1] = p @ ys[i]
+    return ys
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_step_maps_apply_to_the_held_node_bit_for_bit(d):
+    """Multiplying the previous node held by reference into the next row
+    gives the indexed products' nodes exactly, across a block boundary."""
+    a_of_t = _random_linear_system(d, seed=20 + d)
+    y0 = np.linspace(1.0, -0.5, d)
+    n = lindblad._block_length(10 * np.eye(d).nbytes) + 7
+    got = _step_map_nodes(a_of_t, y0, n, 1e-3)
+    assert np.array_equal(got, _indexed_nodes(a_of_t, y0, n, 1e-3))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_step_maps_are_fourth_order(d):
     """The error at t = 1 against a tight independent integration falls by

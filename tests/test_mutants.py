@@ -1,0 +1,75 @@
+"""Program mutants and the exact set of battery checks each one fails.
+
+Each row replaces one piece of the program, never a check or its bound,
+and runs the whole battery.  It names the checks that must fail; every
+other check must pass, so a mutant that breaks everything fails its row.
+The rows without a mutant are the duals: the same scenarios pass every
+check unmodified.
+"""
+
+import os
+
+import numpy as np
+import pytest
+
+from invariantlab import runner
+from invariantlab.scenario import build_scenario, load_scenario, parse_settings
+from invariantlab.schedules import ConstantSchedule
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+
+BOTH = """\
+omega.kind = constant
+omega.value = 1.0
+kappa.value = 0.1
+basis.dim = 20
+run.t_max = 2.0
+run.backend = both
+"""
+
+
+def _adiabatic():
+    return load_scenario(os.path.join(SCENARIOS, "adiabatic.cfg"))
+
+
+def _both():
+    return build_scenario(parse_settings(BOTH))
+
+
+def _second_order_series(monkeypatch):
+    """The slow-motion series without its rate-squared terms: its
+    truncation error is second order, so halving the rate divides the
+    deviation by about 4 instead of 8."""
+    def series(omega_s, kappa_s, t):
+        w = np.asarray(omega_s.eval(t, 0), dtype=float)
+        out = (w ** -0.5
+               - kappa_s.eval(t, 0) * omega_s.eval(t, 1) / (8.0 * w ** 3.5))
+        return out if np.ndim(t) else float(out)
+
+    monkeypatch.setattr(runner, "adiabatic_rho", series)
+
+
+def _frictionless_first_moments(monkeypatch):
+    """The mean equations integrated without their friction terms."""
+    evolve = runner.evolve_first_moments
+
+    def undamped(omega_s, kappa_s, m0, t_max, h):
+        return evolve(omega_s, ConstantSchedule(0.0), m0, t_max, h)
+
+    monkeypatch.setattr(runner, "evolve_first_moments", undamped)
+
+
+@pytest.mark.parametrize("scenario, mutant, failing", [
+    (_adiabatic, None, set()),
+    (_adiabatic, _second_order_series, {"adiabatic-scaling"}),
+    (_both, None, set()),
+    (_both, _frictionless_first_moments, {"backend-agreement"}),
+], ids=["adiabatic", "adiabatic-second-order-series", "both",
+        "both-frictionless-first-moments"])
+def test_a_mutant_fails_exactly_its_checks(monkeypatch, scenario, mutant,
+                                           failing):
+    s = scenario()
+    if mutant is not None:
+        mutant(monkeypatch)
+    report = runner.verify_scenario(s)
+    assert {c.name for c in report.checks if not c.passed} == failing

@@ -10,6 +10,12 @@ import pytest
 
 import invariantlab
 from invariantlab import lindblad, runner
+from invariantlab.auxiliary import (
+    ErmakovInit,
+    adiabatic_rho,
+    adiabatic_rhodot,
+    solve_auxiliary,
+)
 from invariantlab.cli import main
 from invariantlab.errors import NumericalError, ParseError, ValidationError
 from invariantlab.runner import (
@@ -440,12 +446,89 @@ def test_verify_runs_the_adiabatic_check_only_when_declared(tmp_path):
     assert 6.0 <= scaling.measured <= 10.0
 
 
-def test_declared_epsilon_must_match_the_schedule_rate(tmp_path):
-    with pytest.raises(ValidationError, match="adiabatic_epsilon"):
-        verify_scenario(load_text(
-            "omega.kind = sinusoid\nomega.base = 1.0\nomega.amplitude = 0.5\n"
-            "omega.rate = 0.05\nbasis.dim = 16\nrun.t_max = 1.0\n"
-            "run.adiabatic_epsilon = 0.1\n", tmp_path))
+def test_declared_epsilon_must_match_the_schedule_rate(tmp_path, monkeypatch):
+    """A sinusoid at another rate and a constant omega are both refused
+    before the battery integrates anything."""
+    solves = []
+    monkeypatch.setattr(runner, "solve_auxiliary",
+                        lambda *args: solves.append(args))
+    for omega in ("omega.kind = sinusoid\nomega.base = 1.0\n"
+                  "omega.amplitude = 0.5\nomega.rate = 0.05\n",
+                  "omega.kind = constant\nomega.value = 1.0\n"):
+        with pytest.raises(ValidationError, match="adiabatic_epsilon"):
+            verify_scenario(load_text(
+                omega + "basis.dim = 16\nrun.t_max = 1.0\n"
+                "run.adiabatic_epsilon = 0.1\n", tmp_path))
+    assert solves == []
+
+
+# ------------------------------------------------------- integration counts
+
+
+def _counted(monkeypatch, name):
+    """Count the calls runner makes to its integrator ``name``."""
+    calls = []
+    fn = getattr(runner, name)
+
+    def counted(*args):
+        calls.append(None)
+        return fn(*args)
+
+    monkeypatch.setattr(runner, name, counted)
+    return calls
+
+
+def _fresh_scaling_ratio(s):
+    """adiabatic-scaling's ratio with both rates solved afresh."""
+    sched, kappa_s = s.omega_schedule, s.kappa_schedule
+    eps = s.adiabatic_epsilon
+
+    def error_at(rate):
+        omega_s = SinusoidSchedule(sched.base, sched.amplitude, rate,
+                                   sched.phase)
+        init = ErmakovInit(adiabatic_rho(omega_s, kappa_s, 0.0),
+                           adiabatic_rhodot(omega_s, kappa_s, 0.0))
+        sol = solve_auxiliary(omega_s, kappa_s, init, s.t_max, s.step_h)
+        return float(np.max(np.abs(
+            sol.rho - adiabatic_rho(omega_s, kappa_s, sol.ts))))
+
+    return error_at(eps) / error_at(eps / 2.0)
+
+
+@pytest.mark.parametrize("explicit_start, solves", [(False, 2), (True, 3)],
+                         ids=["series-start", "explicit-rho0"])
+def test_adiabatic_verify_solves_each_auxiliary_problem_once(
+        tmp_path, monkeypatch, explicit_start, solves):
+    """On the series start, adiabatic-scaling's declared-rate problem is
+    the run's own and reuses its solution; with an explicit rho0 it is
+    not, and is solved afresh.  Either way the ratio equals the one from
+    two fresh solves bit for bit, and no first moments are integrated."""
+    text = open(os.path.join(SCENARIOS, "adiabatic.cfg")).read()
+    if explicit_start:
+        text += ("auxiliary.use_adiabatic_init = false\n"
+                 "auxiliary.rho0 = 1.0\nauxiliary.rhodot0 = 0.0\n")
+    s = load_text(text, tmp_path)
+    aux = _counted(monkeypatch, "solve_auxiliary")
+    first = _counted(monkeypatch, "evolve_first_moments")
+    report = verify_scenario(s)
+    assert (len(aux), len(first)) == (solves, 0)
+    scaling = {c.name: c for c in report.checks}["adiabatic-scaling"]
+    assert scaling.measured == _fresh_scaling_ratio(s)
+
+
+@pytest.mark.parametrize("backend, entry", [
+    ("moments", "run"), ("moments", "sweep"), ("both", "verify")])
+def test_first_moments_are_integrated_once_where_read(
+        tmp_path, monkeypatch, backend, entry):
+    s = load_text(SMALL + f"run.backend = {backend}\n", tmp_path)
+    first = _counted(monkeypatch, "evolve_first_moments")
+    if entry == "run":
+        run_scenario(s, str(tmp_path / "out"))
+    elif entry == "sweep":
+        sweep(s, "kappa.value", ["0.1"], str(tmp_path / "sweep.csv"))
+    else:
+        assert verify_scenario(s).overall
+    assert len(first) == 1
 
 
 # ---------------------------------------------------------------- drift probe
