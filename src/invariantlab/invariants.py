@@ -328,10 +328,8 @@ def drift_rhs(j_op: FockOperator, lam: np.ndarray, vecs: np.ndarray,
     return kept, drifts
 
 
-def constraint_residuals(sol: ErmakovSolution,
-                         coeffs: tuple[float, float, float],
-                         kappa_s: Schedule, omega_s: Schedule,
-                         t: float) -> tuple[float, float, float]:
+def constraint_residuals(sol: ErmakovSolution, coeffs, kappa_s: Schedule,
+                         omega_s: Schedule, t):
     """Left-hand sides of the three coupled coefficient constraints.
 
     The constraints tie the jump-operator coefficients ``coeffs`` =
@@ -341,11 +339,18 @@ def constraint_residuals(sol: ErmakovSolution,
     rhodot prefactor on the auxiliary bracket, no simplification is
     applied first — with rho'' reconstructed from the dissipative
     auxiliary equation.
+
+    Floats for scalar t; for an array of times, with ``coeffs`` arrays of
+    its shape, three arrays.  A scalar t is evaluated as a one-element
+    array, so that every power rounds through numpy's loop as in an array
+    call (Python's float power can round apart from it in the last bit):
+    a scalar call equals the array call at that time bit for bit.
     """
-    r = float(sol.rho_at(t))
-    v = float(sol.rhodot_at(t))
-    w = float(omega_s.eval(t))
-    kap = float(kappa_s.eval(t))
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    r = sol.rho_at(ts)
+    v = sol.rhodot_at(ts)
+    w = omega_s.eval(ts)
+    kap = kappa_s.eval(ts)
     alpha, a2, a3 = coeffs
 
     rddot = kap * v - (w * w) * r + 1.0 / r ** 3
@@ -356,4 +361,6 @@ def constraint_residuals(sol: ErmakovSolution,
     e2 = v * bracket + (alpha * (a2 * a2 * r * r + 2.0 * a2 * a3 * r * v
                                  + a3 * a3 * q) - kap * q)
     e3 = r * bracket - alpha * (a2 * a3 * r * r + 2.0 * a2 * r * v + a3 * q)
-    return float(e1), float(e2), float(e3)
+    if np.ndim(t) == 0:
+        return float(e1[0]), float(e2[0]), float(e3[0])
+    return e1, e2, e3

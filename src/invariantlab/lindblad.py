@@ -30,12 +30,19 @@ multiplied only by the rows and columns its band reaches: tile-wide
 windows of the operators, formed each stage from generator windows cut
 once per run, and of the state, which is held with a zero margin of
 BAND_MARGIN levels around each block so that every window is a strided
-view.  Each of the four products is one matmul over all tiles of all
-four blocks.  With one tile, that is below 2 TILE_ROWS levels per block
-(every shipped scenario), there is no margin and the products are the
-plain block products.  An odd dimension pads the odd side with one zero
-level; that level, the margins and the levels the last tile covers past
-m stay exactly zero.  Recorded states are reassembled to the dense N x N
+view.  The generator maps Hermitian matrices to Hermitian ones, so the
+right-hand side forms only Y = drift rho + alpha (L rho) L^dag and
+returns Y + Y^dag: three products instead of four (rho drift^dag is
+(drift rho)^dag), and each is one matmul over all tiles of all four
+blocks.  Every slope is then exactly Hermitian, bit for bit, and so is
+every state stepped from an exactly Hermitian one, since the RK4 stage
+states and step combination commute with conjugation; an anti-Hermitian
+rounding residue of the initial state receives no slope and stays as it
+is.  With one tile, that is below 2 TILE_ROWS levels per block (every
+shipped scenario), there is no margin and the products are the plain
+block products.  An odd dimension pads the odd side with one zero level;
+that level, the margins and the levels the last tile covers past m stay
+exactly zero.  Recorded states are reassembled to the dense N x N
 matrix, and ``LindbladModel`` refuses generators with an entry between
 levels of opposite parity or more than two levels apart, which the
 blocks or tiles would drop.
@@ -337,8 +344,8 @@ class _Tiling:
     call.  The run's buffers live here: the two scratch arrays and the
     four slopes the right-hand side writes in rotation (``slopes``), all
     zero-initialised.  The margins of a slope and of the right-side
-    scratch only ever receive sums and products of zeros, so they stay
-    zero without being reset.
+    scratch only ever receive sums, products and conjugates of zeros, so
+    they stay zero without being reset.
     """
 
     def __init__(self, dim: int):
@@ -352,17 +359,16 @@ class _Tiling:
         self.count, self.rows, self.margin, self.side = count, b, g, p
         # the diagonal windows of a (2, side, side) operator stack
         self.op_windows = _window_spec((2, p, p), count, (w, w), (b, b))
-        # the state: the rows and columns the tiles' bands read.  The left
-        # products write whole padded rows, whose margin columns come out
-        # zero, the right ones the span's columns of the span's rows
+        # the state: the rows the tiles' bands read.  The left products
+        # write whole padded rows, whose margin columns come out zero
         state = (2, 2, p, p)
         self.state_rows = _window_spec(state, count, (w, p), (b, 0))
-        self.state_cols = _window_spec(state, count, (s, w), (0, b), (g, 0))
         self.out_rows = _window_spec(state, count, (b, p), (b, 0), (g, 0))
-        # scratch: a right-side product, column tile by column tile, laid
-        # out as the state with zero margins, so that it adds to the
-        # output as one contiguous array (numpy 2.4 adds row-strided
-        # complex arrays about 3x slower); and L rho, the span's rows
+        # scratch: the right-side product (L rho) L^dag, column tile by
+        # column tile, then the conjugate transpose of the slope, laid out
+        # as the state with zero margins, so that each adds to the output
+        # as one contiguous array (numpy 2.4 adds row-strided complex
+        # arrays about 3x slower); and L rho, the span's rows
         self.part = np.zeros(state, dtype=complex)
         self.part_tiles = _view(
             self.part, _window_spec(state, count, (s, b), (0, b), (g, g)))
@@ -417,14 +423,14 @@ def _diagonal_windows(model: LindbladModel,
 
 
 def _density_stage_ops(tiling: _Tiling, windows, row):
-    """Right-hand-side operands of one stage: (tiling, drift, drift^dag, jump).
+    """Right-hand-side operands of one stage: (tiling, drift, jump).
 
     H, L and the drift are formed on the generator windows.  The drift is
     a (2, 1, count, rows, width) stack of row tiles acting on the rows of
-    parity p and drift^dag a (2, count, width, rows) stack of column tiles
-    acting on the columns of parity q, so that one broadcast matmul covers
-    all tiles of all four blocks of the state.  jump is None without
-    friction, else (2 alpha, L, L^dag) in the same layouts, views of L's
+    parity p, so that one broadcast matmul covers all tiles of all four
+    blocks of the state.  jump is None without friction, else (alpha, L,
+    L^dag): L in the drift's layout and L^dag a (2, count, width, rows)
+    stack of column tiles acting on the columns of parity q, views of L's
     windows.
     """
     h_win, l_win = _generator_arrays(windows, row)
@@ -436,29 +442,37 @@ def _density_stage_ops(tiling: _Tiling, windows, row):
         l_c = l_win.conj()
         # a tile's rows of L^dag L: its band lies in the window
         drift -= alpha * (l_c[..., tile].swapaxes(-1, -2) @ l_win)
-        jump = (2.0 * alpha, l_win[..., tile, :][:, None],
+        jump = (alpha, l_win[..., tile, :][:, None],
                 l_c[..., tile, :].swapaxes(-1, -2))
-    return tiling, drift[:, None], drift.conj().swapaxes(-1, -2), jump
+    return tiling, drift[:, None], jump
 
 
 def _density_rhs(state: np.ndarray, ops) -> np.ndarray:
-    # drift rho + rho drift^dag + 2 alpha (L rho) L^dag with each product
-    # one matmul over all tiles of all four blocks: the left ones by row
-    # tiles, the right ones by column tiles.  The levels past m come out
-    # exactly zero, and the margin rows only ever receive zeros.  The
-    # result is the tiling's next slope buffer, overwritten four calls on.
-    tiling, drift, drift_h, jump = ops
+    # Y + Y^dag with Y = drift rho + alpha (L rho) L^dag: for a Hermitian
+    # state that is drift rho + rho drift^dag + 2 alpha L rho L^dag, and
+    # the slope is exactly Hermitian whatever the rounding of Y.  Each
+    # product is one matmul over all tiles of all four blocks: the left
+    # ones by row tiles, the right one by column tiles.  Block [p, q] of
+    # Y^dag is block [q, p] of Y, conjugate-transposed; it is copied into
+    # the right-side scratch and conjugated there, because numpy 2.4
+    # conjugates or adds a transposed operand through a state-sized
+    # temporary.  The levels past m come out exactly zero, and the margins
+    # only ever receive zeros.  The result is the tiling's next slope
+    # buffer, overwritten four calls on.
+    tiling, drift, jump = ops
     out = next(tiling.slopes)
+    part = tiling.part
     rows = _view(state, tiling.state_rows)
     np.matmul(drift, rows, out=_view(out, tiling.out_rows))
-    np.matmul(_view(state, tiling.state_cols), drift_h, out=tiling.part_tiles)
-    out += tiling.part
     if jump is not None:
-        c, l_, l_h = jump
+        alpha, l_, l_h = jump
         np.matmul(l_, rows, out=tiling.l_rho_rows)
         np.matmul(tiling.l_rho_cols, l_h, out=tiling.part_tiles)
-        tiling.part *= c
-        out += tiling.part
+        part *= alpha
+        out += part
+    np.copyto(part, out.transpose(1, 0, 3, 2))
+    np.conjugate(part, out=part)
+    out += part
     return out
 
 
@@ -473,8 +487,10 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
     The state is stepped as its four parity blocks, each cut into row
     tiles and held with a zero margin of BAND_MARGIN levels when a block
     has 2 TILE_ROWS levels or more (module docstring); one tile has no
-    margin and multiplies whole blocks.  States are recorded as the dense
-    matrix.
+    margin and multiplies whole blocks.  Every slope is exactly
+    Hermitian, so the recorded Hermiticity deviation stays at that of
+    rho0: 0 for every state ``build_state`` forms.  States are recorded
+    as the dense matrix.
     """
     cfg = model.basis
     if rho0.dim != cfg.dim:

@@ -275,7 +275,7 @@ def build_state(
         norm = float(np.sum(np.abs(psi) ** 2))
         _check_support(norm, spec, cfg)
         psi /= np.sqrt(norm)
-        return DensityMatrix(np.outer(psi, psi.conj()))
+        return DensityMatrix(_projector(psi))
 
     if spec.kind == "thermal":
         if spec.nbar == 0:
@@ -295,7 +295,19 @@ def build_state(
         raise ValidationError("invariant operator must be Hermitian")
     _, vecs = np.linalg.eigh(invariant_op.entries)
     ground = vecs[:, 0]
-    return DensityMatrix(np.outer(ground, ground.conj()))
+    return DensityMatrix(_projector(ground))
+
+
+def _projector(psi: np.ndarray) -> np.ndarray:
+    """|psi><psi|, exactly Hermitian.
+
+    A complex multiply that fuses a multiply-add rounds psi_i conj(psi_j)
+    and the conjugate of psi_j conj(psi_i) apart in the last bit, so the
+    outer product is averaged with its conjugate transpose; for a real
+    psi that returns the outer product bit for bit.
+    """
+    rho = np.outer(psi, psi.conj())
+    return 0.5 * (rho + rho.conj().T)
 
 
 def _check_support(norm: float, spec: StateSpec, cfg: BasisConfig):

@@ -527,3 +527,21 @@ def test_constraints_detect_perturbed_coefficient():
     bumped = (alpha, a2, a3 + 0.1)
     res = constraint_residuals(sol, bumped, kappa_s, omega_s, 0.5)
     assert abs(res[0]) > 1e-4
+
+
+def test_constraints_on_an_array_of_times_equal_the_scalar_calls():
+    """One call on 100 sample times (the battery's ``constraint-identities``
+    grid) returns, elementwise and bit for bit, the three residuals of the
+    100 scalar calls, on a modulated schedule with modulated friction where
+    none of them is exactly zero."""
+    omega_s = SinusoidSchedule(1.0, 0.2, 0.1)
+    kappa_s = SinusoidSchedule(0.1, 0.05, 0.3)
+    sol = solve_baseline(omega_s, kappa_s, 4.0)
+    times = np.linspace(0.0, 4.0, 100)
+    coeffs = jump_coefficients(omega_s, kappa_s, sol, times)
+    got = constraint_residuals(sol, coeffs, kappa_s, omega_s, times)
+    want = [constraint_residuals(sol, c, kappa_s, omega_s, float(t))
+            for t, c in zip(times, zip(*coeffs))]
+    assert all(isinstance(e, float) for e in want[0])
+    np.testing.assert_array_equal(np.array(got), np.array(want).T)
+    assert np.count_nonzero(got) > 0

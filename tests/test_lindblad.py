@@ -13,13 +13,14 @@ Oracles used here:
 """
 
 import dataclasses
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from invariantlab import lindblad
+from invariantlab import lindblad, runner
 from invariantlab.auxiliary import (
     ErmakovInit,
     _rk4,
@@ -57,6 +58,7 @@ from invariantlab.operators import (
     max_abs,
     trace_pair,
 )
+from invariantlab.scenario import load_scenario
 from invariantlab.schedules import (
     ConstantSchedule,
     LinearSchedule,
@@ -65,6 +67,7 @@ from invariantlab.schedules import (
 )
 
 H = 1e-3
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
 def equilibrium_setup(dim, kappa=0.1, omega=1.0, t_max=2.0, h=H):
@@ -241,11 +244,10 @@ def _check_density_stage_operators(dim, n):
         l_h = l_op.conj().T
         h_win, l_win = (_tile_axis(a, tiling)
                         for a in lindblad._generator_arrays(windows, row))
-        tiling_, drift, drift_h, (c, l_, l_h2) = _density_stage_ops(
+        tiling_, drift, (c, l_, l_h2) = _density_stage_ops(
             tiling, windows, row)
-        assert tiling_ is tiling and c == 2.0 * alpha
-        drift, drift_h, l_, l_h2 = (_tile_axis(a, tiling)
-                                    for a in (drift, drift_h, l_, l_h2))
+        assert tiling_ is tiling and c == alpha
+        drift, l_, l_h2 = (_tile_axis(a, tiling) for a in (drift, l_, l_h2))
         product = l_h @ l_op
         dense_drift = -1j * h_op - alpha * product
         for p in (0, 1):
@@ -260,8 +262,6 @@ def _check_density_stage_operators(dim, n):
                 np.testing.assert_array_equal(l_win[p, t], l_pad[win, win])
                 np.testing.assert_array_equal(l_[p, 0, t], l_pad[tile, win])
                 np.testing.assert_array_equal(l_h2[p, t], lh_pad[win, tile])
-                np.testing.assert_array_equal(drift_h[p, t],
-                                              drift[p, 0, t].conj().T)
                 # a sum over the levels of one parity, not over all of
                 # them with exact zeros in between: equal up to a few
                 # roundings
@@ -284,15 +284,19 @@ def test_stage_operators_are_formed_from_the_coefficients():
 
 @pytest.mark.parametrize("dim", [9, 12, 81, 160])
 def test_block_rhs_equals_the_dense_generator(dim):
-    """Reassembled, the tiled block right-hand side is drift rho + rho
-    drift^dag + 2 alpha L rho L^dag on the dense matrices, and every
-    padding entry (the margins, the levels past m and the padding level of
-    an odd dimension) stays exactly zero, also in a reused slope buffer.
-    Dims 9 and 12 have one tile; 81 has two tiles of 21 rows over a
-    41-level block, 160 four."""
+    """Reassembled, the tiled block right-hand side of an exactly Hermitian
+    state is drift rho + rho drift^dag + 2 alpha L rho L^dag on the dense
+    matrices; every slope equals its block-swapped conjugate transpose bit
+    for bit (the kernel returns Y + Y^dag, whose entries [i, j] and
+    [j, i] add the same two roundings in either order); and every padding
+    entry (the margins, the levels past m and the padding level of an odd
+    dimension) stays exactly zero, also in a reused slope buffer.  Dims 9
+    and 12 have one tile; 81 has two tiles of 21 rows over a 41-level
+    block, 160 four."""
     *_, model = modulated_setup(dim=dim)
     tiling = lindblad._Tiling(dim)
     rho = _random_state(dim, 7)
+    rho = 0.5 * (rho + rho.conj().T)  # exactly Hermitian
     h_op, alpha, l_op = _stage_arrays(model, 0.3)
     l_h = l_op.conj().T
     drift = -1j * h_op - alpha * (l_h @ l_op)
@@ -303,6 +307,7 @@ def test_block_rhs_equals_the_dense_generator(dim):
     state = _split(rho, tiling)
     for _ in range(5):  # the fifth call reuses the first slope buffer
         out = lindblad._density_rhs(state, ops)
+        np.testing.assert_array_equal(out, out.transpose(1, 0, 3, 2).conj())
     assert out.shape == (2, 2, tiling.side, tiling.side)
     # rounding of the larger operators of the wider bases: 16 ulp of the
     # largest entry (below the 1e-14 |rho| of earlier versions at dims 9, 12)
@@ -318,11 +323,49 @@ def test_block_rhs_equals_the_dense_generator(dim):
     assert not padding.any()
 
 
+@pytest.mark.parametrize("kind", ["coherent", "thermal", "fock",
+                                  "invariant_ground"])
+def test_density_runs_record_exactly_hermitian_states(kind):
+    """Every kind of initial state starts exactly Hermitian (a diagonal
+    matrix or a projector that ``build_state`` forms exactly Hermitian);
+    the slopes are exactly Hermitian and the RK4 stage states and step
+    combination commute with conjugation, so every recorded state is
+    too: herm_dev reads 0 on a dim-20 modulated dissipative run with a
+    complex coherent amplitude and a complex invariant."""
+    n = 200
+    _, _, cfg, gens, sol, model = modulated_setup(dim=20, t_max=n * H)
+    spec = StateSpec(kind=kind, beta=complex(0.8, 0.5), fock_n=3, nbar=0.2)
+    rho0 = build_state(spec, cfg,
+                       FockOperator(quadratic_invariant(gens, sol, 0.0)))
+    traj = evolve_density(model, rho0, n * H, H, record_every=50)
+    assert len(traj.herm_dev) == 5 and not traj.herm_dev.any()
+
+
+def test_an_anti_hermitian_residue_stays_frozen():
+    """On the baseline scenario a 1e-13 anti-Hermitian perturbation of the
+    initial state keeps its size over 3000 steps: each slope is exactly
+    Hermitian, so the anti-Hermitian part only ever receives rounding.  A
+    kernel that forms rho drift^dag as (drift rho)^dag but adds the jump
+    term unsymmetrized acts on that part as -alpha [L^2, A], which is
+    anti-dissipative: from this state it overflows before t = 0.5."""
+    s = load_scenario(os.path.join(SCENARIOS, "baseline.cfg"))
+    s = dataclasses.replace(s, t_max=3000 * s.step_h)
+    p = runner._prepare(s)
+    rho0 = runner._initial_state(p).entries
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=rho0.shape) + 1j * rng.normal(size=rho0.shape)
+    perturbed = DensityMatrix(rho0 + 0.5e-13 * (x - x.conj().T),
+                              validate=False)
+    traj = evolve_density(p.model, perturbed, s.t_max, s.step_h,
+                          record_every=500)
+    assert len(traj.herm_dev) == 7 and traj.herm_dev[0] > 0.0
+    assert traj.herm_dev.max() <= 1.001 * traj.herm_dev[0]
+
+
 def test_one_tile_rhs_is_the_per_block_products():
     """Below 2 TILE_ROWS levels per block the kernel is the plain block
-    product, in its grouping, bit for bit: drift[p] rho[p,q] + rho[p,q]
-    drift[q]^dag, then + 2 alpha (L[p] rho[p,q]) L[q]^dag.  This is what
-    keeps the shipped scenarios' artifacts byte-identical."""
+    product, in its grouping, bit for bit: Y[p,q] = drift[p] rho[p,q]
+    + alpha (L[p] rho[p,q]) L[q]^dag, then Y[p,q] + Y[q,p]^dag."""
     dim = 12
     *_, model = modulated_setup(dim=dim)
     tiling = lindblad._Tiling(dim)
@@ -334,13 +377,14 @@ def test_one_tile_rhs_is_the_per_block_products():
     h_blk = [h_op[p::2, p::2] for p in (0, 1)]
     l_blk = [l_op[p::2, p::2] for p in (0, 1)]
     drift = [-1j * h - alpha * (l.conj().T @ l) for h, l in zip(h_blk, l_blk)]
-    expected = np.empty((2, 2, dim // 2, dim // 2), dtype=complex)
+    y = np.empty((2, 2, dim // 2, dim // 2), dtype=complex)
     for p in (0, 1):
         for q in (0, 1):
             blk = rho[p::2, q::2]
-            out = drift[p] @ blk + blk @ drift[q].conj().T
-            out += 2.0 * alpha * ((l_blk[p] @ blk) @ l_blk[q].conj().T)
-            expected[p, q] = out
+            y[p, q] = drift[p] @ blk
+            y[p, q] += alpha * ((l_blk[p] @ blk) @ l_blk[q].conj().T)
+    expected = np.array([[y[p, q] + y[q, p].conj().T for q in (0, 1)]
+                         for p in (0, 1)])
     ops = _density_stage_ops(tiling, lindblad._diagonal_windows(model, tiling),
                              row)
     np.testing.assert_array_equal(
@@ -387,23 +431,22 @@ def _check_against_a_dense_rk4(dim):
 
 def _fresh_density_rhs(state, ops):
     """The density right-hand side with a fresh result array per call, its
-    margin rows zeroed each call, and a fresh 2 alpha * (L rho) L^dag: the
-    per-call reference for the tiling's slope buffers."""
-    tiling, drift, drift_h, jump = ops
+    margin rows zeroed each call, a fresh alpha * (L rho) L^dag and a fresh
+    conjugate transpose: the per-call reference for the tiling's slope
+    buffers."""
+    tiling, drift, jump = ops
     out = np.empty_like(state)
     g = tiling.margin
     if g:
         out[:, :, :g] = out[:, :, -g:] = 0.0
     rows = lindblad._view(state, tiling.state_rows)
     np.matmul(drift, rows, out=lindblad._view(out, tiling.out_rows))
-    np.matmul(lindblad._view(state, tiling.state_cols), drift_h,
-              out=tiling.part_tiles)
-    out += tiling.part
     if jump is not None:
-        c, l_, l_h = jump
+        alpha, l_, l_h = jump
         np.matmul(l_, rows, out=tiling.l_rho_rows)
         np.matmul(tiling.l_rho_cols, l_h, out=tiling.part_tiles)
-        out += c * tiling.part
+        out += alpha * tiling.part
+    out += out.transpose(1, 0, 3, 2).conj()
     return out
 
 
@@ -545,7 +588,7 @@ def test_no_jump_terms_without_friction():
     row = model.coefficients(0.5)
     tiling = lindblad._Tiling(10)
     windows = lindblad._diagonal_windows(model, tiling)
-    assert _density_stage_ops(tiling, windows, row)[3] is None
+    assert _density_stage_ops(tiling, windows, row)[2] is None
 
 
 def test_generator_coupling_opposite_parities_rejected():

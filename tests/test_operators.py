@@ -184,6 +184,19 @@ def test_all_states_satisfy_density_invariants():
         assert rho.min_eigenvalue() >= -1e-8
 
 
+def test_pure_states_are_exactly_hermitian():
+    """A complex coherent state and the ground state of a complex
+    observable are projectors that equal their conjugate transpose bit for
+    bit, with an exactly real diagonal."""
+    cfg, x, p, k1, k2, k3 = make_ops(dim=24)
+    h = FockOperator(k1.entries + 1.3 * k2.entries - 0.4 * k3.entries)
+    for rho in (build_state(StateSpec("coherent", beta=0.8 + 0.5j), cfg),
+                build_state(StateSpec("invariant_ground"), cfg,
+                            invariant_op=h)):
+        np.testing.assert_array_equal(rho.entries, rho.entries.conj().T)
+        assert not np.diag(rho.entries).imag.any()
+
+
 # --------------------------------------------------------------- expectation
 
 
