@@ -214,6 +214,10 @@ def _rk4(rhs, stage, y0, n, h, record, every=1, skip=0):
     slopes of a step before the next step's first call and keeps none
     after, so four buffers used in rotation never overwrite a slope still
     in use.  A slope must not alias the ``y`` it was computed from.
+    ``stage`` may likewise write into buffers of its own: the driver calls
+    ``stage(j)`` once for each j = 0 .. 2n, in increasing order, and after
+    forming stage j reads no stage before j - 2 (a step holds its start,
+    mid and end stage), so three buffers used in rotation suffice.
     """
     half = 0.5 * h
     sixth = h / 6.0

@@ -27,12 +27,14 @@ of H, L and the drift: half the flops of the dense product.  Within a
 block H and L are tridiagonal and the drift pentadiagonal, so each block
 is cut into max(1, m // TILE_ROWS) row tiles (``_Tiling``) and a tile is
 multiplied only by the rows and columns its band reaches: tile-wide
-windows of the operators, formed each stage from generator windows cut
-once per run, and of the state, which is held with a zero margin of
-BAND_MARGIN levels around each block so that every window is a strided
-view.  The generator maps Hermitian matrices to Hermitian ones, so the
-right-hand side forms only Y = drift rho + alpha (L rho) L^dag and
-returns Y + Y^dag: three products instead of four (rho drift^dag is
+windows of the operators and of the state, which is held with a zero
+margin of BAND_MARGIN levels around each block so that every window is
+a strided view.  A stage forms only the band entries of its operands:
+H and L on the generators' band entries, gathered once per run, and
+the drift -i H - alpha L^dag L on its pentadiagonal band, L^dag L from
+L's own band entries, three products per entry.  The generator maps
+Hermitian matrices to Hermitian ones, so the right-hand side forms only
+Y = drift rho + alpha (L rho) L^dag and returns Y + Y^dag: three products instead of four (rho drift^dag is
 (drift rho)^dag), and each is one matmul over all tiles of all four
 blocks.  Every slope is then exactly Hermitian, bit for bit, and so is
 every state stepped from an exactly Hermitian one, since the RK4 stage
@@ -45,14 +47,18 @@ that level, the margins and the levels the last tile covers past m stay
 exactly zero.  Recorded states are reassembled to the dense N x N
 matrix, and ``LindbladModel`` refuses generators with an entry between
 levels of opposite parity or more than two levels apart, which the
-blocks or tiles would drop.
+blocks or tiles would drop, and generators that are not exactly
+Hermitian.
 
 A density run allocates its state-sized buffers once.  The driver owns
 the state and the array its stage states and step combination are
 formed in (``auxiliary._rk4``); the run's ``_Tiling`` owns the
 right-hand side's two scratch arrays and the four slopes it writes in
-rotation, one per RK4 slope of a step.  Between records a step
-allocates only the stage operands, which are operator windows.
+rotation, one per RK4 slope of a step, and the three sets of stage
+operands (drift and L windows) the stages write in rotation, one per
+stage a step holds.  L is exactly Hermitian, so L^dag's windows are
+views of L's.  Between records a step allocates only band-sized
+temporaries.
 """
 
 from __future__ import annotations
@@ -181,11 +187,13 @@ class LindbladModel:
                     f"generator {name} couples Fock levels {i} and {j}, "
                     f"more than 2 apart (entry {gen.entries[i, j]:.3e}); the "
                     "tiled density evolution would drop it")
-            if not gen.hermitian:
+            dev = gen.herm_deviation()
+            if not dev == 0.0:  # also trips on nan
                 raise ValidationError(
                     f"generator {name} is not Hermitian (deviation "
-                    f"{gen.herm_deviation():.3e}); the observable transport "
-                    "needs a Hermitian jump operator")
+                    f"{dev:.3e}); the observable transport needs a Hermitian "
+                    "jump operator, and the density stages use L as L^dag, "
+                    "so the generators must be exactly Hermitian")
 
     @property
     def generators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -339,13 +347,17 @@ class _Tiling:
     the whole block and needs no margin: its window is the block.
 
     The view specs are computed once per run: every operand the
-    right-hand side multiplies is a view of a stage's operator windows,
+    right-hand side multiplies is a view of a stage's operand buffers,
     of the state or of one of the two scratch arrays it reuses within a
-    call.  The run's buffers live here: the two scratch arrays and the
-    four slopes the right-hand side writes in rotation (``slopes``), all
-    zero-initialised.  The margins of a slope and of the right-side
-    scratch only ever receive sums, products and conjugates of zeros, so
-    they stay zero without being reset.
+    call.  The run's buffers live here: the two scratch arrays, the four
+    slopes the right-hand side writes in rotation (``slopes``) and the
+    three sets of stage operands ``_density_stage_ops`` writes in
+    rotation (``stages``), all zero-initialised.  The margins of a slope
+    and of the right-side scratch only ever receive sums, products and
+    conjugates of zeros, so they stay zero without being reset; a stage
+    writes only the band entries of its operands, the same entries every
+    stage (indexed once per run by ``_band_layout``), so the rest of
+    each operand stays zero too.
     """
 
     def __init__(self, dim: int):
@@ -382,6 +394,72 @@ class _Tiling:
         # side four times per step and uses every slope before the next
         # step's first call (``auxiliary._rk4``)
         self.slopes = itertools.cycle(np.zeros((4, *state), dtype=complex))
+        self.l_band, self.drift_band, self.h_src, self.pairs = _band_layout(
+            count, b, g)
+        # scratch for the factors and products of L^dag L; ``take`` with a
+        # mode other than "raise" writes into it without a buffer
+        self.factors = np.empty(self.pairs.shape, dtype=complex)
+        # the stage operands: the drift's row tiles, (2, 1, count, rows,
+        # w), and L's windows, (2, count, w, w), without the count axis
+        # for one tile.  The driver holds at most three stages at once
+        # (the start, mid and end stage of a step) and forms each once, in
+        # order, so three sets used in rotation never overwrite a stage
+        # still in use (``auxiliary._rk4``)
+        tiles = (count,) if count > 1 else ()
+        tile = slice(g, g + b)
+        sets = []
+        for drift, l_win in zip(np.zeros((3, 2 * count * b * w), complex),
+                                np.zeros((3, 2 * count * w * w), complex)):
+            l_ = l_win.reshape(2, *tiles, w, w)
+            # L^dag's column tiles are L's: L is exactly Hermitian
+            sets.append((drift, drift.reshape(2, 1, *tiles, b, w), l_win,
+                         l_[..., tile, :][:, None], l_[..., :, tile]))
+        self.stages = itertools.cycle(sets)
+
+
+def _band_layout(count: int, b: int, g: int):
+    """The band indices of a run's stage operands, built in O(band).
+
+    A window is w = b + 2 g levels square and the 2 * count windows
+    (parity p, tile t) are stacked in that order.  L's band in a window
+    is stored by diagonal d = -1, 0, 1 and row i, the rows with 0 <= i + d
+    < w, so entry (i, j) of window k is element k (3w - 2) + (j - i + 1)
+    w - 1 + i of the band vector; one more element, after the last
+    window's, stands for every entry off the band and holds zero.
+    Returns (l_band, drift_band, h_src, pairs):
+
+    * l_band: each band entry's flat index in the (2 count, w, w) stack;
+    * drift_band: the flat index in the (2 count, b, w) stack of each
+      drift entry, the tile rows' entries up to two levels off the
+      diagonal;
+    * h_src: the band element at each drift entry (the zero one two
+      levels off the diagonal);
+    * pairs: (2, 3, drift entries) band elements, L[i, k] and L[k, j] for
+      k = i - 1, i, i + 1, whose products L^dag L sums at entry (i, j):
+      L^dag[i, k] = L[i, k] because L is exactly Hermitian.
+    """
+    w = b + 2 * g
+    stack = np.arange(2 * count)[:, None]
+    zero = 2 * count * (3 * w - 2)
+
+    def band(i, j):
+        ok = (np.abs(j - i) <= 1) & (i >= 0) & (i < w) & (j >= 0) & (j < w)
+        return np.where(ok, stack * (3 * w - 2) + (j - i + 1) * w - 1 + i,
+                        zero).ravel()
+
+    d = np.repeat([-1, 0, 1], [w - 1, w, w - 1])
+    i = np.concatenate([np.arange(1, w), np.arange(w), np.arange(w - 1)])
+    j = i + d
+    l_band = ((stack * w + i) * w + j).ravel()
+    r = np.repeat(np.arange(b), 5)
+    i = g + r
+    j = i + np.tile(np.arange(-2, 3), b)
+    keep = (j >= 0) & (j < w)
+    r, i, j = r[keep], i[keep], j[keep]
+    drift_band = ((stack * b + r) * w + j).ravel()
+    pairs = np.array([[band(i, i + e) for e in (-1, 0, 1)],
+                      [band(i + e, j) for e in (-1, 0, 1)]])
+    return l_band, drift_band, band(i, j), pairs
 
 
 def _parity_split(arr: np.ndarray, tiling: _Tiling) -> np.ndarray:
@@ -412,39 +490,53 @@ def _parity_join(blocks: np.ndarray, n: int, tiling: _Tiling) -> np.ndarray:
     return core.transpose(2, 0, 3, 1).reshape(2 * m, 2 * m)[:n, :n]
 
 
-def _diagonal_windows(model: LindbladModel,
-                      tiling: _Tiling) -> tuple[np.ndarray, ...]:
-    """(K1, K2, K3) as stacks of the tiles' windows of their padded even and
-    odd blocks: (2, count, width, width), or the (2, m, m) blocks for one
-    tile."""
-    return tuple(np.array(_view(_parity_split(k, tiling)[[0, 1], [0, 1]],
-                                tiling.op_windows))
-                 for k in model.generators)
+def _generator_bands(model: LindbladModel,
+                     tiling: _Tiling) -> tuple[np.ndarray, ...]:
+    """(K1, K2, K3) on the band of the tiles' windows of their padded even
+    and odd blocks, in the band vector layout of ``_band_layout``, with
+    the zero off-band element last."""
+    bands = []
+    for k in model.generators:
+        windows = _view(_parity_split(k, tiling)[[0, 1], [0, 1]],
+                        tiling.op_windows)
+        bands.append(np.append(np.ravel(windows)[tiling.l_band], 0.0))
+    return tuple(bands)
 
 
-def _density_stage_ops(tiling: _Tiling, windows, row):
+def _density_stage_ops(tiling: _Tiling, bands, row):
     """Right-hand-side operands of one stage: (tiling, drift, jump).
 
-    H, L and the drift are formed on the generator windows.  The drift is
-    a (2, 1, count, rows, width) stack of row tiles acting on the rows of
-    parity p, so that one broadcast matmul covers all tiles of all four
-    blocks of the state.  jump is None without friction, else (alpha, L,
-    L^dag): L in the drift's layout and L^dag a (2, count, width, rows)
-    stack of column tiles acting on the columns of parity q, views of L's
-    windows.
+    H and L are formed on their band entries (``_generator_arrays`` on the
+    band vectors of ``_generator_bands``), and the drift -i H - alpha
+    L^dag L on its own band, L^dag L from L's band entries: at each entry
+    three products, summed in ascending order of the inner level.  The
+    entries are written into the next of the tiling's three operand sets.
+    The drift is a (2, 1, count, rows, width) stack of row tiles acting
+    on the rows of parity p, so that one broadcast matmul covers all
+    tiles of all four blocks of the state.  jump is None without
+    friction, else (alpha, L, L^dag): L in the drift's layout and L^dag
+    a (2, count, width, rows) stack of column tiles acting on the columns
+    of parity q, both views of L's windows.
     """
-    h_win, l_win = _generator_arrays(windows, row)
-    tile = slice(tiling.margin, tiling.margin + tiling.rows)
-    drift = -1j * h_win[..., tile, :]
+    h_band, l_band = _generator_arrays(bands, row)
+    drift_flat, drift, l_flat, l_rows, l_cols = next(tiling.stages)
+    entries = -1j * h_band[tiling.h_src]
     jump = None
-    if l_win is not None:
+    if l_band is not None:
         alpha = row[1]
-        l_c = l_win.conj()
-        # a tile's rows of L^dag L: its band lies in the window
-        drift -= alpha * (l_c[..., tile].swapaxes(-1, -2) @ l_win)
-        jump = (alpha, l_win[..., tile, :][:, None],
-                l_c[..., tile, :].swapaxes(-1, -2))
-    return tiling, drift[:, None], jump
+        # L^dag L in the tiling's scratch: three products per entry
+        left, right = np.take(l_band, tiling.pairs, out=tiling.factors,
+                              mode="clip")
+        terms = np.multiply(left, right, out=left)
+        ltl = terms[0]
+        ltl += terms[1]
+        ltl += terms[2]
+        ltl *= alpha
+        entries -= ltl
+        l_flat[tiling.l_band] = l_band[:-1]
+        jump = (alpha, l_rows, l_cols)
+    drift_flat[tiling.drift_band] = entries
+    return tiling, drift, jump
 
 
 def _density_rhs(state: np.ndarray, ops) -> np.ndarray:
@@ -535,12 +627,12 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
 
     table = _stage_table(model, n, h)
     tiling = _Tiling(cfg.dim)
-    windows = _diagonal_windows(model, tiling)
+    bands = _generator_bands(model, tiling)
     # a diverging state overflows between records; the next record's
     # finiteness check reports it, so keep numpy quiet as the transport does
     with np.errstate(over="ignore", invalid="ignore"):
         _rk4(_density_rhs,
-             lambda j: _density_stage_ops(tiling, windows, table[j]),
+             lambda j: _density_stage_ops(tiling, bands, table[j]),
              _parity_split(rho0.entries, tiling), n, h, record, record_every)
     diag = np.array(rec_diag)
     return Trajectory(ts=np.array(rec_ts), states=tuple(rec_states),
@@ -608,7 +700,7 @@ def _transport_steps(model: LindbladModel, q0: np.ndarray, first: int,
     table[:, 1] *= -1.0  # the density generator at -alpha
     dim = model.basis.dim
     tiling = _Tiling(dim)
-    windows = _diagonal_windows(model, tiling)
+    bands = _generator_bands(model, tiling)
 
     def checked(i: int, blocks: np.ndarray):
         node = first + sign * stride * i
@@ -628,7 +720,7 @@ def _transport_steps(model: LindbladModel, q0: np.ndarray, first: int,
     # arithmetic may legitimately hit inf, so keep numpy quiet
     with np.errstate(over="ignore", invalid="ignore"):
         _rk4(_density_rhs,
-             lambda j: _density_stage_ops(tiling, windows, table[j]),
+             lambda j: _density_stage_ops(tiling, bands, table[j]),
              _parity_split(q0, tiling), n, sign * stride * h, checked, every,
              skip)
 

@@ -234,7 +234,7 @@ def _check_density_stage_operators(dim, n):
     *_, model = modulated_setup(dim=dim, t_max=n * H)
     table = lindblad._stage_table(model, n, H)
     tiling = lindblad._Tiling(dim)
-    windows = lindblad._diagonal_windows(model, tiling)
+    bands = lindblad._generator_bands(model, tiling)
     b, g = tiling.rows, tiling.margin
     w = b + 2 * g
     for j in (0, n + 1, 2 * n):
@@ -242,12 +242,14 @@ def _check_density_stage_operators(dim, n):
         h_op, alpha, l_op = _stage_arrays(model, 0.5 * H * j)
         assert row[1] == alpha > 0.0
         l_h = l_op.conj().T
-        h_win, l_win = (_tile_axis(a, tiling)
-                        for a in lindblad._generator_arrays(windows, row))
-        tiling_, drift, (c, l_, l_h2) = _density_stage_ops(
-            tiling, windows, row)
+        tiling_, drift, (c, l_, l_h2) = _density_stage_ops(tiling, bands, row)
         assert tiling_ is tiling and c == alpha
-        drift, l_, l_h2 = (_tile_axis(a, tiling) for a in (drift, l_, l_h2))
+        # the same row without friction: the drift is -i H alone
+        _, unitary, jump = _density_stage_ops(tiling, bands,
+                                              (row[0], 0.0, *row[2:]))
+        assert jump is None
+        drift, unitary, l_, l_h2 = (_tile_axis(a, tiling)
+                                    for a in (drift, unitary, l_, l_h2))
         product = l_h @ l_op
         dense_drift = -1j * h_op - alpha * product
         for p in (0, 1):
@@ -258,12 +260,12 @@ def _check_density_stage_operators(dim, n):
             for t in range(tiling.count):
                 win = slice(t * b, t * b + w)
                 tile = slice(g + t * b, g + (t + 1) * b)
-                np.testing.assert_array_equal(h_win[p, t], h_pad[win, win])
-                np.testing.assert_array_equal(l_win[p, t], l_pad[win, win])
+                np.testing.assert_array_equal(unitary[p, 0, t],
+                                              -1j * h_pad[tile, win])
                 np.testing.assert_array_equal(l_[p, 0, t], l_pad[tile, win])
                 np.testing.assert_array_equal(l_h2[p, t], lh_pad[win, tile])
-                # a sum over the levels of one parity, not over all of
-                # them with exact zeros in between: equal up to a few
+                # three products per entry in their own order, not the
+                # dense product's sum over all levels: equal up to a few
                 # roundings
                 np.testing.assert_allclose(
                     drift[p, 0, t], drift_pad[tile, win], rtol=0,
@@ -273,11 +275,11 @@ def _check_density_stage_operators(dim, n):
 def test_stage_operators_are_formed_from_the_coefficients():
     """At the first, a middle and the last stage of a modulated dissipative
     run, the density stage's matrices are H and L formed from
-    ``model.coefficients(0.5*h*j)``: its H and L windows and its L and
-    L^dag tiles are bit for bit those of the padded parity blocks of the
-    dense ones, and its drift tiles differ from the dense drift only by
-    the rounding of the L^dag L product.  Dim 12 has one tile, dim 81
-    two."""
+    ``model.coefficients(0.5*h*j)``: the drift of the same row without
+    friction is -i H and the L and L^dag tiles are, bit for bit, those of
+    the padded parity blocks of the dense H, L and L^dag, and the drift
+    tiles differ from the dense drift only by the rounding of the L^dag L
+    product.  Dim 12 has one tile, dim 81 two."""
     for dim in (81, 12):
         _check_density_stage_operators(dim, 1000)
 
@@ -285,34 +287,50 @@ def test_stage_operators_are_formed_from_the_coefficients():
 @pytest.mark.parametrize("dim", [9, 12, 81, 160])
 def test_block_rhs_equals_the_dense_generator(dim):
     """Reassembled, the tiled block right-hand side of an exactly Hermitian
-    state is drift rho + rho drift^dag + 2 alpha L rho L^dag on the dense
-    matrices; every slope equals its block-swapped conjugate transpose bit
+    state is drift rho + rho drift^dag + 2 alpha L rho L^dag, evaluated in
+    long double on the dense matrices, to within the rounding of its
+    operands; every slope equals its block-swapped conjugate transpose bit
     for bit (the kernel returns Y + Y^dag, whose entries [i, j] and
     [j, i] add the same two roundings in either order); and every padding
     entry (the margins, the levels past m and the padding level of an odd
     dimension) stays exactly zero, also in a reused slope buffer.  Dims 9
     and 12 have one tile; 81 has two tiles of 21 rows over a 41-level
-    block, 160 four."""
+    block, 160 four.
+
+    The bound, entry by entry: with unit roundoff u = eps/2, a complex dot
+    product of k terms errs by at most sqrt(2) gamma_(k+2) times the dot
+    product of the magnitudes (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, Lemma 3.5), below 1.5 (k + 2) u.  The drift term
+    meets L^dag L (3 terms, 7.5 u), alpha and -i H (2 u), drift rho (5
+    terms, 10.5 u), Y and Y + Y^dag (2 u): 22 u of |D| |rho|, |D| = |H|
+    + alpha |L| |L|.  The jump term meets L rho and (L rho) L^dag (3
+    terms each, 15 u), alpha, Y and Y + Y^dag (3 u): 18 u of alpha |L|
+    |rho| |L|.  So each entry is within 22 u times |D| |rho| + |rho|
+    |D|^T + 2 alpha |L| |rho| |L|, with |.| taken entrywise.  Measured: at
+    most 0.22 of it (dim 160)."""
     *_, model = modulated_setup(dim=dim)
     tiling = lindblad._Tiling(dim)
     rho = _random_state(dim, 7)
     rho = 0.5 * (rho + rho.conj().T)  # exactly Hermitian
     h_op, alpha, l_op = _stage_arrays(model, 0.3)
-    l_h = l_op.conj().T
-    drift = -1j * h_op - alpha * (l_h @ l_op)
-    dense = (drift @ rho + rho @ drift.conj().T
-             + 2.0 * alpha * (l_op @ rho @ l_h))
-    ops = _density_stage_ops(tiling, lindblad._diagonal_windows(model, tiling),
+    h_x, l_x, rho_x = (a.astype(np.clongdouble) for a in (h_op, l_op, rho))
+    l_hx = l_x.conj().T
+    drift = -1j * h_x - alpha * (l_hx @ l_x)
+    dense = (drift @ rho_x + rho_x @ drift.conj().T
+             + 2.0 * alpha * (l_x @ rho_x @ l_hx))
+    abs_l, abs_rho = np.abs(l_op), np.abs(rho)
+    abs_drift = np.abs(h_op) + alpha * (abs_l @ abs_l)
+    bound = (22 * 0.5 * np.finfo(float).eps
+             * (abs_drift @ abs_rho + abs_rho @ abs_drift.T
+                + 2.0 * alpha * (abs_l @ abs_rho @ abs_l)))
+    ops = _density_stage_ops(tiling, lindblad._generator_bands(model, tiling),
                              model.coefficients(0.3))
     state = _split(rho, tiling)
     for _ in range(5):  # the fifth call reuses the first slope buffer
         out = lindblad._density_rhs(state, ops)
         np.testing.assert_array_equal(out, out.transpose(1, 0, 3, 2).conj())
     assert out.shape == (2, 2, tiling.side, tiling.side)
-    # rounding of the larger operators of the wider bases: 16 ulp of the
-    # largest entry (below the 1e-14 |rho| of earlier versions at dims 9, 12)
-    assert (max_abs(_join(out, dim, tiling) - dense)
-            <= 16 * np.finfo(float).eps * max_abs(dense))
+    assert (np.abs(_join(out, dim, tiling) - dense) <= bound).all()
     # zero the entries that hold levels; what is left is padding
     g = tiling.margin
     padding = out.copy()
@@ -365,18 +383,20 @@ def test_an_anti_hermitian_residue_stays_frozen():
 def test_one_tile_rhs_is_the_per_block_products():
     """Below 2 TILE_ROWS levels per block the kernel is the plain block
     product, in its grouping, bit for bit: Y[p,q] = drift[p] rho[p,q]
-    + alpha (L[p] rho[p,q]) L[q]^dag, then Y[p,q] + Y[q,p]^dag."""
+    + alpha (L[p] rho[p,q]) L[q]^dag, then Y[p,q] + Y[q,p]^dag, with the
+    stage's own drift operand and L from the dense generators."""
     dim = 12
     *_, model = modulated_setup(dim=dim)
     tiling = lindblad._Tiling(dim)
     assert tiling.count == 1 and tiling.margin == 0
     row = model.coefficients(0.3)
     _, alpha, _, _ = row
-    h_op, l_op = lindblad._generator_arrays(model.generators, row)
+    _, l_op = lindblad._generator_arrays(model.generators, row)
     rho = _random_state(dim, 11)
-    h_blk = [h_op[p::2, p::2] for p in (0, 1)]
     l_blk = [l_op[p::2, p::2] for p in (0, 1)]
-    drift = [-1j * h - alpha * (l.conj().T @ l) for h, l in zip(h_blk, l_blk)]
+    ops = _density_stage_ops(tiling, lindblad._generator_bands(model, tiling),
+                             row)
+    drift = ops[1][:, 0]
     y = np.empty((2, 2, dim // 2, dim // 2), dtype=complex)
     for p in (0, 1):
         for q in (0, 1):
@@ -385,8 +405,6 @@ def test_one_tile_rhs_is_the_per_block_products():
             y[p, q] += alpha * ((l_blk[p] @ blk) @ l_blk[q].conj().T)
     expected = np.array([[y[p, q] + y[q, p].conj().T for q in (0, 1)]
                          for p in (0, 1)])
-    ops = _density_stage_ops(tiling, lindblad._diagonal_windows(model, tiling),
-                             row)
     np.testing.assert_array_equal(
         lindblad._density_rhs(_split(rho, tiling), ops), expected)
 
@@ -471,11 +489,11 @@ def _reference_blocks(model, table, q0, n, h, every=1):
     ``table`` and the right-hand side above."""
     dim = model.basis.dim
     tiling = lindblad._Tiling(dim)
-    windows = lindblad._diagonal_windows(model, tiling)
+    bands = lindblad._generator_bands(model, tiling)
 
     def rhs(q, j):
         return _fresh_density_rhs(
-            q, _density_stage_ops(tiling, windows, table[j]))
+            q, _density_stage_ops(tiling, bands, table[j]))
 
     nodes = _plain_rk4(rhs, lindblad._parity_split(q0, tiling), n, h)
     kept = nodes[::every] + ([nodes[-1]] if n % every else [])
@@ -507,44 +525,35 @@ def test_density_buffers_reproduce_the_fresh_array_rk4(dim, kappa, n):
 
 
 def _density_step_allocations(dim, monkeypatch):
-    """(largest rise of traced memory over an interval, state bytes)."""
+    """(largest rise of traced memory over a step, state bytes)."""
     n = 6
     _, _, cfg, _, _, model = modulated_setup(dim=dim, t_max=n * H)
     rho0 = build_state(StateSpec(kind="coherent", beta=complex(0.5, 0.3)), cfg)
     side = lindblad._Tiling(dim).side
-    rises, opened = [], []
-
-    def close():
-        if opened:
-            rises.append(tracemalloc.get_traced_memory()[1] - opened.pop())
-
-    def open_():
-        tracemalloc.reset_peak()
-        opened.append(tracemalloc.get_traced_memory()[0])
-
-    build, rhs = lindblad._density_stage_ops, lindblad._density_rhs
-
-    def stage_ops(*args):
-        close()
-        ops = build(*args)
-        open_()
-        return ops
+    rises, opened, calls = [], [], []
+    rhs = lindblad._density_rhs
 
     def traced_rhs(state, ops):
-        close()
-        open_()
+        # a step runs from its first right-hand-side call to the next
+        # step's: four calls, the combination and the next step's two
+        # stage formations
+        if len(calls) % 4 == 0:
+            if opened:
+                rises.append(tracemalloc.get_traced_memory()[1]
+                             - opened.pop())
+            tracemalloc.reset_peak()
+            opened.append(tracemalloc.get_traced_memory()[0])
+        calls.append(None)
         return rhs(state, ops)
 
-    monkeypatch.setattr(lindblad, "_density_stage_ops", stage_ops)
     monkeypatch.setattr(lindblad, "_density_rhs", traced_rhs)
     tracemalloc.start()
     try:
         evolve_density(model, rho0, n * H, H, record_every=n)
     finally:
         tracemalloc.stop()
-    # 3 stage formations on the first step, 2 on the later ones, 4 calls
-    # a step; the interval after the last call is left open
-    assert len(rises) == 6 * n
+    # the last step, which ends in the record, is left open
+    assert len(calls) == 4 * n and len(rises) == n - 1
     return max(rises), 4 * side * side * np.dtype(complex).itemsize
 
 
@@ -552,11 +561,10 @@ def _density_step_allocations(dim, monkeypatch):
 def test_density_steps_allocate_no_state_sized_array(dim, monkeypatch):
     """Between records, an ``evolve_density`` step allocates no array the
     size of the padded state: traced with tracemalloc, memory never rises
-    by one state over an interval that runs from one right-hand-side call
-    or stage-operand formation to the next.  The intervals hold the
-    right-hand-side calls and the RK4 combination; the stage operands are
-    left out, formed fresh each stage, and at one tile (dim 41) their
-    windows are whole blocks.  Dim 160 has four tiles."""
+    by one state over a whole step, its four right-hand-side calls, the
+    RK4 combination and its stage-operand formations, which write into
+    the run's operand buffers.  Dim 41 has one tile, whose operand
+    windows are whole blocks; dim 160 has four."""
     rise, state_bytes = _density_step_allocations(dim, monkeypatch)
     assert rise < state_bytes
 
@@ -587,8 +595,8 @@ def test_no_jump_terms_without_friction():
     *_, model = equilibrium_setup(dim=10, kappa=0.0, t_max=1.0)
     row = model.coefficients(0.5)
     tiling = lindblad._Tiling(10)
-    windows = lindblad._diagonal_windows(model, tiling)
-    assert _density_stage_ops(tiling, windows, row)[2] is None
+    bands = lindblad._generator_bands(model, tiling)
+    assert _density_stage_ops(tiling, bands, row)[2] is None
 
 
 def test_generator_coupling_opposite_parities_rejected():
@@ -604,14 +612,19 @@ def test_generator_coupling_opposite_parities_rejected():
 
 def test_non_hermitian_generator_rejected():
     """The observable transport is the density equation with alpha
-    negated, which is its adjoint only for a Hermitian jump operator."""
+    negated, which is its adjoint only for a Hermitian jump operator, and
+    the density stages read L^dag as L: a deviation of 1e-3 is refused,
+    and so is one of 1e-14, which ``FockOperator`` still calls Hermitian."""
     omega_s, kappa_s, cfg, (g1, g2, g3), sol, _ = equilibrium_setup(
         dim=10, t_max=0.01)
-    k3 = np.array(g3.entries)
-    k3[0, 2] += 1e-3
-    with pytest.raises(ValidationError,
-                       match=r"generator k3 is not Hermitian"):
-        LindbladModel(omega_s, kappa_s, sol, g1, g2, FockOperator(k3), cfg)
+    for dev in (1e-3, 1e-14):
+        k3 = np.array(g3.entries)
+        k3[0, 2] += dev
+        assert FockOperator(k3).hermitian == (dev < 1e-12)
+        with pytest.raises(ValidationError,
+                           match=r"generator k3 is not Hermitian"):
+            LindbladModel(omega_s, kappa_s, sol, g1, g2, FockOperator(k3),
+                          cfg)
 
 
 def test_generator_coupling_beyond_the_band_rejected():
@@ -976,6 +989,42 @@ def test_a_strided_transport_steps_every_strided_stage_row(backward):
                                         backward, stride)
     for q, ref in zip(nodes, expected, strict=True):
         np.testing.assert_array_equal(q, ref)
+
+
+@pytest.mark.parametrize("first, last, stride", [(30, 90, 1), (90, 30, 1),
+                                                 (90, 30, 3)],
+                         ids=["forward", "backward", "strided"])
+def test_the_driver_forms_each_stage_once_and_holds_at_most_three(
+        monkeypatch, first, last, stride):
+    """The promise the three rotating stage-operand sets rely on: on a
+    forward, a backward and a strided ``_transport_steps`` run the driver
+    calls ``stage(j)`` once for each j = 0 .. 2n, in increasing order,
+    and no right-hand-side call after stage j is formed reads a stage
+    before j - 2, so at most three stages are live at any time."""
+    *_, gens, _, model = modulated_setup(dim=20, t_max=0.1)
+    formed, reads = [], []
+    drive = lindblad._rk4
+
+    def recording(rhs, stage, y0, n, h, record, every=1, skip=0):
+        def recorded_stage(j):
+            formed.append(j)
+            return j, stage(j)
+
+        def recorded_rhs(y, data):
+            j, ops = data
+            reads.append((formed[-1], j))
+            return rhs(y, ops)
+
+        return drive(recorded_rhs, recorded_stage, y0, n, h, record, every,
+                     skip)
+
+    monkeypatch.setattr(lindblad, "_rk4", recording)
+    lindblad._transport_steps(model, gens[1].entries, first, last, H,
+                              lambda i, q: None, stride=stride)
+    n = abs(last - first) // stride
+    assert formed == list(range(2 * n + 1))
+    assert len(reads) == 4 * n
+    assert all(newest - 2 <= j <= newest for newest, j in reads)
 
 
 def _adjoint_superoperator(h_op, l_, alpha):

@@ -12,7 +12,8 @@ import os
 import numpy as np
 import pytest
 
-from invariantlab import runner
+from invariantlab import lindblad, runner
+from invariantlab.operators import FockOperator
 from invariantlab.scenario import build_scenario, load_scenario, parse_settings
 from invariantlab.schedules import ConstantSchedule
 
@@ -59,13 +60,47 @@ def _frictionless_first_moments(monkeypatch):
     monkeypatch.setattr(runner, "evolve_first_moments", undamped)
 
 
+def _sign_flipped_su11_generator(monkeypatch):
+    """K3 passed to the commutation-relation check with its sign flipped:
+    [K1, K2] = -i K3 no longer holds, and nothing else reads the call."""
+    check = runner.check_su11_relations
+
+    def flipped(k1, k2, k3, interior_dim):
+        return check(k1, k2, FockOperator(-k3.entries), interior_dim)
+
+    monkeypatch.setattr(runner, "check_su11_relations", flipped)
+
+
+def _half_jump_term(monkeypatch):
+    """The density right-hand side's jump term alpha (L rho) L^dag at half
+    strength, the factor 2 of 2 alpha L rho L^dag lost: the generator no
+    longer preserves the trace.  The observable transport steps the same
+    kernel, so the drift probe sees it too."""
+    build = lindblad._density_stage_ops
+
+    def halved(tiling, bands, row):
+        tiling, drift, jump = build(tiling, bands, row)
+        if jump is not None:
+            alpha, l_, l_h = jump
+            jump = (0.5 * alpha, l_, l_h)
+        return tiling, drift, jump
+
+    monkeypatch.setattr(lindblad, "_density_stage_ops", halved)
+
+
 @pytest.mark.parametrize("scenario, mutant, failing", [
     (_adiabatic, None, set()),
     (_adiabatic, _second_order_series, {"adiabatic-scaling"}),
     (_both, None, set()),
     (_both, _frictionless_first_moments, {"backend-agreement"}),
+    (_both, _sign_flipped_su11_generator, {"su11-algebra"}),
+    # state-trace cannot fail alone: a trace leak moves the conserved
+    # expectation and the moments, and the shared kernel moves the probe
+    (_both, _half_jump_term, {"state-trace", "conservation",
+                              "backend-agreement", "drift-crosscheck"}),
 ], ids=["adiabatic", "adiabatic-second-order-series", "both",
-        "both-frictionless-first-moments"])
+        "both-frictionless-first-moments", "both-sign-flipped-su11-generator",
+        "both-half-jump-term"])
 def test_a_mutant_fails_exactly_its_checks(monkeypatch, scenario, mutant,
                                            failing):
     s = scenario()
