@@ -20,44 +20,41 @@ and applies the maps in turn.  Blocks are sized by ``STAGE_BLOCK_BYTES``.
 
 K1, K2 and K3 are quadratic in a and a^dag, so H and L connect only
 Fock levels n and n +- 2 and the generator never mixes even and odd
-levels.  The density integrator therefore holds the state as its four
-parity blocks (even-even, even-odd, odd-even, odd-odd), each m x m with
-m = ceil(N/2), and multiplies them by the even and odd diagonal blocks
-of H, L and the drift: half the flops of the dense product.  Within a
-block H and L are tridiagonal and the drift pentadiagonal, so each block
-is cut into max(1, m // TILE_ROWS) row tiles (``_Tiling``) and a tile is
-multiplied only by the rows and columns its band reaches: tile-wide
-windows of the operators and of the state, which is held with a zero
-margin of BAND_MARGIN levels around each block so that every window is
-a strided view.  A stage forms only the band entries of its operands:
-H and L on the generators' band entries, gathered once per run, and
-the drift -i H - alpha L^dag L on its pentadiagonal band, L^dag L from
-L's own band entries, three products per entry.  The generator maps
-Hermitian matrices to Hermitian ones, so the right-hand side forms only
-Y = drift rho + alpha (L rho) L^dag and returns Y + Y^dag: three products instead of four (rho drift^dag is
-(drift rho)^dag), and each is one matmul over all tiles of all four
-blocks.  Every slope is then exactly Hermitian, bit for bit, and so is
-every state stepped from an exactly Hermitian one, since the RK4 stage
-states and step combination commute with conjugation; an anti-Hermitian
-rounding residue of the initial state receives no slope and stays as it
-is.  With one tile, that is below 2 TILE_ROWS levels per block (every
-shipped scenario), there is no margin and the products are the plain
-block products.  An odd dimension pads the odd side with one zero level;
-that level, the margins and the levels the last tile covers past m stay
-exactly zero.  Recorded states are reassembled to the dense N x N
-matrix, and ``LindbladModel`` refuses generators with an entry between
-levels of opposite parity or more than two levels apart, which the
-blocks or tiles would drop, and generators that are not exactly
+levels.  The density integrator therefore holds the state as the dense
+matrix with its levels permuted by parity, even levels first, stored as
+a (2, m + 2, 2m) stack, m = ceil(N/2): row block p holds the m levels of
+parity p against all 2m columns, with one zero row above and below.
+Within a parity block H and L are tridiagonal, so a stage forms only
+their band entries, as (2, m, 1, 3) stacks: row i of block p holds its
+entries in columns i - 1, i and i + 1, gathered once per run from the
+generators (``_Kernel``).  A left product by such a stack is one matmul
+against a strided view of a padded state that reads, for row i, the
+rows i - 1, i and i + 1, with no copy: the pad rows stand in for the
+levels past either end of a block.  For the one Hermitian jump operator
+the dissipator is the double commutator -alpha [L, [L, rho]] (Lindblad,
+CMP 48, 119, 1976), and the generator maps Hermitian matrices to
+Hermitian ones, so the right-hand side forms X = L rho, C = X - X^dag,
+which is [L, rho] for Hermitian rho, and Y = K rho - alpha L C with
+K = -i H, and returns Y + Y^dag = -i [H, rho] - alpha [L, [L, rho]]: three
+banded left products per slope.  Every slope is then exactly Hermitian,
+bit for bit, and so is every state stepped from an exactly Hermitian
+one, since the RK4 stage states and step combination commute with
+conjugation; an anti-Hermitian rounding residue of the initial state
+receives no slope and stays as it is.  The identity is an exact fixed
+point of the observable transport: its C is L - L^dag = 0 exactly.  An
+odd dimension pads the odd levels with one zero level; that level and
+the pad rows stay exactly zero.  Recorded states are unpermuted to the
+dense N x N matrix, and ``LindbladModel`` refuses generators with an
+entry between levels of opposite parity or more than two levels apart,
+which the band would drop, and generators that are not exactly
 Hermitian.
 
 A density run allocates its state-sized buffers once.  The driver owns
 the state and the array its stage states and step combination are
-formed in (``auxiliary._rk4``); the run's ``_Tiling`` owns the
-right-hand side's two scratch arrays and the four slopes it writes in
-rotation, one per RK4 slope of a step, and the three sets of stage
-operands (drift and L windows) the stages write in rotation, one per
-stage a step holds.  L is exactly Hermitian, so L^dag's windows are
-views of L's.  Between records a step allocates only band-sized
+formed in (``auxiliary._rk4``); the run's ``_Kernel`` owns the X and C
+scratch of the right-hand side and the four slopes it writes in
+rotation, one per RK4 slope of a step.  Between records a step
+allocates only band-sized arrays: the stage operands and their
 temporaries.
 """
 
@@ -110,13 +107,6 @@ CLOSURE_GATE_TOL = 1e-10
 # The moment systems' step maps are formed a block at a time, as many per
 # block as fit in this many bytes: about 1500 steps of the 3x3 system.
 STAGE_BLOCK_BYTES = 1 << 20
-# The density right-hand side cuts each m-level parity block into
-# max(1, m // TILE_ROWS) row tiles; a tile's band reaches BAND_MARGIN
-# levels past its rows.  Measured on one BLAS thread, two tiles of 20
-# rows (m = 40) already take 0.8 of the whole-block time, and more tiles
-# gain more; 16 only breaks even at m = 32 and 24 gains less from m = 60.
-TILE_ROWS = 20
-BAND_MARGIN = 2
 
 
 def _block_length(item_bytes: int) -> int:
@@ -186,7 +176,7 @@ class LindbladModel:
                 raise ValidationError(
                     f"generator {name} couples Fock levels {i} and {j}, "
                     f"more than 2 apart (entry {gen.entries[i, j]:.3e}); the "
-                    "tiled density evolution would drop it")
+                    "banded density evolution would drop it")
             dev = gen.herm_deviation()
             if not dev == 0.0:  # also trips on nan
                 raise ValidationError(
@@ -302,269 +292,141 @@ class Trajectory:
                     rows, precision)
 
 
-def _window_spec(shape, count: int, window, step, start=(0, 0)):
-    """(shape, offset, strides) of ``count`` windows in a complex array.
+class _Kernel:
+    """The generator bands and the buffers of one dim-N density run.
 
-    The array is C-contiguous of ``shape``; window t covers ``window``
-    rows and columns of its last two axes from (row, column) ``start +
-    t * step``.  The view has shape (*lead, count, *window), without the
-    count axis for one window; offset and strides are in bytes.  None
-    stands for the whole array: a view that equals it.
-    """
-    item = np.dtype(complex).itemsize
-    strides = [item]
-    for n in reversed(shape[1:]):
-        strides.insert(0, strides[0] * n)
-    *lead, sr, sc = strides
-    axes = [(window[0], sr), (window[1], sc)]
-    tile_axis = ([(count, step[0] * sr + step[1] * sc)] if count > 1 else [])
-    axes = [*zip(shape[:-2], lead), *tile_axis, *axes]
-    spec = (tuple(n for n, _ in axes), start[0] * sr + start[1] * sc,
-            tuple(s for _, s in axes))
-    return None if spec == (tuple(shape), 0, tuple(strides)) else spec
+    ``bands`` holds K1, K2 and K3 as (2, m, 1, 3) band stacks, m =
+    ceil(N/2): entry [p, i, 0, d] is the entry of the parity-p block
+    between its levels i and i + d - 1, zero where that level lies past
+    either end of the block or is the padding level of an odd N.  The
+    buffers are zero-initialised (2, m + 2, 2m) states: the X and C
+    scratch of the right-hand side, and the four slopes it writes in
+    rotation (``slopes``).  The driver calls the right-hand side four
+    times per step and uses every slope before the next step's first
+    call (``auxiliary._rk4``).  The products write only level rows, so
+    the pad rows only ever receive sums and conjugates of zeros and stay
+    zero without being reset.
 
-
-def _view(a: np.ndarray, spec) -> np.ndarray:
-    """The view ``spec`` (from ``_window_spec``) of the C-contiguous ``a``."""
-    if spec is None:
-        return a
-    shape, offset, strides = spec
-    return np.ndarray(shape, a.dtype, a, offset, strides)
-
-
-class _Tiling:
-    """Row tiles of the m x m parity blocks of one dim-N density run.
-
-    A block is cut into ``count`` tiles of ``rows`` levels.  Together
-    they span s = count * rows >= m levels; the levels past m are zero.
-    A padded block is ``side`` = s + 2 ``margin`` square, so level k sits
-    at padded index margin + k.  Within a block H and L reach one level
-    on either side of the diagonal and L^dag L and the drift BAND_MARGIN
-    levels, so tile t's band lies in its window: the w = rows + 2 margin
-    padded levels from t * rows.  Every window has the same width, and
-    the margins hold what the edge tiles reach past the block; within
-    its window a tile's rows are margin..margin+rows-1.  One tile spans
-    the whole block and needs no margin: its window is the block.
-
-    The view specs are computed once per run: every operand the
-    right-hand side multiplies is a view of a stage's operand buffers,
-    of the state or of one of the two scratch arrays it reuses within a
-    call.  The run's buffers live here: the two scratch arrays, the four
-    slopes the right-hand side writes in rotation (``slopes``) and the
-    three sets of stage operands ``_density_stage_ops`` writes in
-    rotation (``stages``), all zero-initialised.  The margins of a slope
-    and of the right-side scratch only ever receive sums, products and
-    conjugates of zeros, so they stay zero without being reset; a stage
-    writes only the band entries of its operands, the same entries every
-    stage (indexed once per run by ``_band_layout``), so the rest of
-    each operand stays zero too.
+    The views the right-hand side writes and reads the buffers through
+    are made once here: a buffer's level rows as a product's output,
+    (2, m, 1, 2m), and its levels as (2, m, 2, m) parity blocks [p, i,
+    q, j], or in the conjugate transpose's order [q, j, p, i].  Level
+    (p, i) against (q, j) is [p, 1 + i, q m + j], so the conjugate
+    transpose swaps the two pairs.
     """
 
-    def __init__(self, dim: int):
-        m = (dim + 1) // 2
-        count = max(1, m // TILE_ROWS)
-        b = -(-m // count)
-        g = BAND_MARGIN if count > 1 else 0
-        s = count * b
-        p = s + 2 * g
-        w = b + 2 * g
-        self.count, self.rows, self.margin, self.side = count, b, g, p
-        # the diagonal windows of a (2, side, side) operator stack
-        self.op_windows = _window_spec((2, p, p), count, (w, w), (b, b))
-        # the state: the rows the tiles' bands read.  The left products
-        # write whole padded rows, whose margin columns come out zero
-        state = (2, 2, p, p)
-        self.state_rows = _window_spec(state, count, (w, p), (b, 0))
-        self.out_rows = _window_spec(state, count, (b, p), (b, 0), (g, 0))
-        # scratch: the right-side product (L rho) L^dag, column tile by
-        # column tile, then the conjugate transpose of the slope, laid out
-        # as the state with zero margins, so that each adds to the output
-        # as one contiguous array (numpy 2.4 adds row-strided complex
-        # arrays about 3x slower); and L rho, the span's rows
-        self.part = np.zeros(state, dtype=complex)
-        self.part_tiles = _view(
-            self.part, _window_spec(state, count, (s, b), (0, b), (g, g)))
-        shape = (2, 2, s, p)
-        l_rho = np.empty(shape, dtype=complex)
-        self.l_rho_rows = _view(
-            l_rho, _window_spec(shape, count, (b, p), (b, 0)))
-        self.l_rho_cols = _view(
-            l_rho, _window_spec(shape, count, (s, w), (0, b)))
-        # the four RK4 slopes of a step: the driver calls the right-hand
-        # side four times per step and uses every slope before the next
-        # step's first call (``auxiliary._rk4``)
-        self.slopes = itertools.cycle(np.zeros((4, *state), dtype=complex))
-        self.l_band, self.drift_band, self.h_src, self.pairs = _band_layout(
-            count, b, g)
-        # scratch for the factors and products of L^dag L; ``take`` with a
-        # mode other than "raise" writes into it without a buffer
-        self.factors = np.empty(self.pairs.shape, dtype=complex)
-        # the stage operands: the drift's row tiles, (2, 1, count, rows,
-        # w), and L's windows, (2, count, w, w), without the count axis
-        # for one tile.  The driver holds at most three stages at once
-        # (the start, mid and end stage of a step) and forms each once, in
-        # order, so three sets used in rotation never overwrite a stage
-        # still in use (``auxiliary._rk4``)
-        tiles = (count,) if count > 1 else ()
-        tile = slice(g, g + b)
-        sets = []
-        for drift, l_win in zip(np.zeros((3, 2 * count * b * w), complex),
-                                np.zeros((3, 2 * count * w * w), complex)):
-            l_ = l_win.reshape(2, *tiles, w, w)
-            # L^dag's column tiles are L's: L is exactly Hermitian
-            sets.append((drift, drift.reshape(2, 1, *tiles, b, w), l_win,
-                         l_[..., tile, :][:, None], l_[..., :, tile]))
-        self.stages = itertools.cycle(sets)
+    def __init__(self, model: LindbladModel):
+        n = model.basis.dim
+        m = (n + 1) // 2
+        # the Fock level of row i of block p, and the levels of its band
+        level = (2 * np.arange(m) + np.arange(2)[:, None])[..., None]
+        near = level + 2 * np.arange(-1, 2)
+        on = (near >= 0) & (near < n) & (level < n)
+        self.bands = tuple(
+            np.where(on, k[np.minimum(level, n - 1), np.clip(near, 0, n - 1)],
+                     0.0)[:, :, None]
+            for k in model.generators)
+        shape = (2, m + 2, 2 * m)
+        self.x = np.zeros(shape, dtype=complex)
+        self.x_levels = self.x[:, 1:-1, None]
+        self.x_blocks = _blocks(self.x)
+        self.x_swapped = self.x_blocks.transpose(2, 3, 0, 1)
+        self.c = np.zeros(shape, dtype=complex)
+        self.c_blocks = _blocks(self.c)
+        self.c_rows = _rows(self.c)
+        self.slopes = itertools.cycle([
+            (out, out[:, 1:-1, None], _blocks(out).transpose(2, 3, 0, 1))
+            for out in np.zeros((4, *shape), dtype=complex)])
 
 
-def _band_layout(count: int, b: int, g: int):
-    """The band indices of a run's stage operands, built in O(band).
-
-    A window is w = b + 2 g levels square and the 2 * count windows
-    (parity p, tile t) are stacked in that order.  L's band in a window
-    is stored by diagonal d = -1, 0, 1 and row i, the rows with 0 <= i + d
-    < w, so entry (i, j) of window k is element k (3w - 2) + (j - i + 1)
-    w - 1 + i of the band vector; one more element, after the last
-    window's, stands for every entry off the band and holds zero.
-    Returns (l_band, drift_band, h_src, pairs):
-
-    * l_band: each band entry's flat index in the (2 count, w, w) stack;
-    * drift_band: the flat index in the (2 count, b, w) stack of each
-      drift entry, the tile rows' entries up to two levels off the
-      diagonal;
-    * h_src: the band element at each drift entry (the zero one two
-      levels off the diagonal);
-    * pairs: (2, 3, drift entries) band elements, L[i, k] and L[k, j] for
-      k = i - 1, i, i + 1, whose products L^dag L sums at entry (i, j):
-      L^dag[i, k] = L[i, k] because L is exactly Hermitian.
-    """
-    w = b + 2 * g
-    stack = np.arange(2 * count)[:, None]
-    zero = 2 * count * (3 * w - 2)
-
-    def band(i, j):
-        ok = (np.abs(j - i) <= 1) & (i >= 0) & (i < w) & (j >= 0) & (j < w)
-        return np.where(ok, stack * (3 * w - 2) + (j - i + 1) * w - 1 + i,
-                        zero).ravel()
-
-    d = np.repeat([-1, 0, 1], [w - 1, w, w - 1])
-    i = np.concatenate([np.arange(1, w), np.arange(w), np.arange(w - 1)])
-    j = i + d
-    l_band = ((stack * w + i) * w + j).ravel()
-    r = np.repeat(np.arange(b), 5)
-    i = g + r
-    j = i + np.tile(np.arange(-2, 3), b)
-    keep = (j >= 0) & (j < w)
-    r, i, j = r[keep], i[keep], j[keep]
-    drift_band = ((stack * b + r) * w + j).ravel()
-    pairs = np.array([[band(i, i + e) for e in (-1, 0, 1)],
-                      [band(i + e, j) for e in (-1, 0, 1)]])
-    return l_band, drift_band, band(i, j), pairs
+def _blocks(state: np.ndarray) -> np.ndarray:
+    """The levels of a (2, m + 2, 2m) state as (2, m, 2, m) parity blocks."""
+    two, rows, cols = state.shape
+    return state[:, 1:-1].reshape(two, rows - 2, 2, cols // 2)
 
 
-def _parity_split(arr: np.ndarray, tiling: _Tiling) -> np.ndarray:
-    """Padded parity blocks of an n x n array as a (2, 2, side, side) stack.
+def _rows(state: np.ndarray) -> np.ndarray:
+    """The (2, m, 3, 2m) view of a C-contiguous (2, m + 2, 2m) state whose
+    [p, i] is the rows i - 1, i and i + 1 of block p, pad rows included:
+    the operand of a left product by a band stack."""
+    s0, s1, s2 = state.strides
+    two, rows, cols = state.shape
+    return np.ndarray((two, rows - 2, 3, cols), state.dtype, state, 0,
+                      (s0, s1, s1, s2))
 
-    Block [p, q] holds the rows of parity p and the columns of parity q
-    (0 even, 1 odd): the ee, eo, oe and oo blocks in that order, at
-    padded indices margin..margin+m-1, m = ceil(n/2).  An odd n pads the
-    odd side with one zero level, the last odd one; every padding entry
-    is zero.
+
+def _parity_split(arr: np.ndarray) -> np.ndarray:
+    """The (2, m + 2, 2m) state of an n x n array, m = ceil(n/2).
+
+    [p, 1 + i, q m + j] holds arr[2i + p, 2j + q]: row block p the levels
+    of parity p (0 even, 1 odd) against the even, then the odd levels.
+    An odd n pads the odd side with one zero level, the last odd one; it
+    and the pad rows, [:, 0] and [:, m + 1], are zero.
     """
     n = arr.shape[0]
     m = (n + 1) // 2
     padded = np.zeros((2 * m, 2 * m), dtype=complex)
     padded[:n, :n] = arr
-    g = tiling.margin
-    blocks = np.zeros((2, 2, tiling.side, tiling.side), dtype=complex)
-    blocks[:, :, g:g + m, g:g + m] = padded.reshape(m, 2, m, 2).transpose(
-        1, 3, 0, 2)
-    return blocks
+    state = np.zeros((2, m + 2, 2 * m), dtype=complex)
+    _blocks(state)[...] = padded.reshape(m, 2, m, 2).transpose(1, 0, 3, 2)
+    return state
 
 
-def _parity_join(blocks: np.ndarray, n: int, tiling: _Tiling) -> np.ndarray:
-    """The dense n x n array of a padded parity-block stack."""
-    m = (n + 1) // 2
-    g = tiling.margin
-    core = blocks[:, :, g:g + m, g:g + m]
-    return core.transpose(2, 0, 3, 1).reshape(2 * m, 2 * m)[:n, :n]
+def _parity_join(state: np.ndarray, n: int) -> np.ndarray:
+    """The dense n x n array of a (2, m + 2, 2m) state."""
+    blocks = _blocks(state)
+    m = blocks.shape[1]
+    return blocks.transpose(1, 0, 3, 2).reshape(2 * m, 2 * m)[:n, :n]
 
 
-def _generator_bands(model: LindbladModel,
-                     tiling: _Tiling) -> tuple[np.ndarray, ...]:
-    """(K1, K2, K3) on the band of the tiles' windows of their padded even
-    and odd blocks, in the band vector layout of ``_band_layout``, with
-    the zero off-band element last."""
-    bands = []
-    for k in model.generators:
-        windows = _view(_parity_split(k, tiling)[[0, 1], [0, 1]],
-                        tiling.op_windows)
-        bands.append(np.append(np.ravel(windows)[tiling.l_band], 0.0))
-    return tuple(bands)
+def _density_stage_ops(kernel: _Kernel, row):
+    """Right-hand-side operands of one stage: (kernel, K, jump).
 
-
-def _density_stage_ops(tiling: _Tiling, bands, row):
-    """Right-hand-side operands of one stage: (tiling, drift, jump).
-
-    H and L are formed on their band entries (``_generator_arrays`` on the
-    band vectors of ``_generator_bands``), and the drift -i H - alpha
-    L^dag L on its own band, L^dag L from L's band entries: at each entry
-    three products, summed in ascending order of the inner level.  The
-    entries are written into the next of the tiling's three operand sets.
-    The drift is a (2, 1, count, rows, width) stack of row tiles acting
-    on the rows of parity p, so that one broadcast matmul covers all
-    tiles of all four blocks of the state.  jump is None without
-    friction, else (alpha, L, L^dag): L in the drift's layout and L^dag
-    a (2, count, width, rows) stack of column tiles acting on the columns
-    of parity q, both views of L's windows.
+    H and L are formed on the run's generator bands
+    (``_generator_arrays``), and K = -i H, L and -alpha L are (2, m, 1, 3)
+    band stacks; jump is None without friction, else (L, -alpha L).
+    Each is a fresh band-sized array, so a stage stays valid for as long
+    as the driver holds it.
     """
-    h_band, l_band = _generator_arrays(bands, row)
-    drift_flat, drift, l_flat, l_rows, l_cols = next(tiling.stages)
-    entries = -1j * h_band[tiling.h_src]
-    jump = None
-    if l_band is not None:
-        alpha = row[1]
-        # L^dag L in the tiling's scratch: three products per entry
-        left, right = np.take(l_band, tiling.pairs, out=tiling.factors,
-                              mode="clip")
-        terms = np.multiply(left, right, out=left)
-        ltl = terms[0]
-        ltl += terms[1]
-        ltl += terms[2]
-        ltl *= alpha
-        entries -= ltl
-        l_flat[tiling.l_band] = l_band[:-1]
-        jump = (alpha, l_rows, l_cols)
-    drift_flat[tiling.drift_band] = entries
-    return tiling, drift, jump
+    h_band, l_band = _generator_arrays(kernel.bands, row)
+    jump = None if l_band is None else (l_band, -row[1] * l_band)
+    return kernel, -1j * h_band, jump
+
+
+def _commutator(kernel: _Kernel, l_op: np.ndarray,
+                rows: np.ndarray) -> np.ndarray:
+    """[L, rho] in the kernel's C scratch, ``rows`` the ``_rows`` view of
+    rho: X = L rho, then C = X - X^dag, which is L rho - rho L for
+    Hermitian rho and L.  X stays in the X scratch.  X^dag is copied into
+    C, then conjugated in place, because numpy 2.4 conjugates a
+    transposed operand through a state-sized temporary."""
+    np.matmul(l_op, rows, out=kernel.x_levels)
+    np.copyto(kernel.c_blocks, kernel.x_swapped)
+    c = np.conjugate(kernel.c, out=kernel.c)
+    return np.subtract(kernel.x, c, out=c)
 
 
 def _density_rhs(state: np.ndarray, ops) -> np.ndarray:
-    # Y + Y^dag with Y = drift rho + alpha (L rho) L^dag: for a Hermitian
-    # state that is drift rho + rho drift^dag + 2 alpha L rho L^dag, and
-    # the slope is exactly Hermitian whatever the rounding of Y.  Each
-    # product is one matmul over all tiles of all four blocks: the left
-    # ones by row tiles, the right one by column tiles.  Block [p, q] of
-    # Y^dag is block [q, p] of Y, conjugate-transposed; it is copied into
-    # the right-side scratch and conjugated there, because numpy 2.4
-    # conjugates or adds a transposed operand through a state-sized
-    # temporary.  The levels past m come out exactly zero, and the margins
-    # only ever receive zeros.  The result is the tiling's next slope
-    # buffer, overwritten four calls on.
-    tiling, drift, jump = ops
-    out = next(tiling.slopes)
-    part = tiling.part
-    rows = _view(state, tiling.state_rows)
-    np.matmul(drift, rows, out=_view(out, tiling.out_rows))
+    # Y + Y^dag with Y = K rho - alpha L C, C = [L, rho]: for a Hermitian
+    # state that is -i [H, rho] - alpha [L, [L, rho]], and the slope is
+    # exactly Hermitian whatever the rounding of Y.  Each product is one
+    # matmul of a band stack against the rows view of its operand, written
+    # into level rows; the sums run over whole buffers, whose pad rows are
+    # zero, and Y^dag is copied into the X scratch and conjugated there.
+    # The result is the kernel's next slope buffer, overwritten four
+    # calls on.
+    kernel, k_op, jump = ops
+    out, levels, swapped = next(kernel.slopes)
+    rows = _rows(state)
+    np.matmul(k_op, rows, out=levels)
+    x = kernel.x
     if jump is not None:
-        alpha, l_, l_h = jump
-        np.matmul(l_, rows, out=tiling.l_rho_rows)
-        np.matmul(tiling.l_rho_cols, l_h, out=tiling.part_tiles)
-        part *= alpha
-        out += part
-    np.copyto(part, out.transpose(1, 0, 3, 2))
-    np.conjugate(part, out=part)
-    out += part
+        l_op, damp = jump
+        _commutator(kernel, l_op, rows)
+        np.matmul(damp, kernel.c_rows, out=kernel.x_levels)
+        out += x
+    np.copyto(kernel.x_blocks, swapped)
+    out += np.conjugate(x, out=x)
     return out
 
 
@@ -572,17 +434,15 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
                    h: float, record_every: int = 100) -> Trajectory:
     """Fixed-step fourth-order integration of the density-matrix equation.
 
-    The right-hand side is -i[H, rho] - sum_n alpha_n (Ln^dag Ln rho +
-    rho Ln^dag Ln - 2 Ln rho Ln^dag) with every operator evaluated at
-    the stage times.  No renormalization or positivity projection is
+    The right-hand side is -i[H, rho] - alpha [L, [L, rho]], which for
+    the Hermitian jump operator L is -i[H, rho] - alpha (L^dag L rho +
+    rho L^dag L - 2 L rho L^dag), with every operator evaluated at the
+    stage times.  No renormalization or positivity projection is
     applied: trace drift and eigenvalue dips are reported, not hidden.
-    The state is stepped as its four parity blocks, each cut into row
-    tiles and held with a zero margin of BAND_MARGIN levels when a block
-    has 2 TILE_ROWS levels or more (module docstring); one tile has no
-    margin and multiplies whole blocks.  Every slope is exactly
-    Hermitian, so the recorded Hermiticity deviation stays at that of
-    rho0: 0 for every state ``build_state`` forms.  States are recorded
-    as the dense matrix.
+    The state is stepped parity-permuted on the generators' band (module
+    docstring).  Every slope is exactly Hermitian, so the recorded
+    Hermiticity deviation stays at that of rho0: 0 for every state
+    ``build_state`` forms.  States are recorded as the dense matrix.
     """
     cfg = model.basis
     if rho0.dim != cfg.dim:
@@ -597,10 +457,10 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
     warnings: list[str] = []
     failed_at: float | None = None
 
-    def record(i: int, blocks: np.ndarray):
+    def record(i: int, state: np.ndarray):
         nonlocal failed_at
         t = h * i
-        arr = _parity_join(blocks, cfg.dim, tiling)
+        arr = _parity_join(state, cfg.dim)
         _require_finite(arr, f"density matrix is not finite at t={t:.6g}")
         tr, herm, lo, tail = _diagnostics(arr, cfg)
         if tail > cfg.tail_threshold:
@@ -626,14 +486,13 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
         rec_diag.append((tr, herm, lo, tail))
 
     table = _stage_table(model, n, h)
-    tiling = _Tiling(cfg.dim)
-    bands = _generator_bands(model, tiling)
+    kernel = _Kernel(model)
     # a diverging state overflows between records; the next record's
     # finiteness check reports it, so keep numpy quiet as the transport does
     with np.errstate(over="ignore", invalid="ignore"):
         _rk4(_density_rhs,
-             lambda j: _density_stage_ops(tiling, bands, table[j]),
-             _parity_split(rho0.entries, tiling), n, h, record, record_every)
+             lambda j: _density_stage_ops(kernel, table[j]),
+             _parity_split(rho0.entries), n, h, record, record_every)
     diag = np.array(rec_diag)
     return Trajectory(ts=np.array(rec_ts), states=tuple(rec_states),
                       trace=diag[:, 0], herm_dev=diag[:, 1],
@@ -671,10 +530,10 @@ def _transport_steps(model: LindbladModel, q0: np.ndarray, first: int,
 
     For the one jump operator L = L^dag (``LindbladModel`` refuses
     non-Hermitian generators) the adjoint right-hand side -i[H, Q] +
-    alpha (L^2 Q + Q L^2 - 2 L Q L) is the density one with alpha replaced
-    by -alpha (Lindblad, CMP 48, 119, 1976): Q is stepped as a density
-    state on ``_density_rhs`` over the stage table with its alpha column
-    negated.  A step of ``stride`` nodes reads every ``stride``-th row of
+    alpha (L^2 Q + Q L^2 - 2 L Q L) = -i[H, Q] + alpha [L, [L, Q]] is the
+    density one with alpha replaced by -alpha (Lindblad, CMP 48, 119,
+    1976): Q is stepped as a density state on ``_density_rhs`` over the
+    stage table with its alpha column negated.  A step of ``stride`` nodes reads every ``stride``-th row of
     the grid's stage table, so with stride 1 it is the plain grid run and
     two runs that meet at a node step exactly as one run through it.
 
@@ -698,13 +557,11 @@ def _transport_steps(model: LindbladModel, q0: np.ndarray, first: int,
     table = _stage_table(model, n * stride, h, min(first, last))
     table = table[::stride][::sign]
     table[:, 1] *= -1.0  # the density generator at -alpha
-    dim = model.basis.dim
-    tiling = _Tiling(dim)
-    bands = _generator_bands(model, tiling)
+    kernel = _Kernel(model)
 
-    def checked(i: int, blocks: np.ndarray):
+    def checked(i: int, state: np.ndarray):
         node = first + sign * stride * i
-        q = _parity_join(blocks, dim, tiling)
+        q = _parity_join(state, model.basis.dim)
         # forward, the flow amplifies generic observables past float
         # range; backward it contracts, and an overflow means that
         # h*alpha times the squared level gaps of L has left RK4's
@@ -720,8 +577,8 @@ def _transport_steps(model: LindbladModel, q0: np.ndarray, first: int,
     # arithmetic may legitimately hit inf, so keep numpy quiet
     with np.errstate(over="ignore", invalid="ignore"):
         _rk4(_density_rhs,
-             lambda j: _density_stage_ops(tiling, bands, table[j]),
-             _parity_split(q0, tiling), n, sign * stride * h, checked, every,
+             lambda j: _density_stage_ops(kernel, table[j]),
+             _parity_split(q0), n, sign * stride * h, checked, every,
              skip)
 
 

@@ -72,20 +72,21 @@ def _sign_flipped_su11_generator(monkeypatch):
 
 
 def _half_jump_term(monkeypatch):
-    """The density right-hand side's jump term alpha (L rho) L^dag at half
-    strength, the factor 2 of 2 alpha L rho L^dag lost: the generator no
-    longer preserves the trace.  The observable transport steps the same
-    kernel, so the drift probe sees it too."""
-    build = lindblad._density_stage_ops
+    """The density right-hand side's jump sandwich at half strength, the
+    factor 2 of 2 alpha L rho L^dag lost: the kernel's C = [L, rho] =
+    L rho - rho L becomes L rho - rho L / 2, formed as (X + C) / 2 from
+    the kernel's X = L rho, and the generator no longer preserves the
+    trace.  The observable transport steps the same kernel, so the drift
+    probe sees it too."""
+    commutator = lindblad._commutator
 
-    def halved(tiling, bands, row):
-        tiling, drift, jump = build(tiling, bands, row)
-        if jump is not None:
-            alpha, l_, l_h = jump
-            jump = (0.5 * alpha, l_, l_h)
-        return tiling, drift, jump
+    def halved(kernel, l_op, rows):
+        c = commutator(kernel, l_op, rows)
+        c += kernel.x
+        c *= 0.5
+        return c
 
-    monkeypatch.setattr(lindblad, "_density_stage_ops", halved)
+    monkeypatch.setattr(lindblad, "_commutator", halved)
 
 
 @pytest.mark.parametrize("scenario, mutant, failing", [
