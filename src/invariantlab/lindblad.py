@@ -18,36 +18,31 @@ two moment systems are linear, y' = A(t) y, so ``_linear_rk4`` forms each
 step's exact RK4 map from the stage matrices, a block of steps at once,
 and applies the maps in turn.  Blocks are sized by ``STAGE_BLOCK_BYTES``.
 
-K1, K2 and K3 are quadratic in a and a^dag, so H and L connect only
-Fock levels n and n +- 2 and the generator never mixes even and odd
-levels.  The density integrator therefore holds the state as the dense
-matrix with its levels permuted by parity, even levels first, stored as
-a (2, m + 2, 2m) stack, m = ceil(N/2): row block p holds the m levels of
-parity p against all 2m columns, with one zero row above and below.
-Within a parity block H and L are tridiagonal, so a stage forms only
-their band entries, as (2, m, 1, 3) stacks: row i of block p holds its
-entries in columns i - 1, i and i + 1, gathered once per run from the
-generators (``_Kernel``).  A left product by such a stack is one matmul
-against a strided view of a padded state that reads, for row i, the
-rows i - 1, i and i + 1, with no copy: the pad rows stand in for the
-levels past either end of a block.  For the one Hermitian jump operator
-the dissipator is the double commutator -alpha [L, [L, rho]] (Lindblad,
-CMP 48, 119, 1976), and the generator maps Hermitian matrices to
-Hermitian ones, so the right-hand side forms X = L rho, C = X - X^dag,
-which is [L, rho] for Hermitian rho, and Y = K rho - alpha L C with
-K = -i H, and returns Y + Y^dag = -i [H, rho] - alpha [L, [L, rho]]: three
-banded left products per slope.  Every slope is then exactly Hermitian,
-bit for bit, and so is every state stepped from an exactly Hermitian
-one, since the RK4 stage states and step combination commute with
-conjugation; an anti-Hermitian rounding residue of the initial state
-receives no slope and stays as it is.  The identity is an exact fixed
-point of the observable transport: its C is L - L^dag = 0 exactly.  An
-odd dimension pads the odd levels with one zero level; that level and
-the pad rows stay exactly zero.  Recorded states are unpermuted to the
-dense N x N matrix, and ``LindbladModel`` refuses generators with an
-entry between levels of opposite parity or more than two levels apart,
-which the band would drop, and generators that are not exactly
-Hermitian.
+K1, K2 and K3 are quadratic in a and a^dag, so H and L connect Fock
+level n only to n and n +- 2.  The density integrator holds the state as
+the dense N x N matrix in natural Fock order with two zero pad rows above
+and two below, an (N + 4, N) array.  A stage forms only the band entries
+of H and L, as (N, 1, 3) stacks: row n holds its entries in columns
+n - 2, n and n + 2, gathered once per run from the generators
+(``_Kernel``).  A left product by such a stack is one matmul against a
+strided view of a padded state that reads, for row n, the rows of levels
+n - 2, n and n + 2, with no copy: the pad rows stand in for the levels
+past either end.  For the one Hermitian jump operator the dissipator is
+the double commutator -alpha [L, [L, rho]] (Lindblad, CMP 48, 119, 1976),
+and the generator maps Hermitian matrices to Hermitian ones, so the
+right-hand side forms X = L rho, C = X - X^dag, which is [L, rho] for
+Hermitian rho, and Y = K rho - alpha L C with K = -i H, and returns
+Y + Y^dag = -i [H, rho] - alpha [L, [L, rho]]: three banded left products
+per slope.  Every slope is then exactly Hermitian, bit for bit, and so is
+every state stepped from an exactly Hermitian one, since the RK4 stage
+states and step combination commute with conjugation; an anti-Hermitian
+rounding residue of the initial state receives no slope and stays as it
+is.  The identity is an exact fixed point of the observable transport:
+its C is L - L^dag = 0 exactly.  The pad rows stay exactly zero, and
+only ``_Kernel``, ``_rows`` and ``_step_density`` know of them: records
+receive the N level rows.  ``LindbladModel`` refuses generators with an
+entry off the diagonals 0 and +-2, which the band would drop, and
+generators that are not exactly Hermitian.
 
 A density run allocates its state-sized buffers once.  The driver owns
 the state and the array its stage states and step combination are
@@ -163,20 +158,14 @@ class LindbladModel:
                     f"generator dimension {gen.dim} does not match basis "
                     f"{self.basis.dim}")
             rows, cols = np.nonzero(gen.entries)
-            odd = (rows - cols) % 2 == 1
-            if odd.any():
-                i, j = rows[odd][0], cols[odd][0]
+            off = ~np.isin(rows - cols, (-2, 0, 2))
+            if off.any():
+                i, j = rows[off][0], cols[off][0]
                 raise ValidationError(
-                    f"generator {name} couples Fock levels {i} and {j} of "
-                    f"opposite parity (entry {gen.entries[i, j]:.3e}); the "
-                    "parity-block density evolution would drop it")
-            far = np.abs(rows - cols) > 2
-            if far.any():
-                i, j = rows[far][0], cols[far][0]
-                raise ValidationError(
-                    f"generator {name} couples Fock levels {i} and {j}, "
-                    f"more than 2 apart (entry {gen.entries[i, j]:.3e}); the "
-                    "banded density evolution would drop it")
+                    f"generator {name} couples Fock levels {i} and {j}, off "
+                    "the diagonals 0 and +-2 (entry "
+                    f"{gen.entries[i, j]:.3e}); the banded density evolution "
+                    "would drop it")
             dev = gen.herm_deviation()
             if not dev == 0.0:  # also trips on nan
                 raise ValidationError(
@@ -208,8 +197,8 @@ def _generator_arrays(gens, row):
     """H and L arrays of one coefficient row (omega^2, alpha, a2, a3).
 
     ``gens`` is (K1, K2, K3): the dense arrays of ``model.generators`` or
-    their stacked parity blocks, on which H and L come out as exactly the
-    parity blocks of the dense ones.  L is None when alpha = 0, that is
+    their band stacks, on which H and L come out as exactly the band
+    stacks of the dense ones.  L is None when alpha = 0, that is
     wherever kappa <= 0: there the evolution has no jump term.  A
     negative alpha is the observable transport's (``_transport_steps``).
     """
@@ -237,16 +226,6 @@ def _require_finite(arr: np.ndarray, message: str):
     """Raise NumericalError(message) unless every entry of ``arr`` is finite."""
     if not np.isfinite(arr).all():
         raise NumericalError(message)
-
-
-def _diagnostics(arr: np.ndarray, cfg: BasisConfig) -> tuple[float, float, float, float]:
-    """(trace, hermiticity deviation, min eigenvalue, tail population)."""
-    tr = float(np.trace(arr).real)
-    herm = max_abs(arr - arr.conj().T)
-    sym = 0.5 * (arr + arr.conj().T)
-    lo = float(np.linalg.eigvalsh(sym)[0])
-    tail = float(np.sum(np.diag(arr).real[cfg.dim - cfg.n_tail:]))
-    return tr, herm, lo, tail
 
 
 # ------------------------------------------------------------ density matrix
@@ -295,95 +274,53 @@ class Trajectory:
 class _Kernel:
     """The generator bands and the buffers of one dim-N density run.
 
-    ``bands`` holds K1, K2 and K3 as (2, m, 1, 3) band stacks, m =
-    ceil(N/2): entry [p, i, 0, d] is the entry of the parity-p block
-    between its levels i and i + d - 1, zero where that level lies past
-    either end of the block or is the padding level of an odd N.  The
-    buffers are zero-initialised (2, m + 2, 2m) states: the X and C
-    scratch of the right-hand side, and the four slopes it writes in
-    rotation (``slopes``).  The driver calls the right-hand side four
-    times per step and uses every slope before the next step's first
-    call (``auxiliary._rk4``).  The products write only level rows, so
-    the pad rows only ever receive sums and conjugates of zeros and stay
-    zero without being reset.
-
-    The views the right-hand side writes and reads the buffers through
-    are made once here: a buffer's level rows as a product's output,
-    (2, m, 1, 2m), and its levels as (2, m, 2, m) parity blocks [p, i,
-    q, j], or in the conjugate transpose's order [q, j, p, i].  Level
-    (p, i) against (q, j) is [p, 1 + i, q m + j], so the conjugate
-    transpose swaps the two pairs.
+    ``bands`` holds K1, K2 and K3 as (N, 1, 3) band stacks: entry [n, 0,
+    d] is the entry between levels n and n + 2(d - 1), zero where that
+    level lies past either end.  The buffers are zero-initialised padded
+    (N + 4, N) states: the X and C scratch of the right-hand side, and
+    the four slopes it writes in rotation (``slopes``).  The driver calls
+    the right-hand side four times per step and uses every slope before
+    the next step's first call (``auxiliary._rk4``).  The products write
+    only level rows, so the pad rows only ever receive sums and
+    conjugates of zeros and stay zero without being reset.  Each buffer
+    comes with its level rows, (N, N), and their (N, 1, N) view that a
+    product writes into, both made once here.
     """
 
     def __init__(self, model: LindbladModel):
         n = model.basis.dim
-        m = (n + 1) // 2
-        # the Fock level of row i of block p, and the levels of its band
-        level = (2 * np.arange(m) + np.arange(2)[:, None])[..., None]
+        level = np.arange(n)[:, None]
         near = level + 2 * np.arange(-1, 2)
-        on = (near >= 0) & (near < n) & (level < n)
+        on = (near >= 0) & (near < n)
         self.bands = tuple(
-            np.where(on, k[np.minimum(level, n - 1), np.clip(near, 0, n - 1)],
-                     0.0)[:, :, None]
+            np.where(on, k[level, np.clip(near, 0, n - 1)], 0.0)[:, None]
             for k in model.generators)
-        shape = (2, m + 2, 2 * m)
-        self.x = np.zeros(shape, dtype=complex)
-        self.x_levels = self.x[:, 1:-1, None]
-        self.x_blocks = _blocks(self.x)
-        self.x_swapped = self.x_blocks.transpose(2, 3, 0, 1)
-        self.c = np.zeros(shape, dtype=complex)
-        self.c_blocks = _blocks(self.c)
+
+        def buffer():
+            state = np.zeros((n + 4, n), dtype=complex)
+            return state, state[2:-2], state[2:-2, None]
+
+        self.x, self.x_levels, self.x_out = buffer()
+        self.c, self.c_levels, _ = buffer()
         self.c_rows = _rows(self.c)
-        self.slopes = itertools.cycle([
-            (out, out[:, 1:-1, None], _blocks(out).transpose(2, 3, 0, 1))
-            for out in np.zeros((4, *shape), dtype=complex)])
-
-
-def _blocks(state: np.ndarray) -> np.ndarray:
-    """The levels of a (2, m + 2, 2m) state as (2, m, 2, m) parity blocks."""
-    two, rows, cols = state.shape
-    return state[:, 1:-1].reshape(two, rows - 2, 2, cols // 2)
+        self.slopes = itertools.cycle([buffer() for _ in range(4)])
 
 
 def _rows(state: np.ndarray) -> np.ndarray:
-    """The (2, m, 3, 2m) view of a C-contiguous (2, m + 2, 2m) state whose
-    [p, i] is the rows i - 1, i and i + 1 of block p, pad rows included:
-    the operand of a left product by a band stack."""
-    s0, s1, s2 = state.strides
-    two, rows, cols = state.shape
-    return np.ndarray((two, rows - 2, 3, cols), state.dtype, state, 0,
-                      (s0, s1, s1, s2))
-
-
-def _parity_split(arr: np.ndarray) -> np.ndarray:
-    """The (2, m + 2, 2m) state of an n x n array, m = ceil(n/2).
-
-    [p, 1 + i, q m + j] holds arr[2i + p, 2j + q]: row block p the levels
-    of parity p (0 even, 1 odd) against the even, then the odd levels.
-    An odd n pads the odd side with one zero level, the last odd one; it
-    and the pad rows, [:, 0] and [:, m + 1], are zero.
-    """
-    n = arr.shape[0]
-    m = (n + 1) // 2
-    padded = np.zeros((2 * m, 2 * m), dtype=complex)
-    padded[:n, :n] = arr
-    state = np.zeros((2, m + 2, 2 * m), dtype=complex)
-    _blocks(state)[...] = padded.reshape(m, 2, m, 2).transpose(1, 0, 3, 2)
-    return state
-
-
-def _parity_join(state: np.ndarray, n: int) -> np.ndarray:
-    """The dense n x n array of a (2, m + 2, 2m) state."""
-    blocks = _blocks(state)
-    m = blocks.shape[1]
-    return blocks.transpose(1, 0, 3, 2).reshape(2 * m, 2 * m)[:n, :n]
+    """The (N, 3, N) view of a C-contiguous padded (N + 4, N) state whose
+    [n] is the rows of levels n - 2, n and n + 2, pad rows included: the
+    operand of a left product by a band stack."""
+    s0, s1 = state.strides
+    rows, cols = state.shape
+    return np.ndarray((rows - 4, 3, cols), state.dtype, state, 0,
+                      (s0, 2 * s0, s1))
 
 
 def _density_stage_ops(kernel: _Kernel, row):
     """Right-hand-side operands of one stage: (kernel, K, jump).
 
     H and L are formed on the run's generator bands
-    (``_generator_arrays``), and K = -i H, L and -alpha L are (2, m, 1, 3)
+    (``_generator_arrays``), and K = -i H, L and -alpha L are (N, 1, 3)
     band stacks; jump is None without friction, else (L, -alpha L).
     Each is a fresh band-sized array, so a stage stays valid for as long
     as the driver holds it.
@@ -400,8 +337,8 @@ def _commutator(kernel: _Kernel, l_op: np.ndarray,
     Hermitian rho and L.  X stays in the X scratch.  X^dag is copied into
     C, then conjugated in place, because numpy 2.4 conjugates a
     transposed operand through a state-sized temporary."""
-    np.matmul(l_op, rows, out=kernel.x_levels)
-    np.copyto(kernel.c_blocks, kernel.x_swapped)
+    np.matmul(l_op, rows, out=kernel.x_out)
+    np.copyto(kernel.c_levels, kernel.x_levels.T)
     c = np.conjugate(kernel.c, out=kernel.c)
     return np.subtract(kernel.x, c, out=c)
 
@@ -416,16 +353,16 @@ def _density_rhs(state: np.ndarray, ops) -> np.ndarray:
     # The result is the kernel's next slope buffer, overwritten four
     # calls on.
     kernel, k_op, jump = ops
-    out, levels, swapped = next(kernel.slopes)
+    out, levels, product = next(kernel.slopes)
     rows = _rows(state)
-    np.matmul(k_op, rows, out=levels)
+    np.matmul(k_op, rows, out=product)
     x = kernel.x
     if jump is not None:
         l_op, damp = jump
         _commutator(kernel, l_op, rows)
-        np.matmul(damp, kernel.c_rows, out=kernel.x_levels)
+        np.matmul(damp, kernel.c_rows, out=kernel.x_out)
         out += x
-    np.copyto(kernel.x_blocks, swapped)
+    np.copyto(kernel.x_levels, levels.T)
     out += np.conjugate(x, out=x)
     return out
 
@@ -439,8 +376,8 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
     rho L^dag L - 2 L rho L^dag), with every operator evaluated at the
     stage times.  No renormalization or positivity projection is
     applied: trace drift and eigenvalue dips are reported, not hidden.
-    The state is stepped parity-permuted on the generators' band (module
-    docstring).  Every slope is exactly Hermitian, so the recorded
+    The state is stepped on the generators' band by ``_step_density``
+    (module docstring).  Every slope is exactly Hermitian, so the recorded
     Hermiticity deviation stays at that of rho0: 0 for every state
     ``build_state`` forms.  States are recorded as the dense matrix.
     """
@@ -457,12 +394,13 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
     warnings: list[str] = []
     failed_at: float | None = None
 
-    def record(i: int, state: np.ndarray):
+    def record(i: int, arr: np.ndarray):
         nonlocal failed_at
         t = h * i
-        arr = _parity_join(state, cfg.dim)
         _require_finite(arr, f"density matrix is not finite at t={t:.6g}")
-        tr, herm, lo, tail = _diagnostics(arr, cfg)
+        rho = DensityMatrix(arr, validate=False)
+        tr, herm, lo = rho.trace(), rho.herm_deviation(), rho.min_eigenvalue()
+        tail = float(np.sum(np.diag(rho.entries).real[cfg.dim - cfg.n_tail:]))
         if tail > cfg.tail_threshold:
             raise TruncationLeakError(
                 f"tail population {tail:.3e} exceeds {cfg.tail_threshold:.1e} "
@@ -482,22 +420,36 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
             if failed_at is None:
                 failed_at = t
         rec_ts.append(t)
-        rec_states.append(DensityMatrix(arr, validate=False))
+        rec_states.append(rho)
         rec_diag.append((tr, herm, lo, tail))
 
-    table = _stage_table(model, n, h)
-    kernel = _Kernel(model)
-    # a diverging state overflows between records; the next record's
-    # finiteness check reports it, so keep numpy quiet as the transport does
-    with np.errstate(over="ignore", invalid="ignore"):
-        _rk4(_density_rhs,
-             lambda j: _density_stage_ops(kernel, table[j]),
-             _parity_split(rho0.entries), n, h, record, record_every)
+    _step_density(model, _stage_table(model, n, h), rho0.entries, n, h,
+                  record, record_every)
     diag = np.array(rec_diag)
     return Trajectory(ts=np.array(rec_ts), states=tuple(rec_states),
                       trace=diag[:, 0], herm_dev=diag[:, 1],
                       min_eig=diag[:, 2], tail_pop=diag[:, 3],
                       basis=cfg, failed_at=failed_at, warnings=tuple(warnings))
+
+
+def _step_density(model: LindbladModel, table: np.ndarray, a0: np.ndarray,
+                  n: int, h: float, record, every: int, skip: int = 0):
+    """n RK4 steps of ``_density_rhs`` at step h from the dense array a0,
+    over the stage rows ``table``, on the driver ``auxiliary._rk4``.
+
+    The state is held padded, with two zero rows above and below its N
+    level rows (``_Kernel``); ``record(i, arr)`` receives the level rows
+    of the driver's copy of node i, an N x N array no later step writes.
+    A diverging state overflows between records and the next record's
+    finiteness check reports it; the intermediate arithmetic may
+    legitimately hit inf, so numpy is kept quiet.
+    """
+    kernel = _Kernel(model)
+    state = np.zeros((len(a0) + 4, len(a0)), dtype=complex)
+    state[2:-2] = a0
+    with np.errstate(over="ignore", invalid="ignore"):
+        _rk4(_density_rhs, lambda j: _density_stage_ops(kernel, table[j]),
+             state, n, h, lambda i, y: record(i, y[2:-2]), every, skip)
 
 
 # --------------------------------------------------------- adjoint evolution
@@ -532,10 +484,11 @@ def _transport_steps(model: LindbladModel, q0: np.ndarray, first: int,
     non-Hermitian generators) the adjoint right-hand side -i[H, Q] +
     alpha (L^2 Q + Q L^2 - 2 L Q L) = -i[H, Q] + alpha [L, [L, Q]] is the
     density one with alpha replaced by -alpha (Lindblad, CMP 48, 119,
-    1976): Q is stepped as a density state on ``_density_rhs`` over the
-    stage table with its alpha column negated.  A step of ``stride`` nodes reads every ``stride``-th row of
-    the grid's stage table, so with stride 1 it is the plain grid run and
-    two runs that meet at a node step exactly as one run through it.
+    1976): Q is stepped as a density state by ``_step_density`` over the
+    stage table with its alpha column negated.  A step of ``stride`` nodes
+    reads every ``stride``-th row of the grid's stage table, so with
+    stride 1 it is the plain grid run and two runs that meet at a node
+    step exactly as one run through it.
 
     Backward, each step is an RK4 step of size -stride*h over the stage
     table read in descending order.  That is the well-posed direction: the
@@ -548,8 +501,8 @@ def _transport_steps(model: LindbladModel, q0: np.ndarray, first: int,
 
     ``record(i, q)`` receives the dense state at node first +- i*stride
     for the step counts i = skip, skip + every, ... below the last step,
-    and at node ``last``, after a check that it is finite; each is a
-    fresh array.
+    and at node ``last``, after a check that it is finite; no later step
+    writes it.
     """
     n, rest = divmod(abs(last - first), stride)
     assert rest == 0, f"stride {stride} does not divide {first} to {last}"
@@ -557,11 +510,9 @@ def _transport_steps(model: LindbladModel, q0: np.ndarray, first: int,
     table = _stage_table(model, n * stride, h, min(first, last))
     table = table[::stride][::sign]
     table[:, 1] *= -1.0  # the density generator at -alpha
-    kernel = _Kernel(model)
 
-    def checked(i: int, state: np.ndarray):
+    def checked(i: int, q: np.ndarray):
         node = first + sign * stride * i
-        q = _parity_join(state, model.basis.dim)
         # forward, the flow amplifies generic observables past float
         # range; backward it contracts, and an overflow means that
         # h*alpha times the squared level gaps of L has left RK4's
@@ -572,14 +523,7 @@ def _transport_steps(model: LindbladModel, q0: np.ndarray, first: int,
                            "for RK4")
         record(node, q)
 
-    # overflow between record points is caught at the next record, and a
-    # non-finite entry stays non-finite to the last node; the intermediate
-    # arithmetic may legitimately hit inf, so keep numpy quiet
-    with np.errstate(over="ignore", invalid="ignore"):
-        _rk4(_density_rhs,
-             lambda j: _density_stage_ops(kernel, table[j]),
-             _parity_split(q0), n, sign * stride * h, checked, every,
-             skip)
+    _step_density(model, table, q0, n, sign * stride * h, checked, every, skip)
 
 
 def _adjoint_norm_bound(model: LindbladModel, table: np.ndarray) -> float:

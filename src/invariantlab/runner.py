@@ -125,6 +125,7 @@ STATE_TRACE_TOL = 1e-9
 STATE_HERM_TOL = 1e-10
 STATE_TAIL_TOL = 1e-8
 DRIFT_CROSSCHECK_TOL = 1e-4
+BACKEND_AGREEMENT_TOL = 1e-5
 # Probe settings for the drift cross-check.  K2 is transported backward
 # in time, the direction in which the adjoint flow contracts, from
 # DRIFT_PROBE_WINDOW past the probe time.  It relaxes at a coarse step,
@@ -540,7 +541,8 @@ def _check_backend_agreement(p: _Prepared, traj: Trajectory,
     closed = np.column_stack([first.mean_x[idx], first.mean_p[idx],
                               quad.k1[idx], quad.k2[idx], quad.k3[idx]])
     dev = float(np.max(np.abs(fock - closed)))
-    return CheckResult("backend-agreement", dev, 1e-5, dev <= 1e-5)
+    return CheckResult("backend-agreement", dev, BACKEND_AGREEMENT_TOL,
+                       dev <= BACKEND_AGREEMENT_TOL)
 
 
 def _check_schedule_validity(p: _Prepared) -> CheckResult:

@@ -180,56 +180,36 @@ def _stage_arrays(model, t):
 
 
 def _split(arr):
-    """The (2, m + 2, 2m) state of arr, m = ceil(dim/2), by strided
-    slicing: [p, 1 + i, q m + j] holds arr[2i + p, 2j + q], the rest is
-    zero."""
-    m = (len(arr) + 1) // 2
-    out = np.zeros((2, m + 2, 2 * m), dtype=complex)
-    for p in (0, 1):
-        for q in (0, 1):
-            blk = arr[p::2, q::2]
-            out[p, 1:1 + blk.shape[0], q * m:q * m + blk.shape[1]] = blk
+    """The padded (dim + 4, dim) state of arr: its rows between two zero
+    pad rows above and two below."""
+    out = np.zeros((len(arr) + 4, len(arr)), dtype=complex)
+    out[2:-2] = arr
     return out
 
 
-def _join(state, dim):
-    m = state.shape[1] - 2
-    out = np.empty((dim, dim), dtype=complex)
-    for p in (0, 1):
-        for q in (0, 1):
-            rows, cols = len(range(p, dim, 2)), len(range(q, dim, 2))
-            out[p::2, q::2] = state[p, 1:1 + rows, q * m:q * m + cols]
-    return out
+def _join(state):
+    """The level rows of a padded state: the dense matrix."""
+    return state[2:-2]
 
 
-def _padding(state, dim):
-    """``state`` with every entry that holds a pair of levels zeroed: what
-    is left is its padding."""
-    rest = np.array(state)
-    rest[_split(np.ones((dim, dim))) != 0.0] = 0.0
-    return rest
+def _padding(state):
+    """The four pad rows of a padded state."""
+    return np.concatenate([state[:2], state[-2:]])
 
 
 def _dagger(state):
     """The state of the conjugate transpose, on fresh arrays."""
-    m = state.shape[1] - 2
-    out = np.zeros_like(state)
-    out[:, 1:-1] = state[:, 1:-1].reshape(2, m, 2, m).transpose(
-        2, 3, 0, 1).conj().reshape(2, m, 2 * m)
-    return out
+    return _split(_join(state).conj().T)
 
 
 def _band_stack(arr):
-    """The (2, m, 1, 3) band stack of arr's parity blocks, by loops: [p, i,
-    0, d] is the block-p entry (i, i + d - 1), zero past the block."""
-    m = (len(arr) + 1) // 2
-    out = np.zeros((2, m, 1, 3), dtype=complex)
-    for p in (0, 1):
-        blk = arr[p::2, p::2]
-        for i in range(len(blk)):
-            for d in range(3):
-                if 0 <= i + d - 1 < len(blk):
-                    out[p, i, 0, d] = blk[i, i + d - 1]
+    """The (dim, 1, 3) band stack of arr, by loops: [n, 0, d] is the entry
+    (n, n + 2(d - 1)), zero past either end."""
+    out = np.zeros((len(arr), 1, 3), dtype=complex)
+    for n in range(len(arr)):
+        for d in range(3):
+            if 0 <= n + 2 * (d - 1) < len(arr):
+                out[n, 0, d] = arr[n, n + 2 * (d - 1)]
     return out
 
 
@@ -242,30 +222,39 @@ def _random_state(dim, seed):
 
 @pytest.mark.parametrize("dim", [20, 21])
 def test_pad_rows_and_the_padding_level_stay_zero(dim):
-    """The state is the parity-permuted matrix stored as (2, m + 2, 2m),
-    m = ceil(dim/2): [p, 1 + i, q m + j] holds level 2i + p against level
-    2j + q, and ``_parity_join`` undoes ``_parity_split``.  The pad rows
-    [:, 0] and [:, m + 1] and, at the odd dim 21, the padding level's row
-    and column (level 21) stay exactly zero in every slope, with and
-    without friction, also in a reused slope buffer (the fifth and sixth
-    calls write the first two again)."""
+    """The state is the dense matrix in natural Fock order between two
+    zero pad rows above and two below, (dim + 4, dim): ``_rows`` reads,
+    for level n, the rows of levels n - 2, n and n + 2, and
+    ``_step_density`` hands ``record`` the level rows, after no step the
+    initial array itself.  The pad rows stay exactly zero in every slope,
+    with and without friction, also in a reused slope buffer (the fifth
+    and sixth calls write the first two again).  Natural order needs no
+    padding level, so the odd dim 21 is stored as it is."""
     *_, model = modulated_setup(dim=dim)
     rho = _random_state(dim, 5)
     rho = 0.5 * (rho + rho.conj().T)
-    m = (dim + 1) // 2
-    state = lindblad._parity_split(rho)
-    assert state.shape == (2, m + 2, 2 * m)
-    np.testing.assert_array_equal(state, _split(rho))
-    np.testing.assert_array_equal(lindblad._parity_join(state, dim), rho)
+    state = _split(rho)
+    rows = lindblad._rows(state)
+    assert rows.shape == (dim, 3, dim)
+    for n in range(dim):
+        for d in range(3):
+            np.testing.assert_array_equal(rows[n, d], state[n + 2 * d])
+    recorded = []
+    lindblad._step_density(model, lindblad._stage_table(model, 0, H), rho,
+                           0, H, lambda i, arr: recorded.append((i, arr)), 1)
+    [(i, arr)] = recorded
+    assert i == 0
+    np.testing.assert_array_equal(arr, rho)
     kernel = lindblad._Kernel(model)
-    rows = [model.coefficients(t) for t in (0.1, 0.2)]
-    rows.append((rows[1][0], 0.0, *rows[1][2:]))  # without friction
-    ops = [_density_stage_ops(kernel, row) for row in rows]
+    coeffs = [model.coefficients(t) for t in (0.1, 0.2)]
+    coeffs.append((coeffs[1][0], 0.0, *coeffs[1][2:]))  # without friction
+    ops = [_density_stage_ops(kernel, row) for row in coeffs]
     assert ops[2][2] is None
     slopes = []
     for j in range(6):
         out = lindblad._density_rhs(state, ops[j % 3])
-        assert out.any() and not _padding(out, dim).any()
+        assert out.shape == (dim + 4, dim)
+        assert out.any() and not _padding(out).any()
         slopes.append(out)
     assert slopes[4] is slopes[0] and slopes[5] is slopes[1]
 
@@ -294,24 +283,22 @@ def test_stage_operators_are_formed_from_the_coefficients():
     """At the first, a middle and the last stage of a modulated dissipative
     run, the density stage's operands K, L and -alpha L, formed from
     ``model.coefficients(0.5*h*j)``, are bit for bit the band stacks of
-    the parity blocks of the dense -i H, L and -alpha L, and the same row
-    without friction has the same K and no jump.  Dim 81 has a padding
-    level, dim 12 none."""
+    the dense -i H, L and -alpha L, and the same row without friction has
+    the same K and no jump, at the odd dim 81 and the even dim 12."""
     for dim in (81, 12):
         _check_density_stage_operators(dim, 1000)
 
 
 @pytest.mark.parametrize("dim", [9, 12, 81, 160])
 def test_block_rhs_equals_the_dense_generator(dim):
-    """Unpermuted, the banded right-hand side of an exactly Hermitian state
-    is -i[H, rho] - alpha [L, [L, rho]] = drift rho + rho drift^dag +
-    2 alpha L rho L^dag, drift = -i H - alpha L^dag L, evaluated in long
-    double on the dense matrices, to within the rounding of its operands;
-    every slope equals its conjugate transpose bit for bit (the kernel
-    returns Y + Y^dag, whose entries [i, j] and [j, i] add the same two
-    roundings in either order); and every padding entry (the pad rows
-    and the padding level of an odd dimension) stays exactly zero, also
-    in a reused slope buffer.
+    """In its level rows, the banded right-hand side of an exactly
+    Hermitian state is -i[H, rho] - alpha [L, [L, rho]] = drift rho +
+    rho drift^dag + 2 alpha L rho L^dag, drift = -i H - alpha L^dag L,
+    evaluated in long double on the dense matrices, to within the
+    rounding of its operands; every slope equals its conjugate transpose
+    bit for bit (the kernel returns Y + Y^dag, whose entries [i, j] and
+    [j, i] add the same two roundings in either order); and every pad row
+    stays exactly zero, also in a reused slope buffer.
 
     The bound, entry by entry: with unit roundoff u = eps/2, a complex dot
     product of k terms errs by at most sqrt(2) gamma_(k+2) times the dot
@@ -346,10 +333,9 @@ def test_block_rhs_equals_the_dense_generator(dim):
     for _ in range(5):  # the fifth call reuses the first slope buffer
         out = lindblad._density_rhs(state, ops)
         np.testing.assert_array_equal(out, _dagger(out))
-    m = (dim + 1) // 2
-    assert out.shape == (2, m + 2, 2 * m)
-    assert (np.abs(_join(out, dim) - dense) <= bound).all()
-    assert not _padding(out, dim).any()
+    assert out.shape == (dim + 4, dim)
+    assert (np.abs(_join(out) - dense) <= bound).all()
+    assert not _padding(out).any()
 
 
 @pytest.mark.parametrize("kind", ["coherent", "thermal", "fock",
@@ -395,21 +381,19 @@ def test_rhs_is_three_banded_row_products():
     """The kernel is its three banded products in its grouping, bit for
     bit: with the stage's band stacks K, L and -alpha L, X = L rho,
     C = X - X^dag, Y = K rho + (-alpha L) C and the slope Y + Y^dag, where
-    row i of block p of a product by a band stack B is B[p, i], 1 x 3,
-    times a copy of the rows i - 1, i and i + 1 of block p of the padded
+    level row n of a product by a band stack B is B[n], 1 x 3, times a
+    copy of the rows of levels n - 2, n and n + 2 of the padded
     operand."""
     dim = 12
     *_, model = modulated_setup(dim=dim)
     ops = _density_stage_ops(lindblad._Kernel(model), model.coefficients(0.3))
     _, k_op, (l_op, damp) = ops
     state = _split(_random_state(dim, 11))
-    m = dim // 2
 
     def product(band, a):
         out = np.zeros_like(a)
-        for p in (0, 1):
-            for i in range(m):
-                out[p, 1 + i] = band[p, i] @ np.array(a[p, i:i + 3])
+        for n in range(dim):
+            out[2 + n] = band[n] @ np.array(a[n:n + 5:2])
         return out
 
     x = product(l_op, state)
@@ -419,8 +403,8 @@ def test_rhs_is_three_banded_row_products():
 
 
 def test_odd_dimension_evolution_matches_a_dense_rk4():
-    """At dims 41 and 81, each with a padding level, every recorded state
-    agrees with a classical RK4 on dense matrices written out here."""
+    """At the odd dims 41 and 81 every recorded state agrees with a
+    classical RK4 on dense matrices written out here."""
     for dim in (41, 81):
         _check_against_a_dense_rk4(dim)
 
@@ -463,7 +447,7 @@ def _fresh_density_rhs(state, ops):
 
     def product(band, a):
         out = np.zeros_like(a)
-        out[:, 1:-1, None] = band @ lindblad._rows(a)
+        out[2:-2, None] = band @ lindblad._rows(a)
         return out
 
     y = product(k_op, state)
@@ -488,9 +472,9 @@ def _plain_rk4(rhs, q, n, h):
     return nodes
 
 
-def _reference_blocks(model, table, q0, n, h, every=1):
+def _reference_nodes(model, table, q0, n, h, every=1):
     """Nodes 0, every, 2 every, ... and n, as dense arrays, of a plain RK4
-    loop on the padded parity blocks that builds every array fresh: each
+    loop on the padded state that builds every array fresh: each
     stage's operands from ``_density_stage_ops`` over the stage rows
     ``table`` and the right-hand side above."""
     kernel = lindblad._Kernel(model)
@@ -498,15 +482,15 @@ def _reference_blocks(model, table, q0, n, h, every=1):
     def rhs(q, j):
         return _fresh_density_rhs(q, _density_stage_ops(kernel, table[j]))
 
-    nodes = _plain_rk4(rhs, lindblad._parity_split(q0), n, h)
+    nodes = _plain_rk4(rhs, _split(q0), n, h)
     kept = nodes[::every] + ([nodes[-1]] if n % every else [])
-    return [lindblad._parity_join(q, model.basis.dim) for q in kept]
+    return [_join(q) for q in kept]
 
 
 def _reference_density(model, rho0, n, h, every):
     """The recorded states of the fresh-array loop from rho0."""
-    return _reference_blocks(model, lindblad._stage_table(model, n, h),
-                             rho0.entries, n, h, every)
+    return _reference_nodes(model, lindblad._stage_table(model, n, h),
+                            rho0.entries, n, h, every)
 
 
 @pytest.mark.parametrize("dim, kappa, n", [(12, 0.1, 30), (41, 0.1, 30),
@@ -515,8 +499,8 @@ def _reference_density(model, rho0, n, h, every):
 def test_density_buffers_reproduce_the_fresh_array_rk4(dim, kappa, n):
     """``evolve_density`` steps in the driver's state buffers and the
     kernel's slope, scratch and stage buffers; every state it records
-    equals bit for bit the fresh-array loop above.  Dims 41 and 81 have a
-    padding level; dim 41 also runs without friction."""
+    equals bit for bit the fresh-array loop above.  Dims 41 and 81 are
+    odd; dim 41 also runs without friction."""
     _, _, cfg, _, _, model = modulated_setup(dim=dim, kappa=kappa,
                                              t_max=n * H)
     rho0 = build_state(StateSpec(kind="coherent", beta=complex(0.5, 0.3)), cfg)
@@ -532,7 +516,6 @@ def _density_step_allocations(dim, monkeypatch):
     n = 6
     _, _, cfg, _, _, model = modulated_setup(dim=dim, t_max=n * H)
     rho0 = build_state(StateSpec(kind="coherent", beta=complex(0.5, 0.3)), cfg)
-    m = (dim + 1) // 2
     rises, opened, calls = [], [], []
     rhs = lindblad._density_rhs
 
@@ -557,17 +540,17 @@ def _density_step_allocations(dim, monkeypatch):
         tracemalloc.stop()
     # the last step, which ends in the record, is left open
     assert len(calls) == 4 * n and len(rises) == n - 1
-    return max(rises), 2 * (m + 2) * 2 * m * np.dtype(complex).itemsize
+    return max(rises), (dim + 4) * dim * np.dtype(complex).itemsize
 
 
 @pytest.mark.parametrize("dim", [41, 160])
 def test_density_steps_allocate_no_state_sized_array(dim, monkeypatch):
     """Between records, an ``evolve_density`` step allocates no array the
-    size of the padded (2, m + 2, 2m) state: traced with tracemalloc,
+    size of the padded (dim + 4, dim) state: traced with tracemalloc,
     memory never rises by one state over a whole step, its four
     right-hand-side calls, the RK4 combination and its stage-operand
-    formations, whose arrays are band-sized.  Measured: at most 2.6 KB
-    against a 30.9 KB state at dim 41 and 8.2 KB against 420 KB at dim
+    formations, whose arrays are band-sized.  Measured: at most 2.5 KB
+    against a 29.5 KB state at dim 41 and 8.3 KB against 420 KB at dim
     160."""
     rise, state_bytes = _density_step_allocations(dim, monkeypatch)
     assert rise < state_bytes
@@ -601,17 +584,6 @@ def test_no_jump_terms_without_friction():
     assert _density_stage_ops(lindblad._Kernel(model), row)[2] is None
 
 
-def test_generator_coupling_opposite_parities_rejected():
-    """One (0, 1) entry in K3 would be dropped by the parity blocks."""
-    omega_s, kappa_s, cfg, (g1, g2, g3), sol, _ = equilibrium_setup(
-        dim=10, t_max=0.01)
-    k3 = np.array(g3.entries)
-    k3[0, 1] = 1e-3
-    with pytest.raises(ValidationError,
-                       match=r"generator k3 couples Fock levels 0 and 1"):
-        LindbladModel(omega_s, kappa_s, sol, g1, g2, FockOperator(k3), cfg)
-
-
 def test_non_hermitian_generator_rejected():
     """The observable transport is the density equation with alpha
     negated, which is its adjoint only for a Hermitian jump operator, and
@@ -629,17 +601,22 @@ def test_non_hermitian_generator_rejected():
                           cfg)
 
 
-def test_generator_coupling_beyond_the_band_rejected():
-    """One (1, 5) entry in K2 has even offset 4 (block offset 2): the band
-    stacks, which reach block offset 1, would drop it."""
-    omega_s, kappa_s, cfg, (g1, g2, g3), sol, _ = equilibrium_setup(
-        dim=10, t_max=0.01)
-    k2 = np.array(g2.entries)
-    k2[1, 5] = k2[5, 1] = 1e-3
+@pytest.mark.parametrize("offset, name", [(1, "k3"), (3, "k1"), (4, "k2")])
+def test_generator_coupling_off_the_band_rejected(offset, name):
+    """A Hermitian pair of 1e-3 entries between levels 1 and 1 + offset,
+    off the diagonals 0 and +-2 that the band stacks hold, would be
+    dropped by the density kernel: the model refuses it and names the
+    generator and both levels."""
+    omega_s, kappa_s, cfg, gens, sol, _ = equilibrium_setup(dim=10,
+                                                            t_max=0.01)
+    gens = dict(zip(("k1", "k2", "k3"), gens))
+    k = np.array(gens[name].entries)
+    k[1, 1 + offset] = k[1 + offset, 1] = 1e-3
+    gens[name] = FockOperator(k)
     with pytest.raises(ValidationError,
-                       match=r"generator k2 couples Fock levels 1 and 5, "
-                             r"more than 2 apart"):
-        LindbladModel(omega_s, kappa_s, sol, g1, FockOperator(k2), g3, cfg)
+                       match=rf"generator {name} couples Fock levels 1 and "
+                             rf"{1 + offset},"):
+        LindbladModel(omega_s, kappa_s, sol, *gens.values(), cfg)
 
 
 def test_generator_dimension_mismatch_rejected():
@@ -903,8 +880,8 @@ def _negated_alpha_transport(model, q0, n, h, first=0, backward=False,
     h *= stride
     if backward:
         table, h = table[::-1], -h
-    return _reference_blocks(model, table * np.array([1.0, -1.0, 1.0, 1.0]),
-                             q0, n, h)
+    return _reference_nodes(model, table * np.array([1.0, -1.0, 1.0, 1.0]),
+                            q0, n, h)
 
 
 def _transported(model, q0, first, n, backward, stride=1):
@@ -933,7 +910,7 @@ def test_transport_steps_the_density_kernel_with_alpha_negated(
     ``_transport_steps`` records equals, bit for bit, a plain RK4 loop over
     the density stage operands and right-hand side with alpha negated,
     and carries its own index; backward, the loop reads the window's stage
-    rows in descending order.  Dim 81 has a padding level."""
+    rows in descending order.  Dim 81 is odd."""
     first, n = 30, 60
     *_, gens, _, model = modulated_setup(dim=dim, kappa=kappa,
                                          t_max=(first + n) * H)
@@ -1296,10 +1273,21 @@ def test_su11_seed_must_satisfy_uncertainty_bound():
 # diagnostics and moment extraction
 
 
+def _recorded_diagnostics(rho, cfg):
+    """(trace, hermiticity deviation, min eigenvalue, tail population) that
+    ``evolve_density`` records for its initial state rho, on a dim-10
+    equilibrium model with the basis ``cfg``."""
+    *_, model = equilibrium_setup(dim=10, t_max=H)
+    traj = evolve_density(dataclasses.replace(model, basis=cfg), rho, H, H,
+                          record_every=1)
+    return (traj.trace[0], traj.herm_dev[0], traj.min_eig[0],
+            traj.tail_pop[0])
+
+
 def test_diagnostics_of_pure_vacuum():
     cfg = BasisConfig(dim=10, omega_ref=1.0)
     rho = build_state(StateSpec(kind="fock", fock_n=0), cfg)
-    tr, herm, lo, tail = lindblad._diagnostics(rho.entries, cfg)
+    tr, herm, lo, tail = _recorded_diagnostics(rho, cfg)
     assert tr == 1.0
     assert herm == 0.0
     assert abs(lo) < 1e-15
@@ -1307,9 +1295,11 @@ def test_diagnostics_of_pure_vacuum():
 
 
 def test_diagnostics_of_maximally_mixed_state():
-    cfg = BasisConfig(dim=10, omega_ref=1.0)
+    """The one tail level holds 0.1, which the default threshold would
+    refuse as a truncation leak."""
+    cfg = BasisConfig(dim=10, omega_ref=1.0, tail_threshold=1.0)
     rho = DensityMatrix(np.eye(10, dtype=complex) / 10.0)
-    tr, herm, lo, tail = lindblad._diagnostics(rho.entries, cfg)
+    tr, herm, lo, tail = _recorded_diagnostics(rho, cfg)
     np.testing.assert_allclose(tr, 1.0, rtol=0, atol=1e-15)
     np.testing.assert_allclose(lo, 0.1, rtol=0, atol=1e-15)
     np.testing.assert_allclose(tail, 0.1, rtol=0, atol=1e-15)  # one tail level
