@@ -8,9 +8,11 @@ whose solution parametrizes the weak invariant, is solved here with a
 fixed-step classical fourth-order Runge-Kutta scheme (deterministic,
 order-verifiable).  Note the friction term carries the opposite sign to
 the damped mean motion, so perturbations around the slow solution *grow*
-at rate kappa/2.  The scheme's driver, ``_rk4``, steps this equation and
-the density and adjoint integrators of the lindblad module; the two
-linear moment systems there apply the same scheme as exact one-step maps
+at rate kappa/2.  The scheme's driver, ``_rk4``, steps ndarray states:
+the density and adjoint integrators of the lindblad module.  This
+equation's real pair (rho, rhodot) is stepped in one loop that writes out
+the driver's arithmetic in its operation order (``solve_auxiliary``); the
+two linear moment systems apply the same scheme as exact one-step maps
 (``lindblad._linear_rk4``).
 
 Solutions are sampled on the step grid and evaluated densely by cubic
@@ -199,13 +201,13 @@ def _rk4(rhs, stage, y0, n, h, record, every=1, skip=0):
     ``rhs(y, data)`` the derivative there; each step's end stage is reused
     as the next step's start stage.  A negative h steps backward in time.
     ``record(i, y)`` receives the state at the nodes skip, skip + every,
-    ... below n and at the last node n.  The state is either an ndarray
-    or, for a real pair (r, v), one Python complex r + 1j*v.  Both kinds
-    take y + c s for the stage states and y + h/6 (s1 + 2 (s2 + s3)
-    + s4) for the step, in that operation order, so the matrix and scalar
-    integrators round alike.
+    ... below n and at the last node n.  The state is an ndarray; the
+    stage states are y + c s and the step is y + h/6 (s1 + 2 (s2 + s3)
+    + s4), in that operation order, so a real pair stepped as a float
+    (2,) array rounds as ``solve_auxiliary``'s written-out loop
+    (``test_auxiliary_loop_is_the_driver_on_a_float_pair``).
 
-    Buffers: an ndarray state is stepped in a private copy of y0, which the
+    Buffers: the state is stepped in a private copy of y0, which the
     driver owns, with one more array for the stage states and the
     combination; a step allocates no state-sized array.  ``record`` gets a
     copy, and the returned state is the driver's copy, which no later step
@@ -221,49 +223,28 @@ def _rk4(rhs, stage, y0, n, h, record, every=1, skip=0):
     """
     half = 0.5 * h
     sixth = h / 6.0
-    if isinstance(y0, np.ndarray):
-        y = np.array(y0)
-        arg = np.empty_like(y)
-
-        def step(y, start, mid, end):
-            s1 = rhs(y, start)
-            s2 = rhs(np.add(np.multiply(s1, half, out=arg), y, out=arg), mid)
-            s3 = rhs(np.add(np.multiply(s2, half, out=arg), y, out=arg), mid)
-            s4 = rhs(np.add(np.multiply(s3, h, out=arg), y, out=arg), end)
-            acc = np.add(s2, s3, out=arg)
-            acc *= 2.0
-            acc += s1
-            acc += s4
-            acc *= sixth
-            return np.add(y, acc, out=y)
-
-        copy = np.copy
-    else:
-        # a Python complex has no in-place form: the same arithmetic on
-        # fresh values, one call per step as for arrays
-        y = y0
-
-        def step(y, start, mid, end):
-            s1 = rhs(y, start)
-            s2 = rhs(y + half * s1, mid)
-            s3 = rhs(y + half * s2, mid)
-            s4 = rhs(y + h * s3, end)
-            return y + sixth * (s1 + 2.0 * (s2 + s3) + s4)
-
-        def copy(y):
-            return y
-
+    y = np.array(y0)
+    arg = np.empty_like(y)
     end = None
     due = skip
     for i in range(n):
         if i == due:
-            record(i, copy(y))
+            record(i, y.copy())
             due += every
         start = stage(2 * i) if end is None else end
         mid = stage(2 * i + 1)
         end = stage(2 * i + 2)
-        y = step(y, start, mid, end)
-    record(n, copy(y))
+        s1 = rhs(y, start)
+        s2 = rhs(np.add(np.multiply(s1, half, out=arg), y, out=arg), mid)
+        s3 = rhs(np.add(np.multiply(s2, half, out=arg), y, out=arg), mid)
+        s4 = rhs(np.add(np.multiply(s3, h, out=arg), y, out=arg), end)
+        acc = np.add(s2, s3, out=arg)
+        acc *= 2.0
+        acc += s1
+        acc += s4
+        acc *= sixth
+        y += acc
+    record(n, y.copy())
     return y
 
 
@@ -280,30 +261,50 @@ def solve_auxiliary(omega_s: Schedule, kappa_s: Schedule, init: ErmakovInit,
     positivity floor at any stage or node, the 1/rho^3 term invalidates the
     step-size assumptions and the run aborts with a SingularityError naming
     that time; no automatic refinement is attempted.
+
+    The real pair (rho, rhodot) is stepped in one loop that writes out
+    ``_rk4``'s stages and step combination in its operation order, so its
+    nodes equal, bit for bit, ``_rk4`` stepping a float (2,) array; it
+    costs no Python call per stage.
     """
     n = _step_count(t_max, h)
     _, omega_sq, kappa = _half_grid_coefficients(omega_s, kappa_s, n, h)
     # memoryviews index to Python floats without a per-stage object list
     ks, ws = memoryview(kappa), memoryview(omega_sq)
-
+    rho, rhodot = np.empty(n + 1), np.empty(n + 1)
+    half, sixth, inf = 0.5 * h, h / 6.0, np.inf
+    r, v = float(init.rho0), float(init.rhodot0)
+    k, w = ks[0], ws[0]
     # an overflowed rho turns inf, then nan: "not >=" fails on the nan at
-    # the next stage, and the node check also on an inf that ends the run
-    def rhs(y, j):
-        r, v = y.real, y.imag
-        if not r >= RHO_FLOOR:
-            raise _singularity(r, 0.5 * h * j)
-        return complex(v, ks[j] * v - ws[j] * r + 1.0 / (r * r * r))
-
-    ys = np.empty(n + 1, dtype=complex)
-
-    def record(i, y):
-        if not RHO_FLOOR <= y.real < np.inf:
-            raise _singularity(y.real, i * h)
-        ys[i] = y
-
-    _rk4(rhs, lambda j: j, complex(init.rho0, init.rhodot0), n, h, record)
+    # the next stage, and the node check also on an inf that ends the run.
+    # Stage 1 starts from the node, whose check is the stricter one.
+    for i in range(n + 1):
+        if not RHO_FLOOR <= r < inf:
+            raise _singularity(r, i * h)
+        rho[i] = r
+        rhodot[i] = v
+        if i == n:
+            break
+        j = 2 * i
+        a1 = k * v - w * r + 1.0 / (r * r * r)
+        k, w = ks[j + 1], ws[j + 1]
+        r2, v2 = r + half * v, v + half * a1
+        if not r2 >= RHO_FLOOR:
+            raise _singularity(r2, half * (j + 1))
+        a2 = k * v2 - w * r2 + 1.0 / (r2 * r2 * r2)
+        r3, v3 = r + half * v2, v + half * a2
+        if not r3 >= RHO_FLOOR:
+            raise _singularity(r3, half * (j + 1))
+        a3 = k * v3 - w * r3 + 1.0 / (r3 * r3 * r3)
+        # the end stage's coefficients are the next step's start
+        k, w = ks[j + 2], ws[j + 2]
+        r4, v4 = r + h * v3, v + h * a3
+        if not r4 >= RHO_FLOOR:
+            raise _singularity(r4, half * (j + 2))
+        a4 = k * v4 - w * r4 + 1.0 / (r4 * r4 * r4)
+        r = r + sixth * (v + 2.0 * (v2 + v3) + v4)
+        v = v + sixth * (a1 + 2.0 * (a2 + a3) + a4)
     ts = h * np.arange(n + 1)
-    rho, rhodot = ys.real, ys.imag
     rhoddot = kappa[::2] * rhodot - omega_sq[::2] * rho + rho ** -3.0
     return ErmakovSolution(ts=ts, rho=rho, rhodot=rhodot, rhoddot=rhoddot)
 
