@@ -111,8 +111,11 @@ class ErmakovInit:
     rhodot0: float = 0.0
 
     def __post_init__(self):
-        if not self.rho0 >= RHO_FLOOR:
-            raise ValidationError(f"rho0 must be >= {RHO_FLOOR:g}, got {self.rho0}")
+        if not RHO_FLOOR <= self.rho0 < np.inf:
+            raise ValidationError(
+                f"rho0 must be finite and >= {RHO_FLOOR:g}, got {self.rho0}")
+        if not np.isfinite(self.rhodot0):
+            raise ValidationError(f"rhodot0 must be finite, got {self.rhodot0}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,6 +180,12 @@ def _step_count(t_max: float, h: float) -> int:
     return int(np.ceil(t_max / h - 1e-9))
 
 
+def _check_cover(omega_s: Schedule, kappa_s: Schedule, t0: float,
+                 t_end: float):
+    if not (omega_s.covers(t0, t_end) and kappa_s.covers(t0, t_end)):
+        raise ValidationError("schedules do not cover the integration window")
+
+
 def _half_grid_coefficients(omega_s: Schedule, kappa_s: Schedule,
                             n_steps: int, h: float, first: int = 0):
     """Stage times and coefficients: nodes and midpoints, in one pass.
@@ -184,9 +193,7 @@ def _half_grid_coefficients(omega_s: Schedule, kappa_s: Schedule,
     Returns (times, omega^2, kappa) on the grid j*h/2, j = 2*first ..
     2*(first + n_steps): the n_steps steps that start at node ``first``.
     """
-    t0, t_end = first * h, (first + n_steps) * h
-    if not (omega_s.covers(t0, t_end) and kappa_s.covers(t0, t_end)):
-        raise ValidationError("schedules do not cover the integration window")
+    _check_cover(omega_s, kappa_s, first * h, (first + n_steps) * h)
     half = 0.5 * h * np.arange(2 * first, 2 * (first + n_steps) + 1)
     w = np.asarray(omega_s.eval(half, 0), dtype=float)
     omega_sq = w * w

@@ -49,11 +49,11 @@ from .lindblad import (
     LindbladModel,
     Trajectory,
     _generator_arrays,
+    _observable_set,
 )
 from .operators import (
     FockOperator,
     commutator,
-    expectation,
     interior_block,
     max_abs,
 )
@@ -204,17 +204,37 @@ class ExpectationSeries:
                     zip(self.ts, self.values, self.rel_drift), precision)
 
 
+def _weak_expectation_series(sol: ErmakovSolution, ts, k1, k2,
+                             k3) -> ExpectationSeries:
+    """<I> = c1 <K1> + c2 <K2> - c3 <K3> at the times ``ts``, from the K
+    expectations there and the coefficients of ``sol`` (``_weak_coefficients``).
+
+    The weak invariant is linear in K1, K2 and K3, so this is tr[I(t)
+    rho(t)] up to rounding; both backends form their series here.
+    """
+    c1, c2, c3 = _weak_coefficients(sol.rho_at(ts), sol.rhodot_at(ts))
+    return ExpectationSeries(ts=ts, values=c1 * k1 + c2 * k2 - c3 * k3)
+
+
 def expectation_series(traj: Trajectory, inv: InvariantSpec) -> ExpectationSeries:
-    """tr[I(t) rho(t)] at the trajectory's record times."""
+    """tr[I(t) rho(t)] at the trajectory's record times.
+
+    Formed from the K1, K2 and K3 expectations the trajectory recorded,
+    so the invariant must be built on that basis's generators.
+    """
     if inv.dim != traj.basis.dim:
         raise ValidationError(
             f"invariant dimension {inv.dim} does not match "
             f"trajectory basis {traj.basis.dim}")
     _check_window(traj.ts, *inv.window, "invariant")
-    values = np.array([expectation(inv.at(float(t)), state)
-                       for t, state in zip(traj.ts, traj.states)])
-    return ExpectationSeries(ts=np.asarray(traj.ts, dtype=float),
-                             values=values)
+    recorded = _observable_set(traj.basis)[2:]
+    if not all(np.array_equal(op.entries, gen.entries)
+               for op, gen in zip(inv.operators, recorded)):
+        raise ValidationError(
+            "the invariant's operators are not the K1, K2 and K3 of the "
+            "trajectory's basis, whose expectations it records")
+    return _weak_expectation_series(inv.sol, traj.ts, traj.k1, traj.k2,
+                                    traj.k3)
 
 
 @dataclass(frozen=True, eq=False)

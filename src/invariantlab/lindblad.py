@@ -50,7 +50,9 @@ formed in (``auxiliary._rk4``); the run's ``_Kernel`` owns the X and C
 scratch of the right-hand side and the four slopes it writes in
 rotation, one per RK4 slope of a step.  Between records a step
 allocates only band-sized arrays: the stage operands and their
-temporaries.
+temporaries.  A record reduces its state to one preallocated row of
+moments and health values and holds the state only until the next
+record, so a run's memory does not grow with its records.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ import numpy as np
 
 from .auxiliary import (
     ErmakovSolution,
+    _check_cover,
     _dense_at,
     _freeze_fields,
     _half_grid_coefficients,
@@ -99,9 +102,14 @@ POSITIVITY_HARD_FLOOR = -1e-6
 ADJOINT_HERM_TOL = 1e-10
 MOMENT_BOUND_TOL = 1e-9
 CLOSURE_GATE_TOL = 1e-10
-# The moment systems' step maps are formed a block at a time, as many per
-# block as fit in this many bytes: about 1500 steps of the 3x3 system.
+# The moment systems' step maps and the stage table's rows are formed a
+# block at a time, as many per block as fit in this many bytes: about 1500
+# steps of the 3x3 system, about 7300 rows of the stage table.
 STAGE_BLOCK_BYTES = 1 << 20
+# Temporaries of one stage-table row: ``LindbladModel.coefficients`` at one
+# time and the row's share of the block it is stacked into, 18 floats as
+# traced on the shipped schedules.
+STAGE_ROW_BYTES = 18 * 8
 
 
 def _block_length(item_bytes: int) -> int:
@@ -213,10 +221,23 @@ def _generator_arrays(gens, row):
 def _stage_table(model: LindbladModel, n: int, h: float,
                  first: int = 0) -> np.ndarray:
     """Rows (omega^2, alpha, a2, a3) on the stage grid j*h/2 of the n steps
-    that start at node ``first``: j = 2*first .. 2*(first + n)."""
-    half_ts, _, _ = _half_grid_coefficients(model.omega_s, model.kappa_s, n, h,
-                                            first)
-    return np.column_stack(model.coefficients(half_ts))
+    that start at node ``first``: j = 2*first .. 2*(first + n).
+
+    The (2n + 1, 4) table is allocated once and filled from
+    ``model.coefficients`` a block of rows at a time, so the temporaries
+    stay near STAGE_BLOCK_BYTES however long the run.  The work is
+    elementwise, so the rows equal one call over every stage time bit for
+    bit, and the blocks run in time order, so negative friction names the
+    first negative stage time.
+    """
+    _check_cover(model.omega_s, model.kappa_s, first * h, (first + n) * h)
+    table = np.empty((2 * n + 1, 4))
+    per = _block_length(STAGE_ROW_BYTES)
+    for lo in range(0, len(table), per):
+        rows = table[lo:lo + per]
+        j = np.arange(2 * first + lo, 2 * first + lo + len(rows))
+        rows[...] = np.column_stack(model.coefficients(0.5 * h * j))
+    return table
 
 
 # --------------------------------------------------------------- diagnostics
@@ -231,9 +252,22 @@ def _require_finite(arr: np.ndarray, message: str):
 # ------------------------------------------------------------ density matrix
 
 
+# The per-record arrays of a Trajectory, in the order evolve_density fills
+# them.
+_RECORD_FIELDS = ("ts", "mean_x", "mean_p", "k1", "k2", "k3", "trace",
+                  "herm_dev", "min_eig", "tail_pop")
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Recorded density-matrix evolution with per-sample health metrics.
+    """Recorded density-matrix evolution: per-sample moments and health.
+
+    Each record keeps the canonical means and the expectations of K1, K2
+    and K3 (``mean_x`` .. ``k3``, the raw values of
+    ``moments_from_state``), which is all the battery and the artifacts
+    read, and the health metrics.  Of the states themselves only the last
+    recorded one is kept, as the one-element ``states``.  ``moments()``
+    builds and validates the moment vectors on read.
 
     A sample outside the state tolerances marks the run failed at the
     first offending time but does not abort it; hard breaches (a
@@ -242,24 +276,31 @@ class Trajectory:
     """
 
     ts: np.ndarray
-    states: tuple[DensityMatrix, ...]
+    mean_x: np.ndarray
+    mean_p: np.ndarray
+    k1: np.ndarray
+    k2: np.ndarray
+    k3: np.ndarray
     trace: np.ndarray
     herm_dev: np.ndarray
     min_eig: np.ndarray
     tail_pop: np.ndarray
+    states: tuple[DensityMatrix]
     basis: BasisConfig
     failed_at: float | None
     warnings: tuple[str, ...]
 
     def __post_init__(self):
-        _freeze_fields(self, "ts", "trace", "herm_dev", "min_eig", "tail_pop")
+        _freeze_fields(self, *_RECORD_FIELDS)
 
     @property
     def ok(self) -> bool:
         return self.failed_at is None
 
     def moments(self) -> list["MomentVector"]:
-        return [moments_from_state(s, self.basis) for s in self.states]
+        return [MomentVector(*map(float, row))
+                for row in zip(self.mean_x, self.mean_p, self.k1, self.k2,
+                               self.k3)]
 
     def write_csv(self, path, precision: int = 12):
         rows = ((t, m.mean_x, m.mean_p, m.k1, m.k2, m.k3, *health)
@@ -379,7 +420,9 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
     The state is stepped on the generators' band by ``_step_density``
     (module docstring).  Every slope is exactly Hermitian, so the recorded
     Hermiticity deviation stays at that of rho0: 0 for every state
-    ``build_state`` forms.  States are recorded as the dense matrix.
+    ``build_state`` forms.  Each record reduces the state, after the hard
+    checks, to its health metrics and the expectations of x, p, K1, K2
+    and K3; only the last recorded state is kept (``Trajectory``).
     """
     cfg = model.basis
     if rho0.dim != cfg.dim:
@@ -388,14 +431,17 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
     if record_every < 1:
         raise ValidationError(f"record_every must be >= 1, got {record_every}")
     n = _step_count(t_max, h)
-    rec_ts: list[float] = []
-    rec_states: list[DensityMatrix] = []
-    rec_diag: list[tuple[float, float, float, float]] = []
+    observables = _observable_set(cfg)
+    # one row per record, at the nodes 0, record_every, ... below n and n
+    records = np.empty((len(range(0, n, record_every)) + 1,
+                        len(_RECORD_FIELDS)))
+    slots = iter(records)
     warnings: list[str] = []
     failed_at: float | None = None
+    final: DensityMatrix | None = None
 
     def record(i: int, arr: np.ndarray):
-        nonlocal failed_at
+        nonlocal failed_at, final
         t = h * i
         _require_finite(arr, f"density matrix is not finite at t={t:.6g}")
         rho = DensityMatrix(arr, validate=False)
@@ -419,16 +465,13 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
             warnings.append(f"t={t:.6g}: " + "; ".join(problems))
             if failed_at is None:
                 failed_at = t
-        rec_ts.append(t)
-        rec_states.append(rho)
-        rec_diag.append((tr, herm, lo, tail))
+        next(slots)[:] = (t, *(expectation(op, rho) for op in observables),
+                          tr, herm, lo, tail)
+        final = rho
 
     _step_density(model, _stage_table(model, n, h), rho0.entries, n, h,
                   record, record_every)
-    diag = np.array(rec_diag)
-    return Trajectory(ts=np.array(rec_ts), states=tuple(rec_states),
-                      trace=diag[:, 0], herm_dev=diag[:, 1],
-                      min_eig=diag[:, 2], tail_pop=diag[:, 3],
+    return Trajectory(**dict(zip(_RECORD_FIELDS, records.T)), states=(final,),
                       basis=cfg, failed_at=failed_at, warnings=tuple(warnings))
 
 

@@ -74,7 +74,7 @@ from .invariants import (
     FD_HALF_STEP,
     ExpectationSeries,
     InvariantSpec,
-    _weak_coefficients,
+    _weak_expectation_series,
     constraint_residuals,
     drift_rhs,
     expectation_series,
@@ -260,14 +260,6 @@ def _first_moments(p: _Prepared, m0: MomentVector) -> FirstMomentSeries:
                                 (m0.mean_x, m0.mean_p), s.t_max, s.step_h)
 
 
-def _moment_expectation_series(p: _Prepared, quad) -> ExpectationSeries:
-    ts = p.record_ts
-    idx = p.record_idx
-    c1, c2, c3 = _weak_coefficients(p.sol.rho_at(ts), p.sol.rhodot_at(ts))
-    values = c1 * quad.k1[idx] + c2 * quad.k2[idx] - c3 * quad.k3[idx]
-    return ExpectationSeries(ts=ts, values=values)
-
-
 def _evolve(p: _Prepared):
     """Run the scenario's backends: (trajectory, m0, quad, series).
 
@@ -285,7 +277,9 @@ def _evolve(p: _Prepared):
     if traj is not None:
         series = expectation_series(traj, p.invariant)
     else:
-        series = _moment_expectation_series(p, quad)
+        idx = p.record_idx
+        series = _weak_expectation_series(p.sol, p.record_ts, quad.k1[idx],
+                                          quad.k2[idx], quad.k3[idx])
     return traj, m0, quad, series
 
 
@@ -704,7 +698,7 @@ def sweep(s: Scenario, param: str, values: list[str],
         p = _prepare(sc)
         traj, m0, _, series = _evolve(p)
         if traj is not None:
-            final_x = moments_from_state(traj.states[-1], sc.basis).mean_x
+            final_x = traj.mean_x[-1]
         else:
             final_x = _first_moments(p, m0).mean_x[p.record_idx[-1]]
         rows.append({

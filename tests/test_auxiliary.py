@@ -341,6 +341,18 @@ def test_init_validation():
         solve_auxiliary(W1, K0, ErmakovInit(1.0, 0.0), 1.0, -0.1)
 
 
+@pytest.mark.parametrize("rho0, rhodot0, name", [
+    (1.0, float("nan"), "rhodot0"), (1.0, float("inf"), "rhodot0"),
+    (1.0, -float("inf"), "rhodot0"), (float("inf"), 0.0, "rho0"),
+    (float("nan"), 0.0, "rho0")])
+def test_init_refuses_non_finite_values(rho0, rhodot0, name):
+    """A non-finite start is invalid input, refused when the start is
+    built: it never reaches the solver, which would report it as a
+    singularity (exit code 3) near t = 0.0005, or an inf rho0 near t = 0."""
+    with pytest.raises(ValidationError, match=rf"^{name} must be finite"):
+        ErmakovInit(rho0, rhodot0)
+
+
 # ---------------------------------------------------------------- residuals
 
 

@@ -1,6 +1,7 @@
 """Every name a package module exports in ``__all__`` exists, every
-name the benchmark's tracer wraps by attribute, and the benchmark's
-correctness gate passes its own self-test.
+name the benchmark's tracer wraps by attribute, a density run goes
+through the tracer's hooks, and the benchmark's correctness gate passes
+its own self-test.
 
 A stale entry (a name deleted but left in ``__all__``) breaks
 ``from module import *`` although a plain import still succeeds.  The
@@ -19,6 +20,15 @@ import pytest
 
 import invariantlab
 from invariantlab import lindblad
+from invariantlab.auxiliary import ErmakovInit, solve_auxiliary
+from invariantlab.operators import (
+    BasisConfig,
+    StateSpec,
+    build_canonical,
+    build_state,
+    build_su11_generators,
+)
+from invariantlab.schedules import ConstantSchedule
 
 MODULES = ["invariantlab"] + [
     f"invariantlab.{info.name}"
@@ -47,6 +57,35 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert lindblad.evolve_adjoint_observable is original
+
+
+def test_benchmark_tracer_counts_a_density_run(monkeypatch):
+    """With the tracer installed, a dim-8 density run goes through its
+    ``evolve_density`` hooks, which read the run's arguments and its
+    trajectory: 50 steps, and the state bytes of the one state the
+    trajectory keeps."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    omega_s, kappa_s = ConstantSchedule(1.0), ConstantSchedule(0.1)
+    cfg = BasisConfig(dim=8, omega_ref=1.0)
+    sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 0.05, 1e-3)
+    model = lindblad.LindbladModel(
+        omega_s, kappa_s, sol, *build_su11_generators(*build_canonical(cfg)),
+        cfg)
+    rho0 = build_state(StateSpec(kind="fock", fock_n=0), cfg)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tracer.begin_run("density")
+        traj = lindblad.evolve_density(model, rho0, 0.05, 1e-3,
+                                       record_every=10)
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts[0]
+    assert len(traj.ts) == 6 and len(traj.states) == 1
+    assert counts["lindblad.evolve_density.steps"] == 50
+    assert counts["lindblad.trajectory.state_bytes_computed"] == 8 * 8 * 16
+    assert tracer.layers("density")["lindblad.evolve_density"]["calls"] == 1
 
 
 def test_benchmark_gate_selftest_passes():

@@ -402,19 +402,19 @@ def test_rhs_is_three_banded_row_products():
                                   y + _dagger(y))
 
 
-def test_odd_dimension_evolution_matches_a_dense_rk4():
+def test_odd_dimension_evolution_matches_a_dense_rk4(evolve_recording):
     """At the odd dims 41 and 81 every recorded state agrees with a
     classical RK4 on dense matrices written out here."""
     for dim in (41, 81):
-        _check_against_a_dense_rk4(dim)
+        _check_against_a_dense_rk4(dim, evolve_recording)
 
 
-def _check_against_a_dense_rk4(dim):
+def _check_against_a_dense_rk4(dim, evolve_recording):
     """The test above at one dimension."""
     n, every = 200, 40
     _, _, cfg, _, _, model = modulated_setup(dim=dim, t_max=n * H)
     rho0 = build_state(StateSpec(kind="coherent", beta=complex(0.8, 0.5)), cfg)
-    traj = evolve_density(model, rho0, n * H, H, record_every=every)
+    _, states = evolve_recording(model, rho0, n * H, H, every)
 
     def rhs(rho, t):
         h_op, alpha, l_op = _stage_arrays(model, t)
@@ -434,8 +434,8 @@ def _check_against_a_dense_rk4(dim):
         rho = rho + (H / 6.0) * (s1 + 2.0 * (s2 + s3) + s4)
         if (i + 1) % every == 0:
             expected.append(rho)
-    assert len(traj.states) == len(expected) == 1 + n // every
-    for state, ref in zip(traj.states, expected):
+    assert len(states) == len(expected) == 1 + n // every
+    for state, ref in zip(states, expected):
         assert max_abs(state.entries - ref) <= 1e-12
 
 
@@ -496,7 +496,8 @@ def _reference_density(model, rho0, n, h, every):
 @pytest.mark.parametrize("dim, kappa, n", [(12, 0.1, 30), (41, 0.1, 30),
                                            (41, 0.0, 30), (81, 0.1, 30),
                                            (160, 0.1, 4)])
-def test_density_buffers_reproduce_the_fresh_array_rk4(dim, kappa, n):
+def test_density_buffers_reproduce_the_fresh_array_rk4(dim, kappa, n,
+                                                       evolve_recording):
     """``evolve_density`` steps in the driver's state buffers and the
     kernel's slope, scratch and stage buffers; every state it records
     equals bit for bit the fresh-array loop above.  Dims 41 and 81 are
@@ -504,11 +505,13 @@ def test_density_buffers_reproduce_the_fresh_array_rk4(dim, kappa, n):
     _, _, cfg, _, _, model = modulated_setup(dim=dim, kappa=kappa,
                                              t_max=n * H)
     rho0 = build_state(StateSpec(kind="coherent", beta=complex(0.5, 0.3)), cfg)
-    traj = evolve_density(model, rho0, n * H, H, record_every=7)
+    traj, states = evolve_recording(model, rho0, n * H, H, 7)
     expected = _reference_density(model, rho0, n, H, 7)
-    assert len(traj.states) == len(expected) == 2 + (n - 1) // 7
-    for state, ref in zip(traj.states, expected):
+    assert len(states) == len(expected) == 2 + (n - 1) // 7
+    for state, ref in zip(states, expected):
         np.testing.assert_array_equal(state.entries, ref)
+    [final] = traj.states
+    np.testing.assert_array_equal(final.entries, expected[-1])
 
 
 def _density_step_allocations(dim, monkeypatch):
@@ -554,6 +557,94 @@ def test_density_steps_allocate_no_state_sized_array(dim, monkeypatch):
     160."""
     rise, state_bytes = _density_step_allocations(dim, monkeypatch)
     assert rise < state_bytes
+
+
+def _traced_peak(call):
+    """Peak traced memory of ``call()``, run once untraced first so that
+    caches (the observable set) are warm."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_density_runs_retain_moments_not_states():
+    """A run keeps one row of ten floats per record (time, moments and
+    health) and one state: traced with tracemalloc, a dim-20 run of 400
+    steps recording every node peaks above the same run recording every
+    100th node by less than its 401 rows plus three states.  Keeping every
+    recorded state would add 396 states, 2.5 MB.  Measured: 31.5 KB above,
+    against a bound of 51.3 KB; the rows alone are 32.1 KB."""
+    n, dim = 400, 20
+    _, _, cfg, _, _, model = modulated_setup(dim=dim, t_max=n * H)
+    rho0 = build_state(StateSpec(kind="coherent", beta=complex(0.5, 0.3)), cfg)
+    dense, sparse = (
+        _traced_peak(lambda: evolve_density(model, rho0, n * H, H,
+                                            record_every=every))
+        for every in (1, 100))
+    rows = (n + 1) * len(lindblad._RECORD_FIELDS) * 8
+    state = dim * dim * np.dtype(complex).itemsize
+    assert dense - sparse < rows + 3 * state
+
+
+def test_stage_table_temporaries_are_bounded():
+    """The stage table of 20 000 steps is filled a block at a time: its
+    traced peak stays below the table's own bytes plus twice
+    STAGE_BLOCK_BYTES, where one call over all 40 001 stage times peaked
+    4.5 MB above the table.  Measured: 1.05 MB above the table."""
+    n = 20000
+    *_, model = modulated_setup(dim=8, t_max=n * H)
+    peak = _traced_peak(lambda: lindblad._stage_table(model, n, H))
+    table_bytes = (2 * n + 1) * 4 * 8
+    assert peak < table_bytes + 2 * lindblad.STAGE_BLOCK_BYTES
+
+
+def test_blocked_stage_table_is_the_one_shot_table():
+    """Across block boundaries, and from a node past the start, the
+    blocked table equals ``np.column_stack(model.coefficients(ts))`` over
+    every stage time in one call, bit for bit; and friction that turns
+    negative in a later block and stays negative through the blocks after
+    it is named at the first negative stage time, as the one call names
+    it.  kappa = 0.05 - 0.01 t crosses zero at t = 5, stage 10 000, in the
+    second of four blocks of about 7300 rows."""
+    per = lindblad._block_length(lindblad.STAGE_ROW_BYTES)
+    n, first = 12000, 3
+    assert per < 10000 < 2 * per < 2 * n + 1
+    *_, model = modulated_setup(dim=8, t_max=(n + first) * H)
+    ts = 0.5 * H * np.arange(2 * first, 2 * (first + n) + 1)
+    np.testing.assert_array_equal(lindblad._stage_table(model, n, H, first),
+                                  np.column_stack(model.coefficients(ts)))
+
+    omega_s, kappa_s = ConstantSchedule(1.0), LinearSchedule(0.05, -0.01)
+    cfg = BasisConfig(dim=8, omega_ref=1.0)
+    sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), n * H, H)
+    model = LindbladModel(omega_s, kappa_s, sol,
+                          *build_su11_generators(*build_canonical(cfg)), cfg)
+    message = r"NegativeFriction: kappa\(5\.0005\) = -5\.000e-06"
+    with pytest.raises(NegativeFrictionError, match=message):
+        model.coefficients(0.5 * H * np.arange(2 * n + 1))
+    with pytest.raises(NegativeFrictionError, match=message):
+        lindblad._stage_table(model, n, H)
+
+
+def test_trajectory_records_the_moments_of_each_state(evolve_recording):
+    """Each record stores ``moments_from_state`` of the recorded state, bit
+    for bit, and its health values; the trajectory keeps the last state
+    alone, and ``moments()`` builds the moment vectors from the rows."""
+    n = 60
+    _, _, cfg, _, _, model = modulated_setup(dim=20, t_max=n * H)
+    rho0 = build_state(StateSpec(kind="coherent", beta=complex(0.5, 0.3)), cfg)
+    traj, states = evolve_recording(model, rho0, n * H, H, 25)
+    assert len(states) == len(traj.ts) == 4
+    assert traj.moments() == [moments_from_state(s, cfg) for s in states]
+    np.testing.assert_array_equal(traj.trace, [s.trace() for s in states])
+    np.testing.assert_array_equal(traj.min_eig,
+                                  [s.min_eigenvalue() for s in states])
+    [final] = traj.states
+    np.testing.assert_array_equal(final.entries, states[-1].entries)
 
 
 def test_hamiltonian_matches_generators():
@@ -676,15 +767,15 @@ def test_density_health_metrics_stay_tight():
     assert float(np.max(traj.tail_pop)) < 1e-12
 
 
-def test_record_grid_is_uniform_and_includes_endpoint():
+def test_record_grid_is_uniform_and_includes_endpoint(evolve_recording):
     _, _, cfg, gens, sol, model = equilibrium_setup(dim=10, t_max=0.05)
     rho0 = build_state(StateSpec(kind="fock", fock_n=0), cfg)
-    traj = evolve_density(model, rho0, 0.05, H, record_every=10)
+    traj, states = evolve_recording(model, rho0, 0.05, H, 10)
     np.testing.assert_allclose(traj.ts, np.arange(6) * 0.01, rtol=0, atol=1e-15)
-    assert len(traj.states) == 6
+    assert len(states) == 6
 
 
-def test_constant_jump_energy_is_conserved():
+def test_constant_jump_energy_is_conserved(evolve_recording):
     """A jump operator equal to H leaves <H> exactly constant.
 
     On the omega = 1 equilibrium (rho = 1, rhodot = 0) the jump operator
@@ -695,9 +786,9 @@ def test_constant_jump_energy_is_conserved():
     assert alpha == 0.2
     np.testing.assert_array_equal(l_op, h_op.entries)
     rho0 = build_state(StateSpec(kind="coherent", beta=1.0), cfg)
-    traj = evolve_density(model, rho0, 2.0, H, record_every=250)
+    _, states = evolve_recording(model, rho0, 2.0, H, 250)
     energies = [float(np.trace(h_op.entries @ s.entries).real)
-                for s in traj.states]
+                for s in states]
     np.testing.assert_allclose(energies, energies[0], rtol=0, atol=1e-8)
 
 
@@ -783,15 +874,15 @@ def test_identity_is_a_fixed_point(dim):
         np.testing.assert_array_equal(op.entries, np.eye(dim))
 
 
-def test_pairing_with_state_is_conserved():
+def test_pairing_with_state_is_conserved(evolve_recording):
     """tr[Q(t) rho(t)] is time independent when both are transported."""
     _, _, cfg, gens, sol, model = modulated_setup(dim=40, t_max=1.0)
     rho0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
-    traj = evolve_density(model, rho0, 1.0, H, record_every=100)
+    traj, states = evolve_recording(model, rho0, 1.0, H, 100)
     ot = evolve_adjoint_observable(model, gens[1], 1.0, H, record_every=100)
-    pair0 = trace_pair(ot.operators[0].entries, traj.states[0].entries).real
+    pair0 = trace_pair(ot.operators[0].entries, states[0].entries).real
     devs = [abs(trace_pair(ot.operators[i].entries,
-                           traj.states[i].entries).real - pair0)
+                           states[i].entries).real - pair0)
             for i in range(len(traj.ts))]
     assert max(devs) <= 1e-7
 
@@ -1245,17 +1336,17 @@ def test_su11_rotation_closed_form():
                                rtol=0, atol=1e-8)
 
 
-def test_su11_moments_match_density_backend():
+def test_su11_moments_match_density_backend(evolve_recording):
     omega_s, kappa_s, cfg, gens, sol, model = modulated_setup(dim=40,
                                                               t_max=2.0)
     rho0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
-    traj = evolve_density(model, rho0, 2.0, H, record_every=200)
+    traj, states = evolve_recording(model, rho0, 2.0, H, 200)
     m0 = moments_from_state(rho0, cfg)
     series = evolve_su11_moments(model, (m0.k1, m0.k2, m0.k3), 2.0, H)
     dense = {round(t, 9): i for i, t in enumerate(series.ts)}
     for i, t in enumerate(traj.ts):
         j = dense[round(float(t), 9)]
-        m = moments_from_state(traj.states[i], cfg)
+        m = moments_from_state(states[i], cfg)
         for got, want in ((m.k1, series.k1[j]), (m.k2, series.k2[j]),
                           (m.k3, series.k3[j])):
             assert abs(got - want) <= 1e-5
