@@ -15,11 +15,14 @@ the driver's arithmetic in its operation order (``solve_auxiliary``); the
 two linear moment systems apply the same scheme as exact one-step maps
 (``lindblad._linear_rk4``).
 
-Solutions are sampled on the step grid and evaluated densely by cubic
-Hermite interpolation; the second derivative stored alongside comes from
-the ODE right-hand side at the nodes (never from finite differencing), so
-the residual check below is an honest measure of how well the interpolated
-trajectory satisfies the equation between nodes.
+A solution records the schedules of the equation it solves, so the
+residuals read the equation from the solution and the model can check
+that a solution is the construction's.  Solutions are sampled on the
+step grid and evaluated densely by cubic Hermite interpolation; the
+second derivative stored alongside comes from the ODE right-hand side at
+the nodes (never from finite differencing), so the residual check below
+is an honest measure of how well the interpolated trajectory satisfies
+the equation between nodes.
 """
 
 from __future__ import annotations
@@ -123,13 +126,17 @@ class ErmakovSolution:
     """Sampled (rho, rhodot) trajectory with dense Hermite evaluation.
 
     ``rhoddot`` holds the ODE right-hand side at the nodes; every rho
-    sample must clear the positivity floor.
+    sample must clear the positivity floor.  ``omega_s`` and ``kappa_s``
+    are the schedules of the equation the samples solve, which the
+    residuals evaluate and the model checks its own schedules against.
     """
 
     ts: np.ndarray
     rho: np.ndarray
     rhodot: np.ndarray
     rhoddot: np.ndarray
+    omega_s: Schedule
+    kappa_s: Schedule
 
     def __post_init__(self):
         _freeze_fields(self, "ts", "rho", "rhodot", "rhoddot")
@@ -138,6 +145,11 @@ class ErmakovSolution:
             raise ValidationError("solution samples must be finite")
         if not np.all(self.rho >= RHO_FLOOR):
             raise ValidationError("rho samples dip below the positivity floor")
+
+    @property
+    def equation(self) -> tuple[Schedule, Schedule]:
+        """(omega_s, kappa_s): the schedules of the equation it solves."""
+        return self.omega_s, self.kappa_s
 
     @property
     def window(self) -> tuple[float, float]:
@@ -313,7 +325,8 @@ def solve_auxiliary(omega_s: Schedule, kappa_s: Schedule, init: ErmakovInit,
         v = v + sixth * (a1 + 2.0 * (a2 + a3) + a4)
     ts = h * np.arange(n + 1)
     rhoddot = kappa[::2] * rhodot - omega_sq[::2] * rho + rho ** -3.0
-    return ErmakovSolution(ts=ts, rho=rho, rhodot=rhodot, rhoddot=rhoddot)
+    return ErmakovSolution(ts=ts, rho=rho, rhodot=rhodot, rhoddot=rhoddot,
+                           omega_s=omega_s, kappa_s=kappa_s)
 
 
 def solve_tracking_reference(omega_s: Schedule, kappa_s: Schedule,
@@ -326,7 +339,9 @@ def solve_tracking_reference(omega_s: Schedule, kappa_s: Schedule,
     integrates the reflected equation from a series seed placed a margin
     ahead of the window, letting the transient decay like exp(-kappa tau/2),
     then maps the samples back onto the forward grid.  Requires kappa > 0
-    throughout (no relaxation otherwise).
+    at every node of [0, t_end], the window and its margin (no relaxation
+    otherwise); the first node where it is not is named.  The solution
+    records the forward schedules, whose equation its samples solve.
     """
     k_probe = float(kappa_s.eval(0.0, 0))
     if not k_probe > 0:
@@ -337,6 +352,13 @@ def solve_tracking_reference(omega_s: Schedule, kappa_s: Schedule,
     m = _step_count(window, h)
     n = m + int(np.ceil(margin / h))
     t_end = n * h
+    ts_f = h * np.arange(n + 1)
+    kappa = np.asarray(kappa_s.eval(ts_f, 0), dtype=float)
+    if not np.all(kappa > 0):  # also trips on nan
+        i = int(np.argmin(kappa > 0))
+        raise ValidationError(
+            f"tracking reference needs kappa > 0 on [0, {t_end:g}] "
+            f"(got kappa({ts_f[i]:.6g}) = {kappa[i]:.3e})")
 
     omega_r = ReflectedSchedule(omega_s, t_end)
     kappa_r = ReflectedSchedule(kappa_s, t_end, sign=-1.0)
@@ -348,10 +370,10 @@ def solve_tracking_reference(omega_s: Schedule, kappa_s: Schedule,
     rho_f = back.rho[::-1]
     rhodot_f = -back.rhodot[::-1]
     rhoddot_f = back.rhoddot[::-1]
-    ts_f = h * np.arange(n + 1)
     sl = slice(0, m + 1)
     return ErmakovSolution(ts=ts_f[sl], rho=rho_f[sl], rhodot=rhodot_f[sl],
-                           rhoddot=rhoddot_f[sl])
+                           rhoddot=rhoddot_f[sl], omega_s=omega_s,
+                           kappa_s=kappa_s)
 
 
 # ------------------------------------------------------------------ series
@@ -404,26 +426,25 @@ def adiabatic_rhodot(omega_s: Schedule, kappa_s: Schedule, t: float) -> float:
 # ----------------------------------------------------------------- residual
 
 
-def auxiliary_residual(sol: ErmakovSolution, omega_s: Schedule,
-                       kappa_s: Schedule, t):
+def auxiliary_residual(sol: ErmakovSolution, t):
     """ODE defect of the interpolated trajectory at time(s) t.
 
-    Computes rhoddot - kappa rhodot + omega^2 rho - 1/rho^3 with the second
-    derivative reconstructed from the rhodot interpolant.  At the nodes this
-    vanishes by construction; between nodes it measures genuine integration
-    plus interpolation error (fourth order in the step).
+    Computes rhoddot - kappa rhodot + omega^2 rho - 1/rho^3, on the
+    schedules the solution records, with the second derivative
+    reconstructed from the rhodot interpolant.  At the nodes this
+    vanishes by construction; between nodes it measures genuine
+    integration plus interpolation error (fourth order in the step).
     """
     rho = sol.rho_at(t)
     rhodot = sol.rhodot_at(t)
     rhoddot = sol.rhoddot_at(t)
-    w = omega_s.eval(t, 0)
-    k = kappa_s.eval(t, 0)
+    w = sol.omega_s.eval(t, 0)
+    k = sol.kappa_s.eval(t, 0)
     out = rhoddot - k * rhodot + w * w * rho - rho ** -3.0
     return out if np.ndim(t) else float(out)
 
 
-def max_residual_between_nodes(sol: ErmakovSolution, omega_s: Schedule,
-                               kappa_s: Schedule) -> float:
+def max_residual_between_nodes(sol: ErmakovSolution) -> float:
     """Max |auxiliary_residual| over the interval midpoints."""
     pts = sol.ts[:-1] + 0.5 * sol.step
-    return float(np.max(np.abs(auxiliary_residual(sol, omega_s, kappa_s, pts))))
+    return float(np.max(np.abs(auxiliary_residual(sol, pts))))

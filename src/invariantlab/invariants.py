@@ -4,10 +4,13 @@ One observable is constructed from auxiliary-equation data: the
 quadratic form ``rho^2 K1 + (rhodot^2 + 1/rho^2) K2 - rho rhodot K3``
 built on a solution of the dissipative auxiliary equation, whose
 expectation is conserved under the damped evolution up to the defect
-quantified below.  On a frictionless solution it is the Lewis-Riesenfeld
-invariant, written in the canonical pair as
-``[(rho p - rhodot x)^2 + x^2/rho^2] / 2`` (``lr_invariant_at``, the
-independent reference the tests compare the quadratic form against).
+quantified below.  ``construct`` is the one place that solves the
+construction's auxiliary equation: it returns the model and the
+invariant on that one solution, ``model.sol``.  On a frictionless
+solution the invariant is the Lewis-Riesenfeld invariant, written in the
+canonical pair as ``[(rho p - rhodot x)^2 + x^2/rho^2] / 2``
+(``lr_invariant_at``, the independent reference the tests compare the
+quadratic form against).
 
 The verification toolkit evaluates operator-equation residuals by
 central differencing of the closed forms (so the check is independent
@@ -43,7 +46,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auxiliary import ErmakovSolution, _freeze_fields, _write_rows
+from .auxiliary import (
+    ErmakovInit,
+    ErmakovSolution,
+    _freeze_fields,
+    _write_rows,
+    solve_auxiliary,
+)
 from .errors import NumericalError, ValidationError
 from .lindblad import (
     LindbladModel,
@@ -52,7 +61,10 @@ from .lindblad import (
     _observable_set,
 )
 from .operators import (
+    BasisConfig,
     FockOperator,
+    build_canonical,
+    build_su11_generators,
     commutator,
     interior_block,
     max_abs,
@@ -65,6 +77,7 @@ __all__ = [
     "InvariantSpec",
     "SpectrumSeries",
     "constraint_residuals",
+    "construct",
     "drift_rhs",
     "expectation_series",
     "invariant_residual",
@@ -145,6 +158,21 @@ class InvariantSpec:
                             - c3 * k3.entries)
 
 
+def construct(omega_s: Schedule, kappa_s: Schedule, init: ErmakovInit,
+              t_max: float, h: float,
+              basis: BasisConfig) -> tuple[LindbladModel, InvariantSpec]:
+    """The model and its weak invariant on one auxiliary solution.
+
+    Solves the construction's auxiliary equation for the schedules over
+    [0, t_max] with step h from ``init``, and builds both on that
+    solution, ``model.sol``, and on the basis's K1, K2 and K3.
+    """
+    sol = solve_auxiliary(omega_s, kappa_s, init, t_max, h)
+    gens = build_su11_generators(*build_canonical(basis))
+    return (LindbladModel(omega_s, kappa_s, sol, *gens, basis),
+            InvariantSpec(sol=sol, operators=gens))
+
+
 def invariant_residual(inv: InvariantSpec, model: LindbladModel,
                        t: float) -> float:
     """Interior max-norm defect of the conservation operator equation.
@@ -153,7 +181,9 @@ def invariant_residual(inv: InvariantSpec, model: LindbladModel,
     (where the friction vanishes the model has no jump operator and this
     is ``i dI/dt - [H, I]``), with dI/dt obtained by central differencing
     of the closed form at half-step ``FD_HALF_STEP`` — deliberately
-    independent of the algebra that constructed the observable.
+    independent of the algebra that constructed the observable.  The
+    invariant must be built on the basis of the model and on a solution
+    of the model's auxiliary equation (``construct`` pairs them).
 
     The difference has a floor.  Where the construction is exact, as on
     frictionless runs, a value below about 1e-10 measures the rounding
@@ -166,6 +196,10 @@ def invariant_residual(inv: InvariantSpec, model: LindbladModel,
     if inv.dim != cfg.dim:
         raise ValidationError(
             f"invariant dimension {inv.dim} does not match basis {cfg.dim}")
+    if inv.sol.equation != model.sol.equation:
+        raise ValidationError(
+            "the invariant's auxiliary solution solves another equation "
+            "than the model's; build both with construct")
     d_op = ((inv.at(t + FD_HALF_STEP).entries - inv.at(t - FD_HALF_STEP).entries)
             / (2.0 * FD_HALF_STEP))
     i_op = inv.at(t).entries
@@ -348,13 +382,13 @@ def drift_rhs(j_op: FockOperator, lam: np.ndarray, vecs: np.ndarray,
     return kept, drifts
 
 
-def constraint_residuals(sol: ErmakovSolution, coeffs, kappa_s: Schedule,
-                         omega_s: Schedule, t):
+def constraint_residuals(model: LindbladModel, coeffs, t):
     """Left-hand sides of the three coupled coefficient constraints.
 
     The constraints tie the jump-operator coefficients ``coeffs`` =
-    (alpha, a2, a3) to the auxiliary solution; with the construction
-    used by ``LindbladModel.coefficients`` all three vanish
+    (alpha, a2, a3) to the model's auxiliary solution ``model.sol`` and
+    its schedules ``model.omega_s`` and ``model.kappa_s``; with the
+    construction used by ``LindbladModel.coefficients`` all three vanish
     identically.  They are evaluated exactly as displayed — the second keeps its overall
     rhodot prefactor on the auxiliary bracket, no simplification is
     applied first — with rho'' reconstructed from the dissipative
@@ -367,10 +401,10 @@ def constraint_residuals(sol: ErmakovSolution, coeffs, kappa_s: Schedule,
     a scalar call equals the array call at that time bit for bit.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    r = sol.rho_at(ts)
-    v = sol.rhodot_at(ts)
-    w = omega_s.eval(ts)
-    kap = kappa_s.eval(ts)
+    r = model.sol.rho_at(ts)
+    v = model.sol.rhodot_at(ts)
+    w = model.omega_s.eval(ts)
+    kap = model.kappa_s.eval(ts)
     alpha, a2, a3 = coeffs
 
     rddot = kap * v - (w * w) * r + 1.0 / r ** 3

@@ -5,9 +5,11 @@ operator L = K1 + a2 K2 + a3 K3 and a strength alpha such that the
 resulting friction is exactly the declared kappa(t).  The model is a
 record of its inputs (schedules, auxiliary solution, generators) whose
 one method gives the four scalars (omega^2, alpha, a2, a3) that carry
-all of its time dependence.  Each integrator evaluates them once per run
-on the stage grid and forms every stage's matrices from the raw
-generator arrays.  This module evolves density matrices, conserved
+all of its time dependence; it refuses a solution whose recorded
+equation is not the auxiliary equation on its own schedules, on which
+alone those scalars are the construction's.  Each integrator evaluates
+them once per run on the stage grid and forms every stage's matrices
+from the raw generator arrays.  This module evolves density matrices, conserved
 observables, and the two closed moment systems, all with the classical
 fixed-step RK4 scheme, so convergence claims are uniform.  Density
 matrices and observables step through the driver ``auxiliary._rk4`` on
@@ -148,6 +150,11 @@ class LindbladModel:
     All of its time dependence is the four scalars returned by
     ``coefficients``; alpha vanishes with the friction, which reduces the
     evolution to unitary dynamics without special-casing the integrators.
+    The coefficients are right only on the construction's auxiliary
+    solution, so the model refuses a ``sol`` whose recorded equation is
+    not the construction's for its schedules: the auxiliary equation on
+    ``omega_s`` and ``kappa_s``.  ``invariants.construct`` builds the
+    model and its invariant on one such solution.
     """
 
     omega_s: Schedule
@@ -159,6 +166,11 @@ class LindbladModel:
     basis: BasisConfig
 
     def __post_init__(self):
+        if self.sol.equation != (self.omega_s, self.kappa_s):
+            raise ValidationError(
+                "the auxiliary solution solves another equation than the "
+                "construction's for the model's schedules; build the model "
+                "with invariants.construct")
         for name in ("k1", "k2", "k3"):
             gen = getattr(self, name)
             if gen.dim != self.basis.dim:

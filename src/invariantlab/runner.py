@@ -1,8 +1,8 @@
 """Pipeline orchestration: artifact runs, verification battery, sweeps.
 
-``run_scenario`` executes schedules -> auxiliary ODE -> model (the
-``LindbladModel`` record of schedules, auxiliary solution and
-generators) -> evolution and writes four CSV artifacts.
+``run_scenario`` executes schedules -> ``invariants.construct`` (the
+auxiliary solution and, on it, the ``LindbladModel`` and the invariant)
+-> evolution and writes four CSV artifacts.
 ``verify_scenario`` runs the named check battery against the scenario's
 tolerances and returns a report whose overall flag feeds the CLI exit
 code.  ``sweep`` rebuilds the scenario once per parameter value (full
@@ -23,7 +23,7 @@ state-hermiticity    worst Hermiticity deviation along the run
 state-positivity     most negative eigenvalue along the run
 state-tail           worst tail population along the run
 backend-agreement    full evolution vs closed moment system (backend=both)
-schedule-validity    friction sign and modulated-frequency sign report
+schedule-validity    sign report of the modulated frequency^2 (advisory)
 adiabatic-scaling    slow-rate error scaling of the series initialization
 ==================== =======================================================
 
@@ -36,9 +36,12 @@ differencing checks fit in (1e-3 with the constants here; see
 ``_check_battery_window``), and ``verify_scenario`` a declared epsilon
 other than the omega sinusoid's rate, both before integrating anything.
 
-Each system is integrated once.  ``adiabatic-scaling`` reuses the run's
-auxiliary solution where its declared-rate problem is the run's own,
-and the mean equations are integrated only for their three readers
+Each system is integrated once.  The run's auxiliary solution is the
+one ``construct`` solves, ``model.sol``, and the checks read its
+equation from it.  ``adiabatic-scaling`` solves the slow-motion series'
+problems with ``solve_auxiliary`` itself, reusing the run's solution
+where its declared-rate problem is the run's own, and the mean
+equations are integrated only for their three readers
 (``_first_moments``): ``backend-agreement``, the moments
 ``trajectory.csv`` and ``sweep``'s ``final_mean_x`` without a density
 run.
@@ -61,7 +64,6 @@ import numpy as np
 
 from .auxiliary import (
     ErmakovInit,
-    ErmakovSolution,
     _step_count,
     _write_rows,
     adiabatic_rho,
@@ -76,6 +78,7 @@ from .invariants import (
     InvariantSpec,
     _weak_expectation_series,
     constraint_residuals,
+    construct,
     drift_rhs,
     expectation_series,
     invariant_residual,
@@ -209,28 +212,22 @@ class SimulationResult:
 @dataclass(frozen=True)
 class _Prepared:
     scenario: Scenario
-    sol: ErmakovSolution
     model: LindbladModel
     invariant: InvariantSpec
-    gens: tuple
     record_idx: np.ndarray
     record_ts: np.ndarray
 
 
 def _prepare(s: Scenario) -> _Prepared:
-    sol = solve_auxiliary(s.omega_schedule, s.kappa_schedule,
-                          s.initial_auxiliary(), s.t_max, s.step_h)
-    cfg = s.basis
-    gens = build_su11_generators(*build_canonical(cfg))
-    model = LindbladModel(s.omega_schedule, s.kappa_schedule, sol, *gens, cfg)
-    invariant = InvariantSpec(sol=sol, operators=gens)
+    model, invariant = construct(s.omega_schedule, s.kappa_schedule,
+                                 s.initial_auxiliary(), s.t_max, s.step_h,
+                                 s.basis)
     n = _step_count(s.t_max, s.step_h)
     idx = np.arange(0, n + 1, s.record_every)
     if idx[-1] != n:
         idx = np.append(idx, n)
-    return _Prepared(scenario=s, sol=sol, model=model, invariant=invariant,
-                     gens=gens, record_idx=idx,
-                     record_ts=idx * s.step_h)
+    return _Prepared(scenario=s, model=model, invariant=invariant,
+                     record_idx=idx, record_ts=idx * s.step_h)
 
 
 def _initial_state(p: _Prepared):
@@ -278,8 +275,9 @@ def _evolve(p: _Prepared):
         series = expectation_series(traj, p.invariant)
     else:
         idx = p.record_idx
-        series = _weak_expectation_series(p.sol, p.record_ts, quad.k1[idx],
-                                          quad.k2[idx], quad.k3[idx])
+        series = _weak_expectation_series(p.model.sol, p.record_ts,
+                                          quad.k1[idx], quad.k2[idx],
+                                          quad.k3[idx])
     return traj, m0, quad, series
 
 
@@ -340,8 +338,8 @@ def run_scenario(s: Scenario, out_dir: str | None = None) -> SimulationResult:
         _write_moment_trajectory(os.path.join(target, "trajectory.csv"),
                                  p, _first_moments(p, m0), quad, prec)
 
-    p.sol.write_csv(os.path.join(target, "ermakov.csv"), precision=prec,
-                    idx=p.record_idx)
+    p.model.sol.write_csv(os.path.join(target, "ermakov.csv"),
+                          precision=prec, idx=p.record_idx)
     series.write_csv(os.path.join(target, "invariant.csv"), precision=prec)
     level_series = spectrum_series(p.invariant, p.record_ts,
                                    m=_spectrum_modes(s.basis.dim))
@@ -358,24 +356,22 @@ def run_scenario(s: Scenario, out_dir: str | None = None) -> SimulationResult:
 
 
 def _check_su11_algebra(p: _Prepared) -> CheckResult:
-    dev = max(check_su11_relations(*p.gens, p.scenario.basis.interior_dim))
+    dev = max(check_su11_relations(*p.invariant.operators,
+                                   p.scenario.basis.interior_dim))
     return CheckResult("su11-algebra", dev, SU11_ALGEBRA_TOL,
                        dev <= SU11_ALGEBRA_TOL)
 
 
 def _check_auxiliary_residual(p: _Prepared) -> CheckResult:
-    worst = max_residual_between_nodes(p.sol, p.scenario.omega_schedule,
-                                       p.scenario.kappa_schedule)
+    worst = max_residual_between_nodes(p.model.sol)
     return CheckResult("auxiliary-residual", worst, AUXILIARY_RESIDUAL_TOL,
                        worst <= AUXILIARY_RESIDUAL_TOL)
 
 
 def _check_constraints(p: _Prepared) -> CheckResult:
-    s = p.scenario
-    times = np.linspace(0.0, s.t_max, CONSTRAINT_SAMPLES)
+    times = np.linspace(0.0, p.scenario.t_max, CONSTRAINT_SAMPLES)
     coeffs = p.model.coefficients(times)[1:]  # (alpha, a2, a3)
-    resids = constraint_residuals(p.sol, coeffs, s.kappa_schedule,
-                                  s.omega_schedule, times)
+    resids = constraint_residuals(p.model, coeffs, times)
     worst = float(np.abs(resids).max())
     return CheckResult("constraint-identities", worst, CONSTRAINT_TOL,
                        worst <= CONSTRAINT_TOL)
@@ -409,9 +405,9 @@ def _drift_probe(p: _Prepared) -> tuple[LindbladModel, float, int, int, int]:
     """The drift probe's model, probe time, probe node, seed node and
     coarse stride.
 
-    The model is the run's, on the auxiliary solution ``p.sol``, at the
-    probe's fixed dimension.  Backward in time the adjoint flow contracts
-    (see ``_transport_steps``), so the transported K2 stays bounded;
+    The model is the run's, on the auxiliary solution ``p.model.sol``,
+    at the probe's fixed dimension.  Backward in time the adjoint flow
+    contracts (see ``_transport_steps``), so the transported K2 stays bounded;
     forward it overflows within a unit window at kappa = 5.  The stride k
     is the largest with k*h*Lambda <= 1, Lambda the adjoint generator's
     norm bound over the window's stage table (``_adjoint_norm_bound``),
@@ -427,8 +423,8 @@ def _drift_probe(p: _Prepared) -> tuple[LindbladModel, float, int, int, int]:
     t_probe = min(1.0, 0.5 * s.t_max)
     cfg = BasisConfig(dim=DRIFT_PROBE_DIM, omega_ref=s.basis.omega_ref)
     gens = build_su11_generators(*build_canonical(cfg))
-    model = LindbladModel(s.omega_schedule, s.kappa_schedule, p.sol, *gens,
-                          cfg)
+    model = LindbladModel(s.omega_schedule, s.kappa_schedule, p.model.sol,
+                          *gens, cfg)
     i = round(t_probe / h)
     last = min(i + round(DRIFT_PROBE_WINDOW / h), int(s.t_max / h + 1e-9))
     # _check_battery_window refuses the windows that would leave no node
@@ -580,7 +576,8 @@ def _check_adiabatic_scaling(p: _Prepared) -> CheckResult:
     the rate when friction is present) shows through as a ratio near 8.
     Where a rate's problem is the run's own (the rebuilt sinusoid equals
     the scenario's and the series start equals its initial value), the
-    run's solution ``p.sol`` is that solve, bit for bit, and is reused.
+    run's solution ``p.model.sol`` is that solve, bit for bit, and is
+    reused.
     The declared epsilon is validated up front
     (``_check_declared_epsilon``).
     """
@@ -595,7 +592,7 @@ def _check_adiabatic_scaling(p: _Prepared) -> CheckResult:
             adiabatic_rho(omega_s, s.kappa_schedule, 0.0),
             adiabatic_rhodot(omega_s, s.kappa_schedule, 0.0))
         if omega_s == sched and init == s.initial_auxiliary():
-            sol = p.sol
+            sol = p.model.sol
         else:
             sol = solve_auxiliary(omega_s, s.kappa_schedule, init,
                                   s.t_max, s.step_h)

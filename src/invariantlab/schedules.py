@@ -228,13 +228,8 @@ class FrequencyReport:
 
     times: np.ndarray
     omega_sq_mod: np.ndarray          # modulated squared frequency samples
-    kappa_negative: bool = False      # any kappa(t) < 0 on the grid
     omega_sq_negative: bool = False   # any modulated frequency^2 < 0
     first_negative_omega_sq_t: float | None = field(default=None)
-
-    @property
-    def clean(self) -> bool:
-        return not (self.kappa_negative or self.omega_sq_negative)
 
 
 def validate_schedules(omega_s: Schedule, kappa_s: Schedule, grid) -> FrequencyReport:
@@ -245,14 +240,12 @@ def validate_schedules(omega_s: Schedule, kappa_s: Schedule, grid) -> FrequencyR
     report: overdamped stretches are legitimate, just worth surfacing.
     """
     grid = np.asarray(grid, dtype=float)
-    kappa = np.asarray(kappa_s.eval(grid, 0), dtype=float)
-    _check_friction(grid, kappa)
+    _check_friction(grid, kappa_s.eval(grid, 0))
     omega_sq_mod = np.asarray(modulated_frequency_sq(omega_s, kappa_s, grid), dtype=float)
     neg = omega_sq_mod < 0
     return FrequencyReport(
         times=grid,
         omega_sq_mod=omega_sq_mod,
-        kappa_negative=bool(np.any(kappa < 0)),
         omega_sq_negative=bool(np.any(neg)),
         first_negative_omega_sq_t=float(grid[np.argmax(neg)]) if np.any(neg) else None,
     )

@@ -31,15 +31,14 @@ from invariantlab.auxiliary import (
     solve_auxiliary,
 )
 from invariantlab.invariants import (
-    InvariantSpec,
     constraint_residuals,
+    construct,
     drift_rhs,
     expectation_series,
     invariant_residual,
     spectrum_series,
 )
 from invariantlab.lindblad import (
-    LindbladModel,
     evolve_adjoint_observable,
     evolve_density,
     evolve_first_moments,
@@ -49,9 +48,7 @@ from invariantlab.operators import (
     BasisConfig,
     FockOperator,
     StateSpec,
-    build_canonical,
     build_state,
-    build_su11_generators,
     max_abs,
     trace_pair,
 )
@@ -81,14 +78,11 @@ def _pipeline(omega_s, kappa_s, dim=BASELINE_DIM, t_max=BASELINE_T,
     cfg = BasisConfig(dim=dim, omega_ref=float(omega_s(0.0)))
     init = ErmakovInit(adiabatic_rho(omega_s, kappa_s, 0.0),
                        adiabatic_rhodot(omega_s, kappa_s, 0.0))
-    sol = solve_auxiliary(omega_s, kappa_s, init, t_max, h)
-    gens = build_su11_generators(*build_canonical(cfg))
-    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
-    inv = InvariantSpec(sol=sol, operators=gens)
+    model, inv = construct(omega_s, kappa_s, init, t_max, h, cfg)
     state0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
     traj = evolve_density(model, state0, t_max, h, record_every=record_every)
-    return dict(omega=omega_s, kappa=kappa_s, cfg=cfg, sol=sol, gens=gens,
-                model=model, inv=inv, state0=state0, traj=traj)
+    return dict(omega=omega_s, kappa=kappa_s, cfg=cfg, model=model, inv=inv,
+                state0=state0, traj=traj)
 
 
 @pytest.fixture(scope="module")
@@ -124,9 +118,7 @@ def test_criterion_02_damped_oscillation_law():
     cfg = BasisConfig(dim=BASELINE_DIM, omega_ref=1.0)
     init = ErmakovInit(adiabatic_rho(omega_s, kappa_s, 0.0),
                        adiabatic_rhodot(omega_s, kappa_s, 0.0))
-    sol = solve_auxiliary(omega_s, kappa_s, init, t_end, h)
-    gens = build_su11_generators(*build_canonical(cfg))
-    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
+    model, _ = construct(omega_s, kappa_s, init, t_end, h, cfg)
     state0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
     traj = evolve_density(model, state0, t_end, h, record_every=3142)
     fock_dev = abs(traj.moments()[-1].mean_x - target)
@@ -142,11 +134,11 @@ def test_criterion_02_damped_oscillation_law():
 
 def test_criterion_03_constraint_identities(baseline):
     bound = 1e-9
+    model = baseline["model"]
     times = np.linspace(0.0, BASELINE_T, 100)
     worst = max(
         max(abs(r) for r in constraint_residuals(
-            baseline["sol"], baseline["model"].coefficients(float(t))[1:],
-            baseline["kappa"], baseline["omega"], float(t)))
+            model, model.coefficients(float(t))[1:], float(t)))
         for t in times)
     report(3, worst <= bound,
            f"max coefficient-constraint residual over 100 sampled times is "
@@ -211,17 +203,14 @@ def test_criterion_06_spectrum_and_drift_of_the_closed_form(baseline):
         closed_drift = max(closed_drift, float(np.max(np.abs(drifts))))
 
     # transported generic observable: formula against finite differences
-    probe_cfg = BasisConfig(dim=16, omega_ref=1.0)
-    probe_gens = build_su11_generators(*build_canonical(probe_cfg))
     h = 2e-4
-    probe_sol = solve_auxiliary(baseline["omega"], baseline["kappa"],
-                                ErmakovInit(float(baseline["sol"].rho_at(0.0)),
-                                            float(baseline["sol"].rhodot_at(0.0))),
-                                1.0 + 2 * h, h)
-    probe_model = LindbladModel(baseline["omega"], baseline["kappa"],
-                                probe_sol, *probe_gens, probe_cfg)
-    ot = evolve_adjoint_observable(probe_model, probe_gens[1], 1.0 + 2 * h, h,
-                                   record_every=1)
+    probe_model, _ = construct(baseline["omega"], baseline["kappa"],
+                               ErmakovInit(float(model.sol.rho_at(0.0)),
+                                           float(model.sol.rhodot_at(0.0))),
+                               1.0 + 2 * h, h,
+                               BasisConfig(dim=16, omega_ref=1.0))
+    ot = evolve_adjoint_observable(probe_model, probe_model.k2, 1.0 + 2 * h,
+                                   h, record_every=1)
     i = int(np.argmin(np.abs(np.asarray(ot.ts) - 1.0)))
 
     def lowest(j):
@@ -305,7 +294,7 @@ def test_criterion_09_trace_pairing_duality(baseline, evolve_recording):
                                       getattr(full, name)[:n_rec + 1])
     worst = 0.0
     details = []
-    for name, q0 in (("K2", baseline["gens"][1]), ("I(0)", inv.at(0.0))):
+    for name, q0 in (("K2", model.k2), ("I(0)", inv.at(0.0))):
         ot = evolve_adjoint_observable(model, q0, window, BASELINE_H,
                                        record_every=RECORD)
         vals = np.array([
@@ -349,7 +338,7 @@ def test_criterion_11_integrator_order():
     def aux_residual(h):
         sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.5, 0.0),
                               10.0, h)
-        return max_residual_between_nodes(sol, omega_s, kappa_s)
+        return max_residual_between_nodes(sol)
 
     aux_ratio = aux_residual(1e-2) / aux_residual(5e-3)
 
@@ -359,9 +348,7 @@ def test_criterion_11_integrator_order():
     cfg = BasisConfig(dim=16, omega_ref=1.0)
     init = ErmakovInit(adiabatic_rho(omega_m, kappa_m, 0.0),
                        adiabatic_rhodot(omega_m, kappa_m, 0.0))
-    sol = solve_auxiliary(omega_m, kappa_m, init, 2.0, 1e-4)
-    gens = build_su11_generators(*build_canonical(cfg))
-    model = LindbladModel(omega_m, kappa_m, sol, *gens, cfg)
+    model, _ = construct(omega_m, kappa_m, init, 2.0, 1e-4, cfg)
     state0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
 
     def final_state(h):

@@ -296,7 +296,7 @@ def test_solution_record_rejects_non_finite_samples(field, bad):
     fields = {"rho": np.ones(5), "rhodot": np.zeros(5), "rhoddot": np.zeros(5)}
     fields[field][2] = bad
     with pytest.raises(ValidationError, match="finite"):
-        ErmakovSolution(ts=ts, **fields)
+        ErmakovSolution(ts=ts, **fields, omega_s=W1, kappa_s=K0)
 
 
 def test_solve_allocates_no_per_stage_list():
@@ -359,31 +359,30 @@ def test_init_refuses_non_finite_values(rho0, rhodot0, name):
 def _nonequilibrium():
     w = SinusoidSchedule(1.0, 0.2, 0.5)
     k = ConstantSchedule(0.1)
-    sol = solve_auxiliary(w, k, ErmakovInit(1.3, 0.2), 5.0, 1e-3)
-    return sol, w, k
+    return solve_auxiliary(w, k, ErmakovInit(1.3, 0.2), 5.0, 1e-3)
 
 
 def test_residual_zero_on_equilibrium():
     k = ConstantSchedule(0.1)
     sol = solve_auxiliary(W1, k, ErmakovInit(1.0, 0.0), 5.0, 1e-3)
     for t in (0.0, 1.23456, 4.999):
-        assert abs(auxiliary_residual(sol, W1, k, t)) <= 1e-14
+        assert abs(auxiliary_residual(sol, t)) <= 1e-14
 
 
 def test_residual_small_on_converged_solution():
-    sol, w, k = _nonequilibrium()
+    sol = _nonequilibrium()
     nodes = sol.ts[::137]
-    assert np.max(np.abs(auxiliary_residual(sol, w, k, nodes))) <= 1e-8
-    assert max_residual_between_nodes(sol, w, k) <= 1e-8
+    assert np.max(np.abs(auxiliary_residual(sol, nodes))) <= 1e-8
+    assert max_residual_between_nodes(sol) <= 1e-8
 
 
 def test_residual_detects_perturbed_solution():
-    sol, w, k = _nonequilibrium()
+    sol = _nonequilibrium()
     bumped = dataclasses.replace(sol, rho=sol.rho + 1e-3)
     t = 2.5
-    r = auxiliary_residual(bumped, w, k, t)
+    r = auxiliary_residual(bumped, t)
     rho = sol.rho_at(t)
-    expected = (w.eval(t) ** 2 + 3.0 * rho ** -4.0) * 1e-3
+    expected = (sol.omega_s.eval(t) ** 2 + 3.0 * rho ** -4.0) * 1e-3
     assert abs(r) == pytest.approx(expected, rel=0.05)
 
 
@@ -393,15 +392,14 @@ def test_residual_fourth_order_convergence():
     res = {}
     for h in (2e-3, 1e-3):
         sol = solve_auxiliary(w, k, ErmakovInit(1.3, 0.2), 5.0, h)
-        res[h] = max_residual_between_nodes(sol, w, k)
+        res[h] = max_residual_between_nodes(sol)
     ratio = res[2e-3] / res[1e-3]
     assert 12.0 <= ratio <= 20.0
 
 
 def test_residual_rejects_time_outside_window():
-    sol, w, k = _nonequilibrium()
     with pytest.raises(ValidationError):
-        auxiliary_residual(sol, w, k, 5.5)
+        auxiliary_residual(_nonequilibrium(), 5.5)
 
 
 # ------------------------------------------------------------------- series
@@ -462,7 +460,22 @@ def test_tracking_reference_satisfies_equation():
     kappa = ConstantSchedule(0.05)
     w = SinusoidSchedule(1.0, 0.5, 0.05)
     ref = solve_tracking_reference(w, kappa, 30.0, 1e-3)
-    assert max_residual_between_nodes(ref, w, kappa) <= 1e-8
+    assert max_residual_between_nodes(ref) <= 1e-8
+
+
+@pytest.mark.parametrize("slope, first", [(-0.001, "100"), (-0.01, "10")])
+def test_tracking_reference_refuses_friction_that_stops_being_positive(
+        slope, first):
+    """kappa = 0.1 + slope t is positive at t = 0 but not over the window
+    and its relaxation margin, [0, 329] at h = 1e-2: the reference is
+    refused, naming the first node where kappa is not positive.  Without
+    the check the slow ramp returned a branch 2.4e-3 off the series (a
+    constant kappa = 0.1 reads 1.6e-6) and the fast one raised a
+    SingularityError at a reflected time, t = 117.5."""
+    w = SinusoidSchedule(1.0, 0.2, 0.1)
+    with pytest.raises(ValidationError,
+                       match=rf"kappa\({first}\) = 0\.000e\+00"):
+        solve_tracking_reference(w, LinearSchedule(0.1, slope), 5.0, 1e-2)
 
 
 # ------------------------------------------------------------------- export

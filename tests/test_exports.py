@@ -1,7 +1,8 @@
 """Every name a package module exports in ``__all__`` exists, every
 name the benchmark's tracer wraps by attribute, a density run goes
-through the tracer's hooks, and the benchmark's correctness gate passes
-its own self-test.
+through the tracer's hooks, the benchmark's correctness gate passes its
+own self-test, and the README's library example compiles and imports
+only names the package has.
 
 A stale entry (a name deleted but left in ``__all__``) breaks
 ``from module import *`` although a plain import still succeeds.  The
@@ -10,9 +11,11 @@ reads some package functions and classes by attribute when it installs,
 so deleting one of them breaks the traced benchmark.
 """
 
+import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -20,20 +23,16 @@ import pytest
 
 import invariantlab
 from invariantlab import lindblad
-from invariantlab.auxiliary import ErmakovInit, solve_auxiliary
-from invariantlab.operators import (
-    BasisConfig,
-    StateSpec,
-    build_canonical,
-    build_state,
-    build_su11_generators,
-)
+from invariantlab.auxiliary import ErmakovInit
+from invariantlab.invariants import construct
+from invariantlab.operators import BasisConfig, StateSpec, build_state
 from invariantlab.schedules import ConstantSchedule
 
 MODULES = ["invariantlab"] + [
     f"invariantlab.{info.name}"
     for info in pkgutil.iter_modules(invariantlab.__path__)]
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -66,12 +65,9 @@ def test_benchmark_tracer_counts_a_density_run(monkeypatch):
     trajectory keeps."""
     monkeypatch.syspath_prepend(PERFBENCH)
     tracing = importlib.import_module("tracing")
-    omega_s, kappa_s = ConstantSchedule(1.0), ConstantSchedule(0.1)
     cfg = BasisConfig(dim=8, omega_ref=1.0)
-    sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 0.05, 1e-3)
-    model = lindblad.LindbladModel(
-        omega_s, kappa_s, sol, *build_su11_generators(*build_canonical(cfg)),
-        cfg)
+    model, _ = construct(ConstantSchedule(1.0), ConstantSchedule(0.1),
+                         ErmakovInit(1.0, 0.0), 0.05, 1e-3, cfg)
     rho0 = build_state(StateSpec(kind="fock", fock_n=0), cfg)
     tracer = tracing.Tracer()
     try:
@@ -95,3 +91,21 @@ def test_benchmark_gate_selftest_passes():
         [sys.executable, os.path.join(PERFBENCH, "gate_selftest.py")],
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_readme_example_compiles_and_imports_existing_names():
+    """The README's ``python`` block compiles, and every name it imports
+    from the package exists.  The example is not run: it integrates a
+    dim-60 run over [0, 20]."""
+    with open(README, encoding="utf-8") as fh:
+        [block] = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    tree = ast.parse(block)
+    compile(tree, "README.md", "exec")
+    names = [(node.module, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and node.module.split(".")[0] == "invariantlab"
+             for alias in node.names]
+    assert names
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing, f"README imports missing names: {missing}"

@@ -23,6 +23,7 @@ from invariantlab.invariants import (
     ExpectationSeries,
     InvariantSpec,
     constraint_residuals,
+    construct,
     drift_rhs,
     expectation_series,
     invariant_residual,
@@ -57,8 +58,12 @@ def jump_at(model, t):
                                + a3 * model.k3.entries)
 
 
+def basis(dim):
+    return BasisConfig(dim=dim, omega_ref=1.0)
+
+
 def make_frame(dim):
-    cfg = BasisConfig(dim=dim, omega_ref=1.0)
+    cfg = basis(dim)
     x_op, p_op = build_canonical(cfg)
     gens = build_su11_generators(x_op, p_op)
     return cfg, x_op, p_op, gens
@@ -68,10 +73,17 @@ def baseline_schedules(kappa=0.1):
     return SinusoidSchedule(1.0, 0.2, 0.1), ConstantSchedule(kappa)
 
 
-def solve_baseline(omega_s, kappa_s, t_max, h=H):
+def construct_baseline(omega_s, kappa_s, t_max, dim, h=H):
+    """(model, invariant) on the series-started auxiliary solution."""
     init = ErmakovInit(adiabatic_rho(omega_s, kappa_s, 0.0),
                        adiabatic_rhodot(omega_s, kappa_s, 0.0))
-    return solve_auxiliary(omega_s, kappa_s, init, t_max, h)
+    return construct(omega_s, kappa_s, init, t_max, h, basis(dim))
+
+
+def constant_case(t_max, dim, init=ErmakovInit(1.0, 0.0)):
+    """(model, invariant) for omega = 1, kappa = 0.1."""
+    return construct(ConstantSchedule(1.0), ConstantSchedule(0.1), init,
+                     t_max, H, basis(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +91,9 @@ def solve_baseline(omega_s, kappa_s, t_max, h=H):
 
 
 def test_weak_invariant_on_equilibrium_is_plain_energy():
-    cfg, _, _, (g1, g2, g3) = make_frame(12)
-    sol = solve_auxiliary(ConstantSchedule(1.0), ConstantSchedule(0.1),
-                          ErmakovInit(1.0, 0.0), 1.0, H)
-    inv = InvariantSpec(sol, (g1, g2, g3)).at(0.5)
+    _, spec = constant_case(1.0, 12)
+    g1, g2, _ = spec.operators
+    inv = spec.at(0.5)
     assert inv.hermitian
     np.testing.assert_allclose(max_abs(inv.entries - g1.entries - g2.entries),
                                0.0, atol=1e-12)
@@ -90,8 +101,7 @@ def test_weak_invariant_on_equilibrium_is_plain_energy():
 
 def test_weak_invariant_unit_discriminant():
     """rho^2 (rhodot^2 + 1/rho^2) - (rho rhodot)^2 = 1 for any solution."""
-    omega_s, kappa_s = baseline_schedules()
-    sol = solve_baseline(omega_s, kappa_s, 5.0)
+    sol = construct_baseline(*baseline_schedules(), 5.0, 8)[0].sol
     for t in (0.0, 1.3, 2.7, 4.9):
         r, v = sol.rho_at(t), sol.rhodot_at(t)
         disc = r * r * (v * v + 1.0 / (r * r)) - (r * v) ** 2
@@ -101,21 +111,17 @@ def test_weak_invariant_unit_discriminant():
 def test_weak_invariant_spectrum_is_half_integers():
     """Unit discriminant pins the low spectrum to n + 1/2 for any (rho,
     rhodot); checked by direct diagonalization at (1.3, 0.4), N=60."""
-    cfg, _, _, gens = make_frame(60)
-    sol = solve_auxiliary(ConstantSchedule(1.0), ConstantSchedule(0.1),
-                          ErmakovInit(1.3, 0.4), 1.0, H)
-    inv = InvariantSpec(sol, gens).at(0.0)
+    _, spec = constant_case(1.0, 60, init=ErmakovInit(1.3, 0.4))
+    inv = spec.at(0.0)
     lam = np.linalg.eigvalsh(inv.entries)[:11]
     np.testing.assert_allclose(lam, np.arange(11) + 0.5, rtol=0, atol=1e-6)
     assert lam[0] > 0.0
 
 
 def test_weak_invariant_outside_window_rejected():
-    cfg, _, _, gens = make_frame(10)
-    sol = solve_auxiliary(ConstantSchedule(1.0), ConstantSchedule(0.1),
-                          ErmakovInit(1.0, 0.0), 1.0, H)
+    _, spec = constant_case(1.0, 10)
     with pytest.raises(ValidationError):
-        InvariantSpec(sol, gens).at(2.0)
+        spec.at(2.0)
 
 
 def test_lr_invariant_on_equilibrium_is_plain_energy():
@@ -131,12 +137,11 @@ def test_lr_invariant_on_equilibrium_is_plain_energy():
 
 def test_lr_invariant_equals_expanded_quadratic_form():
     """(rho p - rhodot x)^2/2 + x^2/(2 rho^2) expands to the K-basis form."""
-    cfg, x_op, p_op, gens = make_frame(24)
-    omega_s = SinusoidSchedule(1.0, 0.2, 0.1)
-    sol0 = solve_baseline(omega_s, ConstantSchedule(0.0), 3.0)
+    _, x_op, p_op, _ = make_frame(24)
+    _, spec = construct_baseline(*baseline_schedules(kappa=0.0), 3.0, 24)
     for t in (0.0, 0.9, 2.4):
-        direct = lr_invariant_at(sol0, x_op, p_op, t)
-        expanded = InvariantSpec(sol0, gens).at(t)
+        direct = lr_invariant_at(spec.sol, x_op, p_op, t)
+        expanded = spec.at(t)
         assert max_abs(direct.entries - expanded.entries) <= 1e-12
 
 
@@ -164,11 +169,7 @@ def test_spec_validation():
 def test_residual_vanishes_in_constant_case():
     """Equilibrium with omega = 1: the observable, the Hamiltonian and the
     jump operator coincide, so every term is zero separately."""
-    cfg, _, _, gens = make_frame(20)
-    omega_s, kappa_s = ConstantSchedule(1.0), ConstantSchedule(0.1)
-    sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 1.0, H)
-    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
-    spec = InvariantSpec(sol=sol, operators=gens)
+    model, spec = constant_case(1.0, 20)
     assert invariant_residual(spec, model, 0.5) <= 1e-10
 
 
@@ -179,12 +180,11 @@ def test_residual_on_modulated_scenario_equals_friction_defect():
     while the third leaves exactly i*kappa*rho*rhodot*K3.  The reported
     max-norm must therefore equal |kappa*rho*rhodot| times the interior
     max-norm of K3 to rounding, and it vanishes only where rhodot does."""
-    cfg, _, _, gens = make_frame(60)
     omega_s, kappa_s = baseline_schedules()
-    sol = solve_baseline(omega_s, kappa_s, 2.0)
-    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
-    spec = InvariantSpec(sol=sol, operators=gens)
-    k3_norm = max_abs(interior_block(gens[2].entries, cfg.interior_dim))
+    model, spec = construct_baseline(omega_s, kappa_s, 2.0, 60)
+    sol = model.sol
+    k3_norm = max_abs(interior_block(model.k3.entries,
+                                     model.basis.interior_dim))
     for t in (0.5, 1.0, 1.5):
         res = invariant_residual(spec, model, t)
         predicted = abs(kappa_s(t) * sol.rho_at(t) * sol.rhodot_at(t)) * k3_norm
@@ -195,13 +195,9 @@ def test_residual_on_modulated_scenario_equals_friction_defect():
 def test_residual_detects_sign_flipped_jump_coefficient():
     """Flipping a3 in the model's jump operator must light up the defect
     well above the intrinsic friction-defect floor of the good model."""
-    cfg, _, _, (g1, g2, g3) = make_frame(40)
-    omega_s, kappa_s = baseline_schedules()
-    sol = solve_baseline(omega_s, kappa_s, 2.0)
-    good = LindbladModel(omega_s, kappa_s, sol, g1, g2, g3, cfg)
+    good, spec = construct_baseline(*baseline_schedules(), 2.0, 40)
     # negating K3 gives the jump operator K1 + a2 K2 - a3 K3
-    bad = dataclasses.replace(good, k3=FockOperator(-g3.entries))
-    spec = InvariantSpec(sol=sol, operators=(g1, g2, g3))
+    bad = dataclasses.replace(good, k3=FockOperator(-good.k3.entries))
     res_good = invariant_residual(spec, good, 1.0)
     res_bad = invariant_residual(spec, bad, 1.0)
     assert res_bad > 1e-2
@@ -209,23 +205,45 @@ def test_residual_detects_sign_flipped_jump_coefficient():
 
 
 def test_residual_strong_form_without_friction():
-    cfg, _, _, gens = make_frame(40)
-    omega_s, kappa_s = baseline_schedules(kappa=0.0)
-    sol0 = solve_baseline(omega_s, kappa_s, 2.0)
-    model = LindbladModel(omega_s, kappa_s, sol0, *gens, cfg)
-    spec = InvariantSpec(sol=sol0, operators=gens)
+    model, spec = construct_baseline(*baseline_schedules(kappa=0.0), 2.0, 40)
     assert invariant_residual(spec, model, 1.0) <= 1e-6
 
 
 def test_residual_argument_validation():
-    _, _, _, gens = make_frame(10)
-    omega_s, kappa_s = ConstantSchedule(1.0), ConstantSchedule(0.1)
-    sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 1.0, H)
-    spec = InvariantSpec(sol=sol, operators=gens)
-    other = make_frame(12)
-    other_model = LindbladModel(omega_s, kappa_s, sol, *other[3], other[0])
-    with pytest.raises(ValidationError):
+    _, spec = constant_case(1.0, 10)
+    other_model, _ = constant_case(1.0, 12)
+    with pytest.raises(ValidationError, match="dimension"):
         invariant_residual(spec, other_model, 0.5)
+
+
+def test_residual_refuses_an_invariant_on_another_equation():
+    """An invariant on a kappa = 0 solution does not pair with a kappa =
+    0.1 model of the same basis: its auxiliary equation is not the
+    model's."""
+    model, _ = construct_baseline(*baseline_schedules(), 1.0, 10)
+    _, foreign = construct_baseline(*baseline_schedules(kappa=0.0), 1.0, 10)
+    with pytest.raises(ValidationError, match="another equation"):
+        invariant_residual(foreign, model, 0.5)
+
+
+def test_construct_is_the_hand_pairing():
+    """``construct`` builds what pairing ``solve_auxiliary`` with
+    ``LindbladModel`` and ``InvariantSpec`` by hand builds: on a grid of
+    times, the same coefficient rows and the same invariant, bit for bit."""
+    omega_s = SinusoidSchedule(1.0, 0.2, 0.1)
+    kappa_s = SinusoidSchedule(0.1, 0.05, 0.3)
+    init = ErmakovInit(1.1, 0.05)
+    cfg, _, _, gens = make_frame(12)
+    model, inv = construct(omega_s, kappa_s, init, 2.0, H, cfg)
+    sol = solve_auxiliary(omega_s, kappa_s, init, 2.0, H)
+    hand = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
+    hand_inv = InvariantSpec(sol=sol, operators=gens)
+    ts = np.linspace(0.0, 2.0, 41)
+    np.testing.assert_array_equal(np.column_stack(model.coefficients(ts)),
+                                  np.column_stack(hand.coefficients(ts)))
+    for t in ts:
+        np.testing.assert_array_equal(inv.at(t).entries,
+                                      hand_inv.at(t).entries)
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +259,10 @@ def test_expectation_series_on_invariant_ground_state():
     <K3> = rho*rhodot/2, so the predicted cumulative excess is the time
     integral of kappa*(rho*rhodot)^2/2.  The measured series must follow
     that integral closely and the total excess stays parts-per-1e5."""
-    cfg, _, _, gens = make_frame(40)
     omega_s, kappa_s = baseline_schedules()
-    sol = solve_baseline(omega_s, kappa_s, 2.0)
-    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
-    spec = InvariantSpec(sol=sol, operators=gens)
-    rho0 = build_state(StateSpec(kind="invariant_ground"), cfg,
+    model, spec = construct_baseline(omega_s, kappa_s, 2.0, 40)
+    sol = model.sol
+    rho0 = build_state(StateSpec(kind="invariant_ground"), model.basis,
                        invariant_op=spec.at(0.0))
     traj = evolve_density(model, rho0, 2.0, H, record_every=200)
     series = expectation_series(traj, spec)
@@ -266,12 +282,8 @@ def test_expectation_series_on_invariant_ground_state():
 
 
 def test_expectation_series_constant_case_coherent():
-    cfg, _, _, gens = make_frame(40)
-    omega_s, kappa_s = ConstantSchedule(1.0), ConstantSchedule(0.1)
-    sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 2.0, H)
-    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
-    spec = InvariantSpec(sol=sol, operators=gens)
-    rho0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
+    model, spec = constant_case(2.0, 40)
+    rho0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), model.basis)
     traj = evolve_density(model, rho0, 2.0, H, record_every=200)
     series = expectation_series(traj, spec)
     np.testing.assert_allclose(series.values, 1.0, rtol=0, atol=1e-8)
@@ -279,26 +291,18 @@ def test_expectation_series_constant_case_coherent():
 
 def test_expectation_series_strong_limit():
     """kappa = 0: the frictionless invariant is conserved to 1e-6."""
-    cfg, _, _, gens = make_frame(40)
-    omega_s, kappa_s = baseline_schedules(kappa=0.0)
-    sol0 = solve_baseline(omega_s, kappa_s, 5.0)
-    model = LindbladModel(omega_s, kappa_s, sol0, *gens, cfg)
-    spec = InvariantSpec(sol=sol0, operators=gens)
-    rho0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
+    model, spec = construct_baseline(*baseline_schedules(kappa=0.0), 5.0, 40)
+    rho0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), model.basis)
     traj = evolve_density(model, rho0, 5.0, H, record_every=500)
     series = expectation_series(traj, spec)
     assert series.max_rel_drift <= 1e-6
 
 
 def test_expectation_series_rejects_uncovered_window():
-    cfg, _, _, gens = make_frame(12)
-    omega_s, kappa_s = ConstantSchedule(1.0), ConstantSchedule(0.1)
-    sol_short = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 1.0, H)
-    sol_long = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 2.0, H)
-    model = LindbladModel(omega_s, kappa_s, sol_long, *gens, cfg)
-    rho0 = build_state(StateSpec(kind="fock", fock_n=0), cfg)
+    model, _ = constant_case(2.0, 12)
+    _, spec = constant_case(1.0, 12)
+    rho0 = build_state(StateSpec(kind="fock", fock_n=0), model.basis)
     traj = evolve_density(model, rho0, 2.0, H, record_every=500)
-    spec = InvariantSpec(sol=sol_short, operators=gens)
     with pytest.raises(ValidationError):
         expectation_series(traj, spec)
 
@@ -308,13 +312,9 @@ def test_expectation_series_equals_the_dense_trace(evolve_recording):
     <K3>, equals tr[I(t) rho(t)] of the dense invariant on each recorded
     state to 1e-13 relative, on a modulated dissipative dim-40 run from a
     complex coherent state.  Measured: 3.2e-16."""
-    cfg, _, _, gens = make_frame(40)
-    omega_s, kappa_s = baseline_schedules()
-    sol = solve_baseline(omega_s, kappa_s, 1.0)
-    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
-    spec = InvariantSpec(sol=sol, operators=gens)
+    model, spec = construct_baseline(*baseline_schedules(), 1.0, 40)
     rho0 = build_state(StateSpec(kind="coherent", beta=complex(0.8, 0.5)),
-                       cfg)
+                       model.basis)
     traj, states = evolve_recording(model, rho0, 1.0, H, 100)
     dense = np.array([expectation(spec.at(float(t)), state)
                       for t, state in zip(traj.ts, states)])
@@ -327,13 +327,12 @@ def test_expectation_series_refuses_other_operators():
     """The series reads the recorded <K1>, <K2> and <K3>, so an invariant
     built on other operators of the same dimension is refused: here K3
     with its sign flipped."""
-    cfg, _, _, (g1, g2, g3) = make_frame(12)
-    omega_s, kappa_s = ConstantSchedule(1.0), ConstantSchedule(0.1)
-    sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 0.2, H)
-    model = LindbladModel(omega_s, kappa_s, sol, g1, g2, g3, cfg)
-    rho0 = build_state(StateSpec(kind="fock", fock_n=0), cfg)
+    model, inv = constant_case(0.2, 12)
+    rho0 = build_state(StateSpec(kind="fock", fock_n=0), model.basis)
     traj = evolve_density(model, rho0, 0.2, H, record_every=100)
-    spec = InvariantSpec(sol=sol, operators=(g1, g2, FockOperator(-g3.entries)))
+    g1, g2, g3 = inv.operators
+    spec = InvariantSpec(sol=inv.sol,
+                         operators=(g1, g2, FockOperator(-g3.entries)))
     with pytest.raises(ValidationError, match="not the K1, K2 and K3"):
         expectation_series(traj, spec)
 
@@ -350,13 +349,9 @@ def test_expectation_series_leaves_the_caller_arrays_writable():
 
 
 def test_expectation_series_csv(tmp_path):
-    cfg, _, _, gens = make_frame(12)
-    omega_s, kappa_s = ConstantSchedule(1.0), ConstantSchedule(0.1)
-    sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 0.2, H)
-    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
-    rho0 = build_state(StateSpec(kind="fock", fock_n=0), cfg)
+    model, spec = constant_case(0.2, 12)
+    rho0 = build_state(StateSpec(kind="fock", fock_n=0), model.basis)
     traj = evolve_density(model, rho0, 0.2, H, record_every=100)
-    spec = InvariantSpec(sol=sol, operators=gens)
     series = expectation_series(traj, spec)
     path = tmp_path / "invariant.csv"
     series.write_csv(path)
@@ -370,10 +365,7 @@ def test_expectation_series_csv(tmp_path):
 
 
 def test_spectrum_of_constructed_invariant_is_static_half_integers():
-    cfg, _, _, gens = make_frame(40)
-    omega_s, kappa_s = baseline_schedules()
-    sol = solve_baseline(omega_s, kappa_s, 2.0)
-    spec = InvariantSpec(sol=sol, operators=gens)
+    _, spec = construct_baseline(*baseline_schedules(), 2.0, 40)
     times = np.linspace(0.0, 2.0, 11)
     series = spectrum_series(spec, times, m=13)
     want = np.broadcast_to(np.arange(13) + 0.5, series.levels.shape)
@@ -382,10 +374,7 @@ def test_spectrum_of_constructed_invariant_is_static_half_integers():
 
 
 def test_spectrum_constant_in_strong_limit():
-    cfg, _, _, gens = make_frame(40)
-    omega_s, kappa_s = baseline_schedules(kappa=0.0)
-    sol0 = solve_baseline(omega_s, kappa_s, 5.0)
-    spec = InvariantSpec(sol=sol0, operators=gens)
+    _, spec = construct_baseline(*baseline_schedules(kappa=0.0), 5.0, 40)
     times = np.linspace(0.0, 5.0, 26)
     series = spectrum_series(spec, times, m=10)
     spread = np.max(series.levels, axis=0) - np.min(series.levels, axis=0)
@@ -398,11 +387,8 @@ def test_spectrum_of_transported_observable_drifts():
     records by more than the pairing bound CONTINUITY_BOUND.
     Late-time rows carry amplified truncation noise (the transport flow
     is expansive), which only adds to the drift being detected."""
-    cfg, _, _, gens = make_frame(16)
-    omega_s, kappa_s = baseline_schedules()
-    sol = solve_baseline(omega_s, kappa_s, 5.0)
-    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
-    ot = evolve_adjoint_observable(model, gens[1], 5.0, H, record_every=100)
+    model, _ = construct_baseline(*baseline_schedules(), 5.0, 16)
+    ot = evolve_adjoint_observable(model, model.k2, 5.0, H, record_every=100)
     levels = np.array([np.linalg.eigvalsh(op.entries)[:5]
                        for op in ot.operators])
     early = levels[np.asarray(ot.ts) <= 2.0]
@@ -412,10 +398,7 @@ def test_spectrum_of_transported_observable_drifts():
 
 
 def test_spectrum_argument_validation():
-    cfg, _, _, gens = make_frame(12)
-    omega_s, kappa_s = ConstantSchedule(1.0), ConstantSchedule(0.1)
-    sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 1.0, H)
-    spec = InvariantSpec(sol=sol, operators=gens)
+    _, spec = constant_case(1.0, 12)
     with pytest.raises(ValidationError):
         spectrum_series(spec, [0.0, 0.5], m=5)  # m > dim/3
     with pytest.raises(ValidationError):
@@ -423,10 +406,7 @@ def test_spectrum_argument_validation():
 
 
 def test_spectrum_csv(tmp_path):
-    cfg, _, _, gens = make_frame(12)
-    omega_s, kappa_s = ConstantSchedule(1.0), ConstantSchedule(0.1)
-    sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 1.0, H)
-    spec = InvariantSpec(sol=sol, operators=gens)
+    _, spec = constant_case(1.0, 12)
     series = spectrum_series(spec, [0.0, 0.5, 1.0], m=4)
     path = tmp_path / "spectrum.csv"
     series.write_csv(path)
@@ -440,10 +420,8 @@ def test_spectrum_csv(tmp_path):
 
 
 def test_drift_zero_without_dissipation():
-    cfg, _, _, gens = make_frame(20)
-    omega_s, kappa_s = baseline_schedules(kappa=0.0)
-    sol0 = solve_baseline(omega_s, kappa_s, 1.0)
-    inv = InvariantSpec(sol0, gens).at(0.7)
+    _, spec = construct_baseline(*baseline_schedules(kappa=0.0), 1.0, 20)
+    inv = spec.at(0.7)
     lam, vecs = np.linalg.eigh(inv.entries)
     kept, drifts = drift_rhs(inv, lam, vecs, None, 0.0, m=6)
     np.testing.assert_array_equal(kept, np.arange(6))
@@ -459,12 +437,11 @@ def test_drift_of_constructed_invariant_follows_friction_law():
     eigenbasis diagonal is exactly the value the formula reports.  The
     drift prediction is therefore a direct meter of that defect, and
     vanishes only in the frictionless or unmodulated limits."""
-    cfg, _, _, gens = make_frame(40)
     omega_s, kappa_s = baseline_schedules()
-    sol = solve_baseline(omega_s, kappa_s, 2.0)
-    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
+    model, spec = construct_baseline(omega_s, kappa_s, 2.0, 40)
+    sol = model.sol
     t = 1.0
-    inv = InvariantSpec(sol, gens).at(t)
+    inv = spec.at(t)
     alpha, jump = jump_at(model, t)
     lam, vecs = np.linalg.eigh(inv.entries)
     kept, drifts = drift_rhs(inv, lam, vecs, jump, alpha, m=13)
@@ -480,11 +457,8 @@ def test_drift_matches_finite_difference_of_spectrum():
     centered difference of its eigenvalue series.  Dimension 16 keeps the
     expansive transport flow representable at t = 1 in double precision."""
     h = 2e-4
-    cfg, _, _, gens = make_frame(16)
-    omega_s, kappa_s = baseline_schedules()
-    sol = solve_baseline(omega_s, kappa_s, 1.0 + 2 * h, h=h)
-    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
-    ot = evolve_adjoint_observable(model, gens[1], 1.0 + 2 * h, h,
+    model, _ = construct_baseline(*baseline_schedules(), 1.0 + 2 * h, 16, h=h)
+    ot = evolve_adjoint_observable(model, model.k2, 1.0 + 2 * h, h,
                                    record_every=1)
     ts = np.asarray(ot.ts)
     i = int(np.argmin(np.abs(ts - 1.0)))
@@ -530,38 +504,33 @@ def test_drift_argument_validation():
 # constraint equations
 
 
-def jump_coefficients(omega_s, kappa_s, sol, t):
-    """(alpha, a2, a3) of the model on ``sol`` at t."""
-    cfg, _, _, gens = make_frame(8)
-    return LindbladModel(omega_s, kappa_s, sol, *gens, cfg).coefficients(t)[1:]
+def modulated_friction_model(t_max):
+    """Modulated omega and kappa, the model on a dim-8 basis."""
+    omega_s = SinusoidSchedule(1.0, 0.2, 0.1)
+    kappa_s = SinusoidSchedule(0.1, 0.05, 0.3)
+    return construct_baseline(omega_s, kappa_s, t_max, 8)[0]
 
 
 def test_constraints_vanish_on_construction():
-    omega_s = SinusoidSchedule(1.0, 0.2, 0.1)
-    kappa_s = SinusoidSchedule(0.1, 0.05, 0.3)
-    sol = solve_baseline(omega_s, kappa_s, 4.0)
+    model = modulated_friction_model(4.0)
     for t in (0.3, 1.1, 2.9, 3.8):
-        coeffs = jump_coefficients(omega_s, kappa_s, sol, t)
-        res = constraint_residuals(sol, coeffs, kappa_s, omega_s, t)
+        res = constraint_residuals(model, model.coefficients(t)[1:], t)
         assert max(abs(r) for r in res) <= 1e-9
 
 
 def test_constraints_vanish_without_friction():
-    omega_s = SinusoidSchedule(1.0, 0.2, 0.1)
-    kappa_s = ConstantSchedule(0.0)
-    sol0 = solve_baseline(omega_s, kappa_s, 2.0)
-    coeffs = jump_coefficients(omega_s, kappa_s, sol0, 1.0)
+    model, _ = construct_baseline(*baseline_schedules(kappa=0.0), 2.0, 8)
+    coeffs = model.coefficients(1.0)[1:]
     assert coeffs[0] == 0.0
-    res = constraint_residuals(sol0, coeffs, kappa_s, omega_s, 1.0)
+    res = constraint_residuals(model, coeffs, 1.0)
     assert max(abs(r) for r in res) <= 1e-12
 
 
 def test_constraints_detect_perturbed_coefficient():
-    omega_s, kappa_s = ConstantSchedule(1.0), ConstantSchedule(0.1)
-    sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.3, 0.4), 1.0, H)
-    alpha, a2, a3 = jump_coefficients(omega_s, kappa_s, sol, 0.5)
+    model, _ = constant_case(1.0, 8, init=ErmakovInit(1.3, 0.4))
+    alpha, a2, a3 = model.coefficients(0.5)[1:]
     bumped = (alpha, a2, a3 + 0.1)
-    res = constraint_residuals(sol, bumped, kappa_s, omega_s, 0.5)
+    res = constraint_residuals(model, bumped, 0.5)
     assert abs(res[0]) > 1e-4
 
 
@@ -570,13 +539,11 @@ def test_constraints_on_an_array_of_times_equal_the_scalar_calls():
     grid) returns, elementwise and bit for bit, the three residuals of the
     100 scalar calls, on a modulated schedule with modulated friction where
     none of them is exactly zero."""
-    omega_s = SinusoidSchedule(1.0, 0.2, 0.1)
-    kappa_s = SinusoidSchedule(0.1, 0.05, 0.3)
-    sol = solve_baseline(omega_s, kappa_s, 4.0)
+    model = modulated_friction_model(4.0)
     times = np.linspace(0.0, 4.0, 100)
-    coeffs = jump_coefficients(omega_s, kappa_s, sol, times)
-    got = constraint_residuals(sol, coeffs, kappa_s, omega_s, times)
-    want = [constraint_residuals(sol, c, kappa_s, omega_s, float(t))
+    coeffs = model.coefficients(times)[1:]
+    got = constraint_residuals(model, coeffs, times)
+    want = [constraint_residuals(model, c, float(t))
             for t, c in zip(times, zip(*coeffs))]
     assert all(isinstance(e, float) for e in want[0])
     np.testing.assert_array_equal(np.array(got), np.array(want).T)

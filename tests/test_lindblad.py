@@ -36,6 +36,7 @@ from invariantlab.errors import (
     TruncationLeakError,
     ValidationError,
 )
+from invariantlab.invariants import construct
 from invariantlab.lindblad import (
     LindbladModel,
     MomentVector,
@@ -80,10 +81,9 @@ def equilibrium_setup(dim, kappa=0.1, omega=1.0, t_max=2.0, h=H):
     omega_s = ConstantSchedule(omega)
     kappa_s = ConstantSchedule(kappa)
     cfg = BasisConfig(dim=dim, omega_ref=omega)
-    gens = build_su11_generators(*build_canonical(cfg))
-    sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), t_max, h)
-    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
-    return omega_s, kappa_s, cfg, gens, sol, model
+    model, inv = construct(omega_s, kappa_s, ErmakovInit(1.0, 0.0), t_max, h,
+                           cfg)
+    return omega_s, kappa_s, cfg, inv.operators, model.sol, model
 
 
 def modulated_setup(dim, kappa=0.1, t_max=1.0, h=H):
@@ -91,12 +91,10 @@ def modulated_setup(dim, kappa=0.1, t_max=1.0, h=H):
     omega_s = SinusoidSchedule(1.0, 0.2, 0.1)
     kappa_s = ConstantSchedule(kappa)
     cfg = BasisConfig(dim=dim, omega_ref=1.0)
-    gens = build_su11_generators(*build_canonical(cfg))
     init = ErmakovInit(adiabatic_rho(omega_s, kappa_s, 0.0),
                        adiabatic_rhodot(omega_s, kappa_s, 0.0))
-    sol = solve_auxiliary(omega_s, kappa_s, init, t_max, h)
-    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
-    return omega_s, kappa_s, cfg, gens, sol, model
+    model, inv = construct(omega_s, kappa_s, init, t_max, h, cfg)
+    return omega_s, kappa_s, cfg, inv.operators, model.sol, model
 
 
 def quadratic_invariant(gens, sol, t):
@@ -125,12 +123,9 @@ def test_coefficients_on_equilibrium():
 
 def test_coefficients_narrow_solution():
     """rho = 2**-0.5 stationary (omega = 2): alpha = kappa/4, a2 = 4."""
-    omega_s = ConstantSchedule(2.0)
-    kappa_s = ConstantSchedule(0.1)
-    cfg = BasisConfig(dim=8, omega_ref=2.0)
-    gens = build_su11_generators(*build_canonical(cfg))
-    sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(2.0 ** -0.5, 0.0), 1.0, H)
-    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
+    model, _ = construct(ConstantSchedule(2.0), ConstantSchedule(0.1),
+                         ErmakovInit(2.0 ** -0.5, 0.0), 1.0, H,
+                         BasisConfig(dim=8, omega_ref=2.0))
     _, alpha, a2, a3 = model.coefficients(0.5)
     np.testing.assert_allclose(alpha, 0.025, rtol=0, atol=1e-12)
     np.testing.assert_allclose(a2, 4.0, rtol=0, atol=1e-10)
@@ -148,8 +143,7 @@ def test_coefficients_vanish_without_friction():
 
 
 def test_negative_friction_rejected_in_coefficients():
-    *_, model = equilibrium_setup(dim=8, kappa=0.0, t_max=1.0)
-    negative = dataclasses.replace(model, kappa_s=ConstantSchedule(-0.01))
+    *_, negative = equilibrium_setup(dim=8, kappa=-0.01, t_max=1.0)
     with pytest.raises(NegativeFrictionError):
         negative.coefficients(0.5)
 
@@ -618,11 +612,9 @@ def test_blocked_stage_table_is_the_one_shot_table():
     np.testing.assert_array_equal(lindblad._stage_table(model, n, H, first),
                                   np.column_stack(model.coefficients(ts)))
 
-    omega_s, kappa_s = ConstantSchedule(1.0), LinearSchedule(0.05, -0.01)
-    cfg = BasisConfig(dim=8, omega_ref=1.0)
-    sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), n * H, H)
-    model = LindbladModel(omega_s, kappa_s, sol,
-                          *build_su11_generators(*build_canonical(cfg)), cfg)
+    model, _ = construct(ConstantSchedule(1.0), LinearSchedule(0.05, -0.01),
+                         ErmakovInit(1.0, 0.0), n * H, H,
+                         BasisConfig(dim=8, omega_ref=1.0))
     message = r"NegativeFriction: kappa\(5\.0005\) = -5\.000e-06"
     with pytest.raises(NegativeFrictionError, match=message):
         model.coefficients(0.5 * H * np.arange(2 * n + 1))
@@ -720,19 +712,31 @@ def test_generator_dimension_mismatch_rejected():
         LindbladModel(omega_s, kappa_s, sol, *wrong, cfg)
 
 
+def test_solution_of_another_equation_rejected():
+    """The jump coefficients are right only on a solution of the model's
+    own auxiliary equation: a kappa = 0 solution paired by hand with a
+    kappa = 0.1 model is refused, as is a solution of the same friction
+    on another frequency."""
+    omega_s = SinusoidSchedule(1.0, 0.2, 0.1)
+    cfg = BasisConfig(dim=8, omega_ref=1.0)
+    gens = build_su11_generators(*build_canonical(cfg))
+    init = ErmakovInit(1.0, 0.0)
+    sol0 = solve_auxiliary(omega_s, ConstantSchedule(0.0), init, 1.0, H)
+    sol1 = solve_auxiliary(ConstantSchedule(1.0), ConstantSchedule(0.1), init,
+                           1.0, H)
+    for sol in (sol0, sol1):
+        with pytest.raises(ValidationError, match="another equation"):
+            LindbladModel(omega_s, ConstantSchedule(0.1), sol, *gens, cfg)
+
+
 # ---------------------------------------------------------------------------
 # density evolution
 
 
 def test_unitary_mean_position_closed_form():
     """kappa = 0, omega = 1: <x>(t) = cos t for a coherent state on axis."""
-    omega_s = ConstantSchedule(1.0)
-    kappa_s = ConstantSchedule(0.0)
-    cfg = BasisConfig(dim=40, omega_ref=1.0)
-    gens = build_su11_generators(*build_canonical(cfg))
     t_max = float(np.pi)
-    sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), t_max, H)
-    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
+    _, _, cfg, _, _, model = equilibrium_setup(dim=40, kappa=0.0, t_max=t_max)
     rho0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
     traj = evolve_density(model, rho0, t_max, H, record_every=157)
     xs = np.array([m.mean_x for m in traj.moments()])
@@ -795,12 +799,9 @@ def test_constant_jump_energy_is_conserved(evolve_recording):
 def test_friction_turning_negative_mid_window_names_the_stage_time():
     """kappa = 0.05 - 0.1 t crosses zero at t = 0.5; with h = 0.01 the
     first stage below the tolerance is t = 0.505."""
-    omega_s = ConstantSchedule(1.0)
-    kappa_s = LinearSchedule(0.05, -0.1)
     cfg = BasisConfig(dim=10, omega_ref=1.0)
-    gens = build_su11_generators(*build_canonical(cfg))
-    sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 1.0, 0.01)
-    model = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
+    model, _ = construct(ConstantSchedule(1.0), LinearSchedule(0.05, -0.1),
+                         ErmakovInit(1.0, 0.0), 1.0, 0.01, cfg)
     rho0 = build_state(StateSpec(kind="fock", fock_n=0), cfg)
     with pytest.raises(NegativeFrictionError,
                        match=r"NegativeFriction: kappa\(0\.505\) = -5\.000e-04"):

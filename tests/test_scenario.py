@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import invariantlab
-from invariantlab import lindblad, runner
+from invariantlab import invariants, lindblad, runner
 from invariantlab.auxiliary import (
     ErmakovInit,
     adiabatic_rho,
@@ -450,8 +450,9 @@ def test_declared_epsilon_must_match_the_schedule_rate(tmp_path, monkeypatch):
     """A sinusoid at another rate and a constant omega are both refused
     before the battery integrates anything."""
     solves = []
-    monkeypatch.setattr(runner, "solve_auxiliary",
-                        lambda *args: solves.append(args))
+    for module in (runner, invariants):
+        monkeypatch.setattr(module, "solve_auxiliary",
+                            lambda *args: solves.append(args))
     for omega in ("omega.kind = sinusoid\nomega.base = 1.0\n"
                   "omega.amplitude = 0.5\nomega.rate = 0.05\n",
                   "omega.kind = constant\nomega.value = 1.0\n"):
@@ -465,16 +466,15 @@ def test_declared_epsilon_must_match_the_schedule_rate(tmp_path, monkeypatch):
 # ------------------------------------------------------- integration counts
 
 
-def _counted(monkeypatch, name):
-    """Count the calls runner makes to its integrator ``name``."""
+def _counted(monkeypatch, name, modules=(runner,)):
+    """Count the calls ``modules`` make to their integrator ``name``."""
     calls = []
-    fn = getattr(runner, name)
+    for module in modules:
+        def counted(*args, fn=getattr(module, name)):
+            calls.append(None)
+            return fn(*args)
 
-    def counted(*args):
-        calls.append(None)
-        return fn(*args)
-
-    monkeypatch.setattr(runner, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -508,7 +508,8 @@ def test_adiabatic_verify_solves_each_auxiliary_problem_once(
         text += ("auxiliary.use_adiabatic_init = false\n"
                  "auxiliary.rho0 = 1.0\nauxiliary.rhodot0 = 0.0\n")
     s = load_text(text, tmp_path)
-    aux = _counted(monkeypatch, "solve_auxiliary")
+    # the run's own solve is construct's
+    aux = _counted(monkeypatch, "solve_auxiliary", (runner, invariants))
     first = _counted(monkeypatch, "evolve_first_moments")
     report = verify_scenario(s)
     assert (len(aux), len(first)) == (solves, 0)

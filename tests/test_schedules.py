@@ -148,8 +148,6 @@ def test_modulated_frequency_ramp():
 def test_validate_clean_pair():
     grid = np.linspace(0.0, 20.0, 1001)
     report = validate_schedules(ConstantSchedule(1.0), ConstantSchedule(0.05), grid)
-    assert report.clean
-    assert not report.kappa_negative
     assert not report.omega_sq_negative
 
 
@@ -166,7 +164,6 @@ def test_validate_negative_modulated_frequency_warns_only():
     report = validate_schedules(
         ConstantSchedule(0.1), LinearSchedule(0.5, -0.05), grid)
     assert report.omega_sq_negative
-    assert not report.kappa_negative
     assert report.first_negative_omega_sq_t is not None
     assert np.min(report.omega_sq_mod) < 0
 
