@@ -22,7 +22,9 @@ step grid and evaluated densely by cubic Hermite interpolation; the
 second derivative stored alongside comes from the ODE right-hand side at
 the nodes (never from finite differencing), so the residual check below
 is an honest measure of how well the interpolated trajectory satisfies
-the equation between nodes.
+the equation between nodes.  The residual's midpoints, like the stage
+table and the moment maps of the lindblad module, are taken a block of
+about ``STAGE_BLOCK_BYTES`` at a time (``_block_length``).
 """
 
 from __future__ import annotations
@@ -35,19 +37,40 @@ from .errors import SingularityError, ValidationError
 from .schedules import ReflectedSchedule, Schedule, _check_window
 
 RHO_FLOOR = 1e-6
+# Long per-node or per-stage array work is done a block at a time, as many
+# items per block as fit in this many bytes: about 1500 steps of the 3x3
+# moment system, about 7300 rows of the stage table and about 9400
+# residual midpoints.
+STAGE_BLOCK_BYTES = 1 << 20
+# Temporaries of one midpoint of ``auxiliary_residual``: 14 floats as
+# traced on the shipped schedules.
+RESIDUAL_POINT_BYTES = 14 * 8
+
+
+def _block_length(item_bytes: int) -> int:
+    """Items per block: as many as fit in STAGE_BLOCK_BYTES, at least one."""
+    return max(1, STAGE_BLOCK_BYTES // item_bytes)
 
 
 # ------------------------------------------------------------------ hermite
 
 def _locate(ts: np.ndarray, t: np.ndarray):
+    """Interval index of t, its position s in [0, 1] and the interval's
+    length, on nodes spaced uniformly but for a last interval that may be
+    shorter: a record grid whose step count is no multiple of its spacing.
+    A uniform grid's last interval differs from the first only by
+    rounding, and is located as every other interval is."""
     h = ts[1] - ts[0]
     idx = np.clip(((t - ts[0]) / h).astype(int), 0, len(ts) - 2)
+    last = ts[-1] - ts[-2]
+    if last < (1.0 - 1e-9) * h:
+        h = np.where(idx == len(ts) - 2, last, h)
     s = (t - ts[idx]) / h
     return idx, s, h
 
 
 def hermite_value(ts, y, ydot, t):
-    """Cubic Hermite interpolant value at t (uniform grid)."""
+    """Cubic Hermite interpolant value at t (nodes as ``_locate`` takes)."""
     t = np.asarray(t, dtype=float)
     idx, s, h = _locate(ts, t)
     s2, s3 = s * s, s * s * s
@@ -284,45 +307,51 @@ def solve_auxiliary(omega_s: Schedule, kappa_s: Schedule, init: ErmakovInit,
     The real pair (rho, rhodot) is stepped in one loop that writes out
     ``_rk4``'s stages and step combination in its operation order, so its
     nodes equal, bit for bit, ``_rk4`` stepping a float (2,) array; it
-    costs no Python call per stage.
+    costs no Python call per stage.  The loop reads each step's middle and
+    end coefficients as one tuple and writes the nodes through
+    memoryviews; a node is checked before the step that leaves it, and the
+    last node after the loop.
     """
     n = _step_count(t_max, h)
     _, omega_sq, kappa = _half_grid_coefficients(omega_s, kappa_s, n, h)
-    # memoryviews index to Python floats without a per-stage object list
+    # memoryviews index to Python floats without a per-stage object list;
+    # the coefficients are read in steps as (mid, end) pairs
     ks, ws = memoryview(kappa), memoryview(omega_sq)
     rho, rhodot = np.empty(n + 1), np.empty(n + 1)
+    rho_out, rhodot_out = memoryview(rho), memoryview(rhodot)
     half, sixth, inf = 0.5 * h, h / 6.0, np.inf
     r, v = float(init.rho0), float(init.rhodot0)
     k, w = ks[0], ws[0]
     # an overflowed rho turns inf, then nan: "not >=" fails on the nan at
     # the next stage, and the node check also on an inf that ends the run.
     # Stage 1 starts from the node, whose check is the stricter one.
-    for i in range(n + 1):
+    for i, (k_mid, w_mid, k_end, w_end) in enumerate(
+            zip(ks[1::2], ws[1::2], ks[2::2], ws[2::2])):
         if not RHO_FLOOR <= r < inf:
             raise _singularity(r, i * h)
-        rho[i] = r
-        rhodot[i] = v
-        if i == n:
-            break
-        j = 2 * i
+        rho_out[i] = r
+        rhodot_out[i] = v
         a1 = k * v - w * r + 1.0 / (r * r * r)
-        k, w = ks[j + 1], ws[j + 1]
         r2, v2 = r + half * v, v + half * a1
         if not r2 >= RHO_FLOOR:
-            raise _singularity(r2, half * (j + 1))
-        a2 = k * v2 - w * r2 + 1.0 / (r2 * r2 * r2)
+            raise _singularity(r2, half * (2 * i + 1))
+        a2 = k_mid * v2 - w_mid * r2 + 1.0 / (r2 * r2 * r2)
         r3, v3 = r + half * v2, v + half * a2
         if not r3 >= RHO_FLOOR:
-            raise _singularity(r3, half * (j + 1))
-        a3 = k * v3 - w * r3 + 1.0 / (r3 * r3 * r3)
-        # the end stage's coefficients are the next step's start
-        k, w = ks[j + 2], ws[j + 2]
+            raise _singularity(r3, half * (2 * i + 1))
+        a3 = k_mid * v3 - w_mid * r3 + 1.0 / (r3 * r3 * r3)
         r4, v4 = r + h * v3, v + h * a3
         if not r4 >= RHO_FLOOR:
-            raise _singularity(r4, half * (j + 2))
-        a4 = k * v4 - w * r4 + 1.0 / (r4 * r4 * r4)
+            raise _singularity(r4, half * (2 * i + 2))
+        a4 = k_end * v4 - w_end * r4 + 1.0 / (r4 * r4 * r4)
         r = r + sixth * (v + 2.0 * (v2 + v3) + v4)
         v = v + sixth * (a1 + 2.0 * (a2 + a3) + a4)
+        # the end stage's coefficients are the next step's start
+        k, w = k_end, w_end
+    if not RHO_FLOOR <= r < inf:
+        raise _singularity(r, n * h)
+    rho_out[n] = r
+    rhodot_out[n] = v
     ts = h * np.arange(n + 1)
     rhoddot = kappa[::2] * rhodot - omega_sq[::2] * rho + rho ** -3.0
     return ErmakovSolution(ts=ts, rho=rho, rhodot=rhodot, rhoddot=rhoddot,
@@ -445,6 +474,14 @@ def auxiliary_residual(sol: ErmakovSolution, t):
 
 
 def max_residual_between_nodes(sol: ErmakovSolution) -> float:
-    """Max |auxiliary_residual| over the interval midpoints."""
-    pts = sol.ts[:-1] + 0.5 * sol.step
-    return float(np.max(np.abs(auxiliary_residual(sol, pts))))
+    """Max |auxiliary_residual| over the interval midpoints.
+
+    The midpoints are taken a block at a time, so the temporaries stay
+    near STAGE_BLOCK_BYTES however long the run; the max of the block
+    maxima is the max over every midpoint, and a nan propagates.
+    """
+    per = _block_length(RESIDUAL_POINT_BYTES)
+    starts, half = sol.ts[:-1], 0.5 * sol.step
+    return float(np.max([
+        np.max(np.abs(auxiliary_residual(sol, starts[lo:lo + per] + half)))
+        for lo in range(0, len(starts), per)]))

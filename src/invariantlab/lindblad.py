@@ -18,7 +18,9 @@ adjoint equation is the density equation with alpha negated, and it
 steps backward in time, the direction in which its flow contracts.  The
 two moment systems are linear, y' = A(t) y, so ``_linear_rk4`` forms each
 step's exact RK4 map from the stage matrices, a block of steps at once,
-and applies the maps in turn.  Blocks are sized by ``STAGE_BLOCK_BYTES``.
+composes the maps of each record interval into one and applies one map
+per record: the moment series hold the record nodes, as a density run
+does.  Blocks are sized by ``auxiliary.STAGE_BLOCK_BYTES``.
 
 K1, K2 and K3 are quadratic in a and a^dag, so H and L connect Fock
 level n only to n and n +- 2.  The density integrator holds the state as
@@ -67,6 +69,7 @@ import numpy as np
 
 from .auxiliary import (
     ErmakovSolution,
+    _block_length,
     _check_cover,
     _dense_at,
     _freeze_fields,
@@ -104,19 +107,10 @@ POSITIVITY_HARD_FLOOR = -1e-6
 ADJOINT_HERM_TOL = 1e-10
 MOMENT_BOUND_TOL = 1e-9
 CLOSURE_GATE_TOL = 1e-10
-# The moment systems' step maps and the stage table's rows are formed a
-# block at a time, as many per block as fit in this many bytes: about 1500
-# steps of the 3x3 system, about 7300 rows of the stage table.
-STAGE_BLOCK_BYTES = 1 << 20
 # Temporaries of one stage-table row: ``LindbladModel.coefficients`` at one
 # time and the row's share of the block it is stacked into, 18 floats as
 # traced on the shipped schedules.
 STAGE_ROW_BYTES = 18 * 8
-
-
-def _block_length(item_bytes: int) -> int:
-    """Items per block: as many as fit in STAGE_BLOCK_BYTES, at least one."""
-    return max(1, STAGE_BLOCK_BYTES // item_bytes)
 
 
 # --------------------------------------------------------------------- model
@@ -250,6 +244,14 @@ def _stage_table(model: LindbladModel, n: int, h: float,
         j = np.arange(2 * first + lo, 2 * first + lo + len(rows))
         rows[...] = np.column_stack(model.coefficients(0.5 * h * j))
     return table
+
+
+def _record_nodes(n: int, every: int) -> np.ndarray:
+    """Node indices 0, every, 2 every, ... below n and n: the nodes
+    ``auxiliary._rk4`` records at and ``_linear_rk4`` returns."""
+    if every < 1:
+        raise ValidationError(f"record_every must be >= 1, got {every}")
+    return np.append(np.arange(0, n, every), n)
 
 
 # --------------------------------------------------------------- diagnostics
@@ -440,12 +442,10 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
     if rho0.dim != cfg.dim:
         raise ValidationError(
             f"state dimension {rho0.dim} does not match basis {cfg.dim}")
-    if record_every < 1:
-        raise ValidationError(f"record_every must be >= 1, got {record_every}")
     n = _step_count(t_max, h)
     observables = _observable_set(cfg)
-    # one row per record, at the nodes 0, record_every, ... below n and n
-    records = np.empty((len(range(0, n, record_every)) + 1,
+    # one row per record
+    records = np.empty((len(_record_nodes(n, record_every)),
                         len(_RECORD_FIELDS)))
     slots = iter(records)
     warnings: list[str] = []
@@ -648,7 +648,33 @@ def evolve_adjoint_observable(model: LindbladModel, q0: FockOperator,
 # -------------------------------------------------------------- moment types
 
 
-def _linear_rk4(stage_mats, y0, n: int, h: float) -> np.ndarray:
+def _record_blocks(n: int, per: int, every: int):
+    """Step ranges [lo, hi) of at most ``per`` steps that never straddle a
+    record node: each holds whole record intervals of ``every`` steps (and
+    the last, the shorter final one), or, when an interval is longer than
+    ``per`` steps, a part of one interval."""
+    whole = per - per % every
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + whole if whole else lo - lo % every + every,
+                 lo + per)
+        yield lo, hi
+        lo = hi
+
+
+def _compose(maps: np.ndarray) -> np.ndarray:
+    """maps[..., L-1, :, :] @ ... @ maps[..., 0, :, :]: the product along
+    axis -3, batched over any leading axes, by pairwise products (about
+    log2 L batched matmuls)."""
+    while maps.shape[-3] > 1:
+        even = maps.shape[-3] // 2 * 2
+        pairs = maps[..., 1:even:2, :, :] @ maps[..., 0:even:2, :, :]
+        maps = np.concatenate([pairs, maps[..., even:, :, :]], axis=-3)
+    return maps[..., 0, :, :]
+
+
+def _linear_rk4(stage_mats, y0, n: int, h: float,
+                every: int = 1) -> np.ndarray:
     """Classical RK4 nodes of the linear system y' = A(t) y over n steps.
 
     ``stage_mats(lo, hi)`` returns A at the stage times j*h/2, j = lo..hi-1,
@@ -656,30 +682,45 @@ def _linear_rk4(stage_mats, y0, n: int, h: float) -> np.ndarray:
     A3 its start, middle and end matrices it is y <- P y, where
     P = I + h/6 (A1 + 2 (B2 + B3) + B4), B2 = A2 (I + h/2 A1),
     B3 = A2 (I + h/2 B2) and B4 = A3 (I + h B3).  The maps of a block of
-    steps are formed at once and then applied in turn, which equals
-    stepping ``auxiliary._rk4`` up to rounding.  Each map multiplies the
-    previous node, held by reference, and writes its node row in place
-    (``ndarray.dot`` with ``out``): the same matrix-vector products as
-    indexing both rows, bit for bit, at about half the cost.  Returns the
-    (n + 1, d) node values.
+    steps are formed at once; the maps of each record interval are then
+    composed into one by pairwise products batched over the block's
+    intervals (``_compose``), and the composed maps applied in turn, which
+    equals stepping ``auxiliary._rk4`` up to rounding.  Blocks hold whole
+    record intervals; an interval longer than a block carries its product
+    into the next block, so the temporaries stay near STAGE_BLOCK_BYTES
+    for any ``every``.  Each map multiplies the previous record, held by
+    reference, and writes its row in place (``ndarray.dot`` with ``out``):
+    with ``every = 1`` nothing is composed and these are the matrix-vector
+    products of indexing both rows, bit for bit, at about half the cost.
+    Returns the (records, d) values at the nodes 0, every, 2 every, ...
+    below n and at n, the grid ``auxiliary._rk4`` records.
     """
-    ys = np.empty((n + 1, len(y0)))
+    d = len(y0)
+    ys = np.empty((len(range(0, n, every)) + 1, d))
     ys[0] = y0
     y = ys[0]
-    eye = np.eye(ys.shape[1])
+    out = 1
+    eye = np.eye(d)
+    carry = None  # product of the open interval's maps from earlier blocks
     # the stage matrices, B2, B3, B4, P and their temporaries: about ten
     # d x d float arrays per step
-    per = _block_length(10 * eye.nbytes)
-    for lo in range(0, n, per):
-        hi = min(n, lo + per)
+    for lo, hi in _record_blocks(n, _block_length(10 * eye.nbytes), every):
         a = stage_mats(2 * lo, 2 * hi + 1)
         a1, a2, a3 = a[:-1:2], a[1::2], a[2::2]
         b2 = a2 @ (eye + (0.5 * h) * a1)
         b3 = a2 @ (eye + (0.5 * h) * b2)
         b4 = a3 @ (eye + h * b3)
         maps = eye + (h / 6.0) * (a1 + 2.0 * (b2 + b3) + b4)
-        for i, p in enumerate(maps, lo + 1):
-            y = p.dot(y, out=ys[i])
+        whole = len(maps) - len(maps) % every
+        prods = list(_compose(maps[:whole].reshape(-1, every, d, d)))
+        if whole < len(maps):
+            prods.append(_compose(maps[whole:]))
+        if carry is not None:
+            prods[0] = prods[0] @ carry
+        carry = prods.pop() if hi % every and hi < n else None
+        for p in prods:
+            y = p.dot(y, out=ys[out])
+            out += 1
     return ys
 
 
@@ -724,7 +765,12 @@ def moments_from_state(rho: DensityMatrix, cfg: BasisConfig) -> MomentVector:
 
 @dataclass(frozen=True, eq=False)
 class FirstMomentSeries:
-    """Mean position/momentum on a uniform grid, with dense output."""
+    """Mean position/momentum at the record nodes, with dense output.
+
+    The nodes are uniformly spaced but for a last interval that may be
+    shorter; the cubic Hermite dense output's accuracy is set by the node
+    spacing, record_every steps, not by the integration step.
+    """
 
     ts: np.ndarray
     mean_x: np.ndarray
@@ -752,14 +798,16 @@ class FirstMomentSeries:
 
 def evolve_first_moments(omega_s: Schedule, kappa_s: Schedule,
                          m0: tuple[float, float], t_max: float,
-                         h: float) -> FirstMomentSeries:
+                         h: float, record_every: int = 1) -> FirstMomentSeries:
     """Integrate d<x>/dt = <p> - kappa <x>, d<p>/dt = -omega^2 <x> - kappa <p>.
 
     This is the exact projection of the full evolution onto the means;
     it holds for the constructed jump operator because the realized
-    friction equals kappa identically.
+    friction equals kappa identically.  The series holds the nodes 0,
+    record_every, ... below the last step and the last node.
     """
     n = _step_count(t_max, h)
+    nodes = _record_nodes(n, record_every)
     half_ts, omega_sq, kappa = _half_grid_coefficients(omega_s, kappa_s, n, h)
     _check_friction(half_ts, kappa)
 
@@ -770,11 +818,11 @@ def evolve_first_moments(omega_s: Schedule, kappa_s: Schedule,
         a[:, 1, 0] = -omega_sq[lo:hi]
         return a
 
-    ys = _linear_rk4(stage_mats, m0, n, h)
-    ts = h * np.arange(n + 1)
+    ys = _linear_rk4(stage_mats, m0, n, h, record_every)
+    ts = h * nodes
     xs, ps = ys[:, 0], ys[:, 1]
-    node_k = kappa[::2]
-    node_w2 = omega_sq[::2]
+    node_k = kappa[2 * nodes]
+    node_w2 = omega_sq[2 * nodes]
     kdot = np.asarray(kappa_s.eval(ts, 1), dtype=float)
     xdot = ps - node_k * xs
     pdot = -node_w2 * xs - node_k * ps
@@ -837,7 +885,7 @@ def _closure_matrix_verified() -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Su11MomentSeries:
-    """Expectations of the three quadratic generators on a uniform grid."""
+    """Expectations of the three quadratic generators at the record nodes."""
 
     ts: np.ndarray
     k1: np.ndarray
@@ -849,12 +897,19 @@ class Su11MomentSeries:
 
 
 def evolve_su11_moments(model: LindbladModel, v0: tuple[float, float, float],
-                        t_max: float, h: float) -> Su11MomentSeries:
-    """Integrate the exact closed system for the K-generator expectations."""
+                        t_max: float, h: float,
+                        record_every: int = 1) -> Su11MomentSeries:
+    """Integrate the exact closed system for the K-generator expectations.
+
+    The series holds the nodes 0, record_every, ... below the last step
+    and the last node.
+    """
     _closure_matrix_verified()
     _check_k_moments(*v0)
     n = _step_count(t_max, h)
+    nodes = _record_nodes(n, record_every)
     table = _stage_table(model, n, h)
-    ys = _linear_rk4(lambda lo, hi: closure_matrix(*table[lo:hi].T), v0, n, h)
-    ts = h * np.arange(n + 1)
+    ys = _linear_rk4(lambda lo, hi: closure_matrix(*table[lo:hi].T), v0, n, h,
+                     record_every)
+    ts = h * nodes
     return Su11MomentSeries(ts=ts, k1=ys[:, 0], k2=ys[:, 1], k3=ys[:, 2])

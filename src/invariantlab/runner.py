@@ -92,6 +92,7 @@ from .lindblad import (
     Trajectory,
     _adjoint_norm_bound,
     _generator_arrays,
+    _record_nodes,
     _stage_table,
     _transport_steps,
     evolve_density,
@@ -222,10 +223,7 @@ def _prepare(s: Scenario) -> _Prepared:
     model, invariant = construct(s.omega_schedule, s.kappa_schedule,
                                  s.initial_auxiliary(), s.t_max, s.step_h,
                                  s.basis)
-    n = _step_count(s.t_max, s.step_h)
-    idx = np.arange(0, n + 1, s.record_every)
-    if idx[-1] != n:
-        idx = np.append(idx, n)
+    idx = _record_nodes(_step_count(s.t_max, s.step_h), s.record_every)
     return _Prepared(scenario=s, model=model, invariant=invariant,
                      record_idx=idx, record_ts=idx * s.step_h)
 
@@ -245,7 +243,7 @@ def _moment_run(p: _Prepared) -> tuple[MomentVector, Su11MomentSeries]:
     s = p.scenario
     m0 = moments_from_state(_initial_state(p), s.basis)
     quad = evolve_su11_moments(p.model, (m0.k1, m0.k2, m0.k3), s.t_max,
-                               s.step_h)
+                               s.step_h, record_every=s.record_every)
     return m0, quad
 
 
@@ -254,7 +252,8 @@ def _first_moments(p: _Prepared, m0: MomentVector) -> FirstMomentSeries:
     readers only (see the module docstring)."""
     s = p.scenario
     return evolve_first_moments(s.omega_schedule, s.kappa_schedule,
-                                (m0.mean_x, m0.mean_p), s.t_max, s.step_h)
+                                (m0.mean_x, m0.mean_p), s.t_max, s.step_h,
+                                record_every=s.record_every)
 
 
 def _evolve(p: _Prepared):
@@ -274,10 +273,8 @@ def _evolve(p: _Prepared):
     if traj is not None:
         series = expectation_series(traj, p.invariant)
     else:
-        idx = p.record_idx
         series = _weak_expectation_series(p.model.sol, p.record_ts,
-                                          quad.k1[idx], quad.k2[idx],
-                                          quad.k3[idx])
+                                          quad.k1, quad.k2, quad.k3)
     return traj, m0, quad, series
 
 
@@ -310,10 +307,9 @@ def _spectrum_modes(dim: int) -> int:
 
 
 def _write_moment_trajectory(path, p: _Prepared, first, quad, precision: int):
-    idx = p.record_idx
     _write_rows(path, "t,mean_x,mean_p,k1,k2,k3",
-                zip(p.record_ts, first.mean_x[idx], first.mean_p[idx],
-                    quad.k1[idx], quad.k2[idx], quad.k3[idx]), precision)
+                zip(p.record_ts, first.mean_x, first.mean_p,
+                    quad.k1, quad.k2, quad.k3), precision)
 
 
 def run_scenario(s: Scenario, out_dir: str | None = None) -> SimulationResult:
@@ -525,11 +521,10 @@ def _state_checks(traj: Trajectory, p: _Prepared) -> list[CheckResult]:
 
 def _check_backend_agreement(p: _Prepared, traj: Trajectory,
                              first, quad) -> CheckResult:
-    idx = p.record_idx
     moments = traj.moments()
     fock = np.array([[m.mean_x, m.mean_p, m.k1, m.k2, m.k3] for m in moments])
-    closed = np.column_stack([first.mean_x[idx], first.mean_p[idx],
-                              quad.k1[idx], quad.k2[idx], quad.k3[idx]])
+    closed = np.column_stack([first.mean_x, first.mean_p,
+                              quad.k1, quad.k2, quad.k3])
     dev = float(np.max(np.abs(fock - closed)))
     return CheckResult("backend-agreement", dev, BACKEND_AGREEMENT_TOL,
                        dev <= BACKEND_AGREEMENT_TOL)
@@ -697,7 +692,7 @@ def sweep(s: Scenario, param: str, values: list[str],
         if traj is not None:
             final_x = traj.mean_x[-1]
         else:
-            final_x = _first_moments(p, m0).mean_x[p.record_idx[-1]]
+            final_x = _first_moments(p, m0).mean_x[-1]
         rows.append({
             "value": number,
             "max_rel_drift": float(series.max_rel_drift),

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from invariantlab.auxiliary import (
+    STAGE_BLOCK_BYTES,
     ErmakovInit,
     ErmakovSolution,
     _half_grid_coefficients,
@@ -21,7 +22,12 @@ from invariantlab.auxiliary import (
 )
 from invariantlab.errors import SingularityError, ValidationError
 from invariantlab.scenario import load_scenario
-from invariantlab.schedules import ConstantSchedule, LinearSchedule, SinusoidSchedule
+from invariantlab.schedules import (
+    ConstantSchedule,
+    LinearSchedule,
+    Schedule,
+    SinusoidSchedule,
+)
 
 W1 = ConstantSchedule(1.0)
 K0 = ConstantSchedule(0.0)
@@ -259,6 +265,15 @@ def test_singularity_guard_fires_after_a_step():
                         1.0, 0.01)
 
 
+def test_singularity_guard_fires_at_the_last_node():
+    # the one step of the run overshoots as above: the node after the last
+    # step is checked too, and named at t = t_max
+    with pytest.raises(SingularityError,
+                       match=r"^rho reached -.* near t = 0\.01$"):
+        solve_auxiliary(ConstantSchedule(500.0), K0, ErmakovInit(0.01, 0.0),
+                        0.01, 0.01)
+
+
 def test_singularity_guard_fires_at_the_third_stage():
     # omega^2 r far above r^-3 pulls rho down: in step 10 the second
     # stage input r + h/2 v stays positive, the third, r + h/2 v2, does
@@ -374,6 +389,39 @@ def test_residual_small_on_converged_solution():
     nodes = sol.ts[::137]
     assert np.max(np.abs(auxiliary_residual(sol, nodes))) <= 1e-8
     assert max_residual_between_nodes(sol) <= 1e-8
+
+
+class _NanWithin(Schedule):
+    """omega = 1, but nan on [lo, hi]."""
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
+
+    def _eval(self, t, order):
+        inside = (t >= self.lo) & (t <= self.hi)
+        return np.where(inside, np.nan, 1.0 if order == 0 else 0.0)
+
+
+def test_residual_max_is_taken_over_bounded_blocks():
+    """The 40 000 midpoints are taken about 9400 at a time: the max equals
+    one call over every midpoint bit for bit, the traced peak stays below
+    twice STAGE_BLOCK_BYTES where the one call peaked 4.5 MB (measured:
+    1.05 MB), and a nan in a middle block propagates to the max."""
+    sol = solve_auxiliary(SinusoidSchedule(1.0, 0.2, 0.3),
+                          ConstantSchedule(0.1), ErmakovInit(1.0, 0.0), 40.0,
+                          1e-3)
+    pts = sol.ts[:-1] + 0.5 * sol.step
+    assert max_residual_between_nodes(sol) == float(
+        np.max(np.abs(auxiliary_residual(sol, pts))))
+    tracemalloc.start()
+    try:
+        max_residual_between_nodes(sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * STAGE_BLOCK_BYTES
+    bad = dataclasses.replace(sol, omega_s=_NanWithin(15.0, 15.01))
+    assert np.isnan(max_residual_between_nodes(bad))
 
 
 def test_residual_detects_perturbed_solution():

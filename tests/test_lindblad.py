@@ -22,6 +22,7 @@ from scipy.integrate import solve_ivp
 
 from invariantlab import lindblad, runner
 from invariantlab.auxiliary import (
+    STAGE_BLOCK_BYTES,
     ErmakovInit,
     _rk4,
     adiabatic_rho,
@@ -593,7 +594,7 @@ def test_stage_table_temporaries_are_bounded():
     *_, model = modulated_setup(dim=8, t_max=n * H)
     peak = _traced_peak(lambda: lindblad._stage_table(model, n, H))
     table_bytes = (2 * n + 1) * 4 * 8
-    assert peak < table_bytes + 2 * lindblad.STAGE_BLOCK_BYTES
+    assert peak < table_bytes + 2 * STAGE_BLOCK_BYTES
 
 
 def test_blocked_stage_table_is_the_one_shot_table():
@@ -1148,12 +1149,12 @@ def _random_linear_system(d, seed):
                       + t[:, None, None] * a2)
 
 
-def _step_map_nodes(a_of_t, y0, n, h, calls=None):
+def _step_map_nodes(a_of_t, y0, n, h, calls=None, every=1):
     def stage_mats(lo, hi):
         if calls is not None:
             calls.append((lo, hi))
         return a_of_t(0.5 * h * np.arange(lo, hi))
-    return lindblad._linear_rk4(stage_mats, y0, n, h)
+    return lindblad._linear_rk4(stage_mats, y0, n, h, every)
 
 
 def _stepped_nodes(a_of_t, y0, n, h):
@@ -1226,6 +1227,98 @@ def test_step_maps_are_fourth_order(d):
     errs = [np.max(np.abs(_step_map_nodes(a_of_t, y0, n, 1.0 / n)[-1] - ref))
             for n in (40, 80)]
     assert 14.0 <= errs[0] / errs[1] <= 18.0
+
+
+def _kept(n, every):
+    """The node indices a run recording every ``every`` steps keeps."""
+    return np.append(np.arange(0, n, every), n)
+
+
+def _assert_kept_nodes(a_of_t, y0, n, h, every):
+    got = _step_map_nodes(a_of_t, y0, n, h, every=every)
+    want = _step_map_nodes(a_of_t, y0, n, h)[_kept(n, every)]
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_record_intervals_compose_to_the_every_node_values():
+    """Composing each record interval's maps reproduces the every-node run
+    at the kept nodes to 1e-13 relative: below, at and across a block of
+    whole intervals (1449 steps of 9), with a short final interval or
+    none, and with the spacing beyond the run (only nodes 0 and n)."""
+    d, every = 3, 9
+    a_of_t = _random_linear_system(d, seed=30)
+    y0 = np.linspace(1.0, -0.5, d)
+    per = lindblad._block_length(10 * np.eye(d).nbytes)
+    whole = per - per % every
+    assert every < whole < per
+    for n in (whole - 1, whole, whole + 1, 2 * whole, 2 * whole + 5):
+        _assert_kept_nodes(a_of_t, y0, n, 1e-3, every)
+    assert len(_step_map_nodes(a_of_t, y0, 50, 1e-3, every=100)) == 2
+    _assert_kept_nodes(a_of_t, y0, 50, 1e-3, 100)
+
+
+def test_long_record_intervals_carry_their_product_across_blocks():
+    """A record interval of 20 000 steps, over ten blocks of maps, is
+    composed a block at a time with the running product carried to the
+    next block: the kept nodes, final short interval included, equal the
+    every-node run to 1e-13 relative, and the traced peak stays below the
+    records plus twice STAGE_BLOCK_BYTES, where composing a whole interval
+    at once would hold its 20 000 maps and their temporaries (about
+    14 MB).  Measured: about 1.3 MB."""
+    d, every, n, h = 3, 20000, 40300, 1e-5
+    per = lindblad._block_length(10 * np.eye(d).nbytes)
+    assert 10 * per < every < n
+    a_of_t = _random_linear_system(d, seed=31)
+    y0 = np.linspace(1.0, -0.5, d)
+    _assert_kept_nodes(a_of_t, y0, n, h, every)
+    peak = _traced_peak(lambda: _step_map_nodes(a_of_t, y0, n, h,
+                                                every=every))
+    assert peak < 4 * d * 8 + 2 * STAGE_BLOCK_BYTES
+
+
+def test_record_spacing_must_be_positive():
+    *_, model = equilibrium_setup(dim=8, kappa=0.0, t_max=1.0)
+    for every in (0, -3):
+        with pytest.raises(ValidationError, match="record_every"):
+            evolve_su11_moments(model, (0.25, 0.25, 0.0), 1.0, H, every)
+        with pytest.raises(ValidationError, match="record_every"):
+            evolve_first_moments(ConstantSchedule(1.0), ConstantSchedule(0.1),
+                                 (1.0, 0.0), 1.0, H, every)
+
+
+def test_moment_series_keep_the_record_nodes():
+    """With 3334 steps recorded every 100, both series hold the nodes
+    0, 100, ..., 3300 and 3334, with values and node derivatives within
+    1e-13 relative of the every-node series there; the means' dense
+    output spans the short last interval (34 steps) as it is, to the
+    Hermite accuracy of the node spacing."""
+    omega_s = SinusoidSchedule(1.0, 0.2, 0.3)
+    kappa_s = SinusoidSchedule(0.05, 0.02, 0.2)
+    h, t_max, every = 3e-4, 1.0, 100
+    kept = _kept(3334, every)
+    full = evolve_first_moments(omega_s, kappa_s, (1.0, 0.3), t_max, h)
+    rec = evolve_first_moments(omega_s, kappa_s, (1.0, 0.3), t_max, h, every)
+    assert len(full.ts) == 3335
+    np.testing.assert_array_equal(rec.ts, full.ts[kept])
+    for name in ("mean_x", "mean_p", "xdot", "pdot", "xddot"):
+        want = getattr(full, name)[kept]
+        np.testing.assert_allclose(getattr(rec, name), want, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(want)))
+    last = np.linspace(rec.ts[-2], rec.ts[-1], 9)
+    np.testing.assert_allclose(rec.x_at(last), full.x_at(last), rtol=0,
+                               atol=1e-10)
+    np.testing.assert_allclose(rec.xdot_at(last), full.xdot_at(last),
+                               rtol=0, atol=1e-8)
+
+    *_, model = modulated_setup(dim=8, t_max=t_max, h=h)
+    full = evolve_su11_moments(model, (0.25, 0.75, 0.1), t_max, h)
+    rec = evolve_su11_moments(model, (0.25, 0.75, 0.1), t_max, h, every)
+    np.testing.assert_array_equal(rec.ts, full.ts[kept])
+    for name in ("k1", "k2", "k3"):
+        want = getattr(full, name)[kept]
+        np.testing.assert_allclose(getattr(rec, name), want, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(want)))
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,8 @@ def _frictionless_first_moments(monkeypatch):
     """The mean equations integrated without their friction terms."""
     evolve = runner.evolve_first_moments
 
-    def undamped(omega_s, kappa_s, m0, t_max, h):
-        return evolve(omega_s, ConstantSchedule(0.0), m0, t_max, h)
+    def undamped(omega_s, kappa_s, *args, **kwargs):
+        return evolve(omega_s, ConstantSchedule(0.0), *args, **kwargs)
 
     monkeypatch.setattr(runner, "evolve_first_moments", undamped)
 

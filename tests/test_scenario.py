@@ -397,6 +397,36 @@ def test_backend_agreement_holds_when_the_step_does_not_divide_the_window(
     assert agreement.passed and agreement.measured <= 1e-12
 
 
+def test_moment_runs_record_on_the_prepared_grid(tmp_path):
+    """3334 steps recorded every 100: both moment series hold exactly the
+    record times ``_prepare`` builds, last node included, and
+    backend-agreement reads within 1e-12 of the every-node series read at
+    the record nodes."""
+    p = runner._prepare(load_text(
+        SMALL + "run.backend = both\nrun.step_h = 3e-4\n", tmp_path))
+    s = p.scenario
+    assert (s.record_every, len(p.record_ts)) == (100, 35)
+    m0, quad = runner._moment_run(p)
+    first = runner._first_moments(p, m0)
+    np.testing.assert_array_equal(quad.ts, p.record_ts)
+    np.testing.assert_array_equal(first.ts, p.record_ts)
+
+    traj = runner._fock_run(p)
+    check = runner._check_backend_agreement(p, traj, first, quad)
+    full_quad = lindblad.evolve_su11_moments(p.model, (m0.k1, m0.k2, m0.k3),
+                                             s.t_max, s.step_h)
+    full_first = lindblad.evolve_first_moments(
+        s.omega_schedule, s.kappa_schedule, (m0.mean_x, m0.mean_p), s.t_max,
+        s.step_h)
+    idx = p.record_idx
+    fock = np.array([[m.mean_x, m.mean_p, m.k1, m.k2, m.k3]
+                     for m in traj.moments()])
+    closed = np.column_stack([full_first.mean_x[idx], full_first.mean_p[idx],
+                              full_quad.k1[idx], full_quad.k2[idx],
+                              full_quad.k3[idx]])
+    assert abs(check.measured - float(np.max(np.abs(fock - closed)))) <= 1e-12
+
+
 def test_verify_flags_a_dissipative_modulated_residual(tmp_path):
     # friction with a moving auxiliary solution leaves a genuine
     # operator-equation defect, far above the default residual budget
@@ -470,9 +500,9 @@ def _counted(monkeypatch, name, modules=(runner,)):
     """Count the calls ``modules`` make to their integrator ``name``."""
     calls = []
     for module in modules:
-        def counted(*args, fn=getattr(module, name)):
+        def counted(*args, fn=getattr(module, name), **kwargs):
             calls.append(None)
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
     return calls
