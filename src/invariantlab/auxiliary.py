@@ -18,7 +18,7 @@ two linear moment systems apply the same scheme as exact one-step maps
 A solution records the schedules of the equation it solves, so the
 residuals read the equation from the solution and the model can check
 that a solution is the construction's.  Solutions are sampled on the
-step grid and evaluated densely by cubic Hermite interpolation; the
+uniform step grid and evaluated densely by cubic Hermite interpolation; the
 second derivative stored alongside comes from the ODE right-hand side at
 the nodes (never from finite differencing), so the residual check below
 is an honest measure of how well the interpolated trajectory satisfies
@@ -55,22 +55,16 @@ def _block_length(item_bytes: int) -> int:
 # ------------------------------------------------------------------ hermite
 
 def _locate(ts: np.ndarray, t: np.ndarray):
-    """Interval index of t, its position s in [0, 1] and the interval's
-    length, on nodes spaced uniformly but for a last interval that may be
-    shorter: a record grid whose step count is no multiple of its spacing.
-    A uniform grid's last interval differs from the first only by
-    rounding, and is located as every other interval is."""
+    """Interval index of t, its position s in [0, 1] and the step h, on
+    uniformly spaced nodes."""
     h = ts[1] - ts[0]
     idx = np.clip(((t - ts[0]) / h).astype(int), 0, len(ts) - 2)
-    last = ts[-1] - ts[-2]
-    if last < (1.0 - 1e-9) * h:
-        h = np.where(idx == len(ts) - 2, last, h)
     s = (t - ts[idx]) / h
     return idx, s, h
 
 
 def hermite_value(ts, y, ydot, t):
-    """Cubic Hermite interpolant value at t (nodes as ``_locate`` takes)."""
+    """Cubic Hermite interpolant value at t on the uniform nodes ts."""
     t = np.asarray(t, dtype=float)
     idx, s, h = _locate(ts, t)
     s2, s3 = s * s, s * s * s
@@ -109,11 +103,13 @@ def _dense_at(ts, y, ydot, t, what: str, derivative: bool = False):
 def _freeze_fields(record, *names: str):
     """Store the named fields of a frozen record as read-only float arrays.
 
-    Each field is a private contiguous copy, so the caller's arrays stay
-    writable and unaliased.
+    A C-contiguous float array that owns its data is taken as it is and
+    made read-only in place: the record owns it from then on, and the
+    caller must not write it again.  A view, an array of another dtype or
+    layout and a list are copied into a private array first.
     """
     for name in names:
-        arr = np.array(getattr(record, name), dtype=float)
+        arr = np.require(getattr(record, name), float, ["C", "O"])
         arr.flags.writeable = False
         object.__setattr__(record, name, arr)
 
@@ -222,27 +218,26 @@ def _check_cover(omega_s: Schedule, kappa_s: Schedule, t0: float,
 
 
 def _half_grid_coefficients(omega_s: Schedule, kappa_s: Schedule,
-                            n_steps: int, h: float, first: int = 0):
+                            n_steps: int, h: float):
     """Stage times and coefficients: nodes and midpoints, in one pass.
 
-    Returns (times, omega^2, kappa) on the grid j*h/2, j = 2*first ..
-    2*(first + n_steps): the n_steps steps that start at node ``first``.
+    Returns (times, omega^2, kappa) on the grid j*h/2, j = 0 .. 2*n_steps.
     """
-    _check_cover(omega_s, kappa_s, first * h, (first + n_steps) * h)
-    half = 0.5 * h * np.arange(2 * first, 2 * (first + n_steps) + 1)
+    _check_cover(omega_s, kappa_s, 0.0, n_steps * h)
+    half = 0.5 * h * np.arange(2 * n_steps + 1)
     w = np.asarray(omega_s.eval(half, 0), dtype=float)
     omega_sq = w * w
     kappa = np.asarray(kappa_s.eval(half, 0), dtype=float)
     return half, omega_sq, kappa
 
 
-def _rk4(rhs, stage, y0, n, h, record, every=1, skip=0):
+def _rk4(rhs, stage, y0, n, h, record, every=1):
     """Classical fourth-order Runge-Kutta over n fixed steps of size h.
 
     ``stage(j)`` returns the right-hand-side data at time j*h/2 and
     ``rhs(y, data)`` the derivative there; each step's end stage is reused
     as the next step's start stage.  A negative h steps backward in time.
-    ``record(i, y)`` receives the state at the nodes skip, skip + every,
+    ``record(i, y)`` receives the state at the nodes 0, every, 2 every,
     ... below n and at the last node n.  The state is an ndarray; the
     stage states are y + c s and the step is y + h/6 (s1 + 2 (s2 + s3)
     + s4), in that operation order, so a real pair stepped as a float
@@ -268,11 +263,9 @@ def _rk4(rhs, stage, y0, n, h, record, every=1, skip=0):
     y = np.array(y0)
     arg = np.empty_like(y)
     end = None
-    due = skip
     for i in range(n):
-        if i == due:
+        if i % every == 0:
             record(i, y.copy())
-            due += every
         start = stage(2 * i) if end is None else end
         mid = stage(2 * i + 1)
         end = stage(2 * i + 2)

@@ -311,9 +311,10 @@ def spectrum_series(spec: InvariantSpec, times, m: int) -> SpectrumSeries:
     """Lowest ``m`` eigenvalues of the closed-form invariant at ``times``.
 
     Requires m <= dim/3 so the reported levels stay clear of the
-    truncation edge.
+    truncation edge.  The series keeps its own copy of ``times``, so the
+    caller's array stays writable.
     """
-    times = np.asarray(times, dtype=float)
+    times = np.array(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValidationError("times must be a non-empty 1-d sequence")
     if not 1 <= m <= spec.dim // 3:

@@ -19,8 +19,8 @@ steps backward in time, the direction in which its flow contracts.  The
 two moment systems are linear, y' = A(t) y, so ``_linear_rk4`` forms each
 step's exact RK4 map from the stage matrices, a block of steps at once,
 composes the maps of each record interval into one and applies one map
-per record: the moment series hold the record nodes, as a density run
-does.  Blocks are sized by ``auxiliary.STAGE_BLOCK_BYTES``.
+per record: the moment series hold only the values at the record nodes,
+as a density run does.  Blocks are sized by ``auxiliary.STAGE_BLOCK_BYTES``.
 
 K1, K2 and K3 are quadratic in a and a^dag, so H and L connect Fock
 level n only to n and n +- 2.  The density integrator holds the state as
@@ -71,7 +71,6 @@ from .auxiliary import (
     ErmakovSolution,
     _block_length,
     _check_cover,
-    _dense_at,
     _freeze_fields,
     _half_grid_coefficients,
     _rk4,
@@ -488,7 +487,7 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
 
 
 def _step_density(model: LindbladModel, table: np.ndarray, a0: np.ndarray,
-                  n: int, h: float, record, every: int, skip: int = 0):
+                  n: int, h: float, record, every: int):
     """n RK4 steps of ``_density_rhs`` at step h from the dense array a0,
     over the stage rows ``table``, on the driver ``auxiliary._rk4``.
 
@@ -504,7 +503,7 @@ def _step_density(model: LindbladModel, table: np.ndarray, a0: np.ndarray,
     state[2:-2] = a0
     with np.errstate(over="ignore", invalid="ignore"):
         _rk4(_density_rhs, lambda j: _density_stage_ops(kernel, table[j]),
-             state, n, h, lambda i, y: record(i, y[2:-2]), every, skip)
+             state, n, h, lambda i, y: record(i, y[2:-2]), every)
 
 
 # --------------------------------------------------------- adjoint evolution
@@ -530,7 +529,7 @@ class OperatorTrajectory:
 
 def _transport_steps(model: LindbladModel, q0: np.ndarray, first: int,
                      last: int, h: float, record, every: int = 1,
-                     skip: int = 0, stride: int = 1):
+                     stride: int = 1):
     """Step the adjoint equation with classical RK4 from node ``first`` to
     node ``last`` of the grid t = i*h, backward in time when last < first,
     in steps of ``stride`` nodes; ``stride`` must divide |last - first|.
@@ -555,7 +554,7 @@ def _transport_steps(model: LindbladModel, q0: np.ndarray, first: int,
     ``_adjoint_norm_bound`` bounds the step that keeps RK4 stable.
 
     ``record(i, q)`` receives the dense state at node first +- i*stride
-    for the step counts i = skip, skip + every, ... below the last step,
+    for the step counts i = 0, every, 2 every, ... below the last step,
     and at node ``last``, after a check that it is finite; no later step
     writes it.
     """
@@ -578,7 +577,7 @@ def _transport_steps(model: LindbladModel, q0: np.ndarray, first: int,
                            "for RK4")
         record(node, q)
 
-    _step_density(model, table, q0, n, sign * stride * h, checked, every, skip)
+    _step_density(model, table, q0, n, sign * stride * h, checked, every)
 
 
 def _adjoint_norm_bound(model: LindbladModel, table: np.ndarray) -> float:
@@ -765,35 +764,14 @@ def moments_from_state(rho: DensityMatrix, cfg: BasisConfig) -> MomentVector:
 
 @dataclass(frozen=True, eq=False)
 class FirstMomentSeries:
-    """Mean position/momentum at the record nodes, with dense output.
-
-    The nodes are uniformly spaced but for a last interval that may be
-    shorter; the cubic Hermite dense output's accuracy is set by the node
-    spacing, record_every steps, not by the integration step.
-    """
+    """Mean position and momentum at the record nodes."""
 
     ts: np.ndarray
     mean_x: np.ndarray
     mean_p: np.ndarray
-    xdot: np.ndarray
-    pdot: np.ndarray
-    xddot: np.ndarray
 
     def __post_init__(self):
-        _freeze_fields(self, "ts", "mean_x", "mean_p", "xdot", "pdot", "xddot")
-
-    def x_at(self, t):
-        return _dense_at(self.ts, self.mean_x, self.xdot, t, "moment series")
-
-    def p_at(self, t):
-        return _dense_at(self.ts, self.mean_p, self.pdot, t, "moment series")
-
-    def xdot_at(self, t):
-        return _dense_at(self.ts, self.xdot, self.xddot, t, "moment series")
-
-    def xddot_at(self, t):
-        return _dense_at(self.ts, self.xdot, self.xddot, t, "moment series",
-                         derivative=True)
+        _freeze_fields(self, "ts", "mean_x", "mean_p")
 
 
 def evolve_first_moments(omega_s: Schedule, kappa_s: Schedule,
@@ -819,16 +797,7 @@ def evolve_first_moments(omega_s: Schedule, kappa_s: Schedule,
         return a
 
     ys = _linear_rk4(stage_mats, m0, n, h, record_every)
-    ts = h * nodes
-    xs, ps = ys[:, 0], ys[:, 1]
-    node_k = kappa[2 * nodes]
-    node_w2 = omega_sq[2 * nodes]
-    kdot = np.asarray(kappa_s.eval(ts, 1), dtype=float)
-    xdot = ps - node_k * xs
-    pdot = -node_w2 * xs - node_k * ps
-    xddot = pdot - kdot * xs - node_k * xdot
-    return FirstMomentSeries(ts=ts, mean_x=xs, mean_p=ps,
-                             xdot=xdot, pdot=pdot, xddot=xddot)
+    return FirstMomentSeries(ts=h * nodes, mean_x=ys[:, 0], mean_p=ys[:, 1])
 
 
 # ------------------------------------------------------------ su(1,1) moments

@@ -475,17 +475,16 @@ def _probe_nodes(model: LindbladModel, i: int, seed: int,
     """Transported K2 at the nodes i - 1, i and i + 1.
 
     K2 relaxes backward from the seed node to node i + 1 in steps of k
-    nodes, keeping only that last node, and is then stepped node by node
-    to i - 1.  With k = 1 the two runs step exactly as one run from the
-    seed node.
+    nodes, recording only its first and last node, and is then stepped
+    node by node to i - 1; the last three records are the probe's nodes.
+    With k = 1 the two runs step exactly as one run from the seed node.
     """
     nodes: list[np.ndarray] = []
     keep = lambda j, q: nodes.append(q)
     _transport_steps(model, model.k2.entries, seed, i + 1, DRIFT_PROBE_STEP,
-                     keep, skip=(seed - i - 1) // k, stride=k)
-    _transport_steps(model, nodes[0], i + 1, i - 1, DRIFT_PROBE_STEP, keep,
-                     skip=1)
-    return nodes[::-1]
+                     keep, every=max(1, (seed - i - 1) // k), stride=k)
+    _transport_steps(model, nodes[-1], i + 1, i - 1, DRIFT_PROBE_STEP, keep)
+    return nodes[-3:][::-1]
 
 
 def _check_drift_crosscheck(p: _Prepared) -> CheckResult:

@@ -124,7 +124,7 @@ def test_criterion_02_damped_oscillation_law():
     fock_dev = abs(traj.moments()[-1].mean_x - target)
 
     first = evolve_first_moments(omega_s, kappa_s, (1.0, 0.0), t_end, h)
-    moment_dev = abs(first.x_at(math.pi) - target)
+    moment_dev = abs(first.mean_x[-1] - target)
 
     report(2, fock_dev <= 1e-4 and moment_dev <= 1e-8,
            f"<x>(pi) vs -e^(-0.1 pi) = {target:.6f}: full backend off by "

@@ -1,8 +1,9 @@
 """Every name a package module exports in ``__all__`` exists, every
 name the benchmark's tracer wraps by attribute, a density run goes
 through the tracer's hooks, the benchmark's correctness gate passes its
-own self-test, and the README's library example compiles and imports
-only names the package has.
+own self-test, the README's library example compiles and imports
+only names the package has, and no package module imports a name it
+never uses.
 
 A stale entry (a name deleted but left in ``__all__``) breaks
 ``from module import *`` although a plain import still succeeds.  The
@@ -32,6 +33,7 @@ MODULES = ["invariantlab"] + [
     f"invariantlab.{info.name}"
     for info in pkgutil.iter_modules(invariantlab.__path__)]
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+SOURCES = os.path.dirname(invariantlab.__file__)
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
@@ -109,3 +111,39 @@ def test_readme_example_compiles_and_imports_existing_names():
     missing = [f"{module}.{name}" for module, name in names
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, f"README imports missing names: {missing}"
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module's import statements bind that no expression reads
+    and ``__all__`` does not list.  Docstrings and comments do not count
+    as uses."""
+    tree = ast.parse(source)
+    bound = [alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in bound if name not in used]
+
+
+def test_the_unused_import_scan_flags_a_leftover():
+    source = ("from __future__ import annotations\n"
+              "import numpy as np\n"
+              "from .auxiliary import _check_cover, _dense_at\n"
+              "__all__ = ['_check_cover']\n"
+              "x = np.zeros(1)\n")
+    assert _unused_imports(source) == ["_dense_at"]
+
+
+@pytest.mark.parametrize("name", sorted(
+    f for f in os.listdir(SOURCES) if f.endswith(".py")))
+def test_no_module_imports_a_name_it_never_uses(name):
+    with open(os.path.join(SOURCES, name), encoding="utf-8") as fh:
+        unused = _unused_imports(fh.read())
+    assert not unused, f"{name} imports names it never uses: {unused}"

@@ -338,9 +338,11 @@ def test_expectation_series_refuses_other_operators():
 
 
 def test_expectation_series_leaves_the_caller_arrays_writable():
-    """The record freezes private copies, never the caller's arrays."""
-    a = np.array([0.0, 0.5, 1.0])
-    v = np.array([1.0, 1.1, 1.2])
+    """The record freezes private copies of views, never the caller's
+    buffers they look into (an array that owns its data is the record's
+    from then on: ``test_records_take_fresh_arrays_and_copy_the_rest``)."""
+    a = np.array([0.0, 0.5, 1.0, 9.0])[:3]
+    v = np.array([1.0, 1.1, 1.2, 9.0])[:3]
     series = ExpectationSeries(ts=a, values=v)
     assert a.flags.writeable and v.flags.writeable
     assert not series.ts.flags.writeable and not series.values.flags.writeable
@@ -368,6 +370,7 @@ def test_spectrum_of_constructed_invariant_is_static_half_integers():
     _, spec = construct_baseline(*baseline_schedules(), 2.0, 40)
     times = np.linspace(0.0, 2.0, 11)
     series = spectrum_series(spec, times, m=13)
+    assert times.flags.writeable and series.ts is not times
     want = np.broadcast_to(np.arange(13) + 0.5, series.levels.shape)
     np.testing.assert_allclose(series.levels, want, rtol=0, atol=1e-6)
     assert series.pairing_ok

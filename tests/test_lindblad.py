@@ -65,7 +65,6 @@ from invariantlab.schedules import (
     ConstantSchedule,
     LinearSchedule,
     SinusoidSchedule,
-    modulated_frequency_sq,
 )
 
 H = 1e-3
@@ -1083,7 +1082,7 @@ def test_the_driver_forms_each_stage_once_and_holds_at_most_three(
     formed, reads = [], []
     drive = lindblad._rk4
 
-    def recording(rhs, stage, y0, n, h, record, every=1, skip=0):
+    def recording(rhs, stage, y0, n, h, record, every=1):
         def recorded_stage(j):
             formed.append(j)
             return j, stage(j)
@@ -1093,8 +1092,7 @@ def test_the_driver_forms_each_stage_once_and_holds_at_most_three(
             reads.append((formed[-1], j))
             return rhs(y, ops)
 
-        return drive(recorded_rhs, recorded_stage, y0, n, h, record, every,
-                     skip)
+        return drive(recorded_rhs, recorded_stage, y0, n, h, record, every)
 
     monkeypatch.setattr(lindblad, "_rk4", recording)
     lindblad._transport_steps(model, gens[1].entries, first, last, H,
@@ -1289,10 +1287,8 @@ def test_record_spacing_must_be_positive():
 
 def test_moment_series_keep_the_record_nodes():
     """With 3334 steps recorded every 100, both series hold the nodes
-    0, 100, ..., 3300 and 3334, with values and node derivatives within
-    1e-13 relative of the every-node series there; the means' dense
-    output spans the short last interval (34 steps) as it is, to the
-    Hermite accuracy of the node spacing."""
+    0, 100, ..., 3300 and 3334, the last interval 34 steps short, with
+    values within 1e-13 relative of the every-node series there."""
     omega_s = SinusoidSchedule(1.0, 0.2, 0.3)
     kappa_s = SinusoidSchedule(0.05, 0.02, 0.2)
     h, t_max, every = 3e-4, 1.0, 100
@@ -1301,15 +1297,10 @@ def test_moment_series_keep_the_record_nodes():
     rec = evolve_first_moments(omega_s, kappa_s, (1.0, 0.3), t_max, h, every)
     assert len(full.ts) == 3335
     np.testing.assert_array_equal(rec.ts, full.ts[kept])
-    for name in ("mean_x", "mean_p", "xdot", "pdot", "xddot"):
+    for name in ("mean_x", "mean_p"):
         want = getattr(full, name)[kept]
         np.testing.assert_allclose(getattr(rec, name), want, rtol=0,
                                    atol=1e-13 * np.max(np.abs(want)))
-    last = np.linspace(rec.ts[-2], rec.ts[-1], 9)
-    np.testing.assert_allclose(rec.x_at(last), full.x_at(last), rtol=0,
-                               atol=1e-10)
-    np.testing.assert_allclose(rec.xdot_at(last), full.xdot_at(last),
-                               rtol=0, atol=1e-8)
 
     *_, model = modulated_setup(dim=8, t_max=t_max, h=h)
     full = evolve_su11_moments(model, (0.25, 0.75, 0.1), t_max, h)
@@ -1331,8 +1322,10 @@ def test_first_moments_damped_closed_form():
     omega_s = ConstantSchedule(1.0)
     kappa_s = ConstantSchedule(kappa)
     series = evolve_first_moments(omega_s, kappa_s, (1.0, 0.0), 4.0, H)
-    t = np.pi
-    np.testing.assert_allclose(series.x_at(t), np.exp(-kappa * t) * np.cos(t),
+    i = round(np.pi / H)  # the node nearest pi
+    t = series.ts[i]
+    np.testing.assert_allclose(series.mean_x[i],
+                               np.exp(-kappa * t) * np.cos(t),
                                rtol=0, atol=1e-8)
     np.testing.assert_allclose(series.mean_x,
                                np.exp(-kappa * series.ts) * np.cos(series.ts),
@@ -1357,23 +1350,6 @@ def test_first_moments_zero_seed_stays_zero():
     assert float(np.max(np.abs(series.mean_p))) == 0.0
 
 
-def test_first_moment_residual_small_on_solution():
-    """The recorded mean motion solves its second-order damped form,
-    xddot + 2 kappa xdot + (omega^2 + kappa^2 + kappadot) x = 0, at the
-    nodes and between them."""
-    omega_s = SinusoidSchedule(1.0, 0.2, 0.3)
-    kappa_s = SinusoidSchedule(0.05, 0.02, 0.2)
-    series = evolve_first_moments(omega_s, kappa_s, (1.0, 0.3), 2.0, H)
-    nodes = series.ts[::100]
-    mids = nodes[:-1] + 0.5 * H
-    for pts in (nodes, mids):
-        res = (series.xddot_at(pts) + 2.0 * kappa_s.eval(pts, 0)
-               * series.xdot_at(pts)
-               + modulated_frequency_sq(omega_s, kappa_s, pts)
-               * series.x_at(pts))
-        assert float(np.max(np.abs(res))) <= 1e-8
-
-
 def test_first_moments_match_independent_integrator():
     omega_s = SinusoidSchedule(1.0, 0.2, 0.3)
     kappa_s = SinusoidSchedule(0.05, 0.02, 0.2)
@@ -1386,10 +1362,12 @@ def test_first_moments_match_independent_integrator():
 
     ref = solve_ivp(rhs, (0.0, 3.0), [1.0, 0.3], method="DOP853",
                     rtol=1e-12, atol=1e-14, dense_output=True)
-    probe = np.linspace(0.0, 3.0, 7)
-    np.testing.assert_allclose(series.x_at(probe), ref.sol(probe)[0],
+    # the nodes nearest 0, 0.5, ..., 3
+    idx = np.rint(np.linspace(0.0, 3.0, 7) / H).astype(int)
+    probe = series.ts[idx]
+    np.testing.assert_allclose(series.mean_x[idx], ref.sol(probe)[0],
                                rtol=0, atol=1e-9)
-    np.testing.assert_allclose(series.p_at(probe), ref.sol(probe)[1],
+    np.testing.assert_allclose(series.mean_p[idx], ref.sol(probe)[1],
                                rtol=0, atol=1e-9)
 
 
@@ -1397,13 +1375,6 @@ def test_first_moments_negative_friction_rejected():
     with pytest.raises(NegativeFrictionError):
         evolve_first_moments(ConstantSchedule(1.0), ConstantSchedule(-0.1),
                              (1.0, 0.0), 1.0, H)
-
-
-def test_first_moment_series_window_guard():
-    series = evolve_first_moments(ConstantSchedule(1.0), ConstantSchedule(0.0),
-                                  (1.0, 0.0), 1.0, H)
-    with pytest.raises(ValidationError):
-        series.x_at(1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ import os
 import numpy as np
 import pytest
 
-from invariantlab import lindblad, runner
-from invariantlab.operators import FockOperator
+from invariantlab import invariants, lindblad, runner
+from invariantlab.operators import DensityMatrix, FockOperator
 from invariantlab.scenario import build_scenario, load_scenario, parse_settings
 from invariantlab.schedules import ConstantSchedule
 
@@ -89,6 +89,37 @@ def _half_jump_term(monkeypatch):
     monkeypatch.setattr(lindblad, "_commutator", halved)
 
 
+def _off_discriminant_invariant(monkeypatch):
+    """The invariant's K2 coefficient c2 = rhodot^2 + 1/rho^2 scaled by
+    1 + 1e-5: c1 c2 - c3^2 leaves its unit value, so the invariant's
+    spectrum is no longer the fixed ladder n + 1/2 and it no longer
+    solves the operator equation.  ``InvariantSpec.at`` and the
+    expectation series both read the coefficients here."""
+    weak = invariants._weak_coefficients
+
+    def off(r, v):
+        c1, c2, c3 = weak(r, v)
+        return c1, c2 * (1.0 + 1e-5), c3
+
+    monkeypatch.setattr(invariants, "_weak_coefficients", off)
+
+
+def _non_positive_initial_state(monkeypatch):
+    """The initial state prepared with 1e-7 of population moved from Fock
+    level 10, which holds 1.6e-10, to level 8: trace and Hermiticity
+    stay exact, one eigenvalue sits at -1e-7, below the soft floor and
+    above the hard one the density run aborts at."""
+    build = runner.build_state
+
+    def shifted(*args, **kwargs):
+        rho = build(*args, **kwargs).entries.copy()
+        rho[8, 8] += 1e-7
+        rho[10, 10] -= 1e-7
+        return DensityMatrix(rho, validate=False)
+
+    monkeypatch.setattr(runner, "build_state", shifted)
+
+
 @pytest.mark.parametrize("scenario, mutant, failing", [
     (_adiabatic, None, set()),
     (_adiabatic, _second_order_series, {"adiabatic-scaling"}),
@@ -99,9 +130,14 @@ def _half_jump_term(monkeypatch):
     # expectation and the moments, and the shared kernel moves the probe
     (_both, _half_jump_term, {"state-trace", "conservation",
                               "backend-agreement", "drift-crosscheck"}),
+    # the residual reads the same coefficients as the spectrum
+    (_both, _off_discriminant_invariant, {"invariant-residual",
+                                          "spectrum-constancy"}),
+    (_both, _non_positive_initial_state, {"state-positivity"}),
 ], ids=["adiabatic", "adiabatic-second-order-series", "both",
         "both-frictionless-first-moments", "both-sign-flipped-su11-generator",
-        "both-half-jump-term"])
+        "both-half-jump-term", "both-off-discriminant-invariant",
+        "both-non-positive-initial-state"])
 def test_a_mutant_fails_exactly_its_checks(monkeypatch, scenario, mutant,
                                            failing):
     s = scenario()

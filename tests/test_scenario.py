@@ -606,8 +606,9 @@ def test_drift_probe_steps_one_window_and_copies_three_nodes(
     """The probe costs 4 (c + 2) right-hand-side calls, c the coarse steps
     of k nodes across a window short of W/h nodes by less than k, whatever
     the run window (20 on the baseline, 2 here), and the driver copies
-    only the three nodes the check keeps: the last of the coarse run and
-    the two fine steps after it."""
+    only the first and last node of each run: the seed node, the last
+    coarse node, which the fine run starts from, and the two fine steps
+    after it; the check keeps the last three copies."""
     calls = []
     rhs = lindblad._density_rhs
 
@@ -619,12 +620,12 @@ def test_drift_probe_steps_one_window_and_copies_three_nodes(
     rk4 = lindblad._rk4
 
     def counted_rk4(*args):
-        *head, record, every, skip = args
+        *head, record, every = args
 
         def record_counted(i, y):
             copied.append(i)
             record(i, y)
-        return rk4(*head, record_counted, every, skip)
+        return rk4(*head, record_counted, every)
 
     monkeypatch.setattr(lindblad, "_density_rhs", counted_rhs)
     monkeypatch.setattr(lindblad, "_rk4", counted_rk4)
@@ -637,7 +638,7 @@ def test_drift_probe_steps_one_window_and_copies_three_nodes(
     coarse = (seed - i - 1) // k
     assert k > 1 and seed == i + 1 + coarse * k and 0 <= i + window - seed < k
     assert len(calls) == 4 * (coarse + 2)
-    assert copied == [coarse, 1, 2]
+    assert copied == [0, coarse, 0, 1, 2]
 
 
 def test_drift_probe_overflow_raises(tmp_path):
@@ -681,10 +682,9 @@ def test_a_stride_one_drift_probe_is_the_single_rate_transport(
     assert k == stride and seed == last - (last - i - 1) % k
     single: list[np.ndarray] = []
     lindblad._transport_steps(model, model.k2.entries, last, i - 1, h,
-                              lambda j, q: single.append(q),
-                              skip=last - i - 1)
+                              lambda j, q: single.append(q))
     probe = runner._probe_nodes(model, i, last, 1)
-    for q, ref in zip(probe, single[::-1], strict=True):
+    for q, ref in zip(probe, single[:-4:-1], strict=True):
         np.testing.assert_array_equal(q, ref)
 
 
