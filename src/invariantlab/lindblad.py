@@ -48,21 +48,22 @@ receive the N level rows.  ``LindbladModel`` refuses generators with an
 entry off the diagonals 0 and +-2, which the band would drop, and
 generators that are not exactly Hermitian.
 
-A density run allocates its state-sized buffers once.  The driver owns
-the state and the array its stage states and step combination are
-formed in (``auxiliary._rk4``); the run's ``_Kernel`` owns the X and C
-scratch of the right-hand side and the four slopes it writes in
-rotation, one per RK4 slope of a step.  Between records a step
-allocates only band-sized arrays: the stage operands and their
-temporaries.  A record reduces its state to one preallocated row of
-moments and health values and holds the state only until the next
-record, so a run's memory does not grow with its records.
+A density run holds each state-sized array once: eight of them.  The
+driver steps the padded state that ``_step_density`` makes and owns the
+array its stage states are formed in and three slope buffers
+(``auxiliary._rk4``); the run's ``_Kernel`` owns the X and C scratch of
+the right-hand side; ``evolve_density``'s record owns one scratch array
+for the conjugate transposes of its health values.  Between records a
+step allocates only band-sized arrays: the stage operands and their
+temporaries.  A record reduces the live state to one preallocated row
+of moments and health values and keeps no copy of it, so a run's memory
+does not grow with its records; the final state is built once, from the
+array the driver returns.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,7 @@ from .auxiliary import (
     _rk4,
     _step_count,
     _write_rows,
+    _zeros_aligned,
 )
 from .errors import (
     NumericalError,
@@ -90,6 +92,7 @@ from .operators import (
     BasisConfig,
     DensityMatrix,
     FockOperator,
+    _real_pairing,
     build_canonical,
     build_su11_generators,
     commutator,
@@ -275,12 +278,13 @@ _RECORD_FIELDS = ("ts", "mean_x", "mean_p", "k1", "k2", "k3", "trace",
 class Trajectory:
     """Recorded density-matrix evolution: per-sample moments and health.
 
-    Each record keeps the canonical means and the expectations of K1, K2
-    and K3 (``mean_x`` .. ``k3``, the raw values of
-    ``moments_from_state``), which is all the battery and the artifacts
-    read, and the health metrics.  Of the states themselves only the last
-    recorded one is kept, as the one-element ``states``.  ``moments()``
-    builds and validates the moment vectors on read.
+    Each record keeps the canonical means and the expectations of the
+    model's K1, K2 and K3 (``mean_x`` .. ``k3``, the raw values of
+    ``moments_from_state`` on the basis's generators), which is all the
+    battery and the artifacts read, and the health metrics.  Of the
+    states themselves only the last recorded one is kept, as the
+    one-element ``states``.  ``moments()`` builds and validates the
+    moment vectors on read.
 
     A sample outside the state tolerances marks the run failed at the
     first offending time but does not abort it; hard breaches (a
@@ -326,19 +330,17 @@ class Trajectory:
 
 
 class _Kernel:
-    """The generator bands and the buffers of one dim-N density run.
+    """The generator bands and the scratch of one dim-N density run.
 
     ``bands`` holds K1, K2 and K3 as (N, 1, 3) band stacks: entry [n, 0,
     d] is the entry between levels n and n + 2(d - 1), zero where that
-    level lies past either end.  The buffers are zero-initialised padded
-    (N + 4, N) states: the X and C scratch of the right-hand side, and
-    the four slopes it writes in rotation (``slopes``).  The driver calls
-    the right-hand side four times per step and uses every slope before
-    the next step's first call (``auxiliary._rk4``).  The products write
-    only level rows, so the pad rows only ever receive sums and
-    conjugates of zeros and stay zero without being reset.  Each buffer
-    comes with its level rows, (N, N), and their (N, 1, N) view that a
-    product writes into, both made once here.
+    level lies past either end.  The X and C scratch of the right-hand side
+    are zero-initialised, 64-byte aligned padded (N + 4, N) states, as are
+    the driver's slope buffers (``auxiliary._rk4``).  The products write
+    only level rows, so the pad rows only ever receive sums and conjugates
+    of zeros and stay zero without being reset.  X comes with its level
+    rows, (N, N), and their (N, 1, N) view that a product writes into, C
+    with its level rows and its ``_rows`` view, all made once here.
     """
 
     def __init__(self, model: LindbladModel):
@@ -350,14 +352,10 @@ class _Kernel:
             np.where(on, k[level, np.clip(near, 0, n - 1)], 0.0)[:, None]
             for k in model.generators)
 
-        def buffer():
-            state = np.zeros((n + 4, n), dtype=complex)
-            return state, state[2:-2], state[2:-2, None]
-
-        self.x, self.x_levels, self.x_out = buffer()
-        self.c, self.c_levels, _ = buffer()
+        self.x, self.c = (_zeros_aligned((n + 4, n)) for _ in range(2))
+        self.x_levels, self.c_levels = self.x[2:-2], self.c[2:-2]
+        self.x_out = self.x_levels[:, None]
         self.c_rows = _rows(self.c)
-        self.slopes = itertools.cycle([buffer() for _ in range(4)])
 
 
 def _rows(state: np.ndarray) -> np.ndarray:
@@ -384,32 +382,38 @@ def _density_stage_ops(kernel: _Kernel, row):
     return kernel, -1j * h_band, jump
 
 
+def _with_dagger(ufunc, arr: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """ufunc(arr, arr^dag) formed in ``out``, an N x N array: arr^dag is
+    copied in and conjugated in place, because numpy 2.4 conjugates a
+    transposed operand through a state-sized temporary."""
+    np.copyto(out, arr.T)
+    np.conjugate(out, out=out)
+    return ufunc(arr, out, out=out)
+
+
 def _commutator(kernel: _Kernel, l_op: np.ndarray,
                 rows: np.ndarray) -> np.ndarray:
     """[L, rho] in the kernel's C scratch, ``rows`` the ``_rows`` view of
-    rho: X = L rho, then C = X - X^dag, which is L rho - rho L for
-    Hermitian rho and L.  X stays in the X scratch.  X^dag is copied into
-    C, then conjugated in place, because numpy 2.4 conjugates a
-    transposed operand through a state-sized temporary."""
+    rho: X = L rho, then C = X - X^dag (``_with_dagger``), which is
+    L rho - rho L for Hermitian rho and L.  X stays in the X scratch."""
     np.matmul(l_op, rows, out=kernel.x_out)
-    np.copyto(kernel.c_levels, kernel.x_levels.T)
-    c = np.conjugate(kernel.c, out=kernel.c)
-    return np.subtract(kernel.x, c, out=c)
+    _with_dagger(np.subtract, kernel.x_levels, kernel.c_levels)
+    return kernel.c
 
 
-def _density_rhs(state: np.ndarray, ops) -> np.ndarray:
+def _density_rhs(state: np.ndarray, ops, out: np.ndarray) -> np.ndarray:
     # Y + Y^dag with Y = K rho - alpha L C, C = [L, rho]: for a Hermitian
     # state that is -i [H, rho] - alpha [L, [L, rho]], and the slope is
     # exactly Hermitian whatever the rounding of Y.  Each product is one
     # matmul of a band stack against the rows view of its operand, written
     # into level rows; the sums run over whole buffers, whose pad rows are
     # zero, and Y^dag is copied into the X scratch and conjugated there.
-    # The result is the kernel's next slope buffer, overwritten four
-    # calls on.
+    # The slope is written into ``out``, a zero-padded state of the
+    # driver's, and returned.
     kernel, k_op, jump = ops
-    out, levels, product = next(kernel.slopes)
+    levels = out[2:-2]
     rows = _rows(state)
-    np.matmul(k_op, rows, out=product)
+    np.matmul(k_op, rows, out=levels[:, None])
     x = kernel.x
     if jump is not None:
         l_op, damp = jump
@@ -433,31 +437,37 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
     The state is stepped on the generators' band by ``_step_density``
     (module docstring).  Every slope is exactly Hermitian, so the recorded
     Hermiticity deviation stays at that of rho0: 0 for every state
-    ``build_state`` forms.  Each record reduces the state, after the hard
-    checks, to its health metrics and the expectations of x, p, K1, K2
-    and K3; only the last recorded state is kept (``Trajectory``).
+    ``build_state`` forms.  Each record reduces the live state, after the
+    hard checks, to its health metrics, by the formulas of
+    ``DensityMatrix``'s methods, and the expectations of x, p and the
+    model's K1, K2 and K3, with ``expectation``'s checks; only the final
+    state is kept (``Trajectory``).
     """
     cfg = model.basis
     if rho0.dim != cfg.dim:
         raise ValidationError(
             f"state dimension {rho0.dim} does not match basis {cfg.dim}")
     n = _step_count(t_max, h)
-    observables = _observable_set(cfg)
+    observables = (*build_canonical(cfg), model.k1, model.k2, model.k3)
     # one row per record
     records = np.empty((len(_record_nodes(n, record_every)),
                         len(_RECORD_FIELDS)))
     slots = iter(records)
+    # the conjugate transposes of the health values are formed here
+    scratch = np.empty((cfg.dim, cfg.dim), dtype=complex)
     warnings: list[str] = []
     failed_at: float | None = None
-    final: DensityMatrix | None = None
 
     def record(i: int, arr: np.ndarray):
-        nonlocal failed_at, final
+        nonlocal failed_at
         t = h * i
         _require_finite(arr, f"density matrix is not finite at t={t:.6g}")
-        rho = DensityMatrix(arr, validate=False)
-        tr, herm, lo = rho.trace(), rho.herm_deviation(), rho.min_eigenvalue()
-        tail = float(np.sum(np.diag(rho.entries).real[cfg.dim - cfg.n_tail:]))
+        tr = float(np.trace(arr).real)
+        herm = max_abs(_with_dagger(np.subtract, arr, scratch))
+        sym = _with_dagger(np.add, arr, scratch)
+        sym *= 0.5
+        lo = float(np.linalg.eigvalsh(sym)[0])
+        tail = float(np.sum(np.diag(arr).real[cfg.dim - cfg.n_tail:]))
         if tail > cfg.tail_threshold:
             raise TruncationLeakError(
                 f"tail population {tail:.3e} exceeds {cfg.tail_threshold:.1e} "
@@ -476,34 +486,37 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
             warnings.append(f"t={t:.6g}: " + "; ".join(problems))
             if failed_at is None:
                 failed_at = t
-        next(slots)[:] = (t, *(expectation(op, rho) for op in observables),
+        next(slots)[:] = (t, *(_real_pairing(op, arr) for op in observables),
                           tr, herm, lo, tail)
-        final = rho
 
-    _step_density(model, _stage_table(model, n, h), rho0.entries, n, h,
-                  record, record_every)
-    return Trajectory(**dict(zip(_RECORD_FIELDS, records.T)), states=(final,),
+    final = _step_density(model, _stage_table(model, n, h), rho0.entries, n,
+                          h, record, record_every)
+    return Trajectory(**dict(zip(_RECORD_FIELDS, records.T)),
+                      states=(DensityMatrix(final, validate=False),),
                       basis=cfg, failed_at=failed_at, warnings=tuple(warnings))
 
 
 def _step_density(model: LindbladModel, table: np.ndarray, a0: np.ndarray,
-                  n: int, h: float, record, every: int):
+                  n: int, h: float, record, every: int) -> np.ndarray:
     """n RK4 steps of ``_density_rhs`` at step h from the dense array a0,
     over the stage rows ``table``, on the driver ``auxiliary._rk4``.
 
     The state is held padded, with two zero rows above and below its N
-    level rows (``_Kernel``); ``record(i, arr)`` receives the level rows
-    of the driver's copy of node i, an N x N array no later step writes.
-    A diverging state overflows between records and the next record's
-    finiteness check reports it; the intermediate arithmetic may
-    legitimately hit inf, so numpy is kept quiet.
+    level rows (``_Kernel``), in a fresh 64-byte aligned array that the
+    driver steps;
+    ``record(i, arr)`` receives the level rows of the live state at node
+    i, valid until ``record`` returns, and the level rows of the final
+    state are returned.  A diverging state overflows between records and
+    the next record's finiteness check reports it; the intermediate
+    arithmetic may legitimately hit inf, so numpy is kept quiet.
     """
     kernel = _Kernel(model)
-    state = np.zeros((len(a0) + 4, len(a0)), dtype=complex)
+    state = _zeros_aligned((len(a0) + 4, len(a0)))
     state[2:-2] = a0
     with np.errstate(over="ignore", invalid="ignore"):
         _rk4(_density_rhs, lambda j: _density_stage_ops(kernel, table[j]),
              state, n, h, lambda i, y: record(i, y[2:-2]), every)
+    return state[2:-2]
 
 
 # --------------------------------------------------------- adjoint evolution
@@ -553,10 +566,11 @@ def _transport_steps(model: LindbladModel, q0: np.ndarray, first: int,
     set by alpha and the squared level gaps of the jump operator.
     ``_adjoint_norm_bound`` bounds the step that keeps RK4 stable.
 
-    ``record(i, q)`` receives the dense state at node first +- i*stride
-    for the step counts i = 0, every, 2 every, ... below the last step,
-    and at node ``last``, after a check that it is finite; no later step
-    writes it.
+    ``record(i, q)`` receives the live dense state at node first +-
+    i*stride for the step counts i = 0, every, 2 every, ... below the
+    last step, and at node ``last``, after a check that it is finite; it
+    is valid until ``record`` returns, so a caller that keeps it copies
+    it.
     """
     n, rest = divmod(abs(last - first), stride)
     assert rest == 0, f"stride {stride} does not divide {first} to {last}"
@@ -628,13 +642,14 @@ def evolve_adjoint_observable(model: LindbladModel, q0: FockOperator,
     def record(i: int, arr: np.ndarray):
         nonlocal failed_at
         t = h * i
-        dev = max_abs(arr - arr.conj().T)
+        op = FockOperator(arr)
+        dev = op.herm_deviation()
         if dev > ADJOINT_HERM_TOL:
             warnings.append(f"t={t:.6g}: hermiticity deviation {dev:.3e}")
             if failed_at is None:
                 failed_at = t
         rec_ts.append(t)
-        rec_ops.append(FockOperator(arr))
+        rec_ops.append(op)
         rec_dev.append(dev)
 
     _transport_steps(model, q0.entries, 0, _step_count(t_max, h), h, record,
@@ -747,8 +762,8 @@ class MomentVector:
         _check_k_moments(self.k1, self.k2, self.k3)
 
 
-@functools.lru_cache(maxsize=8)
 def _observable_set(cfg: BasisConfig):
+    """x, p, K1, K2 and K3 of the basis, built afresh on each call."""
     x_op, p_op = build_canonical(cfg)
     g1, g2, g3 = build_su11_generators(x_op, p_op)
     return x_op, p_op, g1, g2, g3

@@ -72,10 +72,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FockOperator:
-    """Dense complex matrix on the truncated Fock space."""
+    """Dense complex matrix on the truncated Fock space.
+
+    Its Hermiticity deviation max|A - A^dag| is computed once, on
+    construction, and kept.
+    """
 
     entries: np.ndarray
-    hermitian: bool = field(init=False)
+    _herm_dev: float = field(init=False, repr=False)
 
     def __post_init__(self):
         entries = np.asarray(self.entries)
@@ -85,15 +89,19 @@ class FockOperator:
         if not np.all(np.isfinite(entries.view(float))):
             raise ValidationError("operator entries must be finite")
         object.__setattr__(self, "entries", entries)
-        dev = max_abs(entries - entries.conj().T)
-        object.__setattr__(self, "hermitian", bool(dev <= HERMITICITY_TOL))
+        object.__setattr__(self, "_herm_dev",
+                           max_abs(entries - entries.conj().T))
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
+    @property
+    def hermitian(self) -> bool:
+        return self._herm_dev <= HERMITICITY_TOL
+
     def herm_deviation(self) -> float:
-        return max_abs(self.entries - self.entries.conj().T)
+        return self._herm_dev
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,10 +329,17 @@ def expectation(op: FockOperator, rho: DensityMatrix) -> float:
     """Re tr[A rho] for Hermitian A; rejects inputs that make it complex."""
     if op.dim != rho.dim:
         raise ValidationError(f"dimension mismatch: {op.dim} vs {rho.dim}")
+    return _real_pairing(op, rho.entries)
+
+
+def _real_pairing(op: FockOperator, arr: np.ndarray) -> float:
+    """``expectation`` on the raw array of a state of the operator's
+    dimension, which the density run's record reduces without building a
+    ``DensityMatrix``."""
     if not op.hermitian:
         raise ValidationError(
             f"observable is not Hermitian (deviation {op.herm_deviation():.3e})")
-    val = trace_pair(op.entries, rho.entries)
+    val = trace_pair(op.entries, arr)
     if abs(val.imag) > 1e-10:
         raise ValidationError(f"expectation has imaginary part {val.imag:.3e}")
     return float(val.real)

@@ -102,6 +102,7 @@ from .lindblad import (
 )
 from .operators import (
     BasisConfig,
+    DensityMatrix,
     FockOperator,
     build_canonical,
     build_state,
@@ -228,20 +229,24 @@ def _prepare(s: Scenario) -> _Prepared:
                      record_idx=idx, record_ts=idx * s.step_h)
 
 
-def _initial_state(p: _Prepared):
-    return build_state(p.scenario.state, p.scenario.basis,
-                       invariant_op=p.invariant.at(0.0))
+def _initial_state(p: _Prepared) -> DensityMatrix:
+    """The scenario's initial state; I(0) is built only for
+    ``invariant_ground``, the one kind that reads it."""
+    s = p.scenario
+    inv = p.invariant.at(0.0) if s.state.kind == "invariant_ground" else None
+    return build_state(s.state, s.basis, invariant_op=inv)
 
 
-def _fock_run(p: _Prepared) -> Trajectory:
-    return evolve_density(p.model, _initial_state(p), p.scenario.t_max,
+def _fock_run(p: _Prepared, rho0: DensityMatrix) -> Trajectory:
+    return evolve_density(p.model, rho0, p.scenario.t_max,
                           p.scenario.step_h, record_every=p.scenario.record_every)
 
 
-def _moment_run(p: _Prepared) -> tuple[MomentVector, Su11MomentSeries]:
+def _moment_run(p: _Prepared,
+                rho0: DensityMatrix) -> tuple[MomentVector, Su11MomentSeries]:
     """The initial moment vector and the closed K-moment series."""
     s = p.scenario
-    m0 = moments_from_state(_initial_state(p), s.basis)
+    m0 = moments_from_state(rho0, s.basis)
     quad = evolve_su11_moments(p.model, (m0.k1, m0.k2, m0.k3), s.t_max,
                                s.step_h, record_every=s.record_every)
     return m0, quad
@@ -259,17 +264,19 @@ def _first_moments(p: _Prepared, m0: MomentVector) -> FirstMomentSeries:
 def _evolve(p: _Prepared):
     """Run the scenario's backends: (trajectory, m0, quad, series).
 
-    The density trajectory is None for ``backend = moments``, and the
-    initial moment vector and K-moment series are None for
-    ``backend = fock``; the conserved expectation comes from the density
-    run whenever there is one.  The means are left to ``_first_moments``.
+    The initial state is built once for both backends.  The density
+    trajectory is None for ``backend = moments``, and the initial moment
+    vector and K-moment series are None for ``backend = fock``; the
+    conserved expectation comes from the density run whenever there is
+    one.  The means are left to ``_first_moments``.
     """
     backend = p.scenario.backend
+    rho0 = _initial_state(p)
     traj = m0 = quad = None
     if backend in ("fock", "both"):
-        traj = _fock_run(p)
+        traj = _fock_run(p, rho0)
     if backend in ("moments", "both"):
-        m0, quad = _moment_run(p)
+        m0, quad = _moment_run(p, rho0)
     if traj is not None:
         series = expectation_series(traj, p.invariant)
     else:
@@ -476,11 +483,12 @@ def _probe_nodes(model: LindbladModel, i: int, seed: int,
 
     K2 relaxes backward from the seed node to node i + 1 in steps of k
     nodes, recording only its first and last node, and is then stepped
-    node by node to i - 1; the last three records are the probe's nodes.
-    With k = 1 the two runs step exactly as one run from the seed node.
+    node by node to i - 1; the last three records are the probe's nodes,
+    each a copy of the live state it was handed.  With k = 1 the two runs
+    step exactly as one run from the seed node.
     """
     nodes: list[np.ndarray] = []
-    keep = lambda j, q: nodes.append(q)
+    keep = lambda j, q: nodes.append(q.copy())
     _transport_steps(model, model.k2.entries, seed, i + 1, DRIFT_PROBE_STEP,
                      keep, every=max(1, (seed - i - 1) // k), stride=k)
     _transport_steps(model, nodes[-1], i + 1, i - 1, DRIFT_PROBE_STEP, keep)

@@ -7,17 +7,20 @@ explicit setting in the environment wins.
 
 The ``evolve_recording`` fixture runs ``evolve_density`` and also returns
 every state it recorded, for the tests that read states a run no longer
-keeps.
+keeps.  The ``phase_peaks`` fixture measures the traced memory peak of
+each named ``runner`` phase of a call.
 """
 
 import os
+import tracemalloc
 
 import pytest
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from invariantlab import lindblad  # noqa: E402  (numpy loads after the pins)
+# numpy loads after the pins
+from invariantlab import lindblad, runner  # noqa: E402
 from invariantlab.operators import DensityMatrix  # noqa: E402
 
 
@@ -26,8 +29,8 @@ def _evolve_recording(model, rho0, t_max, h, record_every):
 
     A run keeps only its last state, so the states are taken from a
     wrapper around ``lindblad._step_density`` for this one call: each is
-    the dense array ``record`` received, which no later step writes, as a
-    ``DensityMatrix`` without validation.
+    a copy of the live array ``record`` received, as a ``DensityMatrix``
+    without validation (which copies its entries).
     """
     states = []
     step = lindblad._step_density
@@ -36,7 +39,7 @@ def _evolve_recording(model, rho0, t_max, h, record_every):
         def keep(i, arr):
             record(i, arr)
             states.append(DensityMatrix(arr, validate=False))
-        step(model, table, a0, n, h, keep, every)
+        return step(model, table, a0, n, h, keep, every)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lindblad, "_step_density", recording)
@@ -49,3 +52,47 @@ def _evolve_recording(model, rho0, t_max, h, record_every):
 def evolve_recording():
     """``_evolve_recording``: (trajectory, every recorded state)."""
     return _evolve_recording
+
+
+def _phase_peaks(monkeypatch, call, names):
+    """Run ``call()`` under tracemalloc with the named ``runner`` functions
+    wrapped, and return, per name, the largest traced peak of one of its
+    calls above the traced memory at that call's start, in bytes.
+
+    Each wrapper resets the peak on entry (``tracemalloc.reset_peak``),
+    so the phases must not nest; a nested call raises.  Memory a phase
+    allocates and keeps counts in its peak, and in the base of the
+    phases after it.
+    """
+    peaks = dict.fromkeys(names, 0)
+    active = []
+
+    def wrap(name, fn):
+        def wrapped(*args, **kwargs):
+            assert not active, f"{name} runs inside {active[0]}"
+            active.append(name)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                peaks[name] = max(peaks[name],
+                                  tracemalloc.get_traced_memory()[1] - base)
+                active.pop()
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(runner, name, wrap(name, getattr(runner, name)))
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
+@pytest.fixture
+def phase_peaks(monkeypatch):
+    """``_phase_peaks`` on this test's monkeypatch: (call, names) -> the
+    traced peak of each named ``runner`` phase."""
+    return lambda call, names: _phase_peaks(monkeypatch, call, names)

@@ -38,17 +38,27 @@ SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 # ------------------------------------------------------------------- driver
 
 
+def _pair_rhs(y, t, out):
+    """x' = t p, p' = -t x for the real pair [x, p], written into out."""
+    out[:] = t * y[1], -t * y[0]
+
+
+def _phase_rhs(w):
+    """y' = -i t w y, written into out."""
+    return lambda y, t, out: np.multiply(-1j * t * w, y, out=out)
+
+
 def _rk4_max_error(kind: str, h: float) -> float:
     """Driver error on y' = -i t w y, y(0) = 1, over [0, 1] (exact: exp)."""
     if kind == "pair":
         # a real pair [x, p] for x + ip:  x' = t p,  p' = -t x
         w = 1.0
-        rhs = lambda y, t: np.array([t * y[1], -t * y[0]])
+        rhs = _pair_rhs
         y0 = np.array([1.0, 0.0])
         value = lambda y: complex(y[0], y[1])
     else:
         w = np.array([1.0, 2.0, -0.5])
-        rhs = lambda y, t: -1j * t * w * y
+        rhs = _phase_rhs(w)
         y0 = np.ones(3, dtype=complex)
         value = lambda y: y
     errors = []
@@ -74,7 +84,7 @@ def test_rk4_driver_reuses_end_stages_and_records_every_kth_node():
         stages.append(j)
         return 1.0
 
-    y = _rk4(lambda y, c: c, stage, np.zeros(1), 10, 0.1,
+    y = _rk4(lambda y, c, out: out.fill(c), stage, np.zeros(1), 10, 0.1,
              lambda i, y: nodes.append(i), every=3)
     assert stages == list(range(21))  # 2n + 1 evaluations, none repeated
     assert nodes == [0, 3, 6, 9, 10]
@@ -88,60 +98,64 @@ def test_rk4_driver_steps_backward_with_a_negative_step(kind):
     [x, p] for y = x + ip."""
     h = 0.01
     if kind == "pair":
-        rhs = lambda y, t: np.array([t * y[1], -t * y[0]])
+        rhs = _pair_rhs
         y1, exact = np.array([np.cos(0.5), -np.sin(0.5)]), np.array([1.0, 0.0])
     else:
         w = np.array([1.0, 2.0, -0.5])
-        rhs = lambda y, t: -1j * t * w * y
+        rhs = _phase_rhs(w)
         y1, exact = np.exp(-0.5j * w), 1.0
     y0 = _rk4(rhs, lambda j: 1.0 - 0.5 * h * j, y1, 100, -h, lambda i, y: None)
     assert np.max(np.abs(y0 - exact)) < 1e-8
 
 
-def _array_run(rhs, y0, n, h):
-    """(final state, arrays handed to record, their values when handed)."""
-    handed, values = [], []
+def test_rk4_driver_steps_y0_in_place_and_records_the_live_state():
+    """An array state is stepped in y0 itself, which the driver returns,
+    and ``record`` receives that live array, holding the node's values
+    when handed.  The slopes are written into three buffers of the
+    driver's, none of them the state or the stage state: s1, s2 and s3
+    into the first, second and third, and s4 into the third again.  The
+    stage state and the slope buffers start on 64-byte boundaries.  A
+    right-hand side that writes into ``out`` steps bit for bit as the
+    fresh-array loop y + h/6 (s1 + 2 (s2 + s3) + s4)."""
+    w = np.array([1.0, 2.0, -0.5])
+    h, n = 0.05, 20
+    y0 = np.ones(3, dtype=complex)
+    handed, values, outs, args = [], [], [], []
+    phase = _phase_rhs(w)
+
+    def rhs(y, t, out):
+        args.append(y)
+        outs.append(out)
+        phase(y, t, out)
 
     def record(i, y):
         handed.append(y)
         values.append(y.copy())
 
     y = _rk4(rhs, lambda j: 0.5 * h * j, y0, n, h, record, every=3)
-    return y, handed, values
+    assert y is y0
+    assert len(handed) == 8 and all(a is y0 for a in handed)  # 0, 3, .. 18, 20
+    first, second, third = outs[:3]
+    assert all(o is b for o, b in
+               zip(outs, [first, second, third, third] * n, strict=True))
+    assert args[0] is y0 and args[1] is args[2] is args[3] is not y0
+    buffers = (y0, args[1], first, second, third)
+    assert not any(np.shares_memory(a, b) for a, b in
+                   itertools.combinations(buffers, 2))
+    assert all(b.ctypes.data % 64 == 0 for b in buffers[1:])
 
-
-def test_rk4_driver_hands_out_arrays_no_later_step_writes():
-    """An array state is stepped in the driver's own buffers: the caller's
-    y0 and every array handed to ``record`` keep their values through the
-    later steps, and the returned state aliases none of them.  A
-    right-hand side that returns its slopes in four buffers used in
-    rotation steps bit for bit as one that returns fresh arrays; three
-    buffers would overwrite a step's first slope before its combination."""
-    w = np.array([1.0, 2.0, -0.5])
-    h, n = 0.05, 20
-    y0 = np.ones(3, dtype=complex)
-
-    def fresh(y, t):
-        return (-1j * t * w) * y
-
-    def rotating(count):
-        buffers = itertools.cycle(np.zeros((count, 3), dtype=complex))
-        return lambda y, t: np.multiply(-1j * t * w, y, out=next(buffers))
-
-    y, handed, values = _array_run(fresh, y0, n, h)
-    np.testing.assert_array_equal(y0, np.ones(3))
-    assert len(handed) == 8  # nodes 0, 3, ..., 18 and 20
-    for arr, value in zip(handed, values):
-        np.testing.assert_array_equal(arr, value)
-    np.testing.assert_array_equal(y, values[-1])
-    assert not any(np.shares_memory(y, a) for a in (y0, *handed))
-
-    y4, _, values4 = _array_run(rotating(4), y0, n, h)
-    np.testing.assert_array_equal(y4, y)
-    for got, want in zip(values4, values):
-        np.testing.assert_array_equal(got, want)
-    y3, _, _ = _array_run(rotating(3), y0, n, h)
-    assert not np.array_equal(y3, y)
+    q = np.ones(3, dtype=complex)
+    nodes = [q]
+    for i in range(n):
+        t0, tm, te = (0.5 * h * j for j in (2 * i, 2 * i + 1, 2 * i + 2))
+        s1 = (-1j * t0 * w) * q
+        s2 = (-1j * tm * w) * (q + 0.5 * h * s1)
+        s3 = (-1j * tm * w) * (q + 0.5 * h * s2)
+        s4 = (-1j * te * w) * (q + h * s3)
+        q = q + (h / 6.0) * (s1 + 2.0 * (s2 + s3) + s4)
+        nodes.append(q)
+    for got, i in zip(values, [0, 3, 6, 9, 12, 15, 18, 20], strict=True):
+        np.testing.assert_array_equal(got, nodes[i])
 
 
 def test_rk4_scalar_nodes_are_the_plain_complex_loop():
@@ -191,9 +205,9 @@ def test_auxiliary_loop_is_the_driver_on_a_float_pair(name, init):
     _, omega_sq, kappa = _half_grid_coefficients(
         s.omega_schedule, s.kappa_schedule, n, s.step_h)
 
-    def rhs(y, j):
+    def rhs(y, j, out):
         r, v = y
-        return np.array([v, kappa[j] * v - omega_sq[j] * r + 1.0 / (r * r * r)])
+        out[:] = v, kappa[j] * v - omega_sq[j] * r + 1.0 / (r * r * r)
 
     nodes = np.empty((n + 1, 2))
     _rk4(rhs, lambda j: j, np.array([init.rho0, init.rhodot0]), n, s.step_h,

@@ -220,10 +220,11 @@ def test_pad_rows_and_the_padding_level_stay_zero(dim):
     zero pad rows above and two below, (dim + 4, dim): ``_rows`` reads,
     for level n, the rows of levels n - 2, n and n + 2, and
     ``_step_density`` hands ``record`` the level rows, after no step the
-    initial array itself.  The pad rows stay exactly zero in every slope,
-    with and without friction, also in a reused slope buffer (the fifth
-    and sixth calls write the first two again).  Natural order needs no
-    padding level, so the odd dim 21 is stored as it is."""
+    initial array itself, and returns them.  The pad rows stay exactly
+    zero in every slope, with and without friction, also in a reused
+    slope buffer (six calls write the same one).  The kernel's scratch
+    starts on 64-byte boundaries.  Natural order needs no padding level,
+    so the odd dim 21 is stored as it is."""
     *_, model = modulated_setup(dim=dim)
     rho = _random_state(dim, 5)
     rho = 0.5 * (rho + rho.conj().T)
@@ -234,23 +235,23 @@ def test_pad_rows_and_the_padding_level_stay_zero(dim):
         for d in range(3):
             np.testing.assert_array_equal(rows[n, d], state[n + 2 * d])
     recorded = []
-    lindblad._step_density(model, lindblad._stage_table(model, 0, H), rho,
-                           0, H, lambda i, arr: recorded.append((i, arr)), 1)
+    final = lindblad._step_density(
+        model, lindblad._stage_table(model, 0, H), rho, 0, H,
+        lambda i, arr: recorded.append((i, arr.copy())), 1)
     [(i, arr)] = recorded
     assert i == 0
     np.testing.assert_array_equal(arr, rho)
+    np.testing.assert_array_equal(final, rho)
     kernel = lindblad._Kernel(model)
+    assert kernel.x.ctypes.data % 64 == kernel.c.ctypes.data % 64 == 0
     coeffs = [model.coefficients(t) for t in (0.1, 0.2)]
     coeffs.append((coeffs[1][0], 0.0, *coeffs[1][2:]))  # without friction
     ops = [_density_stage_ops(kernel, row) for row in coeffs]
     assert ops[2][2] is None
-    slopes = []
+    out = np.zeros_like(state)
     for j in range(6):
-        out = lindblad._density_rhs(state, ops[j % 3])
-        assert out.shape == (dim + 4, dim)
+        assert lindblad._density_rhs(state, ops[j % 3], out) is out
         assert out.any() and not _padding(out).any()
-        slopes.append(out)
-    assert slopes[4] is slopes[0] and slopes[5] is slopes[1]
 
 
 def _check_density_stage_operators(dim, n):
@@ -324,10 +325,10 @@ def test_block_rhs_equals_the_dense_generator(dim):
                 + 2.0 * alpha * (abs_l @ abs_rho @ abs_l)))
     ops = _density_stage_ops(lindblad._Kernel(model), model.coefficients(0.3))
     state = _split(rho)
-    for _ in range(5):  # the fifth call reuses the first slope buffer
-        out = lindblad._density_rhs(state, ops)
+    out = np.zeros_like(state)
+    for _ in range(2):  # the second call reuses the slope buffer
+        lindblad._density_rhs(state, ops, out)
         np.testing.assert_array_equal(out, _dagger(out))
-    assert out.shape == (dim + 4, dim)
     assert (np.abs(_join(out) - dense) <= bound).all()
     assert not _padding(out).any()
 
@@ -392,8 +393,9 @@ def test_rhs_is_three_banded_row_products():
 
     x = product(l_op, state)
     y = product(k_op, state) + product(damp, x - _dagger(x))
-    np.testing.assert_array_equal(lindblad._density_rhs(state, ops),
-                                  y + _dagger(y))
+    np.testing.assert_array_equal(
+        lindblad._density_rhs(state, ops, np.zeros_like(state)),
+        y + _dagger(y))
 
 
 def test_odd_dimension_evolution_matches_a_dense_rk4(evolve_recording):
@@ -492,8 +494,8 @@ def _reference_density(model, rho0, n, h, every):
                                            (160, 0.1, 4)])
 def test_density_buffers_reproduce_the_fresh_array_rk4(dim, kappa, n,
                                                        evolve_recording):
-    """``evolve_density`` steps in the driver's state buffers and the
-    kernel's slope, scratch and stage buffers; every state it records
+    """``evolve_density`` steps in the driver's state, stage-state and
+    slope buffers and the kernel's scratch; every state it records
     equals bit for bit the fresh-array loop above.  Dims 41 and 81 are
     odd; dim 41 also runs without friction."""
     _, _, cfg, _, _, model = modulated_setup(dim=dim, kappa=kappa,
@@ -516,7 +518,7 @@ def _density_step_allocations(dim, monkeypatch):
     rises, opened, calls = [], [], []
     rhs = lindblad._density_rhs
 
-    def traced_rhs(state, ops):
+    def traced_rhs(state, ops, out):
         # a step runs from its first right-hand-side call to the next
         # step's: four calls, the combination and the next step's two
         # stage formations
@@ -527,7 +529,7 @@ def _density_step_allocations(dim, monkeypatch):
             tracemalloc.reset_peak()
             opened.append(tracemalloc.get_traced_memory()[0])
         calls.append(None)
-        return rhs(state, ops)
+        return rhs(state, ops, out)
 
     monkeypatch.setattr(lindblad, "_density_rhs", traced_rhs)
     tracemalloc.start()
@@ -555,7 +557,7 @@ def test_density_steps_allocate_no_state_sized_array(dim, monkeypatch):
 
 def _traced_peak(call):
     """Peak traced memory of ``call()``, run once untraced first so that
-    caches (the observable set) are warm."""
+    one-time allocations are made before tracing."""
     call()
     tracemalloc.start()
     try:
@@ -570,7 +572,7 @@ def test_density_runs_retain_moments_not_states():
     health) and one state: traced with tracemalloc, a dim-20 run of 400
     steps recording every node peaks above the same run recording every
     100th node by less than its 401 rows plus three states.  Keeping every
-    recorded state would add 396 states, 2.5 MB.  Measured: 31.5 KB above,
+    recorded state would add 396 states, 2.5 MB.  Measured: 31.9 KB above,
     against a bound of 51.3 KB; the rows alone are 32.1 KB."""
     n, dim = 400, 20
     _, _, cfg, _, _, model = modulated_setup(dim=dim, t_max=n * H)
@@ -582,6 +584,24 @@ def test_density_runs_retain_moments_not_states():
     rows = (n + 1) * len(lindblad._RECORD_FIELDS) * 8
     state = dim * dim * np.dtype(complex).itemsize
     assert dense - sparse < rows + 3 * state
+
+
+def test_a_wide_density_run_holds_each_state_sized_array_once():
+    """A dim-160 run of four steps and two records holds eight
+    state-sized arrays: the driver's state, stage state and three slopes,
+    the kernel's X and C scratch and the record's scratch.  With the
+    dense x and p of <x> and <p> and eigvalsh's workspace at a record,
+    its traced peak stays below 12 padded (164, 160) states.  Measured:
+    11.45 states (4.81 MB).  With a driver copy of the state, two copies
+    per record and a cached second set of x, p, K1, K2 and K3 it peaked
+    at 14.46 states (6.07 MB) with the cache warm, 19.35 (8.12 MB)
+    cold."""
+    n, dim = 4, 160
+    _, _, cfg, _, _, model = modulated_setup(dim=dim, t_max=n * H)
+    rho0 = build_state(StateSpec(kind="coherent", beta=complex(3.0, 1.0)), cfg)
+    peak = _traced_peak(lambda: evolve_density(model, rho0, n * H, H,
+                                               record_every=n))
+    assert peak < 12 * (dim + 4) * dim * np.dtype(complex).itemsize
 
 
 def test_stage_table_temporaries_are_bounded():
@@ -984,7 +1004,7 @@ def _transported(model, q0, first, n, backward, stride=1):
     span = n * stride
     ends = (first + span, first) if backward else (first, first + span)
     lindblad._transport_steps(model, q0, *ends, H,
-                              lambda i, q: nodes.append((i, q)),
+                              lambda i, q: nodes.append((i, q.copy())),
                               stride=stride)
     return [i for i, _ in nodes], [q for _, q in nodes]
 
@@ -1087,10 +1107,10 @@ def test_the_driver_forms_each_stage_once_and_holds_at_most_three(
             formed.append(j)
             return j, stage(j)
 
-        def recorded_rhs(y, data):
+        def recorded_rhs(y, data, out):
             j, ops = data
             reads.append((formed[-1], j))
-            return rhs(y, ops)
+            return rhs(y, ops, out)
 
         return drive(recorded_rhs, recorded_stage, y0, n, h, record, every)
 
@@ -1158,8 +1178,8 @@ def _step_map_nodes(a_of_t, y0, n, h, calls=None, every=1):
 def _stepped_nodes(a_of_t, y0, n, h):
     mats = a_of_t(0.5 * h * np.arange(2 * n + 1))
     ys = np.empty((n + 1, len(y0)))
-    _rk4(lambda y, a: a @ y, mats.__getitem__, np.array(y0, dtype=float), n,
-         h, ys.__setitem__)
+    _rk4(lambda y, a, out: np.matmul(a, y, out=out), mats.__getitem__,
+         np.array(y0, dtype=float), n, h, ys.__setitem__)
     return ys
 
 

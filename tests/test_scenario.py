@@ -1,4 +1,5 @@
 import glob
+import itertools
 import os
 import subprocess
 import sys
@@ -406,12 +407,13 @@ def test_moment_runs_record_on_the_prepared_grid(tmp_path):
         SMALL + "run.backend = both\nrun.step_h = 3e-4\n", tmp_path))
     s = p.scenario
     assert (s.record_every, len(p.record_ts)) == (100, 35)
-    m0, quad = runner._moment_run(p)
+    rho0 = runner._initial_state(p)
+    m0, quad = runner._moment_run(p, rho0)
     first = runner._first_moments(p, m0)
     np.testing.assert_array_equal(quad.ts, p.record_ts)
     np.testing.assert_array_equal(first.ts, p.record_ts)
 
-    traj = runner._fock_run(p)
+    traj = runner._fock_run(p, rho0)
     check = runner._check_backend_agreement(p, traj, first, quad)
     full_quad = lindblad.evolve_su11_moments(p.model, (m0.k1, m0.k2, m0.k3),
                                              s.t_max, s.step_h)
@@ -579,19 +581,29 @@ def test_drift_probe_equals_the_probe_on_the_full_trajectory(tmp_path):
     """Keeping only the three differenced nodes gives the check exactly
     the result of the same two backward runs recorded at every node: the
     relaxation from the seed node to the node after the probe node in
-    steps of k nodes, then the differenced nodes one node at a time."""
+    steps of k nodes, then the differenced nodes one node at a time.  The
+    driver hands ``record`` its live state, so the probe copies what it
+    keeps: ``_probe_nodes`` returns three arrays that share no memory,
+    equal bit for bit to the nodes those runs recorded by copy (kept
+    uncopied, they were the last node three times over)."""
     p = runner._prepare(load_text(MODULATED, tmp_path))
     model, t_probe, i, seed, k = runner._drift_probe(p)
     h = runner.DRIFT_PROBE_STEP
     assert k > 1
     coarse: dict[int, np.ndarray] = {}
     lindblad._transport_steps(model, model.k2.entries, seed, i + 1, h,
-                              coarse.__setitem__, stride=k)
+                              lambda j, q: coarse.update({j: q.copy()}),
+                              stride=k)
     assert sorted(coarse) == list(range(i + 1, seed + 1, k))
     fine: dict[int, np.ndarray] = {}
     lindblad._transport_steps(model, coarse[i + 1], i + 1, i - 1, h,
-                              fine.__setitem__)
+                              lambda j, q: fine.update({j: q.copy()}))
     assert sorted(fine) == [i - 1, i, i + 1]
+    nodes = runner._probe_nodes(model, i, seed, k)
+    for q, j in zip(nodes, (i - 1, i, i + 1), strict=True):
+        np.testing.assert_array_equal(q, fine[j])
+    assert not any(np.shares_memory(a, b)
+                   for a, b in itertools.combinations(nodes, 2))
     full = runner._drift_from_nodes(
         model, t_probe, h * np.arange(i - 1, i + 2),
         [fine[j] for j in range(i - 1, i + 2)])
@@ -605,16 +617,16 @@ def test_drift_probe_steps_one_window_and_copies_three_nodes(
         tmp_path, monkeypatch, shipped):
     """The probe costs 4 (c + 2) right-hand-side calls, c the coarse steps
     of k nodes across a window short of W/h nodes by less than k, whatever
-    the run window (20 on the baseline, 2 here), and the driver copies
+    the run window (20 on the baseline, 2 here), and the driver records
     only the first and last node of each run: the seed node, the last
     coarse node, which the fine run starts from, and the two fine steps
-    after it; the check keeps the last three copies."""
+    after it; the check copies each and keeps the last three copies."""
     calls = []
     rhs = lindblad._density_rhs
 
-    def counted_rhs(q, ops):
+    def counted_rhs(q, ops, out):
         calls.append(None)
-        return rhs(q, ops)
+        return rhs(q, ops, out)
 
     copied = []
     rk4 = lindblad._rk4
@@ -682,7 +694,7 @@ def test_a_stride_one_drift_probe_is_the_single_rate_transport(
     assert k == stride and seed == last - (last - i - 1) % k
     single: list[np.ndarray] = []
     lindblad._transport_steps(model, model.k2.entries, last, i - 1, h,
-                              lambda j, q: single.append(q))
+                              lambda j, q: single.append(q.copy()))
     probe = runner._probe_nodes(model, i, last, 1)
     for q, ref in zip(probe, single[:-4:-1], strict=True):
         np.testing.assert_array_equal(q, ref)
@@ -758,6 +770,64 @@ def test_a_non_finite_density_state_fails_the_run_at_its_record_time(
     assert "error: density matrix is not finite at t=0.1" in err
     assert "RuntimeWarning" not in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+WIDE_BASIS = """\
+omega.kind = sinusoid
+omega.base = 1.0
+omega.amplitude = 0.2
+omega.rate = 0.1
+kappa.value = 0.1
+basis.dim = 160
+state.kind = coherent
+state.beta_re = 6.0
+run.t_max = 0.01
+run.step_h = 1e-3
+run.record_every = 5
+"""
+RUN_PHASES = ("_prepare", "_initial_state", "_fock_run",
+              "expectation_series", "spectrum_series")
+
+
+def test_no_run_phase_peaks_above_the_density_run(tmp_path, phase_peaks):
+    """On ten steps of the wide-basis run (dim 160, |beta| = 6), traced
+    per ``runner`` phase: the density run peaks below 12 padded
+    (164, 160) states above its base, and no other phase above it.  The
+    run holds eight state-sized arrays, the dense x and p of <x> and
+    <p>, and eigvalsh's workspace at a record.  Measured: 11.46 states
+    (4.81 MB), where a run that copied its state at every record and
+    built a cached second set of x, p, K1, K2 and K3 peaked at 20.33
+    (8.54 MB).  The other phases peaked at most at 4.23 MB: ``_prepare``
+    and ``expectation_series``, which each build the basis's generators.
+    The test takes about 0.1 s."""
+    s = load_text(WIDE_BASIS, tmp_path)
+    peaks = phase_peaks(lambda: run_scenario(s, str(tmp_path / "out")),
+                        RUN_PHASES)
+    state = 164 * 160 * np.dtype(complex).itemsize
+    density = peaks.pop("_fock_run")
+    assert density < 12 * state
+    assert all(peak < density for peak in peaks.values()), peaks
+
+
+@pytest.mark.parametrize("kind", ["coherent", "invariant_ground"])
+def test_the_initial_state_is_built_once(tmp_path, monkeypatch, kind):
+    """With ``backend = both`` both backends start from one built state,
+    and I(0) is built only for ``invariant_ground``, the one kind that
+    reads it."""
+    s = load_text(SMALL + f"state.kind = {kind}\nrun.backend = both\n",
+                  tmp_path)
+    built = _counted(monkeypatch, "build_state")
+    at = invariants.InvariantSpec.at
+    invariants_at = []
+
+    def counted_at(spec, t):
+        invariants_at.append(t)
+        return at(spec, t)
+
+    monkeypatch.setattr(invariants.InvariantSpec, "at", counted_at)
+    runner._evolve(runner._prepare(s))
+    assert len(built) == 1
+    assert invariants_at == ([0.0] if kind == "invariant_ground" else [])
 
 
 def test_drift_probe_traced_peak_stays_small():
