@@ -6,7 +6,8 @@ built on a solution of the dissipative auxiliary equation, whose
 expectation is conserved under the damped evolution up to the defect
 quantified below.  ``construct`` is the one place that solves the
 construction's auxiliary equation: it returns the model and the
-invariant on that one solution, ``model.sol``.  On a frictionless
+invariant on that one solution, ``model.sol``, and on one basis, whose
+K1, K2 and K3 (``BasisConfig.operators``) both read.  On a frictionless
 solution the invariant is the Lewis-Riesenfeld invariant, written in the
 canonical pair as ``[(rho p - rhodot x)^2 + x^2/rho^2] / 2``
 (``lr_invariant_at``, the independent reference the tests compare the
@@ -54,17 +55,10 @@ from .auxiliary import (
     solve_auxiliary,
 )
 from .errors import NumericalError, ValidationError
-from .lindblad import (
-    LindbladModel,
-    Trajectory,
-    _generator_arrays,
-    _observable_set,
-)
+from .lindblad import LindbladModel, Trajectory, _generator_arrays
 from .operators import (
     BasisConfig,
     FockOperator,
-    build_canonical,
-    build_su11_generators,
     commutator,
     interior_block,
     max_abs,
@@ -123,35 +117,28 @@ def lr_invariant_at(sol0: ErmakovSolution, x_op: FockOperator,
 
 @dataclass(frozen=True)
 class InvariantSpec:
-    """The weak invariant on an auxiliary solution: ``operators`` = (K1, K2, K3).
+    """The weak invariant on an auxiliary solution and a basis.
 
-    ``at(t)`` returns ``rho^2 K1 + (rhodot^2 + 1/rho^2) K2 - rho rhodot K3``.
+    ``at(t)`` returns ``rho^2 K1 + (rhodot^2 + 1/rho^2) K2 - rho rhodot K3``
+    on the basis's K1, K2 and K3 (``BasisConfig.operators``).
     The coefficient matrix has unit discriminant for every (rho, rhodot),
     so the interior spectrum sits at n + 1/2.  On a frictionless solution
     this is the Lewis-Riesenfeld invariant.
     """
 
     sol: ErmakovSolution
-    operators: tuple[FockOperator, FockOperator, FockOperator]
-
-    def __post_init__(self):
-        if len(self.operators) != 3:
-            raise ValidationError(
-                "the weak invariant needs 3 operators (K1, K2, K3), "
-                f"got {len(self.operators)}")
-        if len({op.dim for op in self.operators}) != 1:
-            raise ValidationError("operator dimensions differ")
+    basis: BasisConfig
 
     @property
     def dim(self) -> int:
-        return self.operators[0].dim
+        return self.basis.dim
 
     @property
     def window(self) -> tuple[float, float]:
         return self.sol.window
 
     def at(self, t: float) -> FockOperator:
-        k1, k2, k3 = self.operators
+        k1, k2, k3 = self.basis.operators[2:]
         c1, c2, c3 = _weak_coefficients(float(self.sol.rho_at(t)),
                                         float(self.sol.rhodot_at(t)))
         return FockOperator(c1 * k1.entries + c2 * k2.entries
@@ -165,12 +152,21 @@ def construct(omega_s: Schedule, kappa_s: Schedule, init: ErmakovInit,
 
     Solves the construction's auxiliary equation for the schedules over
     [0, t_max] with step h from ``init``, and builds both on that
-    solution, ``model.sol``, and on the basis's K1, K2 and K3.
+    solution, ``model.sol``, and on ``basis``.  The basis's operators
+    are built here, so that no run builds them inside its evolution.
     """
     sol = solve_auxiliary(omega_s, kappa_s, init, t_max, h)
-    gens = build_su11_generators(*build_canonical(basis))
-    return (LindbladModel(omega_s, kappa_s, sol, *gens, basis),
-            InvariantSpec(sol=sol, operators=gens))
+    basis.operators  # built here, before any run reads them
+    return (LindbladModel(omega_s, kappa_s, sol, basis),
+            InvariantSpec(sol, basis))
+
+
+def _check_basis(inv: InvariantSpec, basis: BasisConfig, whose: str):
+    """Refuse an invariant built on another basis than ``basis``."""
+    if inv.basis != basis:
+        raise ValidationError(
+            f"the invariant is built on another basis ({inv.basis}) than "
+            f"{whose} ({basis}); build both with construct")
 
 
 def invariant_residual(inv: InvariantSpec, model: LindbladModel,
@@ -182,8 +178,8 @@ def invariant_residual(inv: InvariantSpec, model: LindbladModel,
     is ``i dI/dt - [H, I]``), with dI/dt obtained by central differencing
     of the closed form at half-step ``FD_HALF_STEP`` — deliberately
     independent of the algebra that constructed the observable.  The
-    invariant must be built on the basis of the model and on a solution
-    of the model's auxiliary equation (``construct`` pairs them).
+    invariant must be built on the model's basis and on a solution of
+    the model's auxiliary equation (``construct`` pairs them).
 
     The difference has a floor.  Where the construction is exact, as on
     frictionless runs, a value below about 1e-10 measures the rounding
@@ -193,9 +189,7 @@ def invariant_residual(inv: InvariantSpec, model: LindbladModel,
     the floor", not as a ranking.
     """
     cfg = model.basis
-    if inv.dim != cfg.dim:
-        raise ValidationError(
-            f"invariant dimension {inv.dim} does not match basis {cfg.dim}")
+    _check_basis(inv, cfg, "the model's")
     if inv.sol.equation != model.sol.equation:
         raise ValidationError(
             "the invariant's auxiliary solution solves another equation "
@@ -254,19 +248,10 @@ def expectation_series(traj: Trajectory, inv: InvariantSpec) -> ExpectationSerie
     """tr[I(t) rho(t)] at the trajectory's record times.
 
     Formed from the K1, K2 and K3 expectations the trajectory recorded,
-    so the invariant must be built on that basis's generators.
+    so the invariant must be built on the trajectory's basis.
     """
-    if inv.dim != traj.basis.dim:
-        raise ValidationError(
-            f"invariant dimension {inv.dim} does not match "
-            f"trajectory basis {traj.basis.dim}")
+    _check_basis(inv, traj.basis, "the trajectory's")
     _check_window(traj.ts, *inv.window, "invariant")
-    recorded = _observable_set(traj.basis)[2:]
-    if not all(np.array_equal(op.entries, gen.entries)
-               for op, gen in zip(inv.operators, recorded)):
-        raise ValidationError(
-            "the invariant's operators are not the K1, K2 and K3 of the "
-            "trajectory's basis, whose expectations it records")
     return _weak_expectation_series(inv.sol, traj.ts, traj.k1, traj.k2,
                                     traj.k3)
 

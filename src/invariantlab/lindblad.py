@@ -3,15 +3,16 @@
 The auxiliary solution fixes, at every instant, a single Hermitian jump
 operator L = K1 + a2 K2 + a3 K3 and a strength alpha such that the
 resulting friction is exactly the declared kappa(t).  The model is a
-record of its inputs (schedules, auxiliary solution, generators) whose
+record of its inputs (schedules, auxiliary solution, basis) whose
 one method gives the four scalars (omega^2, alpha, a2, a3) that carry
 all of its time dependence; it refuses a solution whose recorded
 equation is not the auxiliary equation on its own schedules, on which
 alone those scalars are the construction's.  Each integrator evaluates
 them once per run on the stage grid and forms every stage's matrices
-from the raw generator arrays.  This module evolves density matrices, conserved
-observables, and the two closed moment systems, all with the classical
-fixed-step RK4 scheme, so convergence claims are uniform.  Density
+from the raw arrays of the basis's generators.  This module evolves
+density matrices, conserved observables, and the two closed moment
+systems, all with the classical fixed-step RK4 scheme, so convergence
+claims are uniform.  Density
 matrices and observables step through the driver ``auxiliary._rk4`` on
 one right-hand side: for the Hermitian jump operator the observable's
 adjoint equation is the density equation with alpha negated, and it
@@ -44,9 +45,11 @@ rounding residue of the initial state receives no slope and stays as it
 is.  The identity is an exact fixed point of the observable transport:
 its C is L - L^dag = 0 exactly.  The pad rows stay exactly zero, and
 only ``_Kernel``, ``_rows`` and ``_step_density`` know of them: records
-receive the N level rows.  ``LindbladModel`` refuses generators with an
+receive the N level rows.  The generators are the basis's own
+(``BasisConfig.operators``), whose build refuses generators with an
 entry off the diagonals 0 and +-2, which the band would drop, and
-generators that are not exactly Hermitian.
+generators that are not exactly Hermitian, as the stages and the
+observable transport need.
 
 A density run holds each state-sized array once: eight of them.  The
 driver steps the padded state that ``_step_density`` makes and owns the
@@ -93,8 +96,6 @@ from .operators import (
     DensityMatrix,
     FockOperator,
     _real_pairing,
-    build_canonical,
-    build_su11_generators,
     commutator,
     expectation,
     interior_block,
@@ -146,7 +147,8 @@ class LindbladModel:
     All of its time dependence is the four scalars returned by
     ``coefficients``; alpha vanishes with the friction, which reduces the
     evolution to unitary dynamics without special-casing the integrators.
-    The coefficients are right only on the construction's auxiliary
+    K1, K2 and K3 are the basis's (``BasisConfig.operators``).  The
+    coefficients are right only on the construction's auxiliary
     solution, so the model refuses a ``sol`` whose recorded equation is
     not the construction's for its schedules: the auxiliary equation on
     ``omega_s`` and ``kappa_s``.  ``invariants.construct`` builds the
@@ -156,9 +158,6 @@ class LindbladModel:
     omega_s: Schedule
     kappa_s: Schedule
     sol: ErmakovSolution
-    k1: FockOperator
-    k2: FockOperator
-    k3: FockOperator
     basis: BasisConfig
 
     def __post_init__(self):
@@ -167,33 +166,11 @@ class LindbladModel:
                 "the auxiliary solution solves another equation than the "
                 "construction's for the model's schedules; build the model "
                 "with invariants.construct")
-        for name in ("k1", "k2", "k3"):
-            gen = getattr(self, name)
-            if gen.dim != self.basis.dim:
-                raise ValidationError(
-                    f"generator dimension {gen.dim} does not match basis "
-                    f"{self.basis.dim}")
-            rows, cols = np.nonzero(gen.entries)
-            off = ~np.isin(rows - cols, (-2, 0, 2))
-            if off.any():
-                i, j = rows[off][0], cols[off][0]
-                raise ValidationError(
-                    f"generator {name} couples Fock levels {i} and {j}, off "
-                    "the diagonals 0 and +-2 (entry "
-                    f"{gen.entries[i, j]:.3e}); the banded density evolution "
-                    "would drop it")
-            dev = gen.herm_deviation()
-            if not dev == 0.0:  # also trips on nan
-                raise ValidationError(
-                    f"generator {name} is not Hermitian (deviation "
-                    f"{dev:.3e}); the observable transport needs a Hermitian "
-                    "jump operator, and the density stages use L as L^dag, "
-                    "so the generators must be exactly Hermitian")
 
     @property
-    def generators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The raw (K1, K2, K3) arrays."""
-        return self.k1.entries, self.k2.entries, self.k3.entries
+    def generators(self) -> tuple[np.ndarray, ...]:
+        """The raw (K1, K2, K3) arrays of the basis."""
+        return tuple(op.entries for op in self.basis.operators[2:])
 
     def coefficients(self, t):
         """(omega^2, alpha, a2, a3) at time(s) t, from the auxiliary solution.
@@ -279,9 +256,9 @@ class Trajectory:
     """Recorded density-matrix evolution: per-sample moments and health.
 
     Each record keeps the canonical means and the expectations of the
-    model's K1, K2 and K3 (``mean_x`` .. ``k3``, the raw values of
-    ``moments_from_state`` on the basis's generators), which is all the
-    battery and the artifacts read, and the health metrics.  Of the
+    basis's K1, K2 and K3 (``mean_x`` .. ``k3``, the raw values of
+    ``moments_from_state``), which is all the battery and the artifacts
+    read, and the health metrics.  Of the
     states themselves only the last recorded one is kept, as the
     one-element ``states``.  ``moments()`` builds and validates the
     moment vectors on read.
@@ -439,16 +416,15 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
     Hermiticity deviation stays at that of rho0: 0 for every state
     ``build_state`` forms.  Each record reduces the live state, after the
     hard checks, to its health metrics, by the formulas of
-    ``DensityMatrix``'s methods, and the expectations of x, p and the
-    model's K1, K2 and K3, with ``expectation``'s checks; only the final
-    state is kept (``Trajectory``).
+    ``DensityMatrix``'s methods, and the expectations of the basis's x,
+    p, K1, K2 and K3 (``BasisConfig.operators``), with ``expectation``'s
+    checks; only the final state is kept (``Trajectory``).
     """
     cfg = model.basis
     if rho0.dim != cfg.dim:
         raise ValidationError(
             f"state dimension {rho0.dim} does not match basis {cfg.dim}")
     n = _step_count(t_max, h)
-    observables = (*build_canonical(cfg), model.k1, model.k2, model.k3)
     # one row per record
     records = np.empty((len(_record_nodes(n, record_every)),
                         len(_RECORD_FIELDS)))
@@ -486,7 +462,7 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
             warnings.append(f"t={t:.6g}: " + "; ".join(problems))
             if failed_at is None:
                 failed_at = t
-        next(slots)[:] = (t, *(_real_pairing(op, arr) for op in observables),
+        next(slots)[:] = (t, *(_real_pairing(op, arr) for op in cfg.operators),
                           tr, herm, lo, tail)
 
     final = _step_density(model, _stage_table(model, n, h), rho0.entries, n,
@@ -547,15 +523,15 @@ def _transport_steps(model: LindbladModel, q0: np.ndarray, first: int,
     node ``last`` of the grid t = i*h, backward in time when last < first,
     in steps of ``stride`` nodes; ``stride`` must divide |last - first|.
 
-    For the one jump operator L = L^dag (``LindbladModel`` refuses
-    non-Hermitian generators) the adjoint right-hand side -i[H, Q] +
-    alpha (L^2 Q + Q L^2 - 2 L Q L) = -i[H, Q] + alpha [L, [L, Q]] is the
-    density one with alpha replaced by -alpha (Lindblad, CMP 48, 119,
-    1976): Q is stepped as a density state by ``_step_density`` over the
-    stage table with its alpha column negated.  A step of ``stride`` nodes
-    reads every ``stride``-th row of the grid's stage table, so with
-    stride 1 it is the plain grid run and two runs that meet at a node
-    step exactly as one run through it.
+    For the one jump operator L = L^dag (``BasisConfig.operators`` refuses
+    non-Hermitian generators) the adjoint right-hand
+    side -i[H, Q] + alpha (L^2 Q + Q L^2 - 2 L Q L) = -i[H, Q] + alpha
+    [L, [L, Q]] is the density one with alpha replaced by -alpha
+    (Lindblad, CMP 48, 119, 1976): Q is stepped as a density state by
+    ``_step_density`` over the stage table with its alpha column negated.
+    A step of ``stride`` nodes reads every ``stride``-th row of the
+    grid's stage table, so with stride 1 it is the plain grid run and two
+    runs that meet at a node step exactly as one run through it.
 
     Backward, each step is an RK4 step of size -stride*h over the stage
     table read in descending order.  That is the well-posed direction: the
@@ -762,16 +738,10 @@ class MomentVector:
         _check_k_moments(self.k1, self.k2, self.k3)
 
 
-def _observable_set(cfg: BasisConfig):
-    """x, p, K1, K2 and K3 of the basis, built afresh on each call."""
-    x_op, p_op = build_canonical(cfg)
-    g1, g2, g3 = build_su11_generators(x_op, p_op)
-    return x_op, p_op, g1, g2, g3
-
-
 def moments_from_state(rho: DensityMatrix, cfg: BasisConfig) -> MomentVector:
-    """Moment vector of a state: canonical means and K expectations."""
-    return MomentVector(*(expectation(op, rho) for op in _observable_set(cfg)))
+    """Moment vector of a state: the expectations of the basis's x, p,
+    K1, K2 and K3."""
+    return MomentVector(*(expectation(op, rho) for op in cfg.operators))
 
 
 # ------------------------------------------------------------- first moments
@@ -847,7 +817,7 @@ def _closure_matrix_verified() -> bool:
     prediction on the truncation-safe interior block.
     """
     cfg = BasisConfig(dim=12, omega_ref=1.0)
-    gens = tuple(g.entries for g in build_su11_generators(*build_canonical(cfg)))
+    gens = tuple(g.entries for g in cfg.operators[2:])
     cases = ((1.0, 0.1, 1.0, 0.0),
              (2.3, 0.07, 1.7, -0.4),
              (0.5, 0.12, 3.0, 1.2))

@@ -13,6 +13,7 @@ states are monitored for population leaking into the top levels.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -35,7 +36,8 @@ INTERIOR_MARGIN = 6
 
 @dataclass(frozen=True)
 class BasisConfig:
-    """Working basis: dimension, reference frequency, tail monitoring."""
+    """Working basis: dimension, reference frequency, tail monitoring,
+    and the operators built on it (``operators``)."""
 
     dim: int
     omega_ref: float
@@ -62,6 +64,44 @@ class BasisConfig:
     @property
     def interior_dim(self) -> int:
         return self.dim - INTERIOR_MARGIN
+
+    @functools.cached_property
+    def operators(self) -> tuple[FockOperator, ...]:
+        """(x, p, K1, K2, K3), built on first access and kept in the
+        instance ``__dict__``: not a field, so equality, hashing and
+        ``dataclasses.fields`` do not see it.  Every model, invariant and
+        record on the basis reads these five objects.
+
+        The banded density kernel of ``lindblad`` holds only the diagonals
+        0 and +-2, and its stages and the observable transport read L^dag
+        as L, so the build refuses a generator of another dimension, one
+        with an entry off those diagonals, and one that is not exactly
+        Hermitian.
+        """
+        x_op, p_op = build_canonical(self)
+        ops = (x_op, p_op, *build_su11_generators(x_op, p_op))
+        for name, gen in zip(("k1", "k2", "k3"), ops[2:]):
+            if gen.dim != self.dim:
+                raise ValidationError(
+                    f"generator dimension {gen.dim} does not match basis "
+                    f"{self.dim}")
+            rows, cols = np.nonzero(gen.entries)
+            off = ~np.isin(rows - cols, (-2, 0, 2))
+            if off.any():
+                i, j = rows[off][0], cols[off][0]
+                raise ValidationError(
+                    f"generator {name} couples Fock levels {i} and {j}, off "
+                    "the diagonals 0 and +-2 (entry "
+                    f"{gen.entries[i, j]:.3e}); the banded density evolution "
+                    "would drop it")
+            dev = gen.herm_deviation()
+            if not dev == 0.0:  # also trips on nan
+                raise ValidationError(
+                    f"generator {name} is not Hermitian (deviation "
+                    f"{dev:.3e}); the observable transport needs a Hermitian "
+                    "jump operator, and the density stages use L as L^dag, "
+                    "so the generators must be exactly Hermitian")
+        return ops
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -222,7 +262,13 @@ def build_canonical(cfg: BasisConfig) -> tuple[FockOperator, FockOperator]:
 def build_su11_generators(
     x: FockOperator, p: FockOperator
 ) -> tuple[FockOperator, FockOperator, FockOperator]:
-    """Quadratic generators K1 = p²/2, K2 = x²/2, K3 = (px+xp)/2."""
+    """Quadratic generators K1 = p²/2, K2 = x²/2, K3 = (px+xp)/2.
+
+    On ``build_canonical``'s pair each has entries only on the diagonals
+    0 and +-2 and is exactly Hermitian, which the banded density kernel
+    and the observable transport of ``lindblad`` take for granted
+    (``BasisConfig.operators`` refuses a build without them).
+    """
     if x.dim != p.dim:
         raise ValidationError(f"dimension mismatch: {x.dim} vs {p.dim}")
     xm, pm = x.entries, p.entries

@@ -104,9 +104,7 @@ from .operators import (
     BasisConfig,
     DensityMatrix,
     FockOperator,
-    build_canonical,
     build_state,
-    build_su11_generators,
     check_su11_relations,
 )
 from .scenario import Scenario
@@ -290,9 +288,9 @@ def _check_battery_window(s: Scenario):
 
     ``invariant-residual`` differences the closed form at f*t_max +-
     FD_HALF_STEP for every sample fraction f, and ``drift-crosscheck``
-    needs a probe node either side of its probe time t_max/2.  The
-    residual's sample times may overhang the solution window by the same
-    1e-12 that every window check admits.
+    needs a probe node either side of its probe time min(1, t_max/2).
+    The residual's sample times may overhang the solution window by the
+    same 1e-12 that every window check admits.
     """
     fracs = RESIDUAL_SAMPLE_FRACTIONS
     edge = min(min(fracs), 1.0 - max(fracs))
@@ -359,8 +357,8 @@ def run_scenario(s: Scenario, out_dir: str | None = None) -> SimulationResult:
 
 
 def _check_su11_algebra(p: _Prepared) -> CheckResult:
-    dev = max(check_su11_relations(*p.invariant.operators,
-                                   p.scenario.basis.interior_dim))
+    basis = p.model.basis
+    dev = max(check_su11_relations(*basis.operators[2:], basis.interior_dim))
     return CheckResult("su11-algebra", dev, SU11_ALGEBRA_TOL,
                        dev <= SU11_ALGEBRA_TOL)
 
@@ -425,9 +423,8 @@ def _drift_probe(p: _Prepared) -> tuple[LindbladModel, float, int, int, int]:
     h = DRIFT_PROBE_STEP
     t_probe = min(1.0, 0.5 * s.t_max)
     cfg = BasisConfig(dim=DRIFT_PROBE_DIM, omega_ref=s.basis.omega_ref)
-    gens = build_su11_generators(*build_canonical(cfg))
     model = LindbladModel(s.omega_schedule, s.kappa_schedule, p.model.sol,
-                          *gens, cfg)
+                          cfg)
     i = round(t_probe / h)
     last = min(i + round(DRIFT_PROBE_WINDOW / h), int(s.t_max / h + 1e-9))
     # _check_battery_window refuses the windows that would leave no node
@@ -489,8 +486,9 @@ def _probe_nodes(model: LindbladModel, i: int, seed: int,
     """
     nodes: list[np.ndarray] = []
     keep = lambda j, q: nodes.append(q.copy())
-    _transport_steps(model, model.k2.entries, seed, i + 1, DRIFT_PROBE_STEP,
-                     keep, every=max(1, (seed - i - 1) // k), stride=k)
+    _transport_steps(model, model.generators[1], seed, i + 1,
+                     DRIFT_PROBE_STEP, keep,
+                     every=max(1, (seed - i - 1) // k), stride=k)
     _transport_steps(model, nodes[-1], i + 1, i - 1, DRIFT_PROBE_STEP, keep)
     return nodes[-3:][::-1]
 

@@ -8,7 +8,8 @@ explicit setting in the environment wins.
 The ``evolve_recording`` fixture runs ``evolve_density`` and also returns
 every state it recorded, for the tests that read states a run no longer
 keeps.  The ``phase_peaks`` fixture measures the traced memory peak of
-each named ``runner`` phase of a call.
+each named ``runner`` phase of a call.  The ``flip_a3`` fixture turns
+every model's jump operator into the sign-flipped mutant.
 """
 
 import os
@@ -96,3 +97,21 @@ def phase_peaks(monkeypatch):
     """``_phase_peaks`` on this test's monkeypatch: (call, names) -> the
     traced peak of each named ``runner`` phase."""
     return lambda call, names: _phase_peaks(monkeypatch, call, names)
+
+
+def _flip_a3(monkeypatch):
+    """Patch ``lindblad._jump_coefficients`` to return -a3, so that every
+    model's jump operator is K1 + a2 K2 - a3 K3 for the rest of the test."""
+    coefficients = lindblad._jump_coefficients
+
+    def flipped(kappa, r, v):
+        alpha, a2, a3 = coefficients(kappa, r, v)
+        return alpha, a2, -a3
+
+    monkeypatch.setattr(lindblad, "_jump_coefficients", flipped)
+
+
+@pytest.fixture
+def flip_a3(monkeypatch):
+    """``_flip_a3`` on this test's monkeypatch, applied when called."""
+    return lambda: _flip_a3(monkeypatch)

@@ -2,8 +2,8 @@
 name the benchmark's tracer wraps by attribute, a density run goes
 through the tracer's hooks, the benchmark's correctness gate passes its
 own self-test, the README's library example compiles and imports
-only names the package has, and no package module imports a name it
-never uses.
+only names the package has, and no package module or test file imports
+a name it never uses.
 
 A stale entry (a name deleted but left in ``__all__``) breaks
 ``from module import *`` although a plain import still succeeds.  The
@@ -34,6 +34,7 @@ MODULES = ["invariantlab"] + [
     for info in pkgutil.iter_modules(invariantlab.__path__)]
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 SOURCES = os.path.dirname(invariantlab.__file__)
+TESTS = os.path.dirname(__file__)
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
@@ -141,9 +142,16 @@ def test_the_unused_import_scan_flags_a_leftover():
     assert _unused_imports(source) == ["_dense_at"]
 
 
-@pytest.mark.parametrize("name", sorted(
-    f for f in os.listdir(SOURCES) if f.endswith(".py")))
-def test_no_module_imports_a_name_it_never_uses(name):
-    with open(os.path.join(SOURCES, name), encoding="utf-8") as fh:
+def _python_files(directory, prefix=""):
+    """(id, path) of the .py files of ``directory``, each id the file name
+    after ``prefix``."""
+    return [pytest.param(os.path.join(directory, f), id=prefix + f)
+            for f in sorted(os.listdir(directory)) if f.endswith(".py")]
+
+
+@pytest.mark.parametrize("path", _python_files(SOURCES)
+                         + _python_files(TESTS, "tests/"))
+def test_no_module_imports_a_name_it_never_uses(path):
+    with open(path, encoding="utf-8") as fh:
         unused = _unused_imports(fh.read())
-    assert not unused, f"{name} imports names it never uses: {unused}"
+    assert not unused, f"{path} imports names it never uses: {unused}"

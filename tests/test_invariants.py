@@ -6,8 +6,6 @@ independently integrated density trajectories, and centered finite
 differences of eigenvalue series.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -39,9 +37,7 @@ from invariantlab.operators import (
     BasisConfig,
     FockOperator,
     StateSpec,
-    build_canonical,
     build_state,
-    build_su11_generators,
     expectation,
     interior_block,
     max_abs,
@@ -54,19 +50,12 @@ H = 1e-3
 def jump_at(model, t):
     """(alpha, L) of the model's jump term at t, L as a FockOperator."""
     _, alpha, a2, a3 = model.coefficients(t)
-    return alpha, FockOperator(model.k1.entries + a2 * model.k2.entries
-                               + a3 * model.k3.entries)
+    k1, k2, k3 = model.generators
+    return alpha, FockOperator(k1 + a2 * k2 + a3 * k3)
 
 
 def basis(dim):
     return BasisConfig(dim=dim, omega_ref=1.0)
-
-
-def make_frame(dim):
-    cfg = basis(dim)
-    x_op, p_op = build_canonical(cfg)
-    gens = build_su11_generators(x_op, p_op)
-    return cfg, x_op, p_op, gens
 
 
 def baseline_schedules(kappa=0.1):
@@ -92,7 +81,7 @@ def constant_case(t_max, dim, init=ErmakovInit(1.0, 0.0)):
 
 def test_weak_invariant_on_equilibrium_is_plain_energy():
     _, spec = constant_case(1.0, 12)
-    g1, g2, _ = spec.operators
+    g1, g2, _ = spec.basis.operators[2:]
     inv = spec.at(0.5)
     assert inv.hermitian
     np.testing.assert_allclose(max_abs(inv.entries - g1.entries - g2.entries),
@@ -125,7 +114,7 @@ def test_weak_invariant_outside_window_rejected():
 
 
 def test_lr_invariant_on_equilibrium_is_plain_energy():
-    cfg, x_op, p_op, (g1, g2, g3) = make_frame(20)
+    x_op, p_op, g1, g2, _ = basis(20).operators
     sol0 = solve_auxiliary(ConstantSchedule(1.0), ConstantSchedule(0.0),
                            ErmakovInit(1.0, 0.0), 1.0, H)
     inv = lr_invariant_at(sol0, x_op, p_op, 0.4)
@@ -137,7 +126,7 @@ def test_lr_invariant_on_equilibrium_is_plain_energy():
 
 def test_lr_invariant_equals_expanded_quadratic_form():
     """(rho p - rhodot x)^2/2 + x^2/(2 rho^2) expands to the K-basis form."""
-    _, x_op, p_op, _ = make_frame(24)
+    x_op, p_op, *_ = basis(24).operators
     _, spec = construct_baseline(*baseline_schedules(kappa=0.0), 3.0, 24)
     for t in (0.0, 0.9, 2.4):
         direct = lr_invariant_at(spec.sol, x_op, p_op, t)
@@ -150,14 +139,9 @@ def test_lr_invariant_equals_expanded_quadratic_form():
 
 
 def test_spec_validation():
-    cfg, x_op, p_op, gens = make_frame(10)
     sol = solve_auxiliary(ConstantSchedule(1.0), ConstantSchedule(0.0),
                           ErmakovInit(1.0, 0.0), 1.0, H)
-    with pytest.raises(ValidationError, match="3 operators"):
-        InvariantSpec(sol=sol, operators=(x_op, p_op))
-    with pytest.raises(ValidationError, match="dimensions differ"):
-        InvariantSpec(sol=sol, operators=(*gens[:2], make_frame(12)[3][2]))
-    spec = InvariantSpec(sol=sol, operators=gens)
+    spec = InvariantSpec(sol=sol, basis=basis(10))
     assert spec.dim == 10
     assert spec.window == (0.0, 1.0)
 
@@ -183,7 +167,7 @@ def test_residual_on_modulated_scenario_equals_friction_defect():
     omega_s, kappa_s = baseline_schedules()
     model, spec = construct_baseline(omega_s, kappa_s, 2.0, 60)
     sol = model.sol
-    k3_norm = max_abs(interior_block(model.k3.entries,
+    k3_norm = max_abs(interior_block(model.generators[2],
                                      model.basis.interior_dim))
     for t in (0.5, 1.0, 1.5):
         res = invariant_residual(spec, model, t)
@@ -192,14 +176,13 @@ def test_residual_on_modulated_scenario_equals_friction_defect():
         assert res > 1e-3  # the defect is genuinely nonzero here
 
 
-def test_residual_detects_sign_flipped_jump_coefficient():
+def test_residual_detects_sign_flipped_jump_coefficient(flip_a3):
     """Flipping a3 in the model's jump operator must light up the defect
     well above the intrinsic friction-defect floor of the good model."""
-    good, spec = construct_baseline(*baseline_schedules(), 2.0, 40)
-    # negating K3 gives the jump operator K1 + a2 K2 - a3 K3
-    bad = dataclasses.replace(good, k3=FockOperator(-good.k3.entries))
-    res_good = invariant_residual(spec, good, 1.0)
-    res_bad = invariant_residual(spec, bad, 1.0)
+    model, spec = construct_baseline(*baseline_schedules(), 2.0, 40)
+    res_good = invariant_residual(spec, model, 1.0)
+    flip_a3()  # the jump operator K1 + a2 K2 - a3 K3
+    res_bad = invariant_residual(spec, model, 1.0)
     assert res_bad > 1e-2
     assert res_bad > 4.0 * res_good
 
@@ -210,10 +193,13 @@ def test_residual_strong_form_without_friction():
 
 
 def test_residual_argument_validation():
-    _, spec = constant_case(1.0, 10)
-    other_model, _ = constant_case(1.0, 12)
-    with pytest.raises(ValidationError, match="dimension"):
-        invariant_residual(spec, other_model, 0.5)
+    """An invariant on another basis than the model's is refused, here one
+    of the same dimension at another reference frequency."""
+    model, spec = constant_case(1.0, 10)
+    other = InvariantSpec(sol=spec.sol,
+                          basis=BasisConfig(dim=10, omega_ref=0.5))
+    with pytest.raises(ValidationError, match="another basis"):
+        invariant_residual(other, model, 0.5)
 
 
 def test_residual_refuses_an_invariant_on_another_equation():
@@ -233,11 +219,11 @@ def test_construct_is_the_hand_pairing():
     omega_s = SinusoidSchedule(1.0, 0.2, 0.1)
     kappa_s = SinusoidSchedule(0.1, 0.05, 0.3)
     init = ErmakovInit(1.1, 0.05)
-    cfg, _, _, gens = make_frame(12)
+    cfg = basis(12)
     model, inv = construct(omega_s, kappa_s, init, 2.0, H, cfg)
     sol = solve_auxiliary(omega_s, kappa_s, init, 2.0, H)
-    hand = LindbladModel(omega_s, kappa_s, sol, *gens, cfg)
-    hand_inv = InvariantSpec(sol=sol, operators=gens)
+    hand = LindbladModel(omega_s, kappa_s, sol, cfg)
+    hand_inv = InvariantSpec(sol=sol, basis=cfg)
     ts = np.linspace(0.0, 2.0, 41)
     np.testing.assert_array_equal(np.column_stack(model.coefficients(ts)),
                                   np.column_stack(hand.coefficients(ts)))
@@ -325,15 +311,14 @@ def test_expectation_series_equals_the_dense_trace(evolve_recording):
 
 def test_expectation_series_refuses_other_operators():
     """The series reads the recorded <K1>, <K2> and <K3>, so an invariant
-    built on other operators of the same dimension is refused: here K3
-    with its sign flipped."""
+    built on other operators of the same dimension is refused: here those
+    of a basis at another reference frequency."""
     model, inv = constant_case(0.2, 12)
     rho0 = build_state(StateSpec(kind="fock", fock_n=0), model.basis)
     traj = evolve_density(model, rho0, 0.2, H, record_every=100)
-    g1, g2, g3 = inv.operators
     spec = InvariantSpec(sol=inv.sol,
-                         operators=(g1, g2, FockOperator(-g3.entries)))
-    with pytest.raises(ValidationError, match="not the K1, K2 and K3"):
+                         basis=BasisConfig(dim=12, omega_ref=0.5))
+    with pytest.raises(ValidationError, match="another basis"):
         expectation_series(traj, spec)
 
 
@@ -391,7 +376,8 @@ def test_spectrum_of_transported_observable_drifts():
     Late-time rows carry amplified truncation noise (the transport flow
     is expansive), which only adds to the drift being detected."""
     model, _ = construct_baseline(*baseline_schedules(), 5.0, 16)
-    ot = evolve_adjoint_observable(model, model.k2, 5.0, H, record_every=100)
+    ot = evolve_adjoint_observable(model, model.basis.operators[3], 5.0, H,
+                                   record_every=100)
     levels = np.array([np.linalg.eigvalsh(op.entries)[:5]
                        for op in ot.operators])
     early = levels[np.asarray(ot.ts) <= 2.0]
@@ -461,8 +447,8 @@ def test_drift_matches_finite_difference_of_spectrum():
     expansive transport flow representable at t = 1 in double precision."""
     h = 2e-4
     model, _ = construct_baseline(*baseline_schedules(), 1.0 + 2 * h, 16, h=h)
-    ot = evolve_adjoint_observable(model, model.k2, 1.0 + 2 * h, h,
-                                   record_every=1)
+    ot = evolve_adjoint_observable(model, model.basis.operators[3],
+                                   1.0 + 2 * h, h, record_every=1)
     ts = np.asarray(ot.ts)
     i = int(np.argmin(np.abs(ts - 1.0)))
     m = 5

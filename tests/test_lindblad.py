@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from invariantlab import lindblad, runner
+from invariantlab import lindblad, operators, runner
 from invariantlab.auxiliary import (
     STAGE_BLOCK_BYTES,
     ErmakovInit,
@@ -81,9 +81,9 @@ def equilibrium_setup(dim, kappa=0.1, omega=1.0, t_max=2.0, h=H):
     omega_s = ConstantSchedule(omega)
     kappa_s = ConstantSchedule(kappa)
     cfg = BasisConfig(dim=dim, omega_ref=omega)
-    model, inv = construct(omega_s, kappa_s, ErmakovInit(1.0, 0.0), t_max, h,
-                           cfg)
-    return omega_s, kappa_s, cfg, inv.operators, model.sol, model
+    model, _ = construct(omega_s, kappa_s, ErmakovInit(1.0, 0.0), t_max, h,
+                         cfg)
+    return omega_s, kappa_s, cfg, cfg.operators[2:], model.sol, model
 
 
 def modulated_setup(dim, kappa=0.1, t_max=1.0, h=H):
@@ -93,8 +93,8 @@ def modulated_setup(dim, kappa=0.1, t_max=1.0, h=H):
     cfg = BasisConfig(dim=dim, omega_ref=1.0)
     init = ErmakovInit(adiabatic_rho(omega_s, kappa_s, 0.0),
                        adiabatic_rhodot(omega_s, kappa_s, 0.0))
-    model, inv = construct(omega_s, kappa_s, init, t_max, h, cfg)
-    return omega_s, kappa_s, cfg, inv.operators, model.sol, model
+    model, _ = construct(omega_s, kappa_s, init, t_max, h, cfg)
+    return omega_s, kappa_s, cfg, cfg.operators[2:], model.sol, model
 
 
 def quadratic_invariant(gens, sol, t):
@@ -169,7 +169,7 @@ def test_array_coefficients_equal_the_scalar_ones():
 
 def _stage_arrays(model, t):
     omega_sq, alpha, a2, a3 = model.coefficients(t)
-    g1, g2, g3 = model.k1.entries, model.k2.entries, model.k3.entries
+    g1, g2, g3 = model.generators
     return g1 + omega_sq * g2, alpha, g1 + a2 * g2 + a3 * g3
 
 
@@ -687,49 +687,59 @@ def test_no_jump_terms_without_friction():
     assert _density_stage_ops(lindblad._Kernel(model), row)[2] is None
 
 
-def test_non_hermitian_generator_rejected():
+def _construct_on_generators(monkeypatch, gens_of):
+    """``construct`` on a dim-10 basis whose build hands
+    ``gens_of(K1, K2, K3)`` of the builder to its checks."""
+    monkeypatch.setattr(operators, "build_su11_generators",
+                        lambda x, p: gens_of(*build_su11_generators(x, p)))
+    cfg = BasisConfig(dim=10, omega_ref=1.0)
+    return construct(ConstantSchedule(1.0), ConstantSchedule(0.1),
+                     ErmakovInit(1.0, 0.0), 0.01, H, cfg)
+
+
+def test_non_hermitian_generator_rejected(monkeypatch):
     """The observable transport is the density equation with alpha
     negated, which is its adjoint only for a Hermitian jump operator, and
-    the density stages read L^dag as L: a deviation of 1e-3 is refused,
-    and so is one of 1e-14, which ``FockOperator`` still calls Hermitian."""
-    omega_s, kappa_s, cfg, (g1, g2, g3), sol, _ = equilibrium_setup(
-        dim=10, t_max=0.01)
+    the density stages read L^dag as L: a K3 deviation of 1e-3 is refused
+    by the basis's build, before any model is made on it, and so is one
+    of 1e-14, which ``FockOperator`` still calls Hermitian."""
     for dev in (1e-3, 1e-14):
-        k3 = np.array(g3.entries)
-        k3[0, 2] += dev
-        assert FockOperator(k3).hermitian == (dev < 1e-12)
+        def skewed(g1, g2, g3, dev=dev):
+            k3 = np.array(g3.entries)
+            k3[0, 2] += dev
+            assert FockOperator(k3).hermitian == (dev < 1e-12)
+            return g1, g2, FockOperator(k3)
+
         with pytest.raises(ValidationError,
                            match=r"generator k3 is not Hermitian"):
-            LindbladModel(omega_s, kappa_s, sol, g1, g2, FockOperator(k3),
-                          cfg)
+            _construct_on_generators(monkeypatch, skewed)
 
 
 @pytest.mark.parametrize("offset, name", [(1, "k3"), (3, "k1"), (4, "k2")])
-def test_generator_coupling_off_the_band_rejected(offset, name):
+def test_generator_coupling_off_the_band_rejected(monkeypatch, offset, name):
     """A Hermitian pair of 1e-3 entries between levels 1 and 1 + offset,
     off the diagonals 0 and +-2 that the band stacks hold, would be
-    dropped by the density kernel: the model refuses it and names the
-    generator and both levels."""
-    omega_s, kappa_s, cfg, gens, sol, _ = equilibrium_setup(dim=10,
-                                                            t_max=0.01)
-    gens = dict(zip(("k1", "k2", "k3"), gens))
-    k = np.array(gens[name].entries)
-    k[1, 1 + offset] = k[1 + offset, 1] = 1e-3
-    gens[name] = FockOperator(k)
+    dropped by the density kernel: the basis's build refuses it and names
+    the generator and both levels."""
+    def coupled(*gens):
+        gens = dict(zip(("k1", "k2", "k3"), gens))
+        k = np.array(gens[name].entries)
+        k[1, 1 + offset] = k[1 + offset, 1] = 1e-3
+        gens[name] = FockOperator(k)
+        return tuple(gens.values())
+
     with pytest.raises(ValidationError,
                        match=rf"generator {name} couples Fock levels 1 and "
                              rf"{1 + offset},"):
-        LindbladModel(omega_s, kappa_s, sol, *gens.values(), cfg)
+        _construct_on_generators(monkeypatch, coupled)
 
 
-def test_generator_dimension_mismatch_rejected():
-    omega_s = ConstantSchedule(1.0)
-    kappa_s = ConstantSchedule(0.1)
-    cfg = BasisConfig(dim=10, omega_ref=1.0)
-    wrong = build_su11_generators(*build_canonical(BasisConfig(dim=12, omega_ref=1.0)))
-    sol = solve_auxiliary(omega_s, kappa_s, ErmakovInit(1.0, 0.0), 1.0, H)
-    with pytest.raises(ValidationError):
-        LindbladModel(omega_s, kappa_s, sol, *wrong, cfg)
+def test_generator_dimension_mismatch_rejected(monkeypatch):
+    wrong = build_su11_generators(*build_canonical(BasisConfig(dim=12,
+                                                               omega_ref=1.0)))
+    with pytest.raises(ValidationError,
+                       match="generator dimension 12 does not match basis 10"):
+        _construct_on_generators(monkeypatch, lambda *gens: wrong)
 
 
 def test_solution_of_another_equation_rejected():
@@ -739,14 +749,13 @@ def test_solution_of_another_equation_rejected():
     on another frequency."""
     omega_s = SinusoidSchedule(1.0, 0.2, 0.1)
     cfg = BasisConfig(dim=8, omega_ref=1.0)
-    gens = build_su11_generators(*build_canonical(cfg))
     init = ErmakovInit(1.0, 0.0)
     sol0 = solve_auxiliary(omega_s, ConstantSchedule(0.0), init, 1.0, H)
     sol1 = solve_auxiliary(ConstantSchedule(1.0), ConstantSchedule(0.1), init,
                            1.0, H)
     for sol in (sol0, sol1):
         with pytest.raises(ValidationError, match="another equation"):
-            LindbladModel(omega_s, ConstantSchedule(0.1), sol, *gens, cfg)
+            LindbladModel(omega_s, ConstantSchedule(0.1), sol, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -917,7 +926,7 @@ def test_transport_preserves_hermiticity():
 
 def test_non_hermitian_seed_rejected():
     _, _, cfg, gens, sol, model = equilibrium_setup(dim=10, t_max=0.01)
-    x_op, p_op = build_canonical(cfg)
+    x_op, p_op, *_ = cfg.operators
     ladder = FockOperator(x_op.entries + 1j * p_op.entries)
     with pytest.raises(ValidationError):
         evolve_adjoint_observable(model, ladder, 0.01, H)

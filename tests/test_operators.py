@@ -41,6 +41,31 @@ def test_tail_count_rounding():
     assert BasisConfig(dim=60, omega_ref=1.0, tail_fraction=0.1).n_tail == 6
 
 
+def test_the_basis_builds_its_operators_once_on_the_band():
+    """``BasisConfig.operators`` is (x, p, K1, K2, K3) of the builders,
+    built once per instance.  The banded density kernel and the observable
+    transport take two properties of them for granted, checked here over
+    even and odd dimensions and three reference frequencies: K1, K2 and
+    K3 have no entry off the diagonals 0 and +-2, and all five operators
+    are exactly Hermitian."""
+    for dim in (8, 9, 20, 21, 160):
+        level = np.arange(dim)
+        off_band = ~np.isin(level[:, None] - level, (-2, 0, 2))
+        for omega_ref in (0.5, 1.0, 2.3):
+            cfg = BasisConfig(dim=dim, omega_ref=omega_ref)
+            ops = cfg.operators
+            x, p = build_canonical(cfg)
+            built = (x, p, *build_su11_generators(x, p))
+            for op, ref in zip(ops, built, strict=True):
+                np.testing.assert_array_equal(op.entries, ref.entries)
+            for k in ops[2:]:
+                assert not k.entries[off_band].any(), (dim, omega_ref)
+            assert [op.herm_deviation() for op in ops] == [0.0] * 5
+            again = cfg.operators
+            assert again is ops
+            assert all(a is b for a, b in zip(again, ops, strict=True))
+
+
 # ----------------------------------------------------------------- canonical
 
 

@@ -19,6 +19,7 @@ from invariantlab.auxiliary import (
 )
 from invariantlab.cli import main
 from invariantlab.errors import NumericalError, ParseError, ValidationError
+from invariantlab.operators import BasisConfig
 from invariantlab.runner import (
     ARTIFACT_FILES,
     run_scenario,
@@ -499,11 +500,12 @@ def test_declared_epsilon_must_match_the_schedule_rate(tmp_path, monkeypatch):
 
 
 def _counted(monkeypatch, name, modules=(runner,)):
-    """Count the calls ``modules`` make to their integrator ``name``."""
+    """Record the positional arguments of the calls ``modules`` make to
+    their function ``name``."""
     calls = []
     for module in modules:
         def counted(*args, fn=getattr(module, name), **kwargs):
-            calls.append(None)
+            calls.append(args)
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -591,7 +593,7 @@ def test_drift_probe_equals_the_probe_on_the_full_trajectory(tmp_path):
     h = runner.DRIFT_PROBE_STEP
     assert k > 1
     coarse: dict[int, np.ndarray] = {}
-    lindblad._transport_steps(model, model.k2.entries, seed, i + 1, h,
+    lindblad._transport_steps(model, model.generators[1], seed, i + 1, h,
                               lambda j, q: coarse.update({j: q.copy()}),
                               stride=k)
     assert sorted(coarse) == list(range(i + 1, seed + 1, k))
@@ -693,7 +695,7 @@ def test_a_stride_one_drift_probe_is_the_single_rate_transport(
     last = i + round(runner.DRIFT_PROBE_WINDOW / h)
     assert k == stride and seed == last - (last - i - 1) % k
     single: list[np.ndarray] = []
-    lindblad._transport_steps(model, model.k2.entries, last, i - 1, h,
+    lindblad._transport_steps(model, model.generators[1], last, i - 1, h,
                               lambda j, q: single.append(q.copy()))
     probe = runner._probe_nodes(model, i, last, 1)
     for q, ref in zip(probe, single[:-4:-1], strict=True):
@@ -789,24 +791,55 @@ RUN_PHASES = ("_prepare", "_initial_state", "_fock_run",
               "expectation_series", "spectrum_series")
 
 
-def test_no_run_phase_peaks_above_the_density_run(tmp_path, phase_peaks):
+# The traced peak of each phase, in padded (164, 160) states, is below
+# these bounds; measured 10.09, 4.23, 9.51, 0.01 and 6.17.
+RUN_PHASE_BOUNDS = dict(zip(RUN_PHASES, (10.5, 4.5, 10.0, 0.1, 6.5)))
+
+
+def test_each_run_phase_peaks_below_its_bound(tmp_path, phase_peaks):
     """On ten steps of the wide-basis run (dim 160, |beta| = 6), traced
-    per ``runner`` phase: the density run peaks below 12 padded
-    (164, 160) states above its base, and no other phase above it.  The
-    run holds eight state-sized arrays, the dense x and p of <x> and
-    <p>, and eigvalsh's workspace at a record.  Measured: 11.46 states
-    (4.81 MB), where a run that copied its state at every record and
-    built a cached second set of x, p, K1, K2 and K3 peaked at 20.33
-    (8.54 MB).  The other phases peaked at most at 4.23 MB: ``_prepare``
-    and ``expectation_series``, which each build the basis's generators.
-    The test takes about 0.1 s."""
+    per ``runner`` phase, each phase peaks below its bound in padded
+    (164, 160) states above its base (``RUN_PHASE_BOUNDS``).
+
+    ``_prepare`` builds the basis's x, p, K1, K2 and K3 in ``construct``
+    and keeps them on the basis, so no later phase builds them.  The
+    density run holds eight state-sized arrays and eigvalsh's workspace
+    at a record: 9.51 states (3.99 MB), where a run that copied its state
+    at every record and built a second set of the five operators peaked
+    at 20.33 (8.54 MB).  ``expectation_series`` reads the recorded
+    moments only: 0.01 states, where rebuilding the five operators to
+    compare the invariant's with them took 10.08.  The test takes about
+    0.1 s."""
     s = load_text(WIDE_BASIS, tmp_path)
     peaks = phase_peaks(lambda: run_scenario(s, str(tmp_path / "out")),
                         RUN_PHASES)
     state = 164 * 160 * np.dtype(complex).itemsize
-    density = peaks.pop("_fock_run")
-    assert density < 12 * state
-    assert all(peak < density for peak in peaks.values()), peaks
+    over = {name: peaks[name] / state for name, bound in
+            RUN_PHASE_BOUNDS.items() if not peaks[name] < bound * state}
+    assert not over, over
+
+
+def test_one_verify_builds_each_basis_once(tmp_path, monkeypatch):
+    """A ``backend = both`` verify builds the scenario basis's operators
+    once, in ``construct``, and the drift probe's dim-16 basis once;
+    every module that binds a builder is counted.  The dim-12 basis of
+    the closure-matrix gate is built once per process, before the
+    count."""
+    s = load_text(SMALL.replace("basis.dim = 16", "basis.dim = 20")
+                  + "run.backend = both\n", tmp_path)
+    lindblad._closure_matrix_verified()
+    modules = [m for name, m in sorted(sys.modules.items())
+               if name.startswith("invariantlab")]
+    canonical = _counted(monkeypatch, "build_canonical",
+                         [m for m in modules if hasattr(m, "build_canonical")])
+    su11 = _counted(monkeypatch, "build_su11_generators",
+                    [m for m in modules
+                     if hasattr(m, "build_su11_generators")])
+    verify_scenario(s)
+    assert [cfg for cfg, in canonical] == [
+        s.basis, BasisConfig(dim=runner.DRIFT_PROBE_DIM, omega_ref=1.0)]
+    assert canonical[0][0] is s.basis
+    assert len(su11) == 2
 
 
 @pytest.mark.parametrize("kind", ["coherent", "invariant_ground"])
