@@ -250,8 +250,9 @@ def _rk4(rhs, stage, y0, n, h, record, every=1):
     """Classical fourth-order Runge-Kutta over n fixed steps of size h.
 
     ``stage(j)`` returns the right-hand-side data at time j*h/2 and
-    ``rhs(y, data, out)`` writes the derivative there into ``out``; each
-    step's end stage is reused as the next step's start stage.  A negative
+    ``rhs(y, data, out)`` writes the derivative there into ``out``, which
+    it may use as scratch before it writes the slope; each step's end
+    stage is reused as the next step's start stage.  A negative
     h steps backward in time.  ``record(i, y)`` receives the state at the
     nodes 0, every, 2 every, ... below n and at the last node n.  The
     state is an ndarray; the stage states are y + c s and the step is

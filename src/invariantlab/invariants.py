@@ -297,7 +297,9 @@ def spectrum_series(spec: InvariantSpec, times, m: int) -> SpectrumSeries:
 
     Requires m <= dim/3 so the reported levels stay clear of the
     truncation edge.  The series keeps its own copy of ``times``, so the
-    caller's array stays writable.
+    caller's array stays writable.  I(t) = c1 K1 + c2 K2 - c3 K3 is formed
+    from exactly Hermitian generators with real coefficients, so it is
+    exactly Hermitian and ``eigvalsh`` reads it as it is.
     """
     times = np.array(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -307,9 +309,7 @@ def spectrum_series(spec: InvariantSpec, times, m: int) -> SpectrumSeries:
             f"m must lie in [1, dim/3] = [1, {spec.dim // 3}], got {m}")
     levels = np.empty((times.size, m))
     for i, t in enumerate(times):
-        arr = spec.at(float(t)).entries
-        sym = 0.5 * (arr + arr.conj().T)
-        levels[i] = np.linalg.eigvalsh(sym)[:m]
+        levels[i] = np.linalg.eigvalsh(spec.at(float(t)).entries)[:m]
     flagged = [(i + 1, n)
                for i in range(times.size - 1)
                for n in range(m)

@@ -43,22 +43,28 @@ every state stepped from an exactly Hermitian one, since the RK4 stage
 states and step combination commute with conjugation; an anti-Hermitian
 rounding residue of the initial state receives no slope and stays as it
 is.  The identity is an exact fixed point of the observable transport:
-its C is L - L^dag = 0 exactly.  The pad rows stay exactly zero, and
-only ``_Kernel``, ``_rows`` and ``_step_density`` know of them: records
-receive the N level rows.  The generators are the basis's own
+its C is L - L^dag = 0 exactly.  The pad rows of the states and the
+kernel's scratch stay exactly zero, and only ``_Kernel``, ``_rows``,
+``_density_rhs`` and ``_step_density`` know of them: records receive the
+N level rows.  The generators are the basis's own
 (``BasisConfig.operators``), whose build refuses generators with an
 entry off the diagonals 0 and +-2, which the band would drop, and
 generators that are not exactly Hermitian, as the stages and the
 observable transport need.
 
-A density run holds each state-sized array once: eight of them.  The
+A density run holds each state-sized array once: six of them.  The
 driver steps the padded state that ``_step_density`` makes and owns the
 array its stage states are formed in and three slope buffers
-(``auxiliary._rk4``); the run's ``_Kernel`` owns the X and C scratch of
-the right-hand side; ``evolve_density``'s record owns one scratch array
-for the conjugate transposes of its health values.  Between records a
-step allocates only band-sized arrays: the stage operands and their
-temporaries.  A record reduces the live state to one preallocated row
+(``auxiliary._rk4``); the run's ``_Kernel`` owns one scratch.  A
+right-hand-side call works in its slope buffer and the scratch: X and
+then -alpha L C in the slope, C and then K rho in the scratch
+(``_density_rhs``).  ``evolve_density``'s record runs between calls and
+forms everything state-sized it needs in the scratch's level rows: the
+Hermiticity deviation, the symmetrised state for ``eigvalsh`` and each
+pairing's product (``operators.trace_pair``); it allocates only
+``eigvalsh``'s copy and the real moduli of the deviation.  Between
+records a step allocates only band-sized arrays: the stage operands and
+their temporaries.  A record reduces the live state to one preallocated row
 of moments and health values and keeps no copy of it, so a run's memory
 does not grow with its records; the final state is built once, from the
 array the driver returns.
@@ -311,13 +317,15 @@ class _Kernel:
 
     ``bands`` holds K1, K2 and K3 as (N, 1, 3) band stacks: entry [n, 0,
     d] is the entry between levels n and n + 2(d - 1), zero where that
-    level lies past either end.  The X and C scratch of the right-hand side
-    are zero-initialised, 64-byte aligned padded (N + 4, N) states, as are
-    the driver's slope buffers (``auxiliary._rk4``).  The products write
-    only level rows, so the pad rows only ever receive sums and conjugates
-    of zeros and stay zero without being reset.  X comes with its level
-    rows, (N, N), and their (N, 1, N) view that a product writes into, C
-    with its level rows and its ``_rows`` view, all made once here.
+    level lies past either end.  The one scratch is a zero-initialised,
+    64-byte aligned padded (N + 4, N) state, as are the driver's slope
+    buffers (``auxiliary._rk4``).  Every write goes into its level rows,
+    ``levels``, (N, N), through their (N, 1, N) view ``level_out`` that a
+    product writes into, so its pad rows stay zero without being reset
+    and ``rows``, its ``_rows`` view, reads them as the levels past
+    either end; all are made once here.  A right-hand-side call forms C
+    and K rho in it (``_density_rhs``), and ``evolve_density``'s record,
+    which runs between calls, reduces the live state in its level rows.
     """
 
     def __init__(self, model: LindbladModel):
@@ -329,10 +337,10 @@ class _Kernel:
             np.where(on, k[level, np.clip(near, 0, n - 1)], 0.0)[:, None]
             for k in model.generators)
 
-        self.x, self.c = (_zeros_aligned((n + 4, n)) for _ in range(2))
-        self.x_levels, self.c_levels = self.x[2:-2], self.c[2:-2]
-        self.x_out = self.x_levels[:, None]
-        self.c_rows = _rows(self.c)
+        self.scratch = _zeros_aligned((n + 4, n))
+        self.levels = self.scratch[2:-2]
+        self.level_out = self.levels[:, None]
+        self.rows = _rows(self.scratch)
 
 
 def _rows(state: np.ndarray) -> np.ndarray:
@@ -368,14 +376,15 @@ def _with_dagger(ufunc, arr: np.ndarray, out: np.ndarray) -> np.ndarray:
     return ufunc(arr, out, out=out)
 
 
-def _commutator(kernel: _Kernel, l_op: np.ndarray,
-                rows: np.ndarray) -> np.ndarray:
-    """[L, rho] in the kernel's C scratch, ``rows`` the ``_rows`` view of
-    rho: X = L rho, then C = X - X^dag (``_with_dagger``), which is
-    L rho - rho L for Hermitian rho and L.  X stays in the X scratch."""
-    np.matmul(l_op, rows, out=kernel.x_out)
-    _with_dagger(np.subtract, kernel.x_levels, kernel.c_levels)
-    return kernel.c
+def _commutator(kernel: _Kernel, l_op: np.ndarray, rows: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """[L, rho] in the kernel's scratch, ``rows`` the ``_rows`` view of
+    rho: X = L rho into the level rows of ``out``, a zero-padded state,
+    then C = X - X^dag (``_with_dagger``), which is L rho - rho L for
+    Hermitian rho and L.  X stays in ``out``."""
+    np.matmul(l_op, rows, out=out[2:-2, None])
+    _with_dagger(np.subtract, out[2:-2], kernel.levels)
+    return kernel.scratch
 
 
 def _density_rhs(state: np.ndarray, ops, out: np.ndarray) -> np.ndarray:
@@ -383,22 +392,24 @@ def _density_rhs(state: np.ndarray, ops, out: np.ndarray) -> np.ndarray:
     # state that is -i [H, rho] - alpha [L, [L, rho]], and the slope is
     # exactly Hermitian whatever the rounding of Y.  Each product is one
     # matmul of a band stack against the rows view of its operand, written
-    # into level rows; the sums run over whole buffers, whose pad rows are
-    # zero, and Y^dag is copied into the X scratch and conjugated there.
-    # The slope is written into ``out``, a zero-padded state of the
-    # driver's, and returned.
+    # into level rows.  ``out``, a zero-padded state of the driver's,
+    # holds X, then -alpha L C, then Y and the slope, which is returned;
+    # the kernel's scratch holds C, then K rho, then Y^dag, copied in and
+    # conjugated there.  -alpha L C + K rho is K rho - alpha L C bit for
+    # bit, as IEEE addition commutes.
     kernel, k_op, jump = ops
     levels = out[2:-2]
     rows = _rows(state)
-    np.matmul(k_op, rows, out=levels[:, None])
-    x = kernel.x
-    if jump is not None:
+    if jump is None:
+        np.matmul(k_op, rows, out=levels[:, None])
+    else:
         l_op, damp = jump
-        _commutator(kernel, l_op, rows)
-        np.matmul(damp, kernel.c_rows, out=kernel.x_out)
-        out += x
-    np.copyto(kernel.x_levels, levels.T)
-    out += np.conjugate(x, out=x)
+        _commutator(kernel, l_op, rows, out)
+        np.matmul(damp, kernel.rows, out=levels[:, None])
+        np.matmul(k_op, rows, out=kernel.level_out)
+        levels += kernel.levels
+    np.copyto(kernel.levels, levels.T)
+    levels += np.conjugate(kernel.levels, out=kernel.levels)
     return out
 
 
@@ -418,7 +429,9 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
     hard checks, to its health metrics, by the formulas of
     ``DensityMatrix``'s methods, and the expectations of the basis's x,
     p, K1, K2 and K3 (``BasisConfig.operators``), with ``expectation``'s
-    checks; only the final state is kept (``Trajectory``).
+    checks; only the final state is kept (``Trajectory``).  The run
+    holds six state-sized arrays: the driver's five and the one scratch
+    of its ``_Kernel``, in whose level rows the record also works.
     """
     cfg = model.basis
     if rho0.dim != cfg.dim:
@@ -429,8 +442,10 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
     records = np.empty((len(_record_nodes(n, record_every)),
                         len(_RECORD_FIELDS)))
     slots = iter(records)
-    # the conjugate transposes of the health values are formed here
-    scratch = np.empty((cfg.dim, cfg.dim), dtype=complex)
+    kernel = _Kernel(model)
+    # a record runs between right-hand-side calls, so it reduces the
+    # state in the level rows of the kernel's scratch
+    scratch = kernel.levels
     warnings: list[str] = []
     failed_at: float | None = None
 
@@ -462,20 +477,22 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
             warnings.append(f"t={t:.6g}: " + "; ".join(problems))
             if failed_at is None:
                 failed_at = t
-        next(slots)[:] = (t, *(_real_pairing(op, arr) for op in cfg.operators),
+        next(slots)[:] = (t, *(_real_pairing(op, arr, scratch)
+                               for op in cfg.operators),
                           tr, herm, lo, tail)
 
-    final = _step_density(model, _stage_table(model, n, h), rho0.entries, n,
+    final = _step_density(kernel, _stage_table(model, n, h), rho0.entries, n,
                           h, record, record_every)
     return Trajectory(**dict(zip(_RECORD_FIELDS, records.T)),
                       states=(DensityMatrix(final, validate=False),),
                       basis=cfg, failed_at=failed_at, warnings=tuple(warnings))
 
 
-def _step_density(model: LindbladModel, table: np.ndarray, a0: np.ndarray,
+def _step_density(kernel: _Kernel, table: np.ndarray, a0: np.ndarray,
                   n: int, h: float, record, every: int) -> np.ndarray:
     """n RK4 steps of ``_density_rhs`` at step h from the dense array a0,
-    over the stage rows ``table``, on the driver ``auxiliary._rk4``.
+    over the stage rows ``table``, on the driver ``auxiliary._rk4`` and
+    the run's ``kernel``.
 
     The state is held padded, with two zero rows above and below its N
     level rows (``_Kernel``), in a fresh 64-byte aligned array that the
@@ -486,7 +503,6 @@ def _step_density(model: LindbladModel, table: np.ndarray, a0: np.ndarray,
     the next record's finiteness check reports it; the intermediate
     arithmetic may legitimately hit inf, so numpy is kept quiet.
     """
-    kernel = _Kernel(model)
     state = _zeros_aligned((len(a0) + 4, len(a0)))
     state[2:-2] = a0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -567,7 +583,8 @@ def _transport_steps(model: LindbladModel, q0: np.ndarray, first: int,
                            "for RK4")
         record(node, q)
 
-    _step_density(model, table, q0, n, sign * stride * h, checked, every)
+    _step_density(_Kernel(model), table, q0, n, sign * stride * h, checked,
+                  every)
 
 
 def _adjoint_norm_bound(model: LindbladModel, table: np.ndarray) -> float:

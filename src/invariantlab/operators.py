@@ -235,9 +235,11 @@ def interior_block(m: np.ndarray, k: int) -> np.ndarray:
     return m[:k, :k]
 
 
-def trace_pair(a: np.ndarray, b: np.ndarray) -> complex:
-    """tr[a @ b] without forming the product."""
-    return complex(np.sum(a * b.T))
+def trace_pair(a: np.ndarray, b: np.ndarray, out=None) -> complex:
+    """tr[a @ b] without forming the product: the sum of the entries of
+    the C-contiguous a * b^T, formed in ``out`` when given (an N x N
+    C-contiguous array, so the sum has the same bits)."""
+    return complex(np.sum(np.multiply(a, b.T, out=out)))
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +380,14 @@ def expectation(op: FockOperator, rho: DensityMatrix) -> float:
     return _real_pairing(op, rho.entries)
 
 
-def _real_pairing(op: FockOperator, arr: np.ndarray) -> float:
+def _real_pairing(op: FockOperator, arr: np.ndarray, out=None) -> float:
     """``expectation`` on the raw array of a state of the operator's
     dimension, which the density run's record reduces without building a
-    ``DensityMatrix``."""
+    ``DensityMatrix``; ``out`` is ``trace_pair``'s."""
     if not op.hermitian:
         raise ValidationError(
             f"observable is not Hermitian (deviation {op.herm_deviation():.3e})")
-    val = trace_pair(op.entries, arr)
+    val = trace_pair(op.entries, arr, out)
     if abs(val.imag) > 1e-10:
         raise ValidationError(f"expectation has imaginary part {val.imag:.3e}")
     return float(val.real)

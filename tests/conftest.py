@@ -36,11 +36,11 @@ def _evolve_recording(model, rho0, t_max, h, record_every):
     states = []
     step = lindblad._step_density
 
-    def recording(model, table, a0, n, h, record, every):
+    def recording(kernel, table, a0, n, h, record, every):
         def keep(i, arr):
             record(i, arr)
             states.append(DensityMatrix(arr, validate=False))
-        return step(model, table, a0, n, h, keep, every)
+        return step(kernel, table, a0, n, h, keep, every)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lindblad, "_step_density", recording)

@@ -386,6 +386,25 @@ def test_spectrum_of_transported_observable_drifts():
     assert np.max(np.abs(np.diff(levels, axis=0))) > CONTINUITY_BOUND
 
 
+def test_the_invariant_is_exactly_hermitian():
+    """I(t) = c1 K1 + c2 K2 - c3 K3, formed from exactly Hermitian
+    generators with real coefficients, is exactly Hermitian, so
+    ``spectrum_series`` hands it to eigvalsh without symmetrising it: on
+    modulated dissipative scenarios, slow (the baseline's schedules) and
+    fast (omega = 1 + 0.5 sin 2t, kappa = 1), its Hermiticity deviation
+    reads 0 at 21 times over [0, 2], and its symmetrised copy equals it
+    bit for bit."""
+    fast = (SinusoidSchedule(1.0, 0.5, 2.0), ConstantSchedule(1.0))
+    for omega_s, kappa_s in (baseline_schedules(), fast):
+        _, spec = construct(omega_s, kappa_s, ErmakovInit(1.3, 0.4), 2.0, H,
+                            basis(40))
+        for t in np.linspace(0.0, 2.0, 21):
+            inv = spec.at(float(t))
+            assert inv.herm_deviation() == 0.0
+            arr = inv.entries
+            np.testing.assert_array_equal(0.5 * (arr + arr.conj().T), arr)
+
+
 def test_spectrum_argument_validation():
     _, spec = constant_case(1.0, 12)
     with pytest.raises(ValidationError):

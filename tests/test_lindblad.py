@@ -214,17 +214,44 @@ def _random_state(dim, seed):
     return rho / np.trace(rho).real
 
 
+def _watched_slope(shape, writes):
+    """A zero padded slope buffer that, after every ufunc that writes into
+    it or into a view of it, appends the ufunc's name to ``writes`` and
+    asserts that its pad rows are zero: numpy hands each ufunc with an
+    operand of the subclass to its ``__array_ufunc__``."""
+    buf = np.zeros(shape, dtype=complex)
+
+    class Watched(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+            def plain(a):
+                return a.view(np.ndarray) if isinstance(a, Watched) else a
+
+            outs = kwargs.get("out", ())
+            if outs:
+                kwargs["out"] = tuple(map(plain, outs))
+            result = getattr(ufunc, method)(*map(plain, args), **kwargs)
+            if not any(isinstance(o, Watched) for o in outs):
+                return result
+            writes.append(ufunc.__name__)
+            assert not _padding(buf).any()
+            return outs[0]
+
+    return buf.view(Watched)
+
+
 @pytest.mark.parametrize("dim", [20, 21])
 def test_pad_rows_and_the_padding_level_stay_zero(dim):
     """The state is the dense matrix in natural Fock order between two
     zero pad rows above and two below, (dim + 4, dim): ``_rows`` reads,
     for level n, the rows of levels n - 2, n and n + 2, and
     ``_step_density`` hands ``record`` the level rows, after no step the
-    initial array itself, and returns them.  The pad rows stay exactly
-    zero in every slope, with and without friction, also in a reused
-    slope buffer (six calls write the same one).  The kernel's scratch
-    starts on 64-byte boundaries.  Natural order needs no padding level,
-    so the odd dim 21 is stored as it is."""
+    initial array itself, and returns them.  The kernel's one scratch
+    starts on a 64-byte boundary.  The slope buffer's pad rows stay
+    exactly zero after every write into it, with and without friction,
+    also when it is reused (six calls write the same one): while it
+    holds X = L rho, then -alpha L C, then Y = -alpha L C + K rho and
+    the slope Y + Y^dag.  Natural order needs no padding level, so the
+    odd dim 21 is stored as it is."""
     *_, model = modulated_setup(dim=dim)
     rho = _random_state(dim, 5)
     rho = 0.5 * (rho + rho.conj().T)
@@ -235,23 +262,29 @@ def test_pad_rows_and_the_padding_level_stay_zero(dim):
         for d in range(3):
             np.testing.assert_array_equal(rows[n, d], state[n + 2 * d])
     recorded = []
+    kernel = lindblad._Kernel(model)
     final = lindblad._step_density(
-        model, lindblad._stage_table(model, 0, H), rho, 0, H,
+        kernel, lindblad._stage_table(model, 0, H), rho, 0, H,
         lambda i, arr: recorded.append((i, arr.copy())), 1)
     [(i, arr)] = recorded
     assert i == 0
     np.testing.assert_array_equal(arr, rho)
     np.testing.assert_array_equal(final, rho)
-    kernel = lindblad._Kernel(model)
-    assert kernel.x.ctypes.data % 64 == kernel.c.ctypes.data % 64 == 0
+    assert kernel.scratch.ctypes.data % 64 == 0
+    assert kernel.scratch.shape == state.shape
     coeffs = [model.coefficients(t) for t in (0.1, 0.2)]
     coeffs.append((coeffs[1][0], 0.0, *coeffs[1][2:]))  # without friction
     ops = [_density_stage_ops(kernel, row) for row in coeffs]
     assert ops[2][2] is None
-    out = np.zeros_like(state)
+    writes = []
+    out = _watched_slope(state.shape, writes)
     for j in range(6):
+        writes.clear()
         assert lindblad._density_rhs(state, ops[j % 3], out) is out
-        assert out.any() and not _padding(out).any()
+        assert writes == (["matmul", "add"] if j % 3 == 2 else
+                          ["matmul", "matmul", "add", "add"])
+        assert out.any()
+        assert not _padding(kernel.scratch).any()
 
 
 def _check_density_stage_operators(dim, n):
@@ -587,21 +620,56 @@ def test_density_runs_retain_moments_not_states():
 
 
 def test_a_wide_density_run_holds_each_state_sized_array_once():
-    """A dim-160 run of four steps and two records holds eight
-    state-sized arrays: the driver's state, stage state and three slopes,
-    the kernel's X and C scratch and the record's scratch.  With the
-    dense x and p of <x> and <p> and eigvalsh's workspace at a record,
-    its traced peak stays below 12 padded (164, 160) states.  Measured:
-    11.45 states (4.81 MB).  With a driver copy of the state, two copies
-    per record and a cached second set of x, p, K1, K2 and K3 it peaked
-    at 14.46 states (6.07 MB) with the cache warm, 19.35 (8.12 MB)
-    cold."""
+    """A dim-160 run of four steps and two records holds six state-sized
+    arrays: the driver's state, stage state and three slopes and the
+    kernel's one scratch, in whose level rows the record works.  With
+    the dense x and p of <x> and <p> and a record's temporaries, its
+    traced peak stays below 7.5 padded (164, 160) states, below what one
+    more state-sized array would add.  Measured: 6.73 states (2.83 MB).
+    With the kernel's X and C scratch and a record scratch of its own it
+    peaked at 9.51 states (3.99 MB); with a driver copy of the state, two
+    copies per record and a cached second set of x, p, K1, K2 and K3, at
+    14.46 states (6.07 MB) with the cache warm, 19.35 (8.12 MB) cold."""
     n, dim = 4, 160
     _, _, cfg, _, _, model = modulated_setup(dim=dim, t_max=n * H)
     rho0 = build_state(StateSpec(kind="coherent", beta=complex(3.0, 1.0)), cfg)
     peak = _traced_peak(lambda: evolve_density(model, rho0, n * H, H,
                                                record_every=n))
-    assert peak < 12 * (dim + 4) * dim * np.dtype(complex).itemsize
+    assert peak < 7.5 * (dim + 4) * dim * np.dtype(complex).itemsize
+
+
+def test_a_density_record_allocates_less_than_one_state(monkeypatch):
+    """At dim 160 each record of a run reduces the live state in the
+    level rows of the kernel's scratch: traced with tracemalloc, memory
+    rises above the record's start by less than one (dim, dim) complex
+    state.  What it sees is the real |rho - rho^dag| of the Hermiticity
+    deviation, half a state; eigvalsh copies the symmetrised state in
+    memory that tracemalloc does not trace.  A pairing that formed its
+    product fresh, as ``trace_pair`` without ``out`` does, or a record
+    scratch of its own reaches one state.  Measured: 0.50 states at each
+    of the two records, where pairings formed fresh read 1.32."""
+    n, dim = 4, 160
+    _, _, cfg, _, _, model = modulated_setup(dim=dim, t_max=n * H)
+    rho0 = build_state(StateSpec(kind="coherent", beta=complex(3.0, 1.0)), cfg)
+    rises = []
+    step = lindblad._step_density
+
+    def traced(kernel, table, a0, n, h, record, every):
+        def measured(i, arr):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            record(i, arr)
+            rises.append(tracemalloc.get_traced_memory()[1] - start)
+        return step(kernel, table, a0, n, h, measured, every)
+
+    monkeypatch.setattr(lindblad, "_step_density", traced)
+    tracemalloc.start()
+    try:
+        evolve_density(model, rho0, n * H, H, record_every=n)
+    finally:
+        tracemalloc.stop()
+    assert len(rises) == 2
+    assert max(rises) < dim * dim * np.dtype(complex).itemsize
 
 
 def test_stage_table_temporaries_are_bounded():

@@ -75,14 +75,14 @@ def _half_jump_term(monkeypatch):
     """The density right-hand side's jump sandwich at half strength, the
     factor 2 of 2 alpha L rho L^dag lost: the kernel's C = [L, rho] =
     L rho - rho L becomes L rho - rho L / 2, formed as (X + C) / 2 from
-    the kernel's X = L rho, and the generator no longer preserves the
-    trace.  The observable transport steps the same kernel, so the drift
-    probe sees it too."""
+    X = L rho, which the kernel leaves in the slope buffer ``out``, and
+    the generator no longer preserves the trace.  The observable
+    transport steps the same kernel, so the drift probe sees it too."""
     commutator = lindblad._commutator
 
-    def halved(kernel, l_op, rows):
-        c = commutator(kernel, l_op, rows)
-        c += kernel.x
+    def halved(kernel, l_op, rows, out):
+        c = commutator(kernel, l_op, rows, out)
+        c += out
         c *= 0.5
         return c
 

@@ -13,6 +13,7 @@ from invariantlab.operators import (
     check_su11_relations,
     expectation,
     max_abs,
+    trace_pair,
 )
 
 
@@ -264,6 +265,24 @@ def test_expectation_linearity_and_positivity():
     assert abs(expectation(combo, rho) - (2 * a + 3 * b)) < 1e-10
     # K1 is positive semidefinite
     assert a >= -1e-9
+
+
+@pytest.mark.parametrize("dim", [8, 60, 160, 161])
+def test_trace_pair_into_a_buffer_is_the_fresh_pairing(dim):
+    """``trace_pair(a, b, out=buf)`` writes a * b^T into ``buf`` and returns
+    the complex value of ``trace_pair(a, b)`` bit for bit: the fresh
+    product is C-contiguous like ``buf``, so both sums add the same
+    values in the same order.  As in a density record, ``b`` and ``buf``
+    are the level rows of padded arrays, whose pad rows stay zero."""
+    rng = np.random.default_rng(dim)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    b, buf = (np.zeros((dim + 4, dim), dtype=complex) for _ in range(2))
+    b[2:-2] = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    fresh = trace_pair(a, b[2:-2])
+    got = trace_pair(a, b[2:-2], out=buf[2:-2])
+    assert (got.real, got.imag) == (fresh.real, fresh.imag)
+    np.testing.assert_array_equal(buf[2:-2], a * b[2:-2].T)
+    assert not buf[:2].any() and not buf[-2:].any()
 
 
 # ------------------------------------------------------------- density guard
