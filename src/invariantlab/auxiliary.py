@@ -285,11 +285,12 @@ def _rk4(rhs, stage, y0, n, h, record, every=1):
         start = stage(2 * i) if end is None else end
         mid = stage(2 * i + 1)
         end = stage(2 * i + 2)
+        # ufunc outputs go positionally: numpy parses them faster than out=
         rhs(y, start, s1)
-        rhs(np.add(np.multiply(s1, half, out=arg), y, out=arg), mid, s2)
-        rhs(np.add(np.multiply(s2, half, out=arg), y, out=arg), mid, s3)
-        np.add(np.multiply(s3, h, out=arg), y, out=arg)
-        acc = np.add(s2, s3, out=s2)
+        rhs(np.add(np.multiply(s1, half, arg), y, arg), mid, s2)
+        rhs(np.add(np.multiply(s2, half, arg), y, arg), mid, s3)
+        np.add(np.multiply(s3, h, arg), y, arg)
+        acc = np.add(s2, s3, s2)
         rhs(arg, end, s3)  # s4
         acc *= 2.0
         acc += s1

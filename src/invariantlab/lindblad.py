@@ -45,8 +45,8 @@ rounding residue of the initial state receives no slope and stays as it
 is.  The identity is an exact fixed point of the observable transport:
 its C is L - L^dag = 0 exactly.  The pad rows of the states and the
 kernel's scratch stay exactly zero, and only ``_Kernel``, ``_rows``,
-``_density_rhs`` and ``_step_density`` know of them: records receive the
-N level rows.  The generators are the basis's own
+``_views``, ``_density_rhs`` and ``_step_density`` know of them: records
+receive the N level rows.  The generators are the basis's own
 (``BasisConfig.operators``), whose build refuses generators with an
 entry off the diagonals 0 and +-2, which the band would drop, and
 generators that are not exactly Hermitian, as the stages and the
@@ -58,8 +58,12 @@ array its stage states are formed in and three slope buffers
 (``auxiliary._rk4``); the run's ``_Kernel`` owns one scratch.  A
 right-hand-side call works in its slope buffer and the scratch: X and
 then -alpha L C in the slope, C and then K rho in the scratch
-(``_density_rhs``).  ``evolve_density``'s record runs between calls and
-forms everything state-sized it needs in the scratch's level rows: the
+(``_density_rhs``), through views made once per run: the kernel builds
+each driver buffer's ``_rows`` view and level-row views on its first
+call and keeps them until ``_step_density`` returns (``_Kernel.views``),
+so a call builds no view and no buffer outlives the run through the
+kernel.  ``evolve_density``'s record runs between calls and forms
+everything state-sized it needs in the scratch's level rows: the
 Hermiticity deviation, the symmetrised state for ``eigvalsh`` and each
 pairing's product (``operators.trace_pair``); it allocates only
 ``eigvalsh``'s copy and the real moduli of the deviation.  Between
@@ -313,7 +317,8 @@ class Trajectory:
 
 
 class _Kernel:
-    """The generator bands and the scratch of one dim-N density run.
+    """The generator bands, the scratch and the buffer views of one dim-N
+    density run.
 
     ``bands`` holds K1, K2 and K3 as (N, 1, 3) band stacks: entry [n, 0,
     d] is the entry between levels n and n + 2(d - 1), zero where that
@@ -326,6 +331,12 @@ class _Kernel:
     either end; all are made once here.  A right-hand-side call forms C
     and K rho in it (``_density_rhs``), and ``evolve_density``'s record,
     which runs between calls, reduces the live state in its level rows.
+
+    ``views`` gives the same three views of the padded arrays the driver
+    hands the right-hand side, made on an array's first call and kept
+    with the array, so the run builds them once per buffer, not once per
+    call; ``_step_density`` drops them when its run ends, so the kernel
+    keeps none of the driver's buffers alive.
     """
 
     def __init__(self, model: LindbladModel):
@@ -338,9 +349,24 @@ class _Kernel:
             for k in model.generators)
 
         self.scratch = _zeros_aligned((n + 4, n))
-        self.levels = self.scratch[2:-2]
-        self.level_out = self.levels[:, None]
-        self.rows = _rows(self.scratch)
+        self.rows, self.levels, self.level_out = _views(self.scratch)
+        self.memo: dict[int, tuple] = {}
+
+    def views(self, state: np.ndarray):
+        """(rows, levels, level_out) of a padded state (``_views``)."""
+        entry = self.memo.get(id(state))
+        if entry is None:
+            # the entry holds the array, so no other array takes its id
+            # while the entry stands
+            entry = self.memo[id(state)] = (state, _views(state))
+        return entry[1]
+
+
+def _views(state: np.ndarray):
+    """The ``_rows`` view of a padded state, its (N, N) level rows and
+    their (N, 1, N) view that a product by a band stack writes into."""
+    levels = state[2:-2]
+    return _rows(state), levels, levels[:, None]
 
 
 def _rows(state: np.ndarray) -> np.ndarray:
@@ -372,8 +398,8 @@ def _with_dagger(ufunc, arr: np.ndarray, out: np.ndarray) -> np.ndarray:
     copied in and conjugated in place, because numpy 2.4 conjugates a
     transposed operand through a state-sized temporary."""
     np.copyto(out, arr.T)
-    np.conjugate(out, out=out)
-    return ufunc(arr, out, out=out)
+    np.conjugate(out, out)
+    return ufunc(arr, out, out)
 
 
 def _commutator(kernel: _Kernel, l_op: np.ndarray, rows: np.ndarray,
@@ -382,8 +408,9 @@ def _commutator(kernel: _Kernel, l_op: np.ndarray, rows: np.ndarray,
     rho: X = L rho into the level rows of ``out``, a zero-padded state,
     then C = X - X^dag (``_with_dagger``), which is L rho - rho L for
     Hermitian rho and L.  X stays in ``out``."""
-    np.matmul(l_op, rows, out=out[2:-2, None])
-    _with_dagger(np.subtract, out[2:-2], kernel.levels)
+    _, x, x_out = kernel.views(out)
+    np.matmul(l_op, rows, x_out)
+    _with_dagger(np.subtract, x, kernel.levels)
     return kernel.scratch
 
 
@@ -392,24 +419,25 @@ def _density_rhs(state: np.ndarray, ops, out: np.ndarray) -> np.ndarray:
     # state that is -i [H, rho] - alpha [L, [L, rho]], and the slope is
     # exactly Hermitian whatever the rounding of Y.  Each product is one
     # matmul of a band stack against the rows view of its operand, written
-    # into level rows.  ``out``, a zero-padded state of the driver's,
-    # holds X, then -alpha L C, then Y and the slope, which is returned;
-    # the kernel's scratch holds C, then K rho, then Y^dag, copied in and
-    # conjugated there.  -alpha L C + K rho is K rho - alpha L C bit for
-    # bit, as IEEE addition commutes.
+    # into level rows; the views of ``state`` and ``out`` are the
+    # kernel's, made on their first call.  ``out``, a zero-padded state of
+    # the driver's, holds X, then -alpha L C, then Y and the slope, which
+    # is returned; the kernel's scratch holds C, then K rho, then Y^dag,
+    # copied in and conjugated there.  -alpha L C + K rho is K rho - alpha
+    # L C bit for bit, as IEEE addition commutes.
     kernel, k_op, jump = ops
-    levels = out[2:-2]
-    rows = _rows(state)
+    rows = kernel.views(state)[0]
+    _, levels, level_out = kernel.views(out)
     if jump is None:
-        np.matmul(k_op, rows, out=levels[:, None])
+        np.matmul(k_op, rows, level_out)
     else:
         l_op, damp = jump
         _commutator(kernel, l_op, rows, out)
-        np.matmul(damp, kernel.rows, out=levels[:, None])
-        np.matmul(k_op, rows, out=kernel.level_out)
+        np.matmul(damp, kernel.rows, level_out)
+        np.matmul(k_op, rows, kernel.level_out)
         levels += kernel.levels
     np.copyto(kernel.levels, levels.T)
-    levels += np.conjugate(kernel.levels, out=kernel.levels)
+    levels += np.conjugate(kernel.levels, kernel.levels)
     return out
 
 
@@ -501,13 +529,18 @@ def _step_density(kernel: _Kernel, table: np.ndarray, a0: np.ndarray,
     i, valid until ``record`` returns, and the level rows of the final
     state are returned.  A diverging state overflows between records and
     the next record's finiteness check reports it; the intermediate
-    arithmetic may legitimately hit inf, so numpy is kept quiet.
+    arithmetic may legitimately hit inf, so numpy is kept quiet.  The
+    kernel's views of the driver's buffers (``_Kernel.views``) are
+    dropped when the run ends, however it ends.
     """
     state = _zeros_aligned((len(a0) + 4, len(a0)))
     state[2:-2] = a0
-    with np.errstate(over="ignore", invalid="ignore"):
-        _rk4(_density_rhs, lambda j: _density_stage_ops(kernel, table[j]),
-             state, n, h, lambda i, y: record(i, y[2:-2]), every)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            _rk4(_density_rhs, lambda j: _density_stage_ops(kernel, table[j]),
+                 state, n, h, lambda i, y: record(i, y[2:-2]), every)
+    finally:
+        kernel.memo.clear()
     return state[2:-2]
 
 

@@ -386,16 +386,20 @@ def test_spectrum_of_transported_observable_drifts():
     assert np.max(np.abs(np.diff(levels, axis=0))) > CONTINUITY_BOUND
 
 
+FAST_DISSIPATIVE = (SinusoidSchedule(1.0, 0.5, 2.0), ConstantSchedule(1.0))
+
+
 def test_the_invariant_is_exactly_hermitian():
     """I(t) = c1 K1 + c2 K2 - c3 K3, formed from exactly Hermitian
-    generators with real coefficients, is exactly Hermitian, so
-    ``spectrum_series`` hands it to eigvalsh without symmetrising it: on
-    modulated dissipative scenarios, slow (the baseline's schedules) and
-    fast (omega = 1 + 0.5 sin 2t, kappa = 1), its Hermiticity deviation
-    reads 0 at 21 times over [0, 2], and its symmetrised copy equals it
-    bit for bit."""
-    fast = (SinusoidSchedule(1.0, 0.5, 2.0), ConstantSchedule(1.0))
-    for omega_s, kappa_s in (baseline_schedules(), fast):
+    generators with real coefficients, is exactly Hermitian: the premise
+    of ``spectrum_series``, whose parity blocks of I(t) are then
+    Hermitian tridiagonal, with a real diagonal and I[n + 2, n] the
+    conjugate of I[n, n + 2], which a diagonal phase makes real
+    symmetric.  On modulated dissipative scenarios, slow (the baseline's
+    schedules) and fast (omega = 1 + 0.5 sin 2t, kappa = 1), its
+    Hermiticity deviation reads 0 at 21 times over [0, 2], and its
+    symmetrised copy equals it bit for bit."""
+    for omega_s, kappa_s in (baseline_schedules(), FAST_DISSIPATIVE):
         _, spec = construct(omega_s, kappa_s, ErmakovInit(1.3, 0.4), 2.0, H,
                             basis(40))
         for t in np.linspace(0.0, 2.0, 21):
@@ -405,12 +409,47 @@ def test_the_invariant_is_exactly_hermitian():
             np.testing.assert_array_equal(0.5 * (arr + arr.conj().T), arr)
 
 
+@pytest.mark.parametrize("dim", [8, 9, 40, 41, 160])
+def test_the_parity_block_spectrum_is_the_dense_spectrum(dim):
+    """``spectrum_series``, read from the two real tridiagonal parity
+    blocks of I(t), gives the lowest dim/3 eigenvalues of the dense I(t)
+    within 1e-12, at even and odd dims, on the slow and the fast
+    dissipative schedules, at 21 times over [0, 2]."""
+    m = dim // 3
+    times = np.linspace(0.0, 2.0, 21)
+    for omega_s, kappa_s in (baseline_schedules(), FAST_DISSIPATIVE):
+        _, spec = construct(omega_s, kappa_s, ErmakovInit(1.3, 0.4), 2.0, H,
+                            basis(dim))
+        dense = [np.linalg.eigvalsh(spec.at(float(t)).entries)[:m]
+                 for t in times]
+        levels = spectrum_series(spec, times, m=m).levels
+        np.testing.assert_allclose(levels, dense, rtol=0, atol=1e-12)
+
+
+def test_the_spectrum_series_never_forms_the_invariant(monkeypatch):
+    """``spectrum_series`` calls ``InvariantSpec.at`` zero times."""
+    _, spec = construct_baseline(*baseline_schedules(), 2.0, 40)
+    at = InvariantSpec.at
+    invariants_at = []
+
+    def counted_at(spec, t):
+        invariants_at.append(t)
+        return at(spec, t)
+
+    monkeypatch.setattr(InvariantSpec, "at", counted_at)
+    spectrum_series(spec, np.linspace(0.0, 2.0, 11), m=13)
+    assert invariants_at == []
+
+
 def test_spectrum_argument_validation():
     _, spec = constant_case(1.0, 12)
     with pytest.raises(ValidationError):
         spectrum_series(spec, [0.0, 0.5], m=5)  # m > dim/3
     with pytest.raises(ValidationError):
         spectrum_series(spec, [], m=2)
+    for outside in ([0.0, 1.5], [-0.5, 0.5]):  # the window is [0, 1]
+        with pytest.raises(ValidationError):
+            spectrum_series(spec, outside, m=2)
 
 
 def test_spectrum_csv(tmp_path):

@@ -287,6 +287,37 @@ def test_pad_rows_and_the_padding_level_stay_zero(dim):
         assert not _padding(kernel.scratch).any()
 
 
+def test_a_density_run_builds_each_buffer_view_once_and_keeps_none(
+        monkeypatch):
+    """``_step_density`` makes the views of each of the driver's five
+    padded arrays (state, stage state, three slopes) once, on its first
+    right-hand-side call, not once per call, and the kernel holds none of
+    them once the run returns, also when a record raises."""
+    *_, model = modulated_setup(dim=12)
+    kernel = lindblad._Kernel(model)
+    table = lindblad._stage_table(model, 4, H)
+    views = lindblad._views
+    built = []
+
+    def counted(state):
+        built.append(state)
+        return views(state)
+
+    monkeypatch.setattr(lindblad, "_views", counted)
+    rho = np.diag(np.linspace(1.0, 0.0, 12)).astype(complex)
+    lindblad._step_density(kernel, table, rho, 4, H, lambda i, arr: None, 1)
+    assert len(built) == len({id(a) for a in built}) == 5
+    assert kernel.memo == {}
+
+    def failing(i, arr):
+        if i == 2:
+            raise NumericalError("stop")
+
+    with pytest.raises(NumericalError):
+        lindblad._step_density(kernel, table, rho, 4, H, failing, 1)
+    assert kernel.memo == {}
+
+
 def _check_density_stage_operators(dim, n):
     """The test below at one dimension."""
     *_, model = modulated_setup(dim=dim, t_max=n * H)
