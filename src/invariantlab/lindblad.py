@@ -35,10 +35,10 @@ n - 2, n and n + 2, with no copy: the pad rows stand in for the levels
 past either end.  For the one Hermitian jump operator the dissipator is
 the double commutator -alpha [L, [L, rho]] (Lindblad, CMP 48, 119, 1976),
 and the generator maps Hermitian matrices to Hermitian ones, so the
-right-hand side forms X = L rho, C = X - X^dag, which is [L, rho] for
-Hermitian rho, and Y = K rho - alpha L C with K = -i H, and returns
-Y + Y^dag = -i [H, rho] - alpha [L, [L, rho]]: three banded left products
-per slope.  Every slope is then exactly Hermitian, bit for bit, and so is
+right-hand side forms X = L rho, C = X - X^dag (``operators._with_dagger``),
+which is [L, rho] for Hermitian rho, and Y = K rho - alpha L C with
+K = -i H, and returns Y + Y^dag = -i [H, rho] - alpha [L, [L, rho]]:
+three banded left products per slope.  Every slope is then exactly Hermitian, bit for bit, and so is
 every state stepped from an exactly Hermitian one, since the RK4 stage
 states and step combination commute with conjugation; an anti-Hermitian
 rounding residue of the initial state receives no slope and stays as it
@@ -64,9 +64,10 @@ call and keeps them until ``_step_density`` returns (``_Kernel.views``),
 so a call builds no view and no buffer outlives the run through the
 kernel.  ``evolve_density``'s record runs between calls and forms
 everything state-sized it needs in the scratch's level rows: the
-Hermiticity deviation, the symmetrised state for ``eigvalsh`` and each
-pairing's product (``operators.trace_pair``); it allocates only
-``eigvalsh``'s copy and the real moduli of the deviation.  Between
+daggered forms of ``operators._state_health``, the health formulas
+``DensityMatrix`` reads, and each pairing's product
+(``operators.trace_pair``); it allocates only ``eigvalsh``'s copy and
+the real moduli of the deviation.  Between
 records a step allocates only band-sized arrays: the stage operands and
 their temporaries.  A record reduces the live state to one preallocated row
 of moments and health values and keeps no copy of it, so a run's memory
@@ -106,6 +107,8 @@ from .operators import (
     DensityMatrix,
     FockOperator,
     _real_pairing,
+    _state_health,
+    _with_dagger,
     commutator,
     expectation,
     interior_block,
@@ -330,7 +333,8 @@ class _Kernel:
     and ``rows``, its ``_rows`` view, reads them as the levels past
     either end; all are made once here.  A right-hand-side call forms C
     and K rho in it (``_density_rhs``), and ``evolve_density``'s record,
-    which runs between calls, reduces the live state in its level rows.
+    which runs between calls, reduces the live state in its level rows
+    (``operators._state_health`` and ``operators.trace_pair``).
 
     ``views`` gives the same three views of the padded arrays the driver
     hands the right-hand side, made on an array's first call and kept
@@ -393,27 +397,6 @@ def _density_stage_ops(kernel: _Kernel, row):
     return kernel, -1j * h_band, jump
 
 
-def _with_dagger(ufunc, arr: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """ufunc(arr, arr^dag) formed in ``out``, an N x N array: arr^dag is
-    copied in and conjugated in place, because numpy 2.4 conjugates a
-    transposed operand through a state-sized temporary."""
-    np.copyto(out, arr.T)
-    np.conjugate(out, out)
-    return ufunc(arr, out, out)
-
-
-def _commutator(kernel: _Kernel, l_op: np.ndarray, rows: np.ndarray,
-                out: np.ndarray) -> np.ndarray:
-    """[L, rho] in the kernel's scratch, ``rows`` the ``_rows`` view of
-    rho: X = L rho into the level rows of ``out``, a zero-padded state,
-    then C = X - X^dag (``_with_dagger``), which is L rho - rho L for
-    Hermitian rho and L.  X stays in ``out``."""
-    _, x, x_out = kernel.views(out)
-    np.matmul(l_op, rows, x_out)
-    _with_dagger(np.subtract, x, kernel.levels)
-    return kernel.scratch
-
-
 def _density_rhs(state: np.ndarray, ops, out: np.ndarray) -> np.ndarray:
     # Y + Y^dag with Y = K rho - alpha L C, C = [L, rho]: for a Hermitian
     # state that is -i [H, rho] - alpha [L, [L, rho]], and the slope is
@@ -421,10 +404,13 @@ def _density_rhs(state: np.ndarray, ops, out: np.ndarray) -> np.ndarray:
     # matmul of a band stack against the rows view of its operand, written
     # into level rows; the views of ``state`` and ``out`` are the
     # kernel's, made on their first call.  ``out``, a zero-padded state of
-    # the driver's, holds X, then -alpha L C, then Y and the slope, which
-    # is returned; the kernel's scratch holds C, then K rho, then Y^dag,
-    # copied in and conjugated there.  -alpha L C + K rho is K rho - alpha
-    # L C bit for bit, as IEEE addition commutes.
+    # the driver's, holds X = L rho, then -alpha L C, then Y and the
+    # slope, which is returned; the kernel's scratch holds C = X - X^dag
+    # (``operators._with_dagger``), which is L rho - rho L for Hermitian
+    # rho and L, then K rho, then Y^dag, copied in and conjugated there in
+    # place, as ``_with_dagger`` cannot write over its operand.  -alpha
+    # L C + K rho is K rho - alpha L C bit for bit, as IEEE addition
+    # commutes.
     kernel, k_op, jump = ops
     rows = kernel.views(state)[0]
     _, levels, level_out = kernel.views(out)
@@ -432,7 +418,8 @@ def _density_rhs(state: np.ndarray, ops, out: np.ndarray) -> np.ndarray:
         np.matmul(k_op, rows, level_out)
     else:
         l_op, damp = jump
-        _commutator(kernel, l_op, rows, out)
+        np.matmul(l_op, rows, level_out)
+        _with_dagger(np.subtract, levels, kernel.levels)
         np.matmul(damp, kernel.rows, level_out)
         np.matmul(k_op, rows, kernel.level_out)
         levels += kernel.levels
@@ -454,10 +441,11 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
     (module docstring).  Every slope is exactly Hermitian, so the recorded
     Hermiticity deviation stays at that of rho0: 0 for every state
     ``build_state`` forms.  Each record reduces the live state, after the
-    hard checks, to its health metrics, by the formulas of
-    ``DensityMatrix``'s methods, and the expectations of the basis's x,
-    p, K1, K2 and K3 (``BasisConfig.operators``), with ``expectation``'s
-    checks; only the final state is kept (``Trajectory``).  The run
+    finiteness check, to its health metrics (``operators._state_health``,
+    which ``DensityMatrix``'s methods read), checks them against the hard
+    limits, and forms the expectations of the basis's x, p, K1, K2 and
+    K3 (``BasisConfig.operators``), with ``expectation``'s checks; only
+    the final state is kept (``Trajectory``).  The run
     holds six state-sized arrays: the driver's five and the one scratch
     of its ``_Kernel``, in whose level rows the record also works.
     """
@@ -471,9 +459,6 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
                         len(_RECORD_FIELDS)))
     slots = iter(records)
     kernel = _Kernel(model)
-    # a record runs between right-hand-side calls, so it reduces the
-    # state in the level rows of the kernel's scratch
-    scratch = kernel.levels
     warnings: list[str] = []
     failed_at: float | None = None
 
@@ -481,11 +466,9 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
         nonlocal failed_at
         t = h * i
         _require_finite(arr, f"density matrix is not finite at t={t:.6g}")
-        tr = float(np.trace(arr).real)
-        herm = max_abs(_with_dagger(np.subtract, arr, scratch))
-        sym = _with_dagger(np.add, arr, scratch)
-        sym *= 0.5
-        lo = float(np.linalg.eigvalsh(sym)[0])
+        # a record runs between right-hand-side calls, so it reduces the
+        # state in the level rows of the kernel's scratch
+        tr, herm, lo = _state_health(arr, kernel.levels)
         tail = float(np.sum(np.diag(arr).real[cfg.dim - cfg.n_tail:]))
         if tail > cfg.tail_threshold:
             raise TruncationLeakError(
@@ -505,7 +488,7 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
             warnings.append(f"t={t:.6g}: " + "; ".join(problems))
             if failed_at is None:
                 failed_at = t
-        next(slots)[:] = (t, *(_real_pairing(op, arr, scratch)
+        next(slots)[:] = (t, *(_real_pairing(op, arr, kernel.levels)
                                for op in cfg.operators),
                           tr, herm, lo, tail)
 

@@ -130,7 +130,7 @@ class FockOperator:
             raise ValidationError("operator entries must be finite")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_herm_dev",
-                           max_abs(entries - entries.conj().T))
+                           max_abs(_with_dagger(np.subtract, entries)))
 
     @property
     def dim(self) -> int:
@@ -148,9 +148,12 @@ class FockOperator:
 class DensityMatrix:
     """Unit-trace positive-semidefinite state, dense in the Fock basis.
 
+    Its trace, Hermiticity deviation and minimum eigenvalue
+    (``_state_health``) are computed together on first read and kept.
     With ``validate=False`` the tolerance checks are skipped; the evolution
     engine uses that to record diagnostics for states it is about to flag
-    instead of refusing to hold them.
+    instead of refusing to hold them.  A validated state must be finite,
+    as ``eigvalsh`` fails on a non-finite one.
     """
 
     entries: np.ndarray
@@ -162,29 +165,32 @@ class DensityMatrix:
             raise ValidationError(f"state must be square, got shape {entries.shape}")
         object.__setattr__(self, "entries", entries)
         if validate:
-            dev = self.herm_deviation()
+            if not np.all(np.isfinite(entries.view(float))):
+                raise ValidationError("state entries must be finite")
+            tr, dev, lo = self._health
             if dev > DENSITY_HERM_TOL:
                 raise ValidationError(f"state not Hermitian: max|rho-rho^†| = {dev:.3e}")
-            tr = self.trace()
             if abs(tr - 1.0) > DENSITY_TRACE_TOL:
                 raise ValidationError(f"state trace {tr!r} differs from 1")
-            lo = self.min_eigenvalue()
             if lo < DENSITY_EIG_FLOOR:
                 raise ValidationError(f"state has negative eigenvalue {lo:.3e}")
+
+    @functools.cached_property
+    def _health(self) -> tuple[float, float, float]:
+        return _state_health(self.entries)
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
     def trace(self) -> float:
-        return float(np.trace(self.entries).real)
+        return self._health[0]
 
     def herm_deviation(self) -> float:
-        return max_abs(self.entries - self.entries.conj().T)
+        return self._health[1]
 
     def min_eigenvalue(self) -> float:
-        sym = 0.5 * (self.entries + self.entries.conj().T)
-        return float(np.linalg.eigvalsh(sym)[0])
+        return self._health[2]
 
 
 @dataclass(frozen=True)
@@ -228,6 +234,34 @@ def max_abs(m: np.ndarray) -> float:
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
+
+
+def _with_dagger(ufunc, arr: np.ndarray, out=None) -> np.ndarray:
+    """ufunc(arr, arr^dag) for a square ``arr``, formed in ``out`` (an
+    array of its shape that does not overlap it) or, when None, in one
+    fresh array: arr^dag is copied in and conjugated in place, because
+    numpy 2.4 conjugates a transposed operand through a temporary of the
+    operand's size."""
+    if out is None:
+        out = np.empty(arr.shape, arr.dtype)
+    np.copyto(out, arr.T)
+    np.conjugate(out, out)
+    return ufunc(arr, out, out)
+
+
+def _state_health(arr: np.ndarray, out=None) -> tuple[float, float, float]:
+    """(trace, Hermiticity deviation, minimum eigenvalue) of a finite
+    square state array: Re tr rho, max|rho - rho^dag| and the lowest
+    eigenvalue of its Hermitian part (rho + rho^dag) / 2, the formulas
+    ``DensityMatrix`` and every density record read.  Both daggered
+    forms are made in ``out`` when given
+    (``_with_dagger``), one after the other, so only ``eigvalsh``'s copy
+    and the real moduli of the deviation are allocated."""
+    tr = float(np.trace(arr).real)
+    dev = max_abs(_with_dagger(np.subtract, arr, out))
+    sym = _with_dagger(np.add, arr, out)
+    sym *= 0.5
+    return tr, dev, float(np.linalg.eigvalsh(sym)[0])
 
 
 def interior_block(m: np.ndarray, k: int) -> np.ndarray:
@@ -362,8 +396,7 @@ def _projector(psi: np.ndarray) -> np.ndarray:
     outer product is averaged with its conjugate transpose; for a real
     psi that returns the outer product bit for bit.
     """
-    rho = np.outer(psi, psi.conj())
-    return 0.5 * (rho + rho.conj().T)
+    return 0.5 * _with_dagger(np.add, np.outer(psi, psi.conj()))
 
 
 def _check_support(norm: float, spec: StateSpec, cfg: BasisConfig):

@@ -524,8 +524,7 @@ def _state_checks(traj: Trajectory, p: _Prepared) -> list[CheckResult]:
     ]
 
 
-def _check_backend_agreement(p: _Prepared, traj: Trajectory,
-                             first, quad) -> CheckResult:
+def _check_backend_agreement(traj: Trajectory, first, quad) -> CheckResult:
     moments = traj.moments()
     fock = np.array([[m.mean_x, m.mean_p, m.k1, m.k2, m.k3] for m in moments])
     closed = np.column_stack([first.mean_x, first.mean_p,
@@ -641,7 +640,7 @@ def verify_scenario(s: Scenario) -> RunReport:
             checks.extend(_state_checks(traj, p))
         if s.backend == "both":
             checks.append(_check_backend_agreement(
-                p, traj, _first_moments(p, m0), quad))
+                traj, _first_moments(p, m0), quad))
     except NumericalError as exc:
         checks.append(CheckResult(
             "conservation", math.inf, s.tolerances.conservation, False,

@@ -2,8 +2,9 @@
 name the benchmark's tracer wraps by attribute, a density run goes
 through the tracer's hooks, the benchmark's correctness gate passes its
 own self-test, the README's library example compiles and imports
-only names the package has, and no package module or test file imports
-a name it never uses.
+only names the package has, no package module or test file imports
+a name it never uses, and no package module forms a conjugate
+transpose as ``x.conj().T`` outside one named function.
 
 A stale entry (a name deleted but left in ``__all__``) breaks
 ``from module import *`` although a plain import still succeeds.  The
@@ -155,3 +156,50 @@ def test_no_module_imports_a_name_it_never_uses(path):
     with open(path, encoding="utf-8") as fh:
         unused = _unused_imports(fh.read())
     assert not unused, f"{path} imports names it never uses: {unused}"
+
+
+# (module file, function) of the one ``.conj().T`` the package keeps:
+# ``drift_rhs``'s L^dag L acts on the drift probe's dim-16 operators.
+TRANSPOSED_CONJUGATE_EXCEPTIONS = {("invariants.py", "drift_rhs")}
+
+
+def _transposed_conjugates(source: str) -> list[tuple[str, int]]:
+    """(innermost enclosing function or ``<module>``, line) of each
+    ``x.conj().T`` and ``x.conjugate().T``.  numpy 2.4 conjugates such a
+    transposed operand through a temporary of its size, which
+    ``operators._with_dagger`` avoids."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            call = getattr(child, "value", None)
+            if (isinstance(child, ast.Attribute) and child.attr == "T"
+                    and isinstance(call, ast.Call) and not call.args
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr in ("conj", "conjugate")):
+                found.append((owner, child.lineno))
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_conjugate_transpose_scan_flags_each_form():
+    source = ("def f(a):\n"
+              "    return a - a.conj().T\n"
+              "b = x.conjugate().T @ y.conj()\n")
+    assert _transposed_conjugates(source) == [("f", 2), ("<module>", 3)]
+
+
+@pytest.mark.parametrize("path", _python_files(SOURCES))
+def test_no_module_forms_a_transposed_conjugate(path):
+    with open(path, encoding="utf-8") as fh:
+        found = [(owner, line) for owner, line in
+                 _transposed_conjugates(fh.read())
+                 if (os.path.basename(path), owner)
+                 not in TRANSPOSED_CONJUGATE_EXCEPTIONS]
+    assert not found, (f"{path} forms x.conj().T at {found}; use "
+                       "operators._with_dagger")

@@ -74,19 +74,20 @@ def _sign_flipped_su11_generator(monkeypatch):
 def _half_jump_term(monkeypatch):
     """The density right-hand side's jump sandwich at half strength, the
     factor 2 of 2 alpha L rho L^dag lost: the kernel's C = [L, rho] =
-    L rho - rho L becomes L rho - rho L / 2, formed as (X + C) / 2 from
-    X = L rho, which the kernel leaves in the slope buffer ``out``, and
-    the generator no longer preserves the trace.  The observable
+    X - X^dag with X = L rho becomes L rho - rho L / 2, formed as
+    (C + X) / 2, and the generator no longer preserves the trace.
+    ``lindblad``'s binding of ``_with_dagger`` forms only C: the record
+    reads its health through ``operators``' own.  The observable
     transport steps the same kernel, so the drift probe sees it too."""
-    commutator = lindblad._commutator
+    with_dagger = lindblad._with_dagger
 
-    def halved(kernel, l_op, rows, out):
-        c = commutator(kernel, l_op, rows, out)
-        c += out
+    def halved(ufunc, arr, out=None):
+        c = with_dagger(ufunc, arr, out)
+        c += arr
         c *= 0.5
         return c
 
-    monkeypatch.setattr(lindblad, "_commutator", halved)
+    monkeypatch.setattr(lindblad, "_with_dagger", halved)
 
 
 def _off_discriminant_invariant(monkeypatch):

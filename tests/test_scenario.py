@@ -415,7 +415,7 @@ def test_moment_runs_record_on_the_prepared_grid(tmp_path):
     np.testing.assert_array_equal(first.ts, p.record_ts)
 
     traj = runner._fock_run(p, rho0)
-    check = runner._check_backend_agreement(p, traj, first, quad)
+    check = runner._check_backend_agreement(traj, first, quad)
     full_quad = lindblad.evolve_su11_moments(p.model, (m0.k1, m0.k2, m0.k3),
                                              s.t_max, s.step_h)
     full_first = lindblad.evolve_first_moments(
@@ -792,11 +792,11 @@ RUN_PHASES = ("_prepare", "_initial_state", "_fock_run",
 
 
 # The traced peak of each phase, in padded (164, 160) states, is below
-# these bounds; measured 10.09, 4.23, 6.74, 0.01 and 0.19.  The density
+# these bounds; measured 9.29, 3.43, 6.74, 0.01 and 0.19.  The density
 # run holds six state-sized arrays (``lindblad`` module docstring), and
 # ``spectrum_series`` never forms I(t): it hands eigvalsh stacks of the
 # real tridiagonal parity blocks of I(t).
-RUN_PHASE_BOUNDS = dict(zip(RUN_PHASES, (10.5, 4.5, 7.0, 0.1, 0.25)))
+RUN_PHASE_BOUNDS = dict(zip(RUN_PHASES, (9.4, 3.5, 7.0, 0.1, 0.25)))
 
 
 def test_each_run_phase_peaks_below_its_bound(tmp_path, phase_peaks):
@@ -805,8 +805,11 @@ def test_each_run_phase_peaks_below_its_bound(tmp_path, phase_peaks):
     (164, 160) states above its base (``RUN_PHASE_BOUNDS``).
 
     ``_prepare`` builds the basis's x, p, K1, K2 and K3 in ``construct``
-    and keeps them on the basis, so no later phase builds them.  The
-    density run holds six state-sized arrays and a record's temporaries:
+    and keeps them on the basis, so no later phase builds them; it and
+    ``_initial_state`` form every A +- A^dag in one array
+    (``operators._with_dagger``), where forming A.conj().T through a
+    temporary read 10.09 and 4.23.  The density run holds six
+    state-sized arrays and a record's temporaries:
     6.74 states (2.83 MB), where with the kernel's X and C scratch and a
     record scratch it peaked at 9.51 (3.99 MB) and a run that copied its
     state at every record and built a second set of the five operators
