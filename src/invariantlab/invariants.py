@@ -5,11 +5,13 @@ quadratic form ``rho^2 K1 + (rhodot^2 + 1/rho^2) K2 - rho rhodot K3``
 built on a solution of the dissipative auxiliary equation, whose
 expectation is conserved under the damped evolution up to the defect
 quantified below.  ``construct`` is the one place that solves the
-construction's auxiliary equation: it returns the model and the
-invariant on that one solution, ``model.sol``, and on one basis, whose
-K1, K2 and K3 (``BasisConfig.operators``) both read.  On a frictionless
-solution the invariant is the Lewis-Riesenfeld invariant, written in the
-canonical pair as ``[(rho p - rhodot x)^2 + x^2/rho^2] / 2``
+construction's auxiliary equation: it returns the model on that one
+solution, ``model.sol``, and on one basis.  The invariant is a reading
+of the model, ``invariant_at(model, t)``, on that solution and the
+basis's K1, K2 and K3 (``BasisConfig.operators``), so the toolkit takes
+the model and no invariant can pair with another model.  On a
+frictionless solution the invariant is the Lewis-Riesenfeld invariant,
+written in the canonical pair as ``[(rho p - rhodot x)^2 + x^2/rho^2] / 2``
 (``lr_invariant_at``, the independent reference the tests compare the
 quadratic form against).
 
@@ -68,12 +70,12 @@ from .schedules import Schedule, _check_window
 __all__ = [
     "DRIFT_GAP_TOL",
     "ExpectationSeries",
-    "InvariantSpec",
     "SpectrumSeries",
     "constraint_residuals",
     "construct",
     "drift_rhs",
     "expectation_series",
+    "invariant_at",
     "invariant_residual",
     "lr_invariant_at",
     "spectrum_series",
@@ -110,7 +112,7 @@ def lr_invariant_at(sol0: ErmakovSolution, x_op: FockOperator,
 
     Returns ``[(rho p - rhodot x)^2 + x^2 / rho^2] / 2`` for a solution
     of the undamped auxiliary equation; expanding the square reproduces
-    ``InvariantSpec.at`` on the same (rho, rhodot) exactly.
+    ``invariant_at`` of a model on the same (rho, rhodot) exactly.
     """
     if x_op.dim != p_op.dim:
         raise ValidationError("canonical-pair dimensions differ")
@@ -121,71 +123,45 @@ def lr_invariant_at(sol0: ErmakovSolution, x_op: FockOperator,
     return FockOperator(0.5 * (a @ a) + (0.5 / (r * r)) * x2)
 
 
-@dataclass(frozen=True)
-class InvariantSpec:
-    """The weak invariant on an auxiliary solution and a basis.
+def invariant_at(model: LindbladModel, t: float) -> FockOperator:
+    """The weak invariant I(t) = rho^2 K1 + (rhodot^2 + 1/rho^2) K2 - rho
+    rhodot K3 of the model, on its auxiliary solution ``model.sol`` and
+    its basis's K1, K2 and K3 (``BasisConfig.operators``).
 
-    ``at(t)`` returns ``rho^2 K1 + (rhodot^2 + 1/rho^2) K2 - rho rhodot K3``
-    on the basis's K1, K2 and K3 (``BasisConfig.operators``).
     The coefficient matrix has unit discriminant for every (rho, rhodot),
     so the interior spectrum sits at n + 1/2.  On a frictionless solution
     this is the Lewis-Riesenfeld invariant.
     """
-
-    sol: ErmakovSolution
-    basis: BasisConfig
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    @property
-    def window(self) -> tuple[float, float]:
-        return self.sol.window
-
-    def at(self, t: float) -> FockOperator:
-        k1, k2, k3 = self.basis.operators[2:]
-        c1, c2, c3 = _weak_coefficients(float(self.sol.rho_at(t)),
-                                        float(self.sol.rhodot_at(t)))
-        return FockOperator(c1 * k1.entries + c2 * k2.entries
-                            - c3 * k3.entries)
+    k1, k2, k3 = model.basis.operators[2:]
+    c1, c2, c3 = _weak_coefficients(float(model.sol.rho_at(t)),
+                                    float(model.sol.rhodot_at(t)))
+    return FockOperator(c1 * k1.entries + c2 * k2.entries - c3 * k3.entries)
 
 
 def construct(omega_s: Schedule, kappa_s: Schedule, init: ErmakovInit,
-              t_max: float, h: float,
-              basis: BasisConfig) -> tuple[LindbladModel, InvariantSpec]:
-    """The model and its weak invariant on one auxiliary solution.
+              t_max: float, h: float, basis: BasisConfig) -> LindbladModel:
+    """The model on its construction's auxiliary solution.
 
     Solves the construction's auxiliary equation for the schedules over
-    [0, t_max] with step h from ``init``, and builds both on that
-    solution, ``model.sol``, and on ``basis``.  The basis's operators
-    are built here, so that no run builds them inside its evolution.
+    [0, t_max] with step h from ``init``, and builds the model on that
+    solution, ``model.sol``, and on ``basis``; the model's invariant is
+    ``invariant_at(model, t)``.  The basis's operators are built here,
+    so that no run builds them inside its evolution.
     """
     sol = solve_auxiliary(omega_s, kappa_s, init, t_max, h)
     basis.operators  # built here, before any run reads them
-    return (LindbladModel(omega_s, kappa_s, sol, basis),
-            InvariantSpec(sol, basis))
+    return LindbladModel(omega_s, kappa_s, sol, basis)
 
 
-def _check_basis(inv: InvariantSpec, basis: BasisConfig, whose: str):
-    """Refuse an invariant built on another basis than ``basis``."""
-    if inv.basis != basis:
-        raise ValidationError(
-            f"the invariant is built on another basis ({inv.basis}) than "
-            f"{whose} ({basis}); build both with construct")
-
-
-def invariant_residual(inv: InvariantSpec, model: LindbladModel,
-                       t: float) -> float:
+def invariant_residual(model: LindbladModel, t: float) -> float:
     """Interior max-norm defect of the conservation operator equation.
 
     Evaluates ``i dI/dt - [H, I] - i sum_n alpha_n [L_n, [L_n, I]]``
-    (where the friction vanishes the model has no jump operator and this
-    is ``i dI/dt - [H, I]``), with dI/dt obtained by central differencing
-    of the closed form at half-step ``FD_HALF_STEP`` — deliberately
-    independent of the algebra that constructed the observable.  The
-    invariant must be built on the model's basis and on a solution of
-    the model's auxiliary equation (``construct`` pairs them).
+    for the model's invariant I (``invariant_at``; where the friction
+    vanishes the model has no jump operator and this is ``i dI/dt - [H,
+    I]``), with dI/dt obtained by central differencing of the closed
+    form at half-step ``FD_HALF_STEP`` — deliberately independent of the
+    algebra that constructed the observable.
 
     The difference has a floor.  Where the construction is exact, as on
     frictionless runs, a value below about 1e-10 measures the rounding
@@ -194,21 +170,16 @@ def invariant_residual(inv: InvariantSpec, model: LindbladModel,
     auxiliary solution moved by only 9.5e-16.  Read such values as "at
     the floor", not as a ranking.
     """
-    cfg = model.basis
-    _check_basis(inv, cfg, "the model's")
-    if inv.sol.equation != model.sol.equation:
-        raise ValidationError(
-            "the invariant's auxiliary solution solves another equation "
-            "than the model's; build both with construct")
-    d_op = ((inv.at(t + FD_HALF_STEP).entries - inv.at(t - FD_HALF_STEP).entries)
+    d_op = ((invariant_at(model, t + FD_HALF_STEP).entries
+             - invariant_at(model, t - FD_HALF_STEP).entries)
             / (2.0 * FD_HALF_STEP))
-    i_op = inv.at(t).entries
+    i_op = invariant_at(model, t).entries
     row = model.coefficients(t)
     h_op, l_arr = _generator_arrays(model.generators, row)
     res = 1j * d_op - commutator(h_op, i_op)
     if l_arr is not None:
         res -= 1j * row[1] * commutator(l_arr, commutator(l_arr, i_op))
-    return max_abs(interior_block(res, cfg.interior_dim))
+    return max_abs(interior_block(res, model.basis.interior_dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,15 +221,20 @@ def _weak_expectation_series(sol: ErmakovSolution, ts, k1, k2,
     return ExpectationSeries(ts=ts, values=c1 * k1 + c2 * k2 - c3 * k3)
 
 
-def expectation_series(traj: Trajectory, inv: InvariantSpec) -> ExpectationSeries:
-    """tr[I(t) rho(t)] at the trajectory's record times.
+def expectation_series(traj: Trajectory,
+                       model: LindbladModel) -> ExpectationSeries:
+    """tr[I(t) rho(t)] of the model's invariant at the trajectory's
+    record times.
 
     Formed from the K1, K2 and K3 expectations the trajectory recorded,
-    so the invariant must be built on the trajectory's basis.
+    so a trajectory on another basis than the model's is refused.
     """
-    _check_basis(inv, traj.basis, "the trajectory's")
-    _check_window(traj.ts, *inv.window, "invariant")
-    return _weak_expectation_series(inv.sol, traj.ts, traj.k1, traj.k2,
+    if traj.basis != model.basis:
+        raise ValidationError(
+            f"the trajectory is on another basis ({traj.basis}) than the "
+            f"model's ({model.basis})")
+    _check_window(traj.ts, *model.sol.window, "invariant")
+    return _weak_expectation_series(model.sol, traj.ts, traj.k1, traj.k2,
                                     traj.k3)
 
 
@@ -298,8 +274,8 @@ class SpectrumSeries:
                     precision)
 
 
-def spectrum_series(spec: InvariantSpec, times, m: int) -> SpectrumSeries:
-    """Lowest ``m`` eigenvalues of the closed-form invariant at ``times``.
+def spectrum_series(model: LindbladModel, times, m: int) -> SpectrumSeries:
+    """Lowest ``m`` eigenvalues of the model's invariant at ``times``.
 
     Requires m <= dim/3 so the reported levels stay clear of the
     truncation edge.  The series keeps its own copy of ``times``, so the
@@ -315,7 +291,7 @@ def spectrum_series(spec: InvariantSpec, times, m: int) -> SpectrumSeries:
     same eigenvalues.  So the series forms the diagonals 0 and +2 of I(t)
     from those of K1, K2 and K3 and the coefficients at every time
     (``_weak_coefficients`` on one window-checked call each of
-    ``sol.rho_at`` and ``sol.rhodot_at``), each entry as ``InvariantSpec.at``
+    ``sol.rho_at`` and ``sol.rhodot_at``), each entry as ``invariant_at``
     forms it, and takes the lowest m of the union of both blocks' real
     ``eigvalsh``.  The blocks are stacked a block of times at a time, so
     a stack holds at most SPECTRUM_BLOCK_BYTES, or one block where a
@@ -324,18 +300,19 @@ def spectrum_series(spec: InvariantSpec, times, m: int) -> SpectrumSeries:
     times = np.array(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValidationError("times must be a non-empty 1-d sequence")
-    if not 1 <= m <= spec.dim // 3:
+    dim = model.basis.dim
+    if not 1 <= m <= dim // 3:
         raise ValidationError(
-            f"m must lie in [1, dim/3] = [1, {spec.dim // 3}], got {m}")
-    coeffs = _weak_coefficients(spec.sol.rho_at(times),
-                                spec.sol.rhodot_at(times))
-    gens = spec.basis.operators[2:]
+            f"m must lie in [1, dim/3] = [1, {dim // 3}], got {m}")
+    coeffs = _weak_coefficients(model.sol.rho_at(times),
+                                model.sol.rhodot_at(times))
+    gens = model.basis.operators[2:]
     # the diagonals 0 and +2 of K1, K2 and K3, one row per generator
     bands = [np.stack([k.entries.diagonal(off) for k in gens])
              for off in (0, 2)]
     levels = np.empty((times.size, m))
     # the even block, the larger, of one time
-    per = max(1, SPECTRUM_BLOCK_BYTES // (8 * ((spec.dim + 1) // 2) ** 2))
+    per = max(1, SPECTRUM_BLOCK_BYTES // (8 * ((dim + 1) // 2) ** 2))
     for lo in range(0, times.size, per):
         c1, c2, c3 = (c[lo:lo + per, None] for c in coeffs)
         diag, upper = (c1 * k1 + c2 * k2 - c3 * k3 for k1, k2, k3 in bands)

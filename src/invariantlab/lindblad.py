@@ -165,7 +165,8 @@ class LindbladModel:
     solution, so the model refuses a ``sol`` whose recorded equation is
     not the construction's for its schedules: the auxiliary equation on
     ``omega_s`` and ``kappa_s``.  ``invariants.construct`` builds the
-    model and its invariant on one such solution.
+    model on one such solution, and its invariant is a reading of the
+    model on that solution and basis (``invariants.invariant_at``).
     """
 
     omega_s: Schedule
@@ -299,10 +300,6 @@ class Trajectory:
 
     def __post_init__(self):
         _freeze_fields(self, *_RECORD_FIELDS)
-
-    @property
-    def ok(self) -> bool:
-        return self.failed_at is None
 
     def moments(self) -> list["MomentVector"]:
         return [MomentVector(*map(float, row))
@@ -542,10 +539,6 @@ class OperatorTrajectory:
 
     def __post_init__(self):
         _freeze_fields(self, "ts", "herm_dev")
-
-    @property
-    def ok(self) -> bool:
-        return self.failed_at is None
 
 
 def _transport_steps(model: LindbladModel, q0: np.ndarray, first: int,

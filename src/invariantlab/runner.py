@@ -1,8 +1,9 @@
 """Pipeline orchestration: artifact runs, verification battery, sweeps.
 
 ``run_scenario`` executes schedules -> ``invariants.construct`` (the
-auxiliary solution and, on it, the ``LindbladModel`` and the invariant)
--> evolution and writes four CSV artifacts.
+auxiliary solution and, on it, the ``LindbladModel``, whose invariant
+``invariants.invariant_at`` reads) -> evolution and writes four CSV
+artifacts.
 ``verify_scenario`` runs the named check battery against the scenario's
 tolerances and returns a report whose overall flag feeds the CLI exit
 code.  ``sweep`` rebuilds the scenario once per parameter value (full
@@ -37,14 +38,14 @@ differencing checks fit in (1e-3 with the constants here; see
 other than the omega sinusoid's rate, both before integrating anything.
 
 Each system is integrated once.  The run's auxiliary solution is the
-one ``construct`` solves, ``model.sol``, and the checks read its
-equation from it.  ``adiabatic-scaling`` solves the slow-motion series'
-problems with ``solve_auxiliary`` itself, reusing the run's solution
-where its declared-rate problem is the run's own, and the mean
-equations are integrated only for their three readers
-(``_first_moments``): ``backend-agreement``, the moments
-``trajectory.csv`` and ``sweep``'s ``final_mean_x`` without a density
-run.
+one ``construct`` solves, ``model.sol``; the checks read its equation
+from it, and the invariant from the model (``invariant_at``).
+``adiabatic-scaling`` solves the slow-motion series' problems with
+``solve_auxiliary`` itself, reusing the run's solution where its
+declared-rate problem is the run's own, and the mean equations are
+integrated only for their three readers (``_first_moments``):
+``backend-agreement``, the moments ``trajectory.csv`` and ``sweep``'s
+``final_mean_x`` without a density run.
 
 The transport-equation residual of the dissipative closed form has an
 exact friction defect ``|kappa rho rhodot|`` times the interior norm of
@@ -58,7 +59,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,12 +76,12 @@ from .errors import NumericalError, ValidationError
 from .invariants import (
     FD_HALF_STEP,
     ExpectationSeries,
-    InvariantSpec,
     _weak_expectation_series,
     constraint_residuals,
     construct,
     drift_rhs,
     expectation_series,
+    invariant_at,
     invariant_residual,
     spectrum_series,
 )
@@ -213,25 +214,24 @@ class SimulationResult:
 class _Prepared:
     scenario: Scenario
     model: LindbladModel
-    invariant: InvariantSpec
     record_idx: np.ndarray
     record_ts: np.ndarray
 
 
 def _prepare(s: Scenario) -> _Prepared:
-    model, invariant = construct(s.omega_schedule, s.kappa_schedule,
-                                 s.initial_auxiliary(), s.t_max, s.step_h,
-                                 s.basis)
+    model = construct(s.omega_schedule, s.kappa_schedule,
+                      s.initial_auxiliary(), s.t_max, s.step_h, s.basis)
     idx = _record_nodes(_step_count(s.t_max, s.step_h), s.record_every)
-    return _Prepared(scenario=s, model=model, invariant=invariant,
-                     record_idx=idx, record_ts=idx * s.step_h)
+    return _Prepared(scenario=s, model=model, record_idx=idx,
+                     record_ts=idx * s.step_h)
 
 
 def _initial_state(p: _Prepared) -> DensityMatrix:
     """The scenario's initial state; I(0) is built only for
     ``invariant_ground``, the one kind that reads it."""
     s = p.scenario
-    inv = p.invariant.at(0.0) if s.state.kind == "invariant_ground" else None
+    inv = (invariant_at(p.model, 0.0) if s.state.kind == "invariant_ground"
+           else None)
     return build_state(s.state, s.basis, invariant_op=inv)
 
 
@@ -276,7 +276,7 @@ def _evolve(p: _Prepared):
     if backend in ("moments", "both"):
         m0, quad = _moment_run(p, rho0)
     if traj is not None:
-        series = expectation_series(traj, p.invariant)
+        series = expectation_series(traj, p.model)
     else:
         series = _weak_expectation_series(p.model.sol, p.record_ts,
                                           quad.k1, quad.k2, quad.k3)
@@ -342,7 +342,7 @@ def run_scenario(s: Scenario, out_dir: str | None = None) -> SimulationResult:
     p.model.sol.write_csv(os.path.join(target, "ermakov.csv"),
                           precision=prec, idx=p.record_idx)
     series.write_csv(os.path.join(target, "invariant.csv"), precision=prec)
-    level_series = spectrum_series(p.invariant, p.record_ts,
+    level_series = spectrum_series(p.model, p.record_ts,
                                    m=_spectrum_modes(s.basis.dim))
     level_series.write_csv(os.path.join(target, "spectrum.csv"), precision=prec)
 
@@ -380,7 +380,7 @@ def _check_constraints(p: _Prepared) -> CheckResult:
 
 def _check_invariant_residual(p: _Prepared) -> CheckResult:
     s = p.scenario
-    worst = max(invariant_residual(p.invariant, p.model, f * s.t_max)
+    worst = max(invariant_residual(p.model, f * s.t_max)
                 for f in RESIDUAL_SAMPLE_FRACTIONS)
     tol = s.tolerances.residual
     return CheckResult("invariant-residual", worst, tol, worst <= tol)
@@ -394,7 +394,7 @@ def _check_conservation(series: ExpectationSeries, p: _Prepared) -> CheckResult:
 
 def _check_spectrum(p: _Prepared) -> CheckResult:
     m = _spectrum_modes(p.scenario.basis.dim)
-    series = spectrum_series(p.invariant, p.record_ts, m=m)
+    series = spectrum_series(p.model, p.record_ts, m=m)
     dev = float(np.max(np.abs(series.levels - (np.arange(m) + 0.5))))
     tol = p.scenario.tolerances.spectrum
     note = "" if series.pairing_ok else "pairing flagged"
@@ -406,10 +406,11 @@ def _drift_probe(p: _Prepared) -> tuple[LindbladModel, float, int, int, int]:
     """The drift probe's model, probe time, probe node, seed node and
     coarse stride.
 
-    The model is the run's, on the auxiliary solution ``p.model.sol``,
-    at the probe's fixed dimension.  Backward in time the adjoint flow
-    contracts (see ``_transport_steps``), so the transported K2 stays bounded;
-    forward it overflows within a unit window at kappa = 5.  The stride k
+    The model is the run's on a basis of the probe's fixed dimension
+    (``replace``), whatever its schedules and auxiliary solution.
+    Backward in time the adjoint flow contracts (see
+    ``_transport_steps``), so the transported K2 stays bounded; forward
+    it overflows within a unit window at kappa = 5.  The stride k
     is the largest with k*h*Lambda <= 1, Lambda the adjoint generator's
     norm bound over the window's stage table (``_adjoint_norm_bound``),
     so the coarse step stays inside RK4's stability region; a stiff
@@ -422,9 +423,8 @@ def _drift_probe(p: _Prepared) -> tuple[LindbladModel, float, int, int, int]:
     s = p.scenario
     h = DRIFT_PROBE_STEP
     t_probe = min(1.0, 0.5 * s.t_max)
-    cfg = BasisConfig(dim=DRIFT_PROBE_DIM, omega_ref=s.basis.omega_ref)
-    model = LindbladModel(s.omega_schedule, s.kappa_schedule, p.model.sol,
-                          cfg)
+    model = replace(p.model, basis=BasisConfig(dim=DRIFT_PROBE_DIM,
+                                               omega_ref=s.basis.omega_ref))
     i = round(t_probe / h)
     last = min(i + round(DRIFT_PROBE_WINDOW / h), int(s.t_max / h + 1e-9))
     # _check_battery_window refuses the windows that would leave no node

@@ -34,6 +34,7 @@ from invariantlab.invariants import (
     construct,
     drift_rhs,
     expectation_series,
+    invariant_at,
     invariant_residual,
     spectrum_series,
 )
@@ -77,10 +78,10 @@ def _pipeline(omega_s, kappa_s, dim=BASELINE_DIM, t_max=BASELINE_T,
     cfg = BasisConfig(dim=dim, omega_ref=float(omega_s(0.0)))
     init = ErmakovInit(adiabatic_rho(omega_s, kappa_s, 0.0),
                        adiabatic_rhodot(omega_s, kappa_s, 0.0))
-    model, inv = construct(omega_s, kappa_s, init, t_max, h, cfg)
+    model = construct(omega_s, kappa_s, init, t_max, h, cfg)
     state0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
     traj = evolve_density(model, state0, t_max, h, record_every=record_every)
-    return dict(omega=omega_s, kappa=kappa_s, cfg=cfg, model=model, inv=inv,
+    return dict(omega=omega_s, kappa=kappa_s, cfg=cfg, model=model,
                 state0=state0, traj=traj)
 
 
@@ -98,7 +99,7 @@ def strong():
 
 def test_criterion_01_conserved_expectation_on_baseline(baseline):
     bound = 1e-5
-    series = expectation_series(baseline["traj"], baseline["inv"])
+    series = expectation_series(baseline["traj"], baseline["model"])
     measured = series.max_rel_drift
     report(1, measured <= bound,
            f"max relative drift of the conserved expectation over "
@@ -117,7 +118,7 @@ def test_criterion_02_damped_oscillation_law():
     cfg = BasisConfig(dim=BASELINE_DIM, omega_ref=1.0)
     init = ErmakovInit(adiabatic_rho(omega_s, kappa_s, 0.0),
                        adiabatic_rhodot(omega_s, kappa_s, 0.0))
-    model, _ = construct(omega_s, kappa_s, init, t_end, h, cfg)
+    model = construct(omega_s, kappa_s, init, t_end, h, cfg)
     state0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
     traj = evolve_density(model, state0, t_end, h, record_every=3142)
     fock_dev = abs(traj.moments()[-1].mean_x - target)
@@ -147,13 +148,13 @@ def test_criterion_03_constraint_identities(baseline):
 def test_criterion_04_operator_equation_residual_and_mutant(baseline,
                                                             flip_a3):
     bound, mutant_floor = 1e-6, 1e-2
-    inv, model = baseline["inv"], baseline["model"]
+    model = baseline["model"]
     sample_times = (2.0, 6.0, 10.0, 14.0, 18.0)
-    residual = max(invariant_residual(inv, model, t) for t in sample_times)
+    residual = max(invariant_residual(model, t) for t in sample_times)
 
     # sign-flipped a3: the model's jump becomes K1 + a2 K2 - a3 K3
     flip_a3()
-    mutant_residual = max(invariant_residual(inv, model, t)
+    mutant_residual = max(invariant_residual(model, t)
                           for t in sample_times)
 
     report(4, residual <= bound and mutant_residual > mutant_floor,
@@ -168,14 +169,14 @@ def test_criterion_04_operator_equation_residual_and_mutant(baseline,
 
 def test_criterion_05_strong_limit(strong):
     spec_bound, residual_bound, conserve_bound = 1e-6, 1e-6, 1e-7
-    inv, model, traj = strong["inv"], strong["model"], strong["traj"]
+    model, traj = strong["model"], strong["traj"]
 
-    spectrum = spectrum_series(inv, traj.ts, m=13)
+    spectrum = spectrum_series(model, traj.ts, m=13)
     spec_dev = float(np.max(np.abs(
         spectrum.levels - spectrum.levels[0])))
-    residual = max(invariant_residual(inv, model, t)
+    residual = max(invariant_residual(model, t)
                    for t in (2.0, 6.0, 10.0, 14.0, 18.0))
-    series = expectation_series(traj, inv)
+    series = expectation_series(traj, model)
     conserve_dev = float(np.max(np.abs(series.values - series.values[0])))
 
     report(5, spec_dev <= spec_bound and residual <= residual_bound
@@ -188,15 +189,15 @@ def test_criterion_05_strong_limit(strong):
 
 def test_criterion_06_spectrum_and_drift_of_the_closed_form(baseline):
     spec_bound, drift_bound, fd_bound = 1e-6, 1e-8, 1e-4
-    inv, model, traj = baseline["inv"], baseline["model"], baseline["traj"]
+    model, traj = baseline["model"], baseline["traj"]
 
-    spectrum = spectrum_series(inv, traj.ts, m=13)
+    spectrum = spectrum_series(model, traj.ts, m=13)
     want = np.broadcast_to(np.arange(13) + 0.5, spectrum.levels.shape)
     spec_dev = float(np.max(np.abs(spectrum.levels - want)))
 
     closed_drift = 0.0
     for t in (4.0, 8.0, 12.0, 16.0):
-        op = inv.at(t)
+        op = invariant_at(model, t)
         lam, vecs = np.linalg.eigh(op.entries)
         alpha, jump = _jump_at(model, t)
         _, drifts = drift_rhs(op, lam, vecs, jump, alpha, m=13)
@@ -204,11 +205,11 @@ def test_criterion_06_spectrum_and_drift_of_the_closed_form(baseline):
 
     # transported generic observable: formula against finite differences
     h = 2e-4
-    probe_model, _ = construct(baseline["omega"], baseline["kappa"],
-                               ErmakovInit(float(model.sol.rho_at(0.0)),
-                                           float(model.sol.rhodot_at(0.0))),
-                               1.0 + 2 * h, h,
-                               BasisConfig(dim=16, omega_ref=1.0))
+    probe_model = construct(baseline["omega"], baseline["kappa"],
+                            ErmakovInit(float(model.sol.rho_at(0.0)),
+                                        float(model.sol.rhodot_at(0.0))),
+                            1.0 + 2 * h, h,
+                            BasisConfig(dim=16, omega_ref=1.0))
     ot = evolve_adjoint_observable(probe_model,
                                    probe_model.basis.operators[3], 1.0 + 2 * h,
                                    h, record_every=1)
@@ -282,7 +283,7 @@ def test_criterion_09_trace_pairing_duality(baseline, evolve_recording):
     # entries outgrow the 16 significant digits of float64 and the
     # pairing trace loses the cancellation it relies on (outright float
     # overflow follows near t = 2.6)
-    model, inv = baseline["model"], baseline["inv"]
+    model = baseline["model"]
     n_rec = int(round(window / (BASELINE_H * RECORD)))
     # the baseline run keeps no states: the states over the window come
     # from the same run cut at the window's end, which steps bit for bit
@@ -295,7 +296,8 @@ def test_criterion_09_trace_pairing_duality(baseline, evolve_recording):
                                       getattr(full, name)[:n_rec + 1])
     worst = 0.0
     details = []
-    for name, q0 in (("K2", model.basis.operators[3]), ("I(0)", inv.at(0.0))):
+    for name, q0 in (("K2", model.basis.operators[3]),
+                     ("I(0)", invariant_at(model, 0.0))):
         ot = evolve_adjoint_observable(model, q0, window, BASELINE_H,
                                        record_every=RECORD)
         vals = np.array([
@@ -349,7 +351,7 @@ def test_criterion_11_integrator_order():
     cfg = BasisConfig(dim=16, omega_ref=1.0)
     init = ErmakovInit(adiabatic_rho(omega_m, kappa_m, 0.0),
                        adiabatic_rhodot(omega_m, kappa_m, 0.0))
-    model, _ = construct(omega_m, kappa_m, init, 2.0, 1e-4, cfg)
+    model = construct(omega_m, kappa_m, init, 2.0, 1e-4, cfg)
     state0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
 
     def final_state(h):

@@ -1,7 +1,8 @@
 """Every name a package module exports in ``__all__`` exists, every
-name the benchmark's tracer wraps by attribute, a density run goes
-through the tracer's hooks, the benchmark's correctness gate passes its
-own self-test, the README's library example compiles and imports
+name the benchmark's tracer wraps by attribute, a density run and an
+auxiliary solve go through the tracer's hooks, every scenario field the
+benchmark's worker reads exists, the benchmark's correctness gate
+passes its own self-test, the README's library example compiles and imports
 only names the package has, no package module or test file imports
 a name it never uses, and no package module forms a conjugate
 transpose as ``x.conj().T`` outside one named function.
@@ -14,6 +15,7 @@ so deleting one of them breaks the traced benchmark.
 """
 
 import ast
+import dataclasses
 import importlib
 import os
 import pkgutil
@@ -24,10 +26,11 @@ import sys
 import pytest
 
 import invariantlab
-from invariantlab import lindblad
+from invariantlab import auxiliary, lindblad
 from invariantlab.auxiliary import ErmakovInit
 from invariantlab.invariants import construct
 from invariantlab.operators import BasisConfig, StateSpec, build_state
+from invariantlab.scenario import Scenario
 from invariantlab.schedules import ConstantSchedule
 
 MODULES = ["invariantlab"] + [
@@ -70,8 +73,8 @@ def test_benchmark_tracer_counts_a_density_run(monkeypatch):
     monkeypatch.syspath_prepend(PERFBENCH)
     tracing = importlib.import_module("tracing")
     cfg = BasisConfig(dim=8, omega_ref=1.0)
-    model, _ = construct(ConstantSchedule(1.0), ConstantSchedule(0.1),
-                         ErmakovInit(1.0, 0.0), 0.05, 1e-3, cfg)
+    model = construct(ConstantSchedule(1.0), ConstantSchedule(0.1),
+                      ErmakovInit(1.0, 0.0), 0.05, 1e-3, cfg)
     rho0 = build_state(StateSpec(kind="fock", fock_n=0), cfg)
     tracer = tracing.Tracer()
     try:
@@ -86,6 +89,38 @@ def test_benchmark_tracer_counts_a_density_run(monkeypatch):
     assert counts["lindblad.evolve_density.steps"] == 50
     assert counts["lindblad.trajectory.state_bytes_computed"] == 8 * 8 * 16
     assert tracer.layers("density")["lindblad.evolve_density"]["calls"] == 1
+
+
+def test_benchmark_scenario_fields_are_scenario_fields():
+    """Each name in ``perfbench/worker.py``'s ``SCENARIO_FIELDS``, which
+    the worker reads off a loaded scenario to fingerprint it, is a
+    ``Scenario`` field.  The names are read from the source, since the
+    worker imports the package at module level."""
+    with open(os.path.join(PERFBENCH, "worker.py"), encoding="utf-8") as fh:
+        [names] = [ast.literal_eval(node.value)
+                   for node in ast.parse(fh.read()).body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets]
+                   == ["SCENARIO_FIELDS"]]
+    fields = {f.name for f in dataclasses.fields(Scenario)}
+    assert names and not set(names) - fields, sorted(set(names) - fields)
+
+
+def test_benchmark_tracer_counts_an_auxiliary_solve(monkeypatch):
+    """With the tracer installed, a 40-step auxiliary solve goes through
+    its ``solve_auxiliary`` hook, which binds the call's ``t_max`` and
+    ``h`` by name."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tracer.begin_run("auxiliary")
+        auxiliary.solve_auxiliary(ConstantSchedule(1.0), ConstantSchedule(0.1),
+                                  ErmakovInit(1.0, 0.0), 0.04, 1e-3)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts[0]["auxiliary.solve_auxiliary.steps"] == 40
 
 
 def test_benchmark_gate_selftest_passes():

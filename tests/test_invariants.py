@@ -6,9 +6,12 @@ independently integrated density trajectories, and centered finite
 differences of eigenvalue series.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from invariantlab import invariants
 from invariantlab.auxiliary import (
     ErmakovInit,
     adiabatic_rho,
@@ -19,11 +22,11 @@ from invariantlab.errors import NumericalError, ValidationError
 from invariantlab.invariants import (
     CONTINUITY_BOUND,
     ExpectationSeries,
-    InvariantSpec,
     constraint_residuals,
     construct,
     drift_rhs,
     expectation_series,
+    invariant_at,
     invariant_residual,
     lr_invariant_at,
     spectrum_series,
@@ -63,14 +66,14 @@ def baseline_schedules(kappa=0.1):
 
 
 def construct_baseline(omega_s, kappa_s, t_max, dim, h=H):
-    """(model, invariant) on the series-started auxiliary solution."""
+    """The model on the series-started auxiliary solution."""
     init = ErmakovInit(adiabatic_rho(omega_s, kappa_s, 0.0),
                        adiabatic_rhodot(omega_s, kappa_s, 0.0))
     return construct(omega_s, kappa_s, init, t_max, h, basis(dim))
 
 
 def constant_case(t_max, dim, init=ErmakovInit(1.0, 0.0)):
-    """(model, invariant) for omega = 1, kappa = 0.1."""
+    """The model for omega = 1, kappa = 0.1."""
     return construct(ConstantSchedule(1.0), ConstantSchedule(0.1), init,
                      t_max, H, basis(dim))
 
@@ -80,9 +83,9 @@ def constant_case(t_max, dim, init=ErmakovInit(1.0, 0.0)):
 
 
 def test_weak_invariant_on_equilibrium_is_plain_energy():
-    _, spec = constant_case(1.0, 12)
-    g1, g2, _ = spec.basis.operators[2:]
-    inv = spec.at(0.5)
+    model = constant_case(1.0, 12)
+    g1, g2, _ = model.basis.operators[2:]
+    inv = invariant_at(model, 0.5)
     assert inv.hermitian
     np.testing.assert_allclose(max_abs(inv.entries - g1.entries - g2.entries),
                                0.0, atol=1e-12)
@@ -90,7 +93,7 @@ def test_weak_invariant_on_equilibrium_is_plain_energy():
 
 def test_weak_invariant_unit_discriminant():
     """rho^2 (rhodot^2 + 1/rho^2) - (rho rhodot)^2 = 1 for any solution."""
-    sol = construct_baseline(*baseline_schedules(), 5.0, 8)[0].sol
+    sol = construct_baseline(*baseline_schedules(), 5.0, 8).sol
     for t in (0.0, 1.3, 2.7, 4.9):
         r, v = sol.rho_at(t), sol.rhodot_at(t)
         disc = r * r * (v * v + 1.0 / (r * r)) - (r * v) ** 2
@@ -100,17 +103,17 @@ def test_weak_invariant_unit_discriminant():
 def test_weak_invariant_spectrum_is_half_integers():
     """Unit discriminant pins the low spectrum to n + 1/2 for any (rho,
     rhodot); checked by direct diagonalization at (1.3, 0.4), N=60."""
-    _, spec = constant_case(1.0, 60, init=ErmakovInit(1.3, 0.4))
-    inv = spec.at(0.0)
+    model = constant_case(1.0, 60, init=ErmakovInit(1.3, 0.4))
+    inv = invariant_at(model, 0.0)
     lam = np.linalg.eigvalsh(inv.entries)[:11]
     np.testing.assert_allclose(lam, np.arange(11) + 0.5, rtol=0, atol=1e-6)
     assert lam[0] > 0.0
 
 
 def test_weak_invariant_outside_window_rejected():
-    _, spec = constant_case(1.0, 10)
+    model = constant_case(1.0, 10)
     with pytest.raises(ValidationError):
-        spec.at(2.0)
+        invariant_at(model, 2.0)
 
 
 def test_lr_invariant_on_equilibrium_is_plain_energy():
@@ -127,23 +130,11 @@ def test_lr_invariant_on_equilibrium_is_plain_energy():
 def test_lr_invariant_equals_expanded_quadratic_form():
     """(rho p - rhodot x)^2/2 + x^2/(2 rho^2) expands to the K-basis form."""
     x_op, p_op, *_ = basis(24).operators
-    _, spec = construct_baseline(*baseline_schedules(kappa=0.0), 3.0, 24)
+    model = construct_baseline(*baseline_schedules(kappa=0.0), 3.0, 24)
     for t in (0.0, 0.9, 2.4):
-        direct = lr_invariant_at(spec.sol, x_op, p_op, t)
-        expanded = spec.at(t)
+        direct = lr_invariant_at(model.sol, x_op, p_op, t)
+        expanded = invariant_at(model, t)
         assert max_abs(direct.entries - expanded.entries) <= 1e-12
-
-
-# ---------------------------------------------------------------------------
-# InvariantSpec
-
-
-def test_spec_validation():
-    sol = solve_auxiliary(ConstantSchedule(1.0), ConstantSchedule(0.0),
-                          ErmakovInit(1.0, 0.0), 1.0, H)
-    spec = InvariantSpec(sol=sol, basis=basis(10))
-    assert spec.dim == 10
-    assert spec.window == (0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +144,8 @@ def test_spec_validation():
 def test_residual_vanishes_in_constant_case():
     """Equilibrium with omega = 1: the observable, the Hamiltonian and the
     jump operator coincide, so every term is zero separately."""
-    model, spec = constant_case(1.0, 20)
-    assert invariant_residual(spec, model, 0.5) <= 1e-10
+    model = constant_case(1.0, 20)
+    assert invariant_residual(model, 0.5) <= 1e-10
 
 
 def test_residual_on_modulated_scenario_equals_friction_defect():
@@ -165,12 +156,12 @@ def test_residual_on_modulated_scenario_equals_friction_defect():
     max-norm must therefore equal |kappa*rho*rhodot| times the interior
     max-norm of K3 to rounding, and it vanishes only where rhodot does."""
     omega_s, kappa_s = baseline_schedules()
-    model, spec = construct_baseline(omega_s, kappa_s, 2.0, 60)
+    model = construct_baseline(omega_s, kappa_s, 2.0, 60)
     sol = model.sol
     k3_norm = max_abs(interior_block(model.generators[2],
                                      model.basis.interior_dim))
     for t in (0.5, 1.0, 1.5):
-        res = invariant_residual(spec, model, t)
+        res = invariant_residual(model, t)
         predicted = abs(kappa_s(t) * sol.rho_at(t) * sol.rhodot_at(t)) * k3_norm
         assert abs(res - predicted) <= 1e-9
         assert res > 1e-3  # the defect is genuinely nonzero here
@@ -179,57 +170,41 @@ def test_residual_on_modulated_scenario_equals_friction_defect():
 def test_residual_detects_sign_flipped_jump_coefficient(flip_a3):
     """Flipping a3 in the model's jump operator must light up the defect
     well above the intrinsic friction-defect floor of the good model."""
-    model, spec = construct_baseline(*baseline_schedules(), 2.0, 40)
-    res_good = invariant_residual(spec, model, 1.0)
+    model = construct_baseline(*baseline_schedules(), 2.0, 40)
+    res_good = invariant_residual(model, 1.0)
     flip_a3()  # the jump operator K1 + a2 K2 - a3 K3
-    res_bad = invariant_residual(spec, model, 1.0)
+    res_bad = invariant_residual(model, 1.0)
     assert res_bad > 1e-2
     assert res_bad > 4.0 * res_good
 
 
 def test_residual_strong_form_without_friction():
-    model, spec = construct_baseline(*baseline_schedules(kappa=0.0), 2.0, 40)
-    assert invariant_residual(spec, model, 1.0) <= 1e-6
-
-
-def test_residual_argument_validation():
-    """An invariant on another basis than the model's is refused, here one
-    of the same dimension at another reference frequency."""
-    model, spec = constant_case(1.0, 10)
-    other = InvariantSpec(sol=spec.sol,
-                          basis=BasisConfig(dim=10, omega_ref=0.5))
-    with pytest.raises(ValidationError, match="another basis"):
-        invariant_residual(other, model, 0.5)
-
-
-def test_residual_refuses_an_invariant_on_another_equation():
-    """An invariant on a kappa = 0 solution does not pair with a kappa =
-    0.1 model of the same basis: its auxiliary equation is not the
-    model's."""
-    model, _ = construct_baseline(*baseline_schedules(), 1.0, 10)
-    _, foreign = construct_baseline(*baseline_schedules(kappa=0.0), 1.0, 10)
-    with pytest.raises(ValidationError, match="another equation"):
-        invariant_residual(foreign, model, 0.5)
+    model = construct_baseline(*baseline_schedules(kappa=0.0), 2.0, 40)
+    assert invariant_residual(model, 1.0) <= 1e-6
 
 
 def test_construct_is_the_hand_pairing():
-    """``construct`` builds what pairing ``solve_auxiliary`` with
-    ``LindbladModel`` and ``InvariantSpec`` by hand builds: on a grid of
-    times, the same coefficient rows and the same invariant, bit for bit."""
+    """``construct`` builds what ``LindbladModel`` on a hand
+    ``solve_auxiliary`` builds, and ``invariant_at`` forms c1 K1 + c2 K2 -
+    c3 K3 with (c1, c2, c3) = (rho^2, rhodot^2 + 1/rho^2, rho rhodot) of
+    the hand solution: on a grid of times, the same coefficient rows and
+    the same invariant, bit for bit."""
     omega_s = SinusoidSchedule(1.0, 0.2, 0.1)
     kappa_s = SinusoidSchedule(0.1, 0.05, 0.3)
     init = ErmakovInit(1.1, 0.05)
     cfg = basis(12)
-    model, inv = construct(omega_s, kappa_s, init, 2.0, H, cfg)
+    model = construct(omega_s, kappa_s, init, 2.0, H, cfg)
     sol = solve_auxiliary(omega_s, kappa_s, init, 2.0, H)
     hand = LindbladModel(omega_s, kappa_s, sol, cfg)
-    hand_inv = InvariantSpec(sol=sol, basis=cfg)
     ts = np.linspace(0.0, 2.0, 41)
     np.testing.assert_array_equal(np.column_stack(model.coefficients(ts)),
                                   np.column_stack(hand.coefficients(ts)))
+    k1, k2, k3 = (op.entries for op in cfg.operators[2:])
     for t in ts:
-        np.testing.assert_array_equal(inv.at(t).entries,
-                                      hand_inv.at(t).entries)
+        r, v = float(sol.rho_at(t)), float(sol.rhodot_at(t))
+        c1, c2, c3 = r * r, v * v + 1.0 / (r * r), r * v
+        np.testing.assert_array_equal(invariant_at(model, t).entries,
+                                      c1 * k1 + c2 * k2 - c3 * k3)
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +221,12 @@ def test_expectation_series_on_invariant_ground_state():
     integral of kappa*(rho*rhodot)^2/2.  The measured series must follow
     that integral closely and the total excess stays parts-per-1e5."""
     omega_s, kappa_s = baseline_schedules()
-    model, spec = construct_baseline(omega_s, kappa_s, 2.0, 40)
+    model = construct_baseline(omega_s, kappa_s, 2.0, 40)
     sol = model.sol
     rho0 = build_state(StateSpec(kind="invariant_ground"), model.basis,
-                       invariant_op=spec.at(0.0))
+                       invariant_op=invariant_at(model, 0.0))
     traj = evolve_density(model, rho0, 2.0, H, record_every=200)
-    series = expectation_series(traj, spec)
+    series = expectation_series(traj, model)
 
     ts_fine = np.asarray(sol.ts)
     integrand = kappa_s(ts_fine) * (np.asarray(sol.rho)
@@ -268,29 +243,29 @@ def test_expectation_series_on_invariant_ground_state():
 
 
 def test_expectation_series_constant_case_coherent():
-    model, spec = constant_case(2.0, 40)
+    model = constant_case(2.0, 40)
     rho0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), model.basis)
     traj = evolve_density(model, rho0, 2.0, H, record_every=200)
-    series = expectation_series(traj, spec)
+    series = expectation_series(traj, model)
     np.testing.assert_allclose(series.values, 1.0, rtol=0, atol=1e-8)
 
 
 def test_expectation_series_strong_limit():
     """kappa = 0: the frictionless invariant is conserved to 1e-6."""
-    model, spec = construct_baseline(*baseline_schedules(kappa=0.0), 5.0, 40)
+    model = construct_baseline(*baseline_schedules(kappa=0.0), 5.0, 40)
     rho0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), model.basis)
     traj = evolve_density(model, rho0, 5.0, H, record_every=500)
-    series = expectation_series(traj, spec)
+    series = expectation_series(traj, model)
     assert series.max_rel_drift <= 1e-6
 
 
 def test_expectation_series_rejects_uncovered_window():
-    model, _ = constant_case(2.0, 12)
-    _, spec = constant_case(1.0, 12)
+    model = constant_case(2.0, 12)
+    short = constant_case(1.0, 12)
     rho0 = build_state(StateSpec(kind="fock", fock_n=0), model.basis)
     traj = evolve_density(model, rho0, 2.0, H, record_every=500)
     with pytest.raises(ValidationError):
-        expectation_series(traj, spec)
+        expectation_series(traj, short)
 
 
 def test_expectation_series_equals_the_dense_trace(evolve_recording):
@@ -298,28 +273,27 @@ def test_expectation_series_equals_the_dense_trace(evolve_recording):
     <K3>, equals tr[I(t) rho(t)] of the dense invariant on each recorded
     state to 1e-13 relative, on a modulated dissipative dim-40 run from a
     complex coherent state.  Measured: 3.2e-16."""
-    model, spec = construct_baseline(*baseline_schedules(), 1.0, 40)
+    model = construct_baseline(*baseline_schedules(), 1.0, 40)
     rho0 = build_state(StateSpec(kind="coherent", beta=complex(0.8, 0.5)),
                        model.basis)
     traj, states = evolve_recording(model, rho0, 1.0, H, 100)
-    dense = np.array([expectation(spec.at(float(t)), state)
+    dense = np.array([expectation(invariant_at(model, float(t)), state)
                       for t, state in zip(traj.ts, states)])
-    values = expectation_series(traj, spec).values
+    values = expectation_series(traj, model).values
     assert len(values) == 11
     np.testing.assert_allclose(values, dense, rtol=1e-13, atol=0)
 
 
 def test_expectation_series_refuses_other_operators():
-    """The series reads the recorded <K1>, <K2> and <K3>, so an invariant
-    built on other operators of the same dimension is refused: here those
-    of a basis at another reference frequency."""
-    model, inv = constant_case(0.2, 12)
-    rho0 = build_state(StateSpec(kind="fock", fock_n=0), model.basis)
-    traj = evolve_density(model, rho0, 0.2, H, record_every=100)
-    spec = InvariantSpec(sol=inv.sol,
-                         basis=BasisConfig(dim=12, omega_ref=0.5))
+    """The series reads the recorded <K1>, <K2> and <K3>, so a trajectory
+    recorded on other operators of the model's dimension is refused: here
+    the model's run on a basis at another reference frequency."""
+    model = constant_case(0.2, 12)
+    other = replace(model, basis=BasisConfig(dim=12, omega_ref=0.5))
+    rho0 = build_state(StateSpec(kind="fock", fock_n=0), other.basis)
+    traj = evolve_density(other, rho0, 0.2, H, record_every=100)
     with pytest.raises(ValidationError, match="another basis"):
-        expectation_series(traj, spec)
+        expectation_series(traj, model)
 
 
 def test_expectation_series_leaves_the_caller_arrays_writable():
@@ -336,10 +310,10 @@ def test_expectation_series_leaves_the_caller_arrays_writable():
 
 
 def test_expectation_series_csv(tmp_path):
-    model, spec = constant_case(0.2, 12)
+    model = constant_case(0.2, 12)
     rho0 = build_state(StateSpec(kind="fock", fock_n=0), model.basis)
     traj = evolve_density(model, rho0, 0.2, H, record_every=100)
-    series = expectation_series(traj, spec)
+    series = expectation_series(traj, model)
     path = tmp_path / "invariant.csv"
     series.write_csv(path)
     lines = path.read_text().strip().split("\n")
@@ -352,9 +326,9 @@ def test_expectation_series_csv(tmp_path):
 
 
 def test_spectrum_of_constructed_invariant_is_static_half_integers():
-    _, spec = construct_baseline(*baseline_schedules(), 2.0, 40)
+    model = construct_baseline(*baseline_schedules(), 2.0, 40)
     times = np.linspace(0.0, 2.0, 11)
-    series = spectrum_series(spec, times, m=13)
+    series = spectrum_series(model, times, m=13)
     assert times.flags.writeable and series.ts is not times
     want = np.broadcast_to(np.arange(13) + 0.5, series.levels.shape)
     np.testing.assert_allclose(series.levels, want, rtol=0, atol=1e-6)
@@ -362,9 +336,9 @@ def test_spectrum_of_constructed_invariant_is_static_half_integers():
 
 
 def test_spectrum_constant_in_strong_limit():
-    _, spec = construct_baseline(*baseline_schedules(kappa=0.0), 5.0, 40)
+    model = construct_baseline(*baseline_schedules(kappa=0.0), 5.0, 40)
     times = np.linspace(0.0, 5.0, 26)
-    series = spectrum_series(spec, times, m=10)
+    series = spectrum_series(model, times, m=10)
     spread = np.max(series.levels, axis=0) - np.min(series.levels, axis=0)
     assert float(np.max(spread)) <= 1e-6
 
@@ -375,7 +349,7 @@ def test_spectrum_of_transported_observable_drifts():
     records by more than the pairing bound CONTINUITY_BOUND.
     Late-time rows carry amplified truncation noise (the transport flow
     is expansive), which only adds to the drift being detected."""
-    model, _ = construct_baseline(*baseline_schedules(), 5.0, 16)
+    model = construct_baseline(*baseline_schedules(), 5.0, 16)
     ot = evolve_adjoint_observable(model, model.basis.operators[3], 5.0, H,
                                    record_every=100)
     levels = np.array([np.linalg.eigvalsh(op.entries)[:5]
@@ -400,10 +374,10 @@ def test_the_invariant_is_exactly_hermitian():
     Hermiticity deviation reads 0 at 21 times over [0, 2], and its
     symmetrised copy equals it bit for bit."""
     for omega_s, kappa_s in (baseline_schedules(), FAST_DISSIPATIVE):
-        _, spec = construct(omega_s, kappa_s, ErmakovInit(1.3, 0.4), 2.0, H,
+        model = construct(omega_s, kappa_s, ErmakovInit(1.3, 0.4), 2.0, H,
                             basis(40))
         for t in np.linspace(0.0, 2.0, 21):
-            inv = spec.at(float(t))
+            inv = invariant_at(model, float(t))
             assert inv.herm_deviation() == 0.0
             arr = inv.entries
             np.testing.assert_array_equal(0.5 * (arr + arr.conj().T), arr)
@@ -418,43 +392,43 @@ def test_the_parity_block_spectrum_is_the_dense_spectrum(dim):
     m = dim // 3
     times = np.linspace(0.0, 2.0, 21)
     for omega_s, kappa_s in (baseline_schedules(), FAST_DISSIPATIVE):
-        _, spec = construct(omega_s, kappa_s, ErmakovInit(1.3, 0.4), 2.0, H,
+        model = construct(omega_s, kappa_s, ErmakovInit(1.3, 0.4), 2.0, H,
                             basis(dim))
-        dense = [np.linalg.eigvalsh(spec.at(float(t)).entries)[:m]
+        dense = [np.linalg.eigvalsh(invariant_at(model, float(t)).entries)[:m]
                  for t in times]
-        levels = spectrum_series(spec, times, m=m).levels
+        levels = spectrum_series(model, times, m=m).levels
         np.testing.assert_allclose(levels, dense, rtol=0, atol=1e-12)
 
 
 def test_the_spectrum_series_never_forms_the_invariant(monkeypatch):
-    """``spectrum_series`` calls ``InvariantSpec.at`` zero times."""
-    _, spec = construct_baseline(*baseline_schedules(), 2.0, 40)
-    at = InvariantSpec.at
+    """``spectrum_series`` calls ``invariant_at`` zero times."""
+    model = construct_baseline(*baseline_schedules(), 2.0, 40)
+    at = invariants.invariant_at
     invariants_at = []
 
-    def counted_at(spec, t):
+    def counted_at(model, t):
         invariants_at.append(t)
-        return at(spec, t)
+        return at(model, t)
 
-    monkeypatch.setattr(InvariantSpec, "at", counted_at)
-    spectrum_series(spec, np.linspace(0.0, 2.0, 11), m=13)
+    monkeypatch.setattr(invariants, "invariant_at", counted_at)
+    spectrum_series(model, np.linspace(0.0, 2.0, 11), m=13)
     assert invariants_at == []
 
 
 def test_spectrum_argument_validation():
-    _, spec = constant_case(1.0, 12)
+    model = constant_case(1.0, 12)
     with pytest.raises(ValidationError):
-        spectrum_series(spec, [0.0, 0.5], m=5)  # m > dim/3
+        spectrum_series(model, [0.0, 0.5], m=5)  # m > dim/3
     with pytest.raises(ValidationError):
-        spectrum_series(spec, [], m=2)
+        spectrum_series(model, [], m=2)
     for outside in ([0.0, 1.5], [-0.5, 0.5]):  # the window is [0, 1]
         with pytest.raises(ValidationError):
-            spectrum_series(spec, outside, m=2)
+            spectrum_series(model, outside, m=2)
 
 
 def test_spectrum_csv(tmp_path):
-    _, spec = constant_case(1.0, 12)
-    series = spectrum_series(spec, [0.0, 0.5, 1.0], m=4)
+    model = constant_case(1.0, 12)
+    series = spectrum_series(model, [0.0, 0.5, 1.0], m=4)
     path = tmp_path / "spectrum.csv"
     series.write_csv(path)
     lines = path.read_text().strip().split("\n")
@@ -467,8 +441,8 @@ def test_spectrum_csv(tmp_path):
 
 
 def test_drift_zero_without_dissipation():
-    _, spec = construct_baseline(*baseline_schedules(kappa=0.0), 1.0, 20)
-    inv = spec.at(0.7)
+    model = construct_baseline(*baseline_schedules(kappa=0.0), 1.0, 20)
+    inv = invariant_at(model, 0.7)
     lam, vecs = np.linalg.eigh(inv.entries)
     kept, drifts = drift_rhs(inv, lam, vecs, None, 0.0, m=6)
     np.testing.assert_array_equal(kept, np.arange(6))
@@ -485,10 +459,10 @@ def test_drift_of_constructed_invariant_follows_friction_law():
     drift prediction is therefore a direct meter of that defect, and
     vanishes only in the frictionless or unmodulated limits."""
     omega_s, kappa_s = baseline_schedules()
-    model, spec = construct_baseline(omega_s, kappa_s, 2.0, 40)
+    model = construct_baseline(omega_s, kappa_s, 2.0, 40)
     sol = model.sol
     t = 1.0
-    inv = spec.at(t)
+    inv = invariant_at(model, t)
     alpha, jump = jump_at(model, t)
     lam, vecs = np.linalg.eigh(inv.entries)
     kept, drifts = drift_rhs(inv, lam, vecs, jump, alpha, m=13)
@@ -504,7 +478,7 @@ def test_drift_matches_finite_difference_of_spectrum():
     centered difference of its eigenvalue series.  Dimension 16 keeps the
     expansive transport flow representable at t = 1 in double precision."""
     h = 2e-4
-    model, _ = construct_baseline(*baseline_schedules(), 1.0 + 2 * h, 16, h=h)
+    model = construct_baseline(*baseline_schedules(), 1.0 + 2 * h, 16, h=h)
     ot = evolve_adjoint_observable(model, model.basis.operators[3],
                                    1.0 + 2 * h, h, record_every=1)
     ts = np.asarray(ot.ts)
@@ -555,7 +529,7 @@ def modulated_friction_model(t_max):
     """Modulated omega and kappa, the model on a dim-8 basis."""
     omega_s = SinusoidSchedule(1.0, 0.2, 0.1)
     kappa_s = SinusoidSchedule(0.1, 0.05, 0.3)
-    return construct_baseline(omega_s, kappa_s, t_max, 8)[0]
+    return construct_baseline(omega_s, kappa_s, t_max, 8)
 
 
 def test_constraints_vanish_on_construction():
@@ -566,7 +540,7 @@ def test_constraints_vanish_on_construction():
 
 
 def test_constraints_vanish_without_friction():
-    model, _ = construct_baseline(*baseline_schedules(kappa=0.0), 2.0, 8)
+    model = construct_baseline(*baseline_schedules(kappa=0.0), 2.0, 8)
     coeffs = model.coefficients(1.0)[1:]
     assert coeffs[0] == 0.0
     res = constraint_residuals(model, coeffs, 1.0)
@@ -574,7 +548,7 @@ def test_constraints_vanish_without_friction():
 
 
 def test_constraints_detect_perturbed_coefficient():
-    model, _ = constant_case(1.0, 8, init=ErmakovInit(1.3, 0.4))
+    model = constant_case(1.0, 8, init=ErmakovInit(1.3, 0.4))
     alpha, a2, a3 = model.coefficients(0.5)[1:]
     bumped = (alpha, a2, a3 + 0.1)
     res = constraint_residuals(model, bumped, 0.5)

@@ -81,8 +81,7 @@ def equilibrium_setup(dim, kappa=0.1, omega=1.0, t_max=2.0, h=H):
     omega_s = ConstantSchedule(omega)
     kappa_s = ConstantSchedule(kappa)
     cfg = BasisConfig(dim=dim, omega_ref=omega)
-    model, _ = construct(omega_s, kappa_s, ErmakovInit(1.0, 0.0), t_max, h,
-                         cfg)
+    model = construct(omega_s, kappa_s, ErmakovInit(1.0, 0.0), t_max, h, cfg)
     return omega_s, kappa_s, cfg, cfg.operators[2:], model.sol, model
 
 
@@ -93,7 +92,7 @@ def modulated_setup(dim, kappa=0.1, t_max=1.0, h=H):
     cfg = BasisConfig(dim=dim, omega_ref=1.0)
     init = ErmakovInit(adiabatic_rho(omega_s, kappa_s, 0.0),
                        adiabatic_rhodot(omega_s, kappa_s, 0.0))
-    model, _ = construct(omega_s, kappa_s, init, t_max, h, cfg)
+    model = construct(omega_s, kappa_s, init, t_max, h, cfg)
     return omega_s, kappa_s, cfg, cfg.operators[2:], model.sol, model
 
 
@@ -123,9 +122,9 @@ def test_coefficients_on_equilibrium():
 
 def test_coefficients_narrow_solution():
     """rho = 2**-0.5 stationary (omega = 2): alpha = kappa/4, a2 = 4."""
-    model, _ = construct(ConstantSchedule(2.0), ConstantSchedule(0.1),
-                         ErmakovInit(2.0 ** -0.5, 0.0), 1.0, H,
-                         BasisConfig(dim=8, omega_ref=2.0))
+    model = construct(ConstantSchedule(2.0), ConstantSchedule(0.1),
+                      ErmakovInit(2.0 ** -0.5, 0.0), 1.0, H,
+                      BasisConfig(dim=8, omega_ref=2.0))
     _, alpha, a2, a3 = model.coefficients(0.5)
     np.testing.assert_allclose(alpha, 0.025, rtol=0, atol=1e-12)
     np.testing.assert_allclose(a2, 4.0, rtol=0, atol=1e-10)
@@ -731,9 +730,9 @@ def test_blocked_stage_table_is_the_one_shot_table():
     np.testing.assert_array_equal(lindblad._stage_table(model, n, H, first),
                                   np.column_stack(model.coefficients(ts)))
 
-    model, _ = construct(ConstantSchedule(1.0), LinearSchedule(0.05, -0.01),
-                         ErmakovInit(1.0, 0.0), n * H, H,
-                         BasisConfig(dim=8, omega_ref=1.0))
+    model = construct(ConstantSchedule(1.0), LinearSchedule(0.05, -0.01),
+                      ErmakovInit(1.0, 0.0), n * H, H,
+                      BasisConfig(dim=8, omega_ref=1.0))
     message = r"NegativeFriction: kappa\(5\.0005\) = -5\.000e-06"
     with pytest.raises(NegativeFrictionError, match=message):
         model.coefficients(0.5 * H * np.arange(2 * n + 1))
@@ -869,7 +868,7 @@ def test_unitary_mean_position_closed_form():
     traj = evolve_density(model, rho0, t_max, H, record_every=157)
     xs = np.array([m.mean_x for m in traj.moments()])
     np.testing.assert_allclose(xs, np.cos(traj.ts), rtol=0, atol=1e-6)
-    assert traj.ok
+    assert traj.failed_at is None
 
 
 def test_damped_mean_position_closed_form():
@@ -892,7 +891,7 @@ def test_density_health_metrics_stay_tight():
     _, _, cfg, gens, sol, model = modulated_setup(dim=40, t_max=2.0)
     rho0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
     traj = evolve_density(model, rho0, 2.0, H, record_every=200)
-    assert traj.ok and traj.failed_at is None and traj.warnings == ()
+    assert traj.failed_at is None and traj.warnings == ()
     np.testing.assert_allclose(traj.trace, 1.0, rtol=0, atol=1e-12)
     assert float(np.max(traj.herm_dev)) < 1e-13
     assert float(np.min(traj.min_eig)) > -1e-12
@@ -928,8 +927,8 @@ def test_friction_turning_negative_mid_window_names_the_stage_time():
     """kappa = 0.05 - 0.1 t crosses zero at t = 0.5; with h = 0.01 the
     first stage below the tolerance is t = 0.505."""
     cfg = BasisConfig(dim=10, omega_ref=1.0)
-    model, _ = construct(ConstantSchedule(1.0), LinearSchedule(0.05, -0.1),
-                         ErmakovInit(1.0, 0.0), 1.0, 0.01, cfg)
+    model = construct(ConstantSchedule(1.0), LinearSchedule(0.05, -0.1),
+                      ErmakovInit(1.0, 0.0), 1.0, 0.01, cfg)
     rho0 = build_state(StateSpec(kind="fock", fock_n=0), cfg)
     with pytest.raises(NegativeFrictionError,
                        match=r"NegativeFriction: kappa\(0\.505\) = -5\.000e-04"):
@@ -962,7 +961,6 @@ def test_soft_negativity_marks_run_failed_without_raising():
     arr[0, 0] = 1.0 + 5e-8
     arr[1, 1] = -5e-8
     traj = evolve_density(model, DensityMatrix(arr, validate=False), 0.01, H)
-    assert not traj.ok
     assert traj.failed_at == 0.0
     assert any("eigenvalue" in w for w in traj.warnings)
 
@@ -1020,7 +1018,7 @@ def test_transport_preserves_hermiticity():
     _, _, cfg, gens, sol, model = modulated_setup(dim=20, t_max=0.5)
     ot = evolve_adjoint_observable(model, gens[1], 0.5, H, record_every=100)
     assert float(np.max(ot.herm_dev)) < 1e-10
-    assert ot.ok
+    assert ot.failed_at is None
 
 
 def test_non_hermitian_seed_rejected():

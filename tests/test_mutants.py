@@ -94,8 +94,9 @@ def _off_discriminant_invariant(monkeypatch):
     """The invariant's K2 coefficient c2 = rhodot^2 + 1/rho^2 scaled by
     1 + 1e-5: c1 c2 - c3^2 leaves its unit value, so the invariant's
     spectrum is no longer the fixed ladder n + 1/2 and it no longer
-    solves the operator equation.  ``InvariantSpec.at``, the spectrum
-    series and the expectation series all read the coefficients here."""
+    solves the operator equation.  ``invariants.invariant_at``, the
+    spectrum series and the expectation series all read the
+    coefficients here."""
     weak = invariants._weak_coefficients
 
     def off(r, v):

@@ -864,17 +864,11 @@ def test_the_initial_state_is_built_once(tmp_path, monkeypatch, kind):
     s = load_text(SMALL + f"state.kind = {kind}\nrun.backend = both\n",
                   tmp_path)
     built = _counted(monkeypatch, "build_state")
-    at = invariants.InvariantSpec.at
-    invariants_at = []
-
-    def counted_at(spec, t):
-        invariants_at.append(t)
-        return at(spec, t)
-
-    monkeypatch.setattr(invariants.InvariantSpec, "at", counted_at)
+    invariants_at = _counted(monkeypatch, "invariant_at")
     runner._evolve(runner._prepare(s))
     assert len(built) == 1
-    assert invariants_at == ([0.0] if kind == "invariant_ground" else [])
+    assert [t for _, t in invariants_at] == (
+        [0.0] if kind == "invariant_ground" else [])
 
 
 def test_drift_probe_traced_peak_stays_small():
