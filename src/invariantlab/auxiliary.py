@@ -269,10 +269,6 @@ def _rk4(rhs, stage, y0, n, h, record, every=1):
     three buffers in turn; s2 + s3 is then formed in the second, s4
     overwrites the third and the combination is finished in the
     second.  ``out`` never aliases the ``y`` it is computed from.
-    ``stage`` may write into buffers of its own: the driver calls
-    ``stage(j)`` once for each j = 0 .. 2n, in increasing order, and after
-    forming stage j reads no stage before j - 2 (a step holds its start,
-    mid and end stage), so three buffers used in rotation suffice.
     """
     half = 0.5 * h
     sixth = h / 6.0

@@ -20,8 +20,10 @@ steps backward in time, the direction in which its flow contracts.  The
 two moment systems are linear, y' = A(t) y, so ``_linear_rk4`` forms each
 step's exact RK4 map from the stage matrices, a block of steps at once,
 composes the maps of each record interval into one and applies one map
-per record: the moment series hold only the values at the record nodes,
-as a density run does.  Blocks are sized by ``auxiliary.STAGE_BLOCK_BYTES``.
+per record: each moment integrator returns a plain (records, d) array of
+the values at the record nodes only, one column per moment, as a density
+run records its columns.  Blocks are sized by
+``auxiliary.STAGE_BLOCK_BYTES``.
 
 K1, K2 and K3 are quadratic in a and a^dag, so H and L connect Fock
 level n only to n and n +- 2.  The density integrator holds the state as
@@ -110,7 +112,6 @@ from .operators import (
     _state_health,
     _with_dagger,
     commutator,
-    expectation,
     interior_block,
     max_abs,
 )
@@ -270,12 +271,12 @@ class Trajectory:
     """Recorded density-matrix evolution: per-sample moments and health.
 
     Each record keeps the canonical means and the expectations of the
-    basis's K1, K2 and K3 (``mean_x`` .. ``k3``, the raw values of
-    ``moments_from_state``), which is all the battery and the artifacts
-    read, and the health metrics.  Of the
+    basis's K1, K2 and K3 (``mean_x`` .. ``k3``: ``expectation`` of each
+    of ``BasisConfig.operators``), which is all the battery and the
+    artifacts read, and the health metrics, as plain columns.  Of the
     states themselves only the last recorded one is kept, as the
-    one-element ``states``.  ``moments()`` builds and validates the
-    moment vectors on read.
+    one-element ``states``.  ``write_csv`` refuses K moments past the
+    uncertainty bound (``_check_k_moments``) before it writes anything.
 
     A sample outside the state tolerances marks the run failed at the
     first offending time but does not abort it; hard breaches (a
@@ -301,19 +302,12 @@ class Trajectory:
     def __post_init__(self):
         _freeze_fields(self, *_RECORD_FIELDS)
 
-    def moments(self) -> list["MomentVector"]:
-        return [MomentVector(*map(float, row))
-                for row in zip(self.mean_x, self.mean_p, self.k1, self.k2,
-                               self.k3)]
-
     def write_csv(self, path, precision: int = 12):
-        rows = ((t, m.mean_x, m.mean_p, m.k1, m.k2, m.k3, *health)
-                for t, m, *health in zip(self.ts, self.moments(), self.trace,
-                                         self.herm_dev, self.min_eig,
-                                         self.tail_pop))
+        _check_k_moments(self.k1, self.k2, self.k3)
         _write_rows(path,
                     "t,mean_x,mean_p,k1,k2,k3,trace,herm_dev,min_eig,tail_pop",
-                    rows, precision)
+                    zip(*(getattr(self, name) for name in _RECORD_FIELDS)),
+                    precision)
 
 
 class _Kernel:
@@ -441,10 +435,11 @@ def evolve_density(model: LindbladModel, rho0: DensityMatrix, t_max: float,
     finiteness check, to its health metrics (``operators._state_health``,
     which ``DensityMatrix``'s methods read), checks them against the hard
     limits, and forms the expectations of the basis's x, p, K1, K2 and
-    K3 (``BasisConfig.operators``), with ``expectation``'s checks; only
-    the final state is kept (``Trajectory``).  The run
-    holds six state-sized arrays: the driver's five and the one scratch
-    of its ``_Kernel``, in whose level rows the record also works.
+    K3 (``BasisConfig.operators``), each bit for bit
+    ``operators.expectation`` of the recorded state, into one row of the
+    trajectory's columns; only the final state is kept (``Trajectory``).
+    The run holds six state-sized arrays: the driver's five and the one
+    scratch of its ``_Kernel``, in whose level rows the record also works.
     """
     cfg = model.basis
     if rho0.dim != cfg.dim:
@@ -709,10 +704,11 @@ def _linear_rk4(stage_mats, y0, n: int, h: float,
     with ``every = 1`` nothing is composed and these are the matrix-vector
     products of indexing both rows, bit for bit, at about half the cost.
     Returns the (records, d) values at the nodes 0, every, 2 every, ...
-    below n and at n, the grid ``auxiliary._rk4`` records.
+    below n and at n (``_record_nodes``, which refuses every < 1), the
+    grid ``auxiliary._rk4`` records.
     """
     d = len(y0)
-    ys = np.empty((len(range(0, n, every)) + 1, d))
+    ys = np.empty((len(_record_nodes(n, every)), d))
     ys[0] = y0
     y = ys[0]
     out = 1
@@ -740,63 +736,47 @@ def _linear_rk4(stage_mats, y0, n: int, h: float,
     return ys
 
 
-def _check_k_moments(k1: float, k2: float, k3: float):
-    if k1 < -MOMENT_BOUND_TOL or k2 < -MOMENT_BOUND_TOL:
+def _check_k_moments(k1, k2, k3):
+    """Refuse K moments that no state has, naming the first bad record.
+
+    ``k1``, ``k2`` and ``k3`` are equal-length columns of <K1>, <K2> and
+    <K3>, or three scalars, one record.  Every record needs k1, k2 >= 0
+    and k1 k2 >= k3^2/4 + 1/16, each to MOMENT_BOUND_TOL; the vacuum
+    (0.25, 0.25, 0) saturates the second.  NaN passes, as no comparison
+    with it holds.
+    """
+    k1, k2, k3 = np.atleast_1d(k1, k2, k3)
+    negative = (k1 < -MOMENT_BOUND_TOL) | (k2 < -MOMENT_BOUND_TOL)
+    uncertain = k1 * k2 - (0.25 * k3 * k3 + 0.0625) < -MOMENT_BOUND_TOL
+    bad = np.flatnonzero(negative | uncertain)
+    if not bad.size:
+        return
+    i = bad[0]
+    if negative[i]:
         raise ValidationError(
-            f"quadratic-form moments must be >= 0, got k1={k1}, k2={k2}")
-    if k1 * k2 - (0.25 * k3 * k3 + 0.0625) < -MOMENT_BOUND_TOL:
-        raise ValidationError(
-            "moments violate the uncertainty bound "
-            f"k1*k2 >= k3^2/4 + 1/16: k1={k1}, k2={k2}, k3={k3}")
-
-
-@dataclass(frozen=True)
-class MomentVector:
-    """Canonical means and quadratic-generator expectations of one state."""
-
-    mean_x: float
-    mean_p: float
-    k1: float
-    k2: float
-    k3: float
-
-    def __post_init__(self):
-        _check_k_moments(self.k1, self.k2, self.k3)
-
-
-def moments_from_state(rho: DensityMatrix, cfg: BasisConfig) -> MomentVector:
-    """Moment vector of a state: the expectations of the basis's x, p,
-    K1, K2 and K3."""
-    return MomentVector(*(expectation(op, rho) for op in cfg.operators))
+            f"quadratic-form moments must be >= 0, got k1={k1[i]}, "
+            f"k2={k2[i]} at record {i}")
+    raise ValidationError(
+        "moments violate the uncertainty bound k1*k2 >= k3^2/4 + 1/16: "
+        f"k1={k1[i]}, k2={k2[i]}, k3={k3[i]} at record {i}")
 
 
 # ------------------------------------------------------------- first moments
 
 
-@dataclass(frozen=True, eq=False)
-class FirstMomentSeries:
-    """Mean position and momentum at the record nodes."""
-
-    ts: np.ndarray
-    mean_x: np.ndarray
-    mean_p: np.ndarray
-
-    def __post_init__(self):
-        _freeze_fields(self, "ts", "mean_x", "mean_p")
-
-
 def evolve_first_moments(omega_s: Schedule, kappa_s: Schedule,
                          m0: tuple[float, float], t_max: float,
-                         h: float, record_every: int = 1) -> FirstMomentSeries:
+                         h: float, record_every: int = 1) -> np.ndarray:
     """Integrate d<x>/dt = <p> - kappa <x>, d<p>/dt = -omega^2 <x> - kappa <p>.
 
     This is the exact projection of the full evolution onto the means;
     it holds for the constructed jump operator because the realized
-    friction equals kappa identically.  The series holds the nodes 0,
-    record_every, ... below the last step and the last node.
+    friction equals kappa identically.  Returns the (records, 2) array of
+    (<x>, <p>) at the nodes 0, record_every, ... below the last step and
+    at the last node (``_record_nodes``), the times of which are the
+    caller's.
     """
     n = _step_count(t_max, h)
-    nodes = _record_nodes(n, record_every)
     half_ts, omega_sq, kappa = _half_grid_coefficients(omega_s, kappa_s, n, h)
     _check_friction(half_ts, kappa)
 
@@ -807,8 +787,7 @@ def evolve_first_moments(omega_s: Schedule, kappa_s: Schedule,
         a[:, 1, 0] = -omega_sq[lo:hi]
         return a
 
-    ys = _linear_rk4(stage_mats, m0, n, h, record_every)
-    return FirstMomentSeries(ts=h * nodes, mean_x=ys[:, 0], mean_p=ys[:, 1])
+    return _linear_rk4(stage_mats, m0, n, h, record_every)
 
 
 # ------------------------------------------------------------ su(1,1) moments
@@ -863,33 +842,20 @@ def _closure_matrix_verified() -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
-class Su11MomentSeries:
-    """Expectations of the three quadratic generators at the record nodes."""
-
-    ts: np.ndarray
-    k1: np.ndarray
-    k2: np.ndarray
-    k3: np.ndarray
-
-    def __post_init__(self):
-        _freeze_fields(self, "ts", "k1", "k2", "k3")
-
-
 def evolve_su11_moments(model: LindbladModel, v0: tuple[float, float, float],
                         t_max: float, h: float,
-                        record_every: int = 1) -> Su11MomentSeries:
+                        record_every: int = 1) -> np.ndarray:
     """Integrate the exact closed system for the K-generator expectations.
 
-    The series holds the nodes 0, record_every, ... below the last step
-    and the last node.
+    The seed ``v0`` = (<K1>, <K2>, <K3>) must satisfy the uncertainty
+    bound (``_check_k_moments``).  Returns the (records, 3) array of the
+    three expectations at the nodes 0, record_every, ... below the last
+    step and at the last node (``_record_nodes``), the times of which are
+    the caller's.
     """
     _closure_matrix_verified()
     _check_k_moments(*v0)
     n = _step_count(t_max, h)
-    nodes = _record_nodes(n, record_every)
     table = _stage_table(model, n, h)
-    ys = _linear_rk4(lambda lo, hi: closure_matrix(*table[lo:hi].T), v0, n, h,
-                     record_every)
-    ts = h * nodes
-    return Su11MomentSeries(ts=ts, k1=ys[:, 0], k2=ys[:, 1], k3=ys[:, 2])
+    return _linear_rk4(lambda lo, hi: closure_matrix(*table[lo:hi].T), v0, n,
+                       h, record_every)

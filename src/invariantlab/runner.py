@@ -86,12 +86,10 @@ from .invariants import (
     spectrum_series,
 )
 from .lindblad import (
-    FirstMomentSeries,
     LindbladModel,
-    MomentVector,
-    Su11MomentSeries,
     Trajectory,
     _adjoint_norm_bound,
+    _check_k_moments,
     _generator_arrays,
     _record_nodes,
     _stage_table,
@@ -99,7 +97,6 @@ from .lindblad import (
     evolve_density,
     evolve_first_moments,
     evolve_su11_moments,
-    moments_from_state,
 )
 from .operators import (
     BasisConfig,
@@ -107,6 +104,7 @@ from .operators import (
     FockOperator,
     build_state,
     check_su11_relations,
+    expectation,
 )
 from .scenario import Scenario
 from .schedules import SinusoidSchedule
@@ -241,21 +239,27 @@ def _fock_run(p: _Prepared, rho0: DensityMatrix) -> Trajectory:
 
 
 def _moment_run(p: _Prepared,
-                rho0: DensityMatrix) -> tuple[MomentVector, Su11MomentSeries]:
-    """The initial moment vector and the closed K-moment series."""
+                rho0: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The initial moments and the closed K-moment series.
+
+    ``m0`` holds the expectations of the basis's x, p, K1, K2 and K3 in
+    ``rho0`` (``BasisConfig.operators``); the series is the (records, 3)
+    array of ``evolve_su11_moments`` on the record times ``p.record_ts``,
+    which checks the seed ``m0[2:]`` against the uncertainty bound.
+    """
     s = p.scenario
-    m0 = moments_from_state(rho0, s.basis)
-    quad = evolve_su11_moments(p.model, (m0.k1, m0.k2, m0.k3), s.t_max,
-                               s.step_h, record_every=s.record_every)
+    m0 = np.array([expectation(op, rho0) for op in s.basis.operators])
+    quad = evolve_su11_moments(p.model, m0[2:], s.t_max, s.step_h,
+                               record_every=s.record_every)
     return m0, quad
 
 
-def _first_moments(p: _Prepared, m0: MomentVector) -> FirstMomentSeries:
-    """The mean series from the initial moments ``m0``, for its three
-    readers only (see the module docstring)."""
+def _first_moments(p: _Prepared, m0: np.ndarray) -> np.ndarray:
+    """The (records, 2) mean series from the initial moments ``m0``, for
+    its three readers only (see the module docstring)."""
     s = p.scenario
-    return evolve_first_moments(s.omega_schedule, s.kappa_schedule,
-                                (m0.mean_x, m0.mean_p), s.t_max, s.step_h,
+    return evolve_first_moments(s.omega_schedule, s.kappa_schedule, m0[:2],
+                                s.t_max, s.step_h,
                                 record_every=s.record_every)
 
 
@@ -263,10 +267,10 @@ def _evolve(p: _Prepared):
     """Run the scenario's backends: (trajectory, m0, quad, series).
 
     The initial state is built once for both backends.  The density
-    trajectory is None for ``backend = moments``, and the initial moment
-    vector and K-moment series are None for ``backend = fock``; the
-    conserved expectation comes from the density run whenever there is
-    one.  The means are left to ``_first_moments``.
+    trajectory is None for ``backend = moments``, and the initial moments
+    and K-moment series (``_moment_run``) are None for ``backend = fock``;
+    the conserved expectation comes from the density run whenever there
+    is one.  The means are left to ``_first_moments``.
     """
     backend = p.scenario.backend
     rho0 = _initial_state(p)
@@ -278,8 +282,7 @@ def _evolve(p: _Prepared):
     if traj is not None:
         series = expectation_series(traj, p.model)
     else:
-        series = _weak_expectation_series(p.model.sol, p.record_ts,
-                                          quad.k1, quad.k2, quad.k3)
+        series = _weak_expectation_series(p.model.sol, p.record_ts, *quad.T)
     return traj, m0, quad, series
 
 
@@ -313,8 +316,7 @@ def _spectrum_modes(dim: int) -> int:
 
 def _write_moment_trajectory(path, p: _Prepared, first, quad, precision: int):
     _write_rows(path, "t,mean_x,mean_p,k1,k2,k3",
-                zip(p.record_ts, first.mean_x, first.mean_p,
-                    quad.k1, quad.k2, quad.k3), precision)
+                zip(p.record_ts, *first.T, *quad.T), precision)
 
 
 def run_scenario(s: Scenario, out_dir: str | None = None) -> SimulationResult:
@@ -524,12 +526,15 @@ def _state_checks(traj: Trajectory, p: _Prepared) -> list[CheckResult]:
     ]
 
 
-def _check_backend_agreement(traj: Trajectory, first, quad) -> CheckResult:
-    moments = traj.moments()
-    fock = np.array([[m.mean_x, m.mean_p, m.k1, m.k2, m.k3] for m in moments])
-    closed = np.column_stack([first.mean_x, first.mean_p,
-                              quad.k1, quad.k2, quad.k3])
-    dev = float(np.max(np.abs(fock - closed)))
+def _check_backend_agreement(traj: Trajectory, first: np.ndarray,
+                             quad: np.ndarray) -> CheckResult:
+    """Largest deviation of the density run's five moment columns from
+    the closed systems' ``hstack([first, quad])``; K moments of the run
+    past the uncertainty bound are refused (``_check_k_moments``)."""
+    _check_k_moments(traj.k1, traj.k2, traj.k3)
+    fock = np.column_stack([traj.mean_x, traj.mean_p, traj.k1, traj.k2,
+                            traj.k3])
+    dev = float(np.max(np.abs(fock - np.hstack([first, quad]))))
     return CheckResult("backend-agreement", dev, BACKEND_AGREEMENT_TOL,
                        dev <= BACKEND_AGREEMENT_TOL)
 
@@ -696,7 +701,7 @@ def sweep(s: Scenario, param: str, values: list[str],
         if traj is not None:
             final_x = traj.mean_x[-1]
         else:
-            final_x = _first_moments(p, m0).mean_x[-1]
+            final_x = _first_moments(p, m0)[-1, 0]
         rows.append({
             "value": number,
             "max_rel_drift": float(series.max_rel_drift),

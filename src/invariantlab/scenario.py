@@ -54,6 +54,11 @@ _SCHEDULE_KIND_KEYS = {"constant": ("value",),
                        "linear": ("intercept", "slope"),
                        "sinusoid": ("base", "amplitude", "rate", "phase"),
                        "table": ("table",)}
+# the parameter keys of a state: each kind reads its own and forbids the rest
+_STATE_KEYS = ("beta_re", "beta_im", "fock_n", "nbar")
+_STATE_KIND_KEYS = {"coherent": ("beta_re", "beta_im"),
+                    "fock": ("fock_n",),
+                    "thermal": ("nbar",)}
 
 _SCHEMA: dict[str, tuple[str, str | None, str]] = {
     "basis.dim": ("int", "60", "Fock-space truncation dimension (>= 8)"),
@@ -135,14 +140,19 @@ def parse_settings(text: str) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if not key or not value:
             raise ParseError(f"line {lineno}: empty key or value in {raw.strip()!r}")
-        if key not in _SCHEMA:
-            hint = difflib.get_close_matches(key, _SCHEMA, n=1)
-            extra = f" (did you mean {hint[0]!r}?)" if hint else ""
-            raise ValidationError(f"unknown key {key!r}{extra}")
+        _check_known(key)
         if key in settings:
             raise ValidationError(f"duplicate key {key!r} (line {lineno})")
         settings[key] = value
     return settings
+
+
+def _check_known(key: str):
+    """Refuse a key the schema does not list, with a closest-match hint."""
+    if key not in _SCHEMA:
+        hint = difflib.get_close_matches(key, _SCHEMA, n=1)
+        extra = f" (did you mean {hint[0]!r}?)" if hint else ""
+        raise ValidationError(f"unknown key {key!r}{extra}")
 
 
 def _convert(key: str, raw: str):
@@ -242,10 +252,7 @@ class Scenario:
 
     def with_setting(self, key: str, value: str) -> "Scenario":
         """Rebuild with one raw key overridden (full revalidation)."""
-        if key not in _SCHEMA:
-            hint = difflib.get_close_matches(key, _SCHEMA, n=1)
-            extra = f" (did you mean {hint[0]!r}?)" if hint else ""
-            raise ValidationError(f"unknown key {key!r}{extra}")
+        _check_known(key)
         raw = dict(self.settings)
         raw[key] = value
         return build_scenario(raw, self.base_dir)
@@ -276,22 +283,18 @@ def _build_schedule(cfg: _Settings, prefix: str, base_dir: str) -> Schedule:
 
 def _build_state(cfg: _Settings) -> StateSpec:
     kind = cfg.get("state.kind")
-    if kind == "coherent":
-        beta = complex(cfg.get("state.beta_re"), cfg.get("state.beta_im"))
-        for name in ("state.fock_n", "state.nbar"):
-            cfg.forbid(name, "for state.kind = coherent")
-        return StateSpec(kind="coherent", beta=beta)
-    for name in ("state.beta_re", "state.beta_im"):
-        cfg.forbid(name, f"for state.kind = {kind}")
+    # a coherent state reads beta before the keys its kind forbids are
+    # checked; fock and thermal read their parameter after
+    beta = (complex(cfg.get("state.beta_re"), cfg.get("state.beta_im"))
+            if kind == "coherent" else 0j)
+    for name in _STATE_KEYS:
+        if name not in _STATE_KIND_KEYS.get(kind, ()):
+            cfg.forbid(f"state.{name}", f"for state.kind = {kind}")
     if kind == "fock":
-        cfg.forbid("state.nbar", "for state.kind = fock")
         return StateSpec(kind="fock", fock_n=cfg.get("state.fock_n"))
     if kind == "thermal":
-        cfg.forbid("state.fock_n", "for state.kind = thermal")
         return StateSpec(kind="thermal", nbar=cfg.get("state.nbar"))
-    cfg.forbid("state.fock_n", f"for state.kind = {kind}")
-    cfg.forbid("state.nbar", f"for state.kind = {kind}")
-    return StateSpec(kind=kind)  # StateSpec validates the name itself
+    return StateSpec(kind=kind, beta=beta)  # StateSpec validates the name itself
 
 
 def build_scenario(raw: dict[str, str], base_dir: str = ".") -> Scenario:

@@ -121,10 +121,10 @@ def test_criterion_02_damped_oscillation_law():
     model = construct(omega_s, kappa_s, init, t_end, h, cfg)
     state0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
     traj = evolve_density(model, state0, t_end, h, record_every=3142)
-    fock_dev = abs(traj.moments()[-1].mean_x - target)
+    fock_dev = abs(traj.mean_x[-1] - target)
 
     first = evolve_first_moments(omega_s, kappa_s, (1.0, 0.0), t_end, h)
-    moment_dev = abs(first.mean_x[-1] - target)
+    moment_dev = abs(first[-1, 0] - target)
 
     report(2, fock_dev <= 1e-4 and moment_dev <= 1e-8,
            f"<x>(pi) vs -e^(-0.1 pi) = {target:.6f}: full backend off by "
@@ -319,15 +319,13 @@ def test_criterion_09_trace_pairing_duality(baseline, evolve_recording):
 def test_criterion_10_backend_cross_validation(baseline):
     bound = 1e-5
     horizon = 10.0
-    moments = baseline["traj"].moments()
-    m0 = moments[0]
-    quad = evolve_su11_moments(baseline["model"], (m0.k1, m0.k2, m0.k3),
-                               horizon, BASELINE_H)
+    traj = baseline["traj"]
+    fock = np.column_stack([traj.k1, traj.k2, traj.k3])
+    quad = evolve_su11_moments(baseline["model"], fock[0], horizon,
+                               BASELINE_H)
     n_rec = int(round(horizon / (BASELINE_H * RECORD)))
     idx = np.arange(0, n_rec * RECORD + 1, RECORD)
-    fock = np.array([[m.k1, m.k2, m.k3] for m in moments[:n_rec + 1]])
-    closed = np.column_stack([quad.k1[idx], quad.k2[idx], quad.k3[idx]])
-    measured = float(np.max(np.abs(fock - closed)))
+    measured = float(np.max(np.abs(fock[:n_rec + 1] - quad[idx])))
     report(10, measured <= bound,
            f"full vs closed quadratic-moment backend over [0, {horizon:g}]: "
            f"max deviation {measured:.3g} (bound {bound:g})")

@@ -40,13 +40,12 @@ from invariantlab.errors import (
 from invariantlab.invariants import construct
 from invariantlab.lindblad import (
     LindbladModel,
-    MomentVector,
+    _check_k_moments,
     _density_stage_ops,
     evolve_adjoint_observable,
     evolve_density,
     evolve_first_moments,
     evolve_su11_moments,
-    moments_from_state,
 )
 from invariantlab.operators import (
     BasisConfig,
@@ -56,6 +55,7 @@ from invariantlab.operators import (
     build_canonical,
     build_state,
     build_su11_generators,
+    expectation,
     interior_block,
     max_abs,
     trace_pair,
@@ -741,15 +741,18 @@ def test_blocked_stage_table_is_the_one_shot_table():
 
 
 def test_trajectory_records_the_moments_of_each_state(evolve_recording):
-    """Each record stores ``moments_from_state`` of the recorded state, bit
-    for bit, and its health values; the trajectory keeps the last state
-    alone, and ``moments()`` builds the moment vectors from the rows."""
+    """Each record stores ``expectation`` of each of the basis's x, p, K1,
+    K2 and K3 in the recorded state, bit for bit, in the columns mean_x ..
+    k3, and its health values; the trajectory keeps the last state
+    alone."""
     n = 60
     _, _, cfg, _, _, model = modulated_setup(dim=20, t_max=n * H)
     rho0 = build_state(StateSpec(kind="coherent", beta=complex(0.5, 0.3)), cfg)
     traj, states = evolve_recording(model, rho0, n * H, H, 25)
     assert len(states) == len(traj.ts) == 4
-    assert traj.moments() == [moments_from_state(s, cfg) for s in states]
+    columns = (traj.mean_x, traj.mean_p, traj.k1, traj.k2, traj.k3)
+    for column, op in zip(columns, cfg.operators, strict=True):
+        assert column.tolist() == [expectation(op, s) for s in states]
     np.testing.assert_array_equal(traj.trace, [s.trace() for s in states])
     np.testing.assert_array_equal(traj.min_eig,
                                   [s.min_eigenvalue() for s in states])
@@ -866,8 +869,8 @@ def test_unitary_mean_position_closed_form():
     _, _, cfg, _, _, model = equilibrium_setup(dim=40, kappa=0.0, t_max=t_max)
     rho0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
     traj = evolve_density(model, rho0, t_max, H, record_every=157)
-    xs = np.array([m.mean_x for m in traj.moments()])
-    np.testing.assert_allclose(xs, np.cos(traj.ts), rtol=0, atol=1e-6)
+    np.testing.assert_allclose(traj.mean_x, np.cos(traj.ts), rtol=0,
+                               atol=1e-6)
     assert traj.failed_at is None
 
 
@@ -878,12 +881,12 @@ def test_damped_mean_position_closed_form():
     _, _, cfg, gens, sol, model = equilibrium_setup(dim=40, kappa=kappa,
                                                     t_max=float(np.pi))
     state0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
-    m0 = moments_from_state(state0, cfg)
-    np.testing.assert_allclose((m0.mean_x, m0.mean_p), (1.0, 0.0), atol=1e-12)
+    means = [expectation(op, state0) for op in cfg.operators[:2]]
+    np.testing.assert_allclose(means, (1.0, 0.0), atol=1e-12)
     # mean_p(0) = 0 gives xdot(0) = -kappa, matching d/dt[e^{-kt} cos t](0)
     traj = evolve_density(model, state0, float(np.pi), H, record_every=100)
-    xs = np.array([m.mean_x for m in traj.moments()])
-    np.testing.assert_allclose(xs, np.exp(-kappa * traj.ts) * np.cos(traj.ts),
+    np.testing.assert_allclose(traj.mean_x,
+                               np.exp(-kappa * traj.ts) * np.cos(traj.ts),
                                rtol=0, atol=1e-4)
 
 
@@ -1412,29 +1415,28 @@ def test_record_spacing_must_be_positive():
 
 
 def test_moment_series_keep_the_record_nodes():
-    """With 3334 steps recorded every 100, both series hold the nodes
-    0, 100, ..., 3300 and 3334, the last interval 34 steps short, with
-    values within 1e-13 relative of the every-node series there."""
+    """With 3334 steps recorded every 100, both integrators return one row
+    per node 0, 100, ..., 3300 and 3334, the last interval 34 steps
+    short, with every column within 1e-13 relative of the every-node
+    series there."""
     omega_s = SinusoidSchedule(1.0, 0.2, 0.3)
     kappa_s = SinusoidSchedule(0.05, 0.02, 0.2)
     h, t_max, every = 3e-4, 1.0, 100
     kept = _kept(3334, every)
     full = evolve_first_moments(omega_s, kappa_s, (1.0, 0.3), t_max, h)
     rec = evolve_first_moments(omega_s, kappa_s, (1.0, 0.3), t_max, h, every)
-    assert len(full.ts) == 3335
-    np.testing.assert_array_equal(rec.ts, full.ts[kept])
-    for name in ("mean_x", "mean_p"):
-        want = getattr(full, name)[kept]
-        np.testing.assert_allclose(getattr(rec, name), want, rtol=0,
+    assert full.shape == (3335, 2)
+    assert rec.shape == (len(kept), 2)
+    for got, want in zip(rec.T, full[kept].T):
+        np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-13 * np.max(np.abs(want)))
 
     *_, model = modulated_setup(dim=8, t_max=t_max, h=h)
     full = evolve_su11_moments(model, (0.25, 0.75, 0.1), t_max, h)
     rec = evolve_su11_moments(model, (0.25, 0.75, 0.1), t_max, h, every)
-    np.testing.assert_array_equal(rec.ts, full.ts[kept])
-    for name in ("k1", "k2", "k3"):
-        want = getattr(full, name)[kept]
-        np.testing.assert_allclose(getattr(rec, name), want, rtol=0,
+    assert rec.shape == (len(kept), 3)
+    for got, want in zip(rec.T, full[kept].T):
+        np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-13 * np.max(np.abs(want)))
 
 
@@ -1447,14 +1449,13 @@ def test_first_moments_damped_closed_form():
     kappa = 0.1
     omega_s = ConstantSchedule(1.0)
     kappa_s = ConstantSchedule(kappa)
-    series = evolve_first_moments(omega_s, kappa_s, (1.0, 0.0), 4.0, H)
+    mean_x = evolve_first_moments(omega_s, kappa_s, (1.0, 0.0), 4.0, H)[:, 0]
+    ts = H * np.arange(len(mean_x))
     i = round(np.pi / H)  # the node nearest pi
-    t = series.ts[i]
-    np.testing.assert_allclose(series.mean_x[i],
-                               np.exp(-kappa * t) * np.cos(t),
+    t = ts[i]
+    np.testing.assert_allclose(mean_x[i], np.exp(-kappa * t) * np.cos(t),
                                rtol=0, atol=1e-8)
-    np.testing.assert_allclose(series.mean_x,
-                               np.exp(-kappa * series.ts) * np.cos(series.ts),
+    np.testing.assert_allclose(mean_x, np.exp(-kappa * ts) * np.cos(ts),
                                rtol=0, atol=1e-8)
 
 
@@ -1462,18 +1463,17 @@ def test_first_moments_undamped_cosine():
     omega_s = ConstantSchedule(1.0)
     kappa_s = ConstantSchedule(0.0)
     series = evolve_first_moments(omega_s, kappa_s, (1.0, 0.0), 4.0, H)
-    np.testing.assert_allclose(series.mean_x, np.cos(series.ts),
-                               rtol=0, atol=1e-10)
-    np.testing.assert_allclose(series.mean_p, -np.sin(series.ts),
-                               rtol=0, atol=1e-10)
+    ts = H * np.arange(len(series))
+    np.testing.assert_allclose(series[:, 0], np.cos(ts), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(series[:, 1], -np.sin(ts), rtol=0, atol=1e-10)
 
 
 def test_first_moments_zero_seed_stays_zero():
     omega_s = SinusoidSchedule(1.0, 0.3, 0.2)
     kappa_s = ConstantSchedule(0.05)
     series = evolve_first_moments(omega_s, kappa_s, (0.0, 0.0), 1.0, H)
-    assert float(np.max(np.abs(series.mean_x))) == 0.0
-    assert float(np.max(np.abs(series.mean_p))) == 0.0
+    assert float(np.max(np.abs(series[:, 0]))) == 0.0
+    assert float(np.max(np.abs(series[:, 1]))) == 0.0
 
 
 def test_first_moments_match_independent_integrator():
@@ -1490,10 +1490,10 @@ def test_first_moments_match_independent_integrator():
                     rtol=1e-12, atol=1e-14, dense_output=True)
     # the nodes nearest 0, 0.5, ..., 3
     idx = np.rint(np.linspace(0.0, 3.0, 7) / H).astype(int)
-    probe = series.ts[idx]
-    np.testing.assert_allclose(series.mean_x[idx], ref.sol(probe)[0],
+    probe = H * idx
+    np.testing.assert_allclose(series[idx, 0], ref.sol(probe)[0],
                                rtol=0, atol=1e-9)
-    np.testing.assert_allclose(series.mean_p[idx], ref.sol(probe)[1],
+    np.testing.assert_allclose(series[idx, 1], ref.sol(probe)[1],
                                rtol=0, atol=1e-9)
 
 
@@ -1509,22 +1509,21 @@ def test_first_moments_negative_friction_rejected():
 
 def test_su11_vacuum_moments_are_stationary_without_friction():
     *_, model = equilibrium_setup(dim=8, kappa=0.0, t_max=5.0)
-    series = evolve_su11_moments(model, (0.25, 0.25, 0.0), 5.0, H)
-    np.testing.assert_allclose(series.k1, 0.25, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(series.k2, 0.25, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(series.k3, 0.0, rtol=0, atol=1e-12)
+    k1, k2, k3 = evolve_su11_moments(model, (0.25, 0.25, 0.0), 5.0, H).T
+    np.testing.assert_allclose(k1, 0.25, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(k2, 0.25, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(k3, 0.0, rtol=0, atol=1e-12)
 
 
 def test_su11_rotation_closed_form():
     """kappa = 0, omega = 1: k1 - k2 and k3 rotate at frequency 2."""
     *_, model = equilibrium_setup(dim=8, kappa=0.0, t_max=6.0)
-    series = evolve_su11_moments(model, (0.25, 0.75, 0.0), 6.0, H)
-    ts = series.ts
-    np.testing.assert_allclose(series.k1 + series.k2, 1.0, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(series.k1 - series.k2, -0.5 * np.cos(2 * ts),
+    k1, k2, k3 = evolve_su11_moments(model, (0.25, 0.75, 0.0), 6.0, H).T
+    ts = H * np.arange(len(k1))
+    np.testing.assert_allclose(k1 + k2, 1.0, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(k1 - k2, -0.5 * np.cos(2 * ts),
                                rtol=0, atol=1e-8)
-    np.testing.assert_allclose(series.k3, -0.5 * np.sin(2 * ts),
-                               rtol=0, atol=1e-8)
+    np.testing.assert_allclose(k3, -0.5 * np.sin(2 * ts), rtol=0, atol=1e-8)
 
 
 def test_su11_moments_match_density_backend(evolve_recording):
@@ -1532,15 +1531,14 @@ def test_su11_moments_match_density_backend(evolve_recording):
                                                               t_max=2.0)
     rho0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
     traj, states = evolve_recording(model, rho0, 2.0, H, 200)
-    m0 = moments_from_state(rho0, cfg)
-    series = evolve_su11_moments(model, (m0.k1, m0.k2, m0.k3), 2.0, H)
-    dense = {round(t, 9): i for i, t in enumerate(series.ts)}
+    k_ops = cfg.operators[2:]
+    series = evolve_su11_moments(
+        model, [expectation(op, rho0) for op in k_ops], 2.0, H)
+    dense = {round(t, 9): i for i, t in enumerate(H * np.arange(len(series)))}
     for i, t in enumerate(traj.ts):
         j = dense[round(float(t), 9)]
-        m = moments_from_state(states[i], cfg)
-        for got, want in ((m.k1, series.k1[j]), (m.k2, series.k2[j]),
-                          (m.k3, series.k3[j])):
-            assert abs(got - want) <= 1e-5
+        for op, want in zip(k_ops, series[j], strict=True):
+            assert abs(expectation(op, states[i]) - want) <= 1e-5
 
 
 def test_su11_seed_must_satisfy_uncertainty_bound():
@@ -1590,13 +1588,45 @@ def test_diagnostics_of_maximally_mixed_state():
 def test_moments_of_coherent_state():
     cfg = BasisConfig(dim=40, omega_ref=1.0)
     rho = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
-    m = moments_from_state(rho, cfg)
     np.testing.assert_allclose(
-        (m.mean_x, m.mean_p, m.k1, m.k2, m.k3),
+        [expectation(op, rho) for op in cfg.operators],
         (1.0, 0.0, 0.25, 0.75, 0.0), rtol=0, atol=1e-10)
 
 
-def test_moment_vector_validation():
-    MomentVector(0.0, 0.0, 0.25, 0.25, 0.0)  # vacuum saturates the bound
+def test_k_moment_bound_validation():
+    _check_k_moments(0.25, 0.25, 0.0)  # vacuum saturates the bound
     with pytest.raises(ValidationError):
-        MomentVector(0.0, 0.0, 0.1, 0.1, 0.0)
+        _check_k_moments(0.1, 0.1, 0.0)
+
+
+def test_k_moment_bound_names_the_first_bad_record():
+    """The vectorised bound accepts the vacuum row, and refuses a column
+    with one bad row, by either condition, naming that row's index."""
+    k1, k2, k3 = np.full(5, 0.25), np.full(5, 0.25), np.zeros(5)
+    _check_k_moments(k1, k2, k3)
+    k1[3] = 0.1
+    with pytest.raises(ValidationError, match="uncertainty bound.* record 3$"):
+        _check_k_moments(k1, k2, k3)
+    k2[1] = -0.1
+    with pytest.raises(ValidationError, match=">= 0.* record 1$"):
+        _check_k_moments(k1, k2, k3)
+
+
+def test_a_trajectory_past_the_k_bound_is_refused(tmp_path):
+    """``write_csv`` and ``backend-agreement`` refuse a trajectory whose
+    K columns break the bound, naming the record; the CSV is not
+    written."""
+    _, _, cfg, _, _, model = equilibrium_setup(dim=10, t_max=3 * H)
+    rho0 = build_state(StateSpec(kind="fock", fock_n=0), cfg)
+    traj = evolve_density(model, rho0, 3 * H, H, record_every=1)
+    traj.write_csv(tmp_path / "ok.csv")
+    first, quad = np.zeros((4, 2)), np.zeros((4, 3))
+    assert runner._check_backend_agreement(traj, first, quad).measured > 0
+    k1 = traj.k1.copy()
+    k1[2] = 0.1
+    bad = dataclasses.replace(traj, k1=k1)
+    with pytest.raises(ValidationError, match="uncertainty bound.* record 2$"):
+        bad.write_csv(tmp_path / "bad.csv")
+    assert not (tmp_path / "bad.csv").exists()
+    with pytest.raises(ValidationError, match="uncertainty bound.* record 2$"):
+        runner._check_backend_agreement(bad, first, quad)
