@@ -99,6 +99,8 @@ from .lindblad import (
     evolve_su11_moments,
 )
 from .operators import (
+    DENSITY_HERM_TOL,
+    DENSITY_TRACE_TOL,
     BasisConfig,
     DensityMatrix,
     FockOperator,
@@ -106,8 +108,8 @@ from .operators import (
     check_su11_relations,
     expectation,
 )
-from .scenario import Scenario
-from .schedules import SinusoidSchedule
+from .scenario import VALIDATION_GRID_POINTS, Scenario
+from .schedules import SinusoidSchedule, modulated_frequency_sq
 
 __all__ = [
     "CheckResult",
@@ -123,8 +125,6 @@ ARTIFACT_FILES = ("trajectory.csv", "ermakov.csv", "invariant.csv", "spectrum.cs
 SU11_ALGEBRA_TOL = 1e-10
 AUXILIARY_RESIDUAL_TOL = 1e-7
 CONSTRAINT_TOL = 1e-9
-STATE_TRACE_TOL = 1e-9
-STATE_HERM_TOL = 1e-10
 STATE_TAIL_TOL = 1e-8
 DRIFT_CROSSCHECK_TOL = 1e-4
 BACKEND_AGREEMENT_TOL = 1e-5
@@ -208,7 +208,7 @@ class SimulationResult:
 # shared pipeline pieces
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Prepared:
     scenario: Scenario
     model: LindbladModel
@@ -516,10 +516,10 @@ def _state_checks(traj: Trajectory, p: _Prepared) -> list[CheckResult]:
     low = float(np.min(traj.min_eig))
     tail = float(np.max(traj.tail_pop))
     return [
-        CheckResult("state-trace", trace_dev, STATE_TRACE_TOL,
-                    trace_dev <= STATE_TRACE_TOL),
-        CheckResult("state-hermiticity", herm, STATE_HERM_TOL,
-                    herm <= STATE_HERM_TOL),
+        CheckResult("state-trace", trace_dev, DENSITY_TRACE_TOL,
+                    trace_dev <= DENSITY_TRACE_TOL),
+        CheckResult("state-hermiticity", herm, DENSITY_HERM_TOL,
+                    herm <= DENSITY_HERM_TOL),
         CheckResult("state-positivity", low, -pos_tol, low >= -pos_tol,
                     note="threshold is a floor"),
         CheckResult("state-tail", tail, STATE_TAIL_TOL, tail <= STATE_TAIL_TOL),
@@ -539,16 +539,25 @@ def _check_backend_agreement(traj: Trajectory, first: np.ndarray,
                        dev <= BACKEND_AGREEMENT_TOL)
 
 
-def _check_schedule_validity(p: _Prepared) -> CheckResult:
-    report = p.scenario.frequency_report
-    clean = not report.omega_sq_negative
-    note = ""
-    if not clean:
+def _check_schedule_validity(s: Scenario) -> CheckResult:
+    """Sign of the modulated frequency^2 on the scenario's grid (advisory).
+
+    ``modulated_frequency_sq`` is sampled on the grid that loading
+    checks the friction on, ``VALIDATION_GRID_POINTS`` points of
+    [0, t_max].  The check reads its minimum and warns, naming the first
+    negative sample's time, when it dips below zero: an overdamped
+    stretch is legitimate, just worth surfacing.
+    """
+    grid = np.linspace(0.0, s.t_max, VALIDATION_GRID_POINTS)
+    omega_sq = modulated_frequency_sq(s.omega_schedule, s.kappa_schedule,
+                                      grid)
+    negative = omega_sq < 0
+    note = "advisory only"
+    if negative.any():
         note = (f"modulated frequency^2 first negative at "
-                f"t={report.first_negative_omega_sq_t:g}")
-    measured = float(np.min(report.omega_sq_mod))
-    return CheckResult("schedule-validity", measured, 0.0, clean,
-                       warning=True, note=note or "advisory only")
+                f"t={grid[np.argmax(negative)]:g}")
+    return CheckResult("schedule-validity", float(np.min(omega_sq)), 0.0,
+                       not negative.any(), warning=True, note=note)
 
 
 def _check_declared_epsilon(s: Scenario):
@@ -628,6 +637,9 @@ def verify_scenario(s: Scenario) -> RunReport:
     start = time.perf_counter()
     _check_battery_window(s)
     _check_declared_epsilon(s)
+    # the schedules alone decide this check; sampled before the run, its
+    # arrays stay below the run's peak memory
+    validity = _check_schedule_validity(s)
     p = _prepare(s)
     checks: list[CheckResult] = [
         _check_su11_algebra(p),
@@ -657,7 +669,7 @@ def verify_scenario(s: Scenario) -> RunReport:
         checks.append(CheckResult(
             "drift-crosscheck", math.inf, DRIFT_CROSSCHECK_TOL, False,
             note=f"probe diverged: {exc}"))
-    checks.append(_check_schedule_validity(p))
+    checks.append(validity)
     if s.adiabatic_epsilon is not None:
         checks.append(_check_adiabatic_scaling(p))
 

@@ -7,6 +7,14 @@ to a default would invalidate every downstream physics check).  Values
 are numbers, ``true``/``false``, or bare strings; paths are resolved
 relative to the scenario file.
 
+An unknown key gets the same "unknown key" error, with a closest-match
+hint, from a file (``load_scenario``), a mapping (``build_scenario``) and
+an override (``Scenario.with_setting``).  A known key that the chosen
+kinds do not read (``omega.slope`` for a constant schedule) is refused by
+name.  Loading samples the friction on ``VALIDATION_GRID_POINTS`` points
+of [0, t_max] and refuses a negative value; the scenario holds only what
+its file describes.
+
 The full key set, with defaults, is rendered by :func:`schema_text` and
 by the ``schema`` CLI subcommand.
 """
@@ -25,12 +33,11 @@ from .errors import NegativeFrictionError, ParseError, ValidationError
 from .operators import BasisConfig, StateSpec
 from .schedules import (
     ConstantSchedule,
-    FrequencyReport,
     LinearSchedule,
     Schedule,
     SinusoidSchedule,
+    _check_friction,
     load_table_csv,
-    validate_schedules,
 )
 
 __all__ = [
@@ -173,14 +180,12 @@ def _convert(key: str, raw: str):
 
 
 class _Settings:
-    """Typed access over the raw mapping, tracking which keys were read."""
+    """Typed access over the raw mapping, with schema defaults."""
 
     def __init__(self, raw: dict[str, str]):
         self.raw = raw
-        self.used: set[str] = set()
 
     def get(self, key: str):
-        self.used.add(key)
         if key in self.raw:
             return _convert(key, self.raw[key])
         default = _SCHEMA[key][1]
@@ -193,7 +198,6 @@ class _Settings:
         return value
 
     def forbid(self, key: str, because: str):
-        self.used.add(key)
         if key in self.raw:
             raise ValidationError(f"{key} must not be set {because}")
 
@@ -239,7 +243,6 @@ class Scenario:
     tolerances: Tolerances
     out_dir: str
     csv_precision: int
-    frequency_report: FrequencyReport
     settings: tuple[tuple[str, str], ...]
     base_dir: str
 
@@ -252,7 +255,6 @@ class Scenario:
 
     def with_setting(self, key: str, value: str) -> "Scenario":
         """Rebuild with one raw key overridden (full revalidation)."""
-        _check_known(key)
         raw = dict(self.settings)
         raw[key] = value
         return build_scenario(raw, self.base_dir)
@@ -298,7 +300,14 @@ def _build_state(cfg: _Settings) -> StateSpec:
 
 
 def build_scenario(raw: dict[str, str], base_dir: str = ".") -> Scenario:
-    """Validate a settings mapping into a Scenario."""
+    """Validate a settings mapping into a Scenario.
+
+    Unknown keys are refused first, as ``parse_settings`` refuses them in
+    a file.  Every schema key is then read or refused by the
+    configuration the mapping describes.
+    """
+    for key in raw:
+        _check_known(key)
     cfg = _Settings(dict(raw))
 
     omega_s = _build_schedule(cfg, "omega", base_dir)
@@ -325,7 +334,7 @@ def build_scenario(raw: dict[str, str], base_dir: str = ".") -> Scenario:
             raise ValidationError(f"{name} schedule does not cover [0, {t_max:g}]")
     grid = np.linspace(0.0, t_max, VALIDATION_GRID_POINTS)
     try:
-        report = validate_schedules(omega_s, kappa_s, grid)
+        _check_friction(grid, kappa_s.eval(grid, 0))
     except NegativeFrictionError as exc:
         raise ValidationError(f"kappa: {exc}") from exc
 
@@ -364,16 +373,12 @@ def build_scenario(raw: dict[str, str], base_dir: str = ".") -> Scenario:
     # lands in the same place regardless of the caller's working directory.
     out_dir = os.path.normpath(os.path.join(base_dir, cfg.get("outputs.directory")))
 
-    unused = set(cfg.raw) - cfg.used
-    if unused:  # keys known to the schema but untouched by this configuration
-        raise ValidationError(f"keys not applicable here: {sorted(unused)}")
-
     return Scenario(
         basis=basis, omega_schedule=omega_s, kappa_schedule=kappa_s,
         use_adiabatic_init=use_adiabatic, rho0=rho0, rhodot0=rhodot0,
         state=state, t_max=t_max, step_h=step_h, record_every=record_every,
         backend=backend, adiabatic_epsilon=epsilon, tolerances=tolerances,
-        out_dir=out_dir, csv_precision=precision, frequency_report=report,
+        out_dir=out_dir, csv_precision=precision,
         settings=tuple(sorted(raw.items())), base_dir=base_dir)
 
 

@@ -6,12 +6,19 @@ omega-double-dot), so every schedule evaluates value, slope, and curvature.
 Closed forms are differentiated analytically; tables go through a natural
 cubic spline whose edge curvature is clamped to the nearest interior knot
 to avoid the spurious zero the natural boundary condition would impose.
+
+Two readings judge a schedule pair.  Friction below ``KAPPA_NEGATIVE_TOL``
+is an error (``_check_friction``): the dissipator weight cannot be
+negative, so loading a scenario and every model evaluation refuse it.  A
+negative ``modulated_frequency_sq`` is legitimate (an overdamped
+stretch), and only the verify battery's advisory ``schedule-validity``
+reads it.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -220,32 +227,3 @@ def modulated_frequency_sq(omega_s: Schedule, kappa_s: Schedule, t):
     k = kappa_s.eval(t, 0)
     kdot = kappa_s.eval(t, 1)
     return w * w + k * k + kdot
-
-
-@dataclass(frozen=True)
-class FrequencyReport:
-    """Sampled validity data for a schedule pair."""
-
-    times: np.ndarray
-    omega_sq_mod: np.ndarray          # modulated squared frequency samples
-    omega_sq_negative: bool = False   # any modulated frequency^2 < 0
-    first_negative_omega_sq_t: float | None = field(default=None)
-
-
-def validate_schedules(omega_s: Schedule, kappa_s: Schedule, grid) -> FrequencyReport:
-    """Sample kappa and the modulated frequency on a grid and judge them.
-
-    kappa below -1e-12 anywhere is a hard error (the dissipator weight must
-    be non-negative).  A negative modulated frequency merely flags the
-    report: overdamped stretches are legitimate, just worth surfacing.
-    """
-    grid = np.asarray(grid, dtype=float)
-    _check_friction(grid, kappa_s.eval(grid, 0))
-    omega_sq_mod = np.asarray(modulated_frequency_sq(omega_s, kappa_s, grid), dtype=float)
-    neg = omega_sq_mod < 0
-    return FrequencyReport(
-        times=grid,
-        omega_sq_mod=omega_sq_mod,
-        omega_sq_negative=bool(np.any(neg)),
-        first_negative_omega_sq_t=float(grid[np.argmax(neg)]) if np.any(neg) else None,
-    )

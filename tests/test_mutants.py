@@ -147,3 +147,47 @@ def test_a_mutant_fails_exactly_its_checks(monkeypatch, scenario, mutant,
         mutant(monkeypatch)
     report = runner.verify_scenario(s)
     assert {c.name for c in report.checks if not c.passed} == failing
+
+
+# The battery's resolution: one jump coefficient scaled by (1 + eps) on
+# the BOTH scenario, eps on a fixed ladder, and the exact set of checks
+# that fail at each rung.
+JUMP_COEFFICIENT_INDEX = {"alpha": 0, "a2": 1}
+_A2_FAILS = ("constraint-identities", "invariant-residual",
+             "backend-agreement", "conservation")
+RESOLUTION_LADDER = [
+    ("a2", 1e-8, set(_A2_FAILS[:1])),
+    ("a2", 1e-6, set(_A2_FAILS[:2])),
+    ("a2", 1e-4, set(_A2_FAILS[:3])),
+    ("a2", 1e-2, set(_A2_FAILS)),
+    ("alpha", 1e-8, set()),
+    ("alpha", 1e-6, {"constraint-identities"}),
+    ("alpha", 1e-4, {"constraint-identities", "backend-agreement"}),
+    ("alpha", 1e-2, {"constraint-identities", "backend-agreement"}),
+]
+
+
+def _scaled_jump_coefficient(monkeypatch, name, eps):
+    """``lindblad._jump_coefficients`` with its ``name`` output scaled by
+    1 + eps after its own identity check has passed, so every reader of
+    ``LindbladModel.coefficients`` sees the scaled coefficient."""
+    coefficients = lindblad._jump_coefficients
+    i = JUMP_COEFFICIENT_INDEX[name]
+
+    def scaled(kappa, r, v):
+        out = list(coefficients(kappa, r, v))
+        out[i] = out[i] * (1.0 + eps)
+        return tuple(out)
+
+    monkeypatch.setattr(lindblad, "_jump_coefficients", scaled)
+
+
+@pytest.mark.parametrize("name, eps, failing", RESOLUTION_LADDER,
+                         ids=[f"{name}-{eps:g}"
+                              for name, eps, _ in RESOLUTION_LADDER])
+def test_a_scaled_jump_coefficient_fails_exactly_its_rungs_checks(
+        monkeypatch, name, eps, failing):
+    s = _both()
+    _scaled_jump_coefficient(monkeypatch, name, eps)
+    report = runner.verify_scenario(s)
+    assert {c.name for c in report.checks if not c.passed} == failing

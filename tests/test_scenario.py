@@ -1,3 +1,4 @@
+import dataclasses
 import glob
 import itertools
 import os
@@ -28,6 +29,8 @@ from invariantlab.runner import (
 )
 from invariantlab.scenario import (
     _SCHEMA,
+    VALIDATION_GRID_POINTS,
+    _Settings,
     build_scenario,
     load_scenario,
     parse_settings,
@@ -73,7 +76,8 @@ def test_minimal_file_gets_all_defaults(tmp_path):
     assert s.csv_precision == 12
     assert isinstance(s.kappa_schedule, ConstantSchedule)
     assert s.kappa_schedule(5.0) == 0.0
-    assert not np.any(s.kappa_schedule(s.frequency_report.times))
+    assert not np.any(s.kappa_schedule(
+        np.linspace(0.0, s.t_max, VALIDATION_GRID_POINTS)))
     assert s.use_adiabatic_init
     assert s.state.kind == "coherent"
     assert abs(s.state.beta - 2 ** -0.5) < 1e-15
@@ -246,6 +250,73 @@ def test_build_scenario_accepts_a_plain_mapping():
     assert s.t_max == 20.0
 
 
+def test_a_mapping_refuses_an_unknown_key_as_a_file_does():
+    with pytest.raises(ValidationError, match=r"^unknown key 'kappa\.valeu' "
+                       r"\(did you mean 'kappa\.value'\?\)$"):
+        build_scenario({"omega.kind": "constant", "omega.value": "1.0",
+                        "kappa.valeu": "1"})
+
+
+@pytest.mark.parametrize("name", ["adiabatic", "baseline", "equilibrium",
+                                  "frictionless"])
+def test_a_shipped_scenario_loaded_twice_compares_and_hashes_equal(name):
+    path = os.path.join(SCENARIOS, f"{name}.cfg")
+    first, second = load_scenario(path), load_scenario(path)
+    assert first == second and hash(first) == hash(second)
+
+
+SCHEDULE_KIND_SETTINGS = {
+    "constant": {"value": "1.0"},
+    "linear": {"intercept": "1.0", "slope": "0.01"},
+    "sinusoid": {"base": "1.0", "amplitude": "0.05", "rate": "0.5"},
+    "table": {"table": "sched.csv"},
+}
+STATE_KIND_SETTINGS = {
+    "coherent": {},
+    "fock": {"state.fock_n": "1"},
+    "thermal": {"state.nbar": "0.5"},
+    "invariant_ground": {},
+}
+AUXILIARY_START_SETTINGS = (
+    {},
+    {"auxiliary.use_adiabatic_init": "false", "auxiliary.rho0": "1.0",
+     "auxiliary.rhodot0": "0.0"},
+)
+
+
+def test_every_schema_key_is_read_or_refused(tmp_path, monkeypatch):
+    """Each schedule kind for omega and for kappa, each state kind and
+    each auxiliary start reads or refuses every schema key, so no known
+    key in a scenario goes unread without an error."""
+    (tmp_path / "sched.csv").write_text("t,value\n" + "".join(
+        f"{t},{1.0 + 0.05 * t}\n" for t in np.linspace(0.0, 2.5, 11)))
+    touched: set[str] = set()
+
+    def record(name):
+        method = getattr(_Settings, name)
+
+        def recorded(self, key, *args):
+            touched.add(key)
+            return method(self, key, *args)
+
+        monkeypatch.setattr(_Settings, name, recorded)
+
+    for name in ("get", "require", "forbid"):
+        record(name)
+    for omega_kind, kappa_kind, state_kind, start in itertools.product(
+            SCHEDULE_KIND_SETTINGS, SCHEDULE_KIND_SETTINGS,
+            STATE_KIND_SETTINGS, AUXILIARY_START_SETTINGS):
+        raw = {"omega.kind": omega_kind, "kappa.kind": kappa_kind,
+               "state.kind": state_kind, "run.t_max": "2.0",
+               **STATE_KIND_SETTINGS[state_kind], **start}
+        for prefix, kind in (("omega", omega_kind), ("kappa", kappa_kind)):
+            raw.update({f"{prefix}.{key}": value for key, value
+                        in SCHEDULE_KIND_SETTINGS[kind].items()})
+        touched.clear()
+        build_scenario(raw, str(tmp_path))
+        assert touched == set(_SCHEMA), sorted(set(_SCHEMA) - touched)
+
+
 # ---------------------------------------------------------------- running
 
 
@@ -256,6 +327,23 @@ def read_csv(path):
 def first_line(path):
     with open(path) as fh:
         return fh.readline().strip()
+
+
+def test_records_from_a_small_run_compare_and_hash(tmp_path):
+    """Each record that declares equality supports it: a field-for-field
+    copy compares equal and hashes alike.  ``runner._Prepared`` holds
+    arrays, so it compares by identity, as every array-holding record
+    does."""
+    s = load_text(SMALL, tmp_path)
+    result = run_scenario(s, out_dir=str(tmp_path / "out"))
+    report = verify_scenario(s)
+    for record in (s, s.basis, s.state, s.tolerances, s.initial_auxiliary(),
+                   report.checks[0], report, result):
+        twin = dataclasses.replace(record)
+        assert twin == record and hash(twin) == hash(record), type(record)
+    prepared = runner._prepare(s)
+    hash(prepared)
+    assert prepared == prepared and prepared != dataclasses.replace(prepared)
 
 
 def test_run_writes_the_four_artifacts_with_stable_headers(tmp_path):

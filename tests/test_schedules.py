@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from invariantlab.errors import NegativeFrictionError, ParseError, ValidationError
+from invariantlab.runner import RunReport, _check_schedule_validity
+from invariantlab.scenario import build_scenario
 from invariantlab.schedules import (
     ConstantSchedule,
     LinearSchedule,
     SinusoidSchedule,
     TableSchedule,
+    _check_friction,
     load_table_csv,
     modulated_frequency_sq,
-    validate_schedules,
 )
 
 
@@ -143,35 +145,50 @@ def test_modulated_frequency_ramp():
 
 
 # ------------------------------------------------------------------ validate
+# Loading refuses negative friction; the verify battery's advisory
+# schedule-validity check reads the modulated frequency's sign.
 
 
 def test_validate_clean_pair():
-    grid = np.linspace(0.0, 20.0, 1001)
-    report = validate_schedules(ConstantSchedule(1.0), ConstantSchedule(0.05), grid)
-    assert not report.omega_sq_negative
+    s = build_scenario({"omega.kind": "constant", "omega.value": "1.0",
+                        "kappa.value": "0.05", "run.t_max": "20.0"})
+    check = _check_schedule_validity(s)
+    assert check.passed and check.warning
+    assert check.note == "advisory only"
 
 
 def test_validate_negative_kappa_is_hard_error():
     grid = np.linspace(0.0, 10.0, 101)
     with pytest.raises(NegativeFrictionError):
-        validate_schedules(ConstantSchedule(1.0), ConstantSchedule(-0.01), grid)
+        _check_friction(grid, ConstantSchedule(-0.01).eval(grid, 0))
+    with pytest.raises(ValidationError,
+                       match=r"^kappa: NegativeFriction: kappa\(0\) = "):
+        build_scenario({"omega.kind": "constant", "omega.value": "1.0",
+                        "kappa.value": "-0.01", "run.t_max": "10.0"})
 
 
 def test_validate_negative_modulated_frequency_warns_only():
     # omega = 0.1, kappa = 0.5 - 0.05 t: omega^2 + kappa^2 + kappadot
-    # = 0.01 + kappa^2 - 0.05 dips below zero near the end of [0, 10]
+    # = 0.01 + kappa^2 - 0.05 dips below zero for t > 6, before the end
+    # of [0, 10]
+    s = build_scenario({"omega.kind": "constant", "omega.value": "0.1",
+                        "kappa.kind": "linear", "kappa.intercept": "0.5",
+                        "kappa.slope": "-0.05", "run.t_max": "10.0"})
+    check = _check_schedule_validity(s)
+    assert check.warning and not check.passed
+    assert check.measured < 0
     grid = np.linspace(0.0, 10.0, 1001)
-    report = validate_schedules(
-        ConstantSchedule(0.1), LinearSchedule(0.5, -0.05), grid)
-    assert report.omega_sq_negative
-    assert report.first_negative_omega_sq_t is not None
-    assert np.min(report.omega_sq_mod) < 0
+    first = grid[np.argmax(0.01 + (0.5 - 0.05 * grid) ** 2 - 0.05 < 0)]
+    assert 6.0 <= first <= 6.02
+    assert check.note == f"modulated frequency^2 first negative at t={first:g}"
+    assert RunReport((check,), 0.0).overall
 
 
 def test_validate_deterministic():
-    grid = np.linspace(0.0, 20.0, 401)
-    w = SinusoidSchedule(1.0, 0.2, 0.1)
-    k = ConstantSchedule(0.1)
-    r1 = validate_schedules(w, k, grid)
-    r2 = validate_schedules(w, k, grid)
-    np.testing.assert_array_equal(r1.omega_sq_mod, r2.omega_sq_mod)
+    settings = {"omega.kind": "sinusoid", "omega.base": "1.0",
+                "omega.amplitude": "0.2", "omega.rate": "0.1",
+                "kappa.value": "0.1", "run.t_max": "20.0"}
+    r1 = _check_schedule_validity(build_scenario(settings))
+    r2 = _check_schedule_validity(build_scenario(settings))
+    assert r1 == r2
+    assert r1.measured == r2.measured
