@@ -339,18 +339,21 @@ def _tridiagonal_eigvalsh(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(mats.reshape(b, k, k))
 
 
-def drift_rhs(j_op: FockOperator, lam: np.ndarray, vecs: np.ndarray,
-              l_op: FockOperator | None, alpha: float,
+def drift_rhs(j: np.ndarray, lam: np.ndarray, vecs: np.ndarray,
+              l: np.ndarray | None, alpha: float,
               m: int) -> tuple[np.ndarray, np.ndarray]:
     """Predicted instantaneous eigenvalue drift of an evolving observable.
 
-    For each retained eigenpair (lam[i], vecs[:, i]) of J, returns
+    For each retained eigenpair (lam[i], vecs[:, i]) of the array J,
+    returns
 
         2 alpha (lam[i] <v_i|L^2|v_i> - <L v_i|J|L v_i>)
 
     which equals d lam[i]/dt along the transport flow when the
-    eigenvalue is simple.  Pairs among the lowest ``m`` whose gap to a
-    neighbor is below ``DRIFT_GAP_TOL`` are excluded (the formula needs a
+    eigenvalue is simple.  The jump operator's array L is exactly
+    Hermitian (``BasisConfig.operators``), so L^dag L is formed as
+    ``l @ l``.  Pairs among the lowest ``m`` whose gap to a neighbor is
+    below ``DRIFT_GAP_TOL`` are excluded (the formula needs a
     one-dimensional eigenprojector).  Returns (kept indices, drifts).
     """
     lam = np.asarray(lam, dtype=float)
@@ -360,7 +363,7 @@ def drift_rhs(j_op: FockOperator, lam: np.ndarray, vecs: np.ndarray,
         raise ValidationError(f"m must lie in [1, {lam.size}], got {m}")
     if alpha < 0:
         raise ValidationError(f"alpha must be >= 0, got {alpha}")
-    if alpha > 0 and l_op is None:
+    if alpha > 0 and l is None:
         raise ValidationError("a jump operator is required when alpha > 0")
 
     kept = []
@@ -377,16 +380,14 @@ def drift_rhs(j_op: FockOperator, lam: np.ndarray, vecs: np.ndarray,
     if alpha == 0.0:
         return kept, np.zeros(kept.size)
 
-    j_arr = j_op.entries
-    l_arr = l_op.entries
-    l_sq = l_arr.conj().T @ l_arr
+    l_sq = l @ l
     drifts = np.empty(kept.size)
     for out, i in enumerate(kept):
         v = vecs[:, i]
-        lv = l_arr @ v
+        lv = l @ v
         drifts[out] = 2.0 * alpha * (
             lam[i] * float(np.real(v.conj() @ (l_sq @ v)))
-            - float(np.real(lv.conj() @ (j_arr @ lv))))
+            - float(np.real(lv.conj() @ (j @ lv))))
     return kept, drifts
 
 

@@ -22,7 +22,8 @@ step's exact RK4 map from the stage matrices, a block of steps at once,
 composes the maps of each record interval into one and applies one map
 per record: each moment integrator returns a plain (records, d) array of
 the values at the record nodes only, one column per moment, as a density
-run records its columns.  Blocks are sized by
+run records its columns, and the observable transport a plain (records,
+N, N) array of its records.  Blocks are sized by
 ``auxiliary.STAGE_BLOCK_BYTES``.
 
 K1, K2 and K3 are quadratic in a and a^dag, so H and L connect Fock
@@ -40,19 +41,21 @@ and the generator maps Hermitian matrices to Hermitian ones, so the
 right-hand side forms X = L rho, C = X - X^dag (``operators._with_dagger``),
 which is [L, rho] for Hermitian rho, and Y = K rho - alpha L C with
 K = -i H, and returns Y + Y^dag = -i [H, rho] - alpha [L, [L, rho]]:
-three banded left products per slope.  Every slope is then exactly Hermitian, bit for bit, and so is
-every state stepped from an exactly Hermitian one, since the RK4 stage
-states and step combination commute with conjugation; an anti-Hermitian
-rounding residue of the initial state receives no slope and stays as it
-is.  The identity is an exact fixed point of the observable transport:
-its C is L - L^dag = 0 exactly.  The pad rows of the states and the
-kernel's scratch stay exactly zero, and only ``_Kernel``, ``_rows``,
-``_views``, ``_density_rhs`` and ``_step_density`` know of them: records
-receive the N level rows.  The generators are the basis's own
-(``BasisConfig.operators``), whose build refuses generators with an
-entry off the diagonals 0 and +-2, which the band would drop, and
-generators that are not exactly Hermitian, as the stages and the
-observable transport need.
+three banded left products per slope.  Every slope is then exactly
+Hermitian, bit for bit, and so is every state stepped from an exactly
+Hermitian one, since the RK4 stage states and step combination commute
+with conjugation; an anti-Hermitian rounding residue of the initial state
+receives no slope and stays as it is.  The observable transport
+therefore takes only an exactly Hermitian seed, whose records are all
+exactly Hermitian.  The identity is an exact fixed point of the
+observable transport: its C is L - L^dag = 0 exactly.  The pad rows of
+the states and the kernel's scratch stay exactly zero, and only
+``_Kernel``, ``_rows``, ``_views``, ``_density_rhs`` and
+``_step_density`` know of them: records receive the N level rows.  The
+generators are the basis's own (``BasisConfig.operators``), whose build
+refuses generators with an entry off the diagonals 0 and +-2, which the
+band would drop, and generators that are not exactly Hermitian, as the
+stages and the observable transport need.
 
 A density run holds each state-sized array once: six of them.  The
 driver steps the padded state that ``_step_density`` makes and owns the
@@ -121,7 +124,6 @@ from .schedules import Schedule, _check_friction
 # was evaluated on corrupted inputs, not that the step size is too large.
 COEFF_IDENTITY_TOL = 1e-12
 POSITIVITY_HARD_FLOOR = -1e-6
-ADJOINT_HERM_TOL = 1e-10
 MOMENT_BOUND_TOL = 1e-9
 CLOSURE_GATE_TOL = 1e-10
 # Temporaries of one stage-table row: ``LindbladModel.coefficients`` at one
@@ -522,20 +524,6 @@ def _step_density(kernel: _Kernel, table: np.ndarray, a0: np.ndarray,
 # --------------------------------------------------------- adjoint evolution
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorTrajectory:
-    """Recorded evolution of a conserved observable."""
-
-    ts: np.ndarray
-    operators: tuple[FockOperator, ...]
-    herm_dev: np.ndarray
-    failed_at: float | None
-    warnings: tuple[str, ...]
-
-    def __post_init__(self):
-        _freeze_fields(self, "ts", "herm_dev")
-
-
 def _transport_steps(model: LindbladModel, q0: np.ndarray, first: int,
                      last: int, h: float, record, every: int = 1,
                      stride: int = 1):
@@ -611,49 +599,36 @@ def _adjoint_norm_bound(model: LindbladModel, table: np.ndarray) -> float:
 
 def evolve_adjoint_observable(model: LindbladModel, q0: FockOperator,
                               t_max: float, h: float,
-                              record_every: int = 100) -> OperatorTrajectory:
+                              record_every: int = 100) -> np.ndarray:
     """Evolve an observable so its expectation in the evolving state is fixed.
 
     Integrates dQ/dt = -i[H, Q] + alpha (L^dag L Q + Q L^dag L
     - 2 L^dag Q L), the trace-pairing adjoint of the density equation:
     tr[Q(t) rho(t)] is constant when both evolve under the same model.
-    It is ``_transport_steps`` forward from t = 0 plus a Hermiticity
-    record per node; only tests and the benchmark's tracer call it.
+    It is ``_transport_steps`` forward from t = 0, and returns the
+    read-only (records, N, N) complex array of Q at the nodes 0,
+    record_every, ... below the last step and at the last node
+    (``_record_nodes``, which refuses record_every < 1), the times of
+    which are the caller's.  The seed must be exactly Hermitian: every
+    slope is then exactly Hermitian, and so is every record.  Only tests
+    and the benchmark's tracer call it.
     """
-    cfg = model.basis
-    if q0.dim != cfg.dim:
+    dim = model.basis.dim
+    if q0.dim != dim:
         raise ValidationError(
-            f"observable dimension {q0.dim} does not match basis {cfg.dim}")
-    if not q0.hermitian:
+            f"observable dimension {q0.dim} does not match basis {dim}")
+    if q0.herm_deviation() != 0.0:
         raise ValidationError(
-            f"initial observable is not Hermitian "
+            f"initial observable is not exactly Hermitian "
             f"(deviation {q0.herm_deviation():.3e})")
-    if record_every < 1:
-        raise ValidationError(f"record_every must be >= 1, got {record_every}")
-    rec_ts: list[float] = []
-    rec_ops: list[FockOperator] = []
-    rec_dev: list[float] = []
-    warnings: list[str] = []
-    failed_at: float | None = None
-
-    def record(i: int, arr: np.ndarray):
-        nonlocal failed_at
-        t = h * i
-        op = FockOperator(arr)
-        dev = op.herm_deviation()
-        if dev > ADJOINT_HERM_TOL:
-            warnings.append(f"t={t:.6g}: hermiticity deviation {dev:.3e}")
-            if failed_at is None:
-                failed_at = t
-        rec_ts.append(t)
-        rec_ops.append(op)
-        rec_dev.append(dev)
-
-    _transport_steps(model, q0.entries, 0, _step_count(t_max, h), h, record,
-                     record_every)
-    return OperatorTrajectory(ts=np.array(rec_ts), operators=tuple(rec_ops),
-                              herm_dev=np.array(rec_dev),
-                              failed_at=failed_at, warnings=tuple(warnings))
+    n = _step_count(t_max, h)
+    ops = np.empty((len(_record_nodes(n, record_every)), dim, dim),
+                   dtype=complex)
+    rows = iter(ops)
+    _transport_steps(model, q0.entries, 0, n, h,
+                     lambda _, q: np.copyto(next(rows), q), record_every)
+    ops.flags.writeable = False
+    return ops
 
 
 # -------------------------------------------------------------- moment types

@@ -35,7 +35,8 @@ the scenario declares ``run.adiabatic_epsilon``.  ``verify_scenario``
 and ``sweep`` refuse a ``run.t_max`` below the shortest window the
 differencing checks fit in (1e-3 with the constants here; see
 ``_check_battery_window``), and ``verify_scenario`` a declared epsilon
-other than the omega sinusoid's rate, both before integrating anything.
+other than the omega sinusoid's rate or on a sinusoid of zero
+amplitude, both before integrating anything.
 
 Each system is integrated once.  The run's auxiliary solution is the
 one ``construct`` solves, ``model.sol``; the checks read its equation
@@ -103,7 +104,6 @@ from .operators import (
     DENSITY_TRACE_TOL,
     BasisConfig,
     DensityMatrix,
-    FockOperator,
     build_state,
     check_su11_relations,
     expectation,
@@ -443,14 +443,15 @@ def _drift_from_nodes(model: LindbladModel, t_probe: float, ts,
     """Drift formula vs the differenced spectrum of three transported nodes.
 
     ``nodes`` are the transported K2 arrays at the times ``ts``: the node
-    nearest the probe time ``t_probe`` and its two neighbours.
+    nearest the probe time ``t_probe`` and its two neighbours.  The
+    middle node and the jump operator's array go to ``drift_rhs`` as
+    they are.
     """
     def lowest(arr: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(arr)[:DRIFT_PROBE_MODES]
 
     fd = (lowest(nodes[2]) - lowest(nodes[0])) / (ts[2] - ts[0])
-    op = FockOperator(nodes[1])
-    lam, vecs = np.linalg.eigh(op.entries)
+    lam, vecs = np.linalg.eigh(nodes[1])
     row = model.coefficients(float(ts[1]))
     _, jump = _generator_arrays(model.generators, row)
     if jump is None:
@@ -462,7 +463,7 @@ def _drift_from_nodes(model: LindbladModel, t_probe: float, ts,
                 "frictionless: drift is identically zero")
         return CheckResult("drift-crosscheck", dev, DRIFT_CROSSCHECK_TOL,
                            dev <= DRIFT_CROSSCHECK_TOL, note=note)
-    kept, drifts = drift_rhs(op, lam, vecs, FockOperator(jump), float(row[1]),
+    kept, drifts = drift_rhs(nodes[1], lam, vecs, jump, float(row[1]),
                              m=DRIFT_PROBE_MODES)
     kept = np.asarray(kept)
     # normalized by the drift scale: transported observables can grow by
@@ -561,11 +562,14 @@ def _check_schedule_validity(s: Scenario) -> CheckResult:
 
 
 def _check_declared_epsilon(s: Scenario):
-    """Refuse a run.adiabatic_epsilon other than the sinusoid's rate.
+    """Refuse a run.adiabatic_epsilon other than the sinusoid's rate, or
+    on a sinusoid of zero amplitude.
 
     ``adiabatic-scaling`` halves the rate of the omega sinusoid, so the
-    declared epsilon must be that rate (to 1e-12).  Checked before the
-    battery integrates anything.
+    declared epsilon must be that rate (to 1e-12).  A sinusoid of zero
+    amplitude is constant: the slow-motion series is then exact, both
+    deviations are zero and their ratio is undefined.  Checked before
+    the battery integrates anything.
     """
     eps = s.adiabatic_epsilon
     sched = s.omega_schedule
@@ -574,6 +578,9 @@ def _check_declared_epsilon(s: Scenario):
         raise ValidationError(
             "run.adiabatic_epsilon requires omega.kind = sinusoid with "
             "omega.rate equal to the declared epsilon")
+    if eps is not None and sched.amplitude == 0.0:
+        raise ValidationError(
+            "run.adiabatic_epsilon requires a nonzero omega.amplitude")
 
 
 def _check_adiabatic_scaling(p: _Prepared) -> CheckResult:
@@ -631,8 +638,9 @@ def verify_scenario(s: Scenario) -> RunReport:
     an overflow of the drift probe likewise as a failed
     ``drift-crosscheck``.  A ``run.t_max`` below the battery's minimum
     window (``_check_battery_window``) and a ``run.adiabatic_epsilon``
-    other than the omega sinusoid's rate (``_check_declared_epsilon``)
-    are refused with a ValidationError first.
+    other than the omega sinusoid's rate or on a sinusoid of zero
+    amplitude (``_check_declared_epsilon``) are refused with a
+    ValidationError first.
     """
     start = time.perf_counter()
     _check_battery_window(s)

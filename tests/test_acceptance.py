@@ -24,6 +24,7 @@ import pytest
 
 from invariantlab.auxiliary import (
     ErmakovInit,
+    _step_count,
     adiabatic_rho,
     adiabatic_rhodot,
     max_residual_between_nodes,
@@ -39,6 +40,7 @@ from invariantlab.invariants import (
     spectrum_series,
 )
 from invariantlab.lindblad import (
+    _record_nodes,
     evolve_adjoint_observable,
     evolve_density,
     evolve_first_moments,
@@ -46,7 +48,6 @@ from invariantlab.lindblad import (
 )
 from invariantlab.operators import (
     BasisConfig,
-    FockOperator,
     StateSpec,
     build_state,
     max_abs,
@@ -67,10 +68,10 @@ def report(num: int, passed: bool, detail: str):
 
 
 def _jump_at(model, t):
-    """(alpha, L) of the model's jump term at t, L as a FockOperator."""
+    """(alpha, L) of the model's jump term at t, L as an array."""
     _, alpha, a2, a3 = model.coefficients(t)
     k1, k2, k3 = model.generators
-    return alpha, FockOperator(k1 + a2 * k2 + a3 * k3)
+    return alpha, k1 + a2 * k2 + a3 * k3
 
 
 def _pipeline(omega_s, kappa_s, dim=BASELINE_DIM, t_max=BASELINE_T,
@@ -197,8 +198,8 @@ def test_criterion_06_spectrum_and_drift_of_the_closed_form(baseline):
 
     closed_drift = 0.0
     for t in (4.0, 8.0, 12.0, 16.0):
-        op = invariant_at(model, t)
-        lam, vecs = np.linalg.eigh(op.entries)
+        op = invariant_at(model, t).entries
+        lam, vecs = np.linalg.eigh(op)
         alpha, jump = _jump_at(model, t)
         _, drifts = drift_rhs(op, lam, vecs, jump, alpha, m=13)
         closed_drift = max(closed_drift, float(np.max(np.abs(drifts))))
@@ -210,18 +211,19 @@ def test_criterion_06_spectrum_and_drift_of_the_closed_form(baseline):
                                         float(model.sol.rhodot_at(0.0))),
                             1.0 + 2 * h, h,
                             BasisConfig(dim=16, omega_ref=1.0))
-    ot = evolve_adjoint_observable(probe_model,
-                                   probe_model.basis.operators[3], 1.0 + 2 * h,
-                                   h, record_every=1)
-    i = int(np.argmin(np.abs(np.asarray(ot.ts) - 1.0)))
+    ops = evolve_adjoint_observable(probe_model,
+                                    probe_model.basis.operators[3],
+                                    1.0 + 2 * h, h, record_every=1)
+    ts = h * _record_nodes(_step_count(1.0 + 2 * h, h), 1)
+    i = int(np.argmin(np.abs(ts - 1.0)))
 
     def lowest(j):
-        return np.linalg.eigvalsh(ot.operators[j].entries)[:5]
+        return np.linalg.eigvalsh(ops[j])[:5]
 
-    fd = (lowest(i + 1) - lowest(i - 1)) / (ot.ts[i + 1] - ot.ts[i - 1])
-    op = ot.operators[i]
-    lam, vecs = np.linalg.eigh(op.entries)
-    alpha, jump = _jump_at(probe_model, float(ot.ts[i]))
+    fd = (lowest(i + 1) - lowest(i - 1)) / (ts[i + 1] - ts[i - 1])
+    op = ops[i]
+    lam, vecs = np.linalg.eigh(op)
+    alpha, jump = _jump_at(probe_model, float(ts[i]))
     kept, drifts = drift_rhs(op, lam, vecs, jump, alpha, m=5)
     fd_dev = float(np.max(np.abs(drifts - fd[np.asarray(kept)])))
 
@@ -298,13 +300,13 @@ def test_criterion_09_trace_pairing_duality(baseline, evolve_recording):
     details = []
     for name, q0 in (("K2", model.basis.operators[3]),
                      ("I(0)", invariant_at(model, 0.0))):
-        ot = evolve_adjoint_observable(model, q0, window, BASELINE_H,
-                                       record_every=RECORD)
-        vals = np.array([
-            trace_pair(op.entries, states[j].entries).real
-            for j, op in enumerate(ot.operators)])
-        np.testing.assert_allclose(np.asarray(ot.ts),
-                                   np.asarray(traj.ts)[:n_rec + 1],
+        ops = evolve_adjoint_observable(model, q0, window, BASELINE_H,
+                                        record_every=RECORD)
+        vals = np.array([trace_pair(op, states[j].entries).real
+                         for j, op in enumerate(ops)])
+        ts = BASELINE_H * _record_nodes(_step_count(window, BASELINE_H),
+                                        RECORD)
+        np.testing.assert_allclose(ts, np.asarray(traj.ts)[:n_rec + 1],
                                    rtol=0, atol=1e-12)
         dev = float(np.max(np.abs(vals - vals[0])))
         worst = max(worst, dev)

@@ -193,11 +193,6 @@ def test_no_module_imports_a_name_it_never_uses(path):
     assert not unused, f"{path} imports names it never uses: {unused}"
 
 
-# (module file, function) of the one ``.conj().T`` the package keeps:
-# ``drift_rhs``'s L^dag L acts on the drift probe's dim-16 operators.
-TRANSPOSED_CONJUGATE_EXCEPTIONS = {("invariants.py", "drift_rhs")}
-
-
 def _transposed_conjugates(source: str) -> list[tuple[str, int]]:
     """(innermost enclosing function or ``<module>``, line) of each
     ``x.conj().T`` and ``x.conjugate().T``.  numpy 2.4 conjugates such a
@@ -232,9 +227,6 @@ def test_the_conjugate_transpose_scan_flags_each_form():
 @pytest.mark.parametrize("path", _python_files(SOURCES))
 def test_no_module_forms_a_transposed_conjugate(path):
     with open(path, encoding="utf-8") as fh:
-        found = [(owner, line) for owner, line in
-                 _transposed_conjugates(fh.read())
-                 if (os.path.basename(path), owner)
-                 not in TRANSPOSED_CONJUGATE_EXCEPTIONS]
+        found = _transposed_conjugates(fh.read())
     assert not found, (f"{path} forms x.conj().T at {found}; use "
                        "operators._with_dagger")

@@ -14,6 +14,7 @@ import pytest
 from invariantlab import invariants
 from invariantlab.auxiliary import (
     ErmakovInit,
+    _step_count,
     adiabatic_rho,
     adiabatic_rhodot,
     solve_auxiliary,
@@ -33,12 +34,12 @@ from invariantlab.invariants import (
 )
 from invariantlab.lindblad import (
     LindbladModel,
+    _record_nodes,
     evolve_adjoint_observable,
     evolve_density,
 )
 from invariantlab.operators import (
     BasisConfig,
-    FockOperator,
     StateSpec,
     build_state,
     expectation,
@@ -51,10 +52,15 @@ H = 1e-3
 
 
 def jump_at(model, t):
-    """(alpha, L) of the model's jump term at t, L as a FockOperator."""
+    """(alpha, L) of the model's jump term at t, L as an array."""
     _, alpha, a2, a3 = model.coefficients(t)
     k1, k2, k3 = model.generators
-    return alpha, FockOperator(k1 + a2 * k2 + a3 * k3)
+    return alpha, k1 + a2 * k2 + a3 * k3
+
+
+def record_times(t_max, h, every):
+    """The times of a transport's records: h times its record nodes."""
+    return h * _record_nodes(_step_count(t_max, h), every)
 
 
 def basis(dim):
@@ -350,11 +356,10 @@ def test_spectrum_of_transported_observable_drifts():
     Late-time rows carry amplified truncation noise (the transport flow
     is expansive), which only adds to the drift being detected."""
     model = construct_baseline(*baseline_schedules(), 5.0, 16)
-    ot = evolve_adjoint_observable(model, model.basis.operators[3], 5.0, H,
-                                   record_every=100)
-    levels = np.array([np.linalg.eigvalsh(op.entries)[:5]
-                       for op in ot.operators])
-    early = levels[np.asarray(ot.ts) <= 2.0]
+    ops = evolve_adjoint_observable(model, model.basis.operators[3], 5.0, H,
+                                    record_every=100)
+    levels = np.array([np.linalg.eigvalsh(op)[:5] for op in ops])
+    early = levels[record_times(5.0, H, 100) <= 2.0]
     drift_by_two = np.max(np.abs(early - early[0]))
     assert drift_by_two > 1e-3
     assert np.max(np.abs(np.diff(levels, axis=0))) > CONTINUITY_BOUND
@@ -442,8 +447,8 @@ def test_spectrum_csv(tmp_path):
 
 def test_drift_zero_without_dissipation():
     model = construct_baseline(*baseline_schedules(kappa=0.0), 1.0, 20)
-    inv = invariant_at(model, 0.7)
-    lam, vecs = np.linalg.eigh(inv.entries)
+    inv = invariant_at(model, 0.7).entries
+    lam, vecs = np.linalg.eigh(inv)
     kept, drifts = drift_rhs(inv, lam, vecs, None, 0.0, m=6)
     np.testing.assert_array_equal(kept, np.arange(6))
     np.testing.assert_array_equal(drifts, np.zeros(6))
@@ -462,9 +467,9 @@ def test_drift_of_constructed_invariant_follows_friction_law():
     model = construct_baseline(omega_s, kappa_s, 2.0, 40)
     sol = model.sol
     t = 1.0
-    inv = invariant_at(model, t)
+    inv = invariant_at(model, t).entries
     alpha, jump = jump_at(model, t)
-    lam, vecs = np.linalg.eigh(inv.entries)
+    lam, vecs = np.linalg.eigh(inv)
     kept, drifts = drift_rhs(inv, lam, vecs, jump, alpha, m=13)
     assert kept.size == 13
     rate = kappa_s(t) * (sol.rho_at(t) * sol.rhodot_at(t)) ** 2
@@ -479,20 +484,20 @@ def test_drift_matches_finite_difference_of_spectrum():
     expansive transport flow representable at t = 1 in double precision."""
     h = 2e-4
     model = construct_baseline(*baseline_schedules(), 1.0 + 2 * h, 16, h=h)
-    ot = evolve_adjoint_observable(model, model.basis.operators[3],
-                                   1.0 + 2 * h, h, record_every=1)
-    ts = np.asarray(ot.ts)
+    ops = evolve_adjoint_observable(model, model.basis.operators[3],
+                                    1.0 + 2 * h, h, record_every=1)
+    ts = record_times(1.0 + 2 * h, h, 1)
     i = int(np.argmin(np.abs(ts - 1.0)))
     m = 5
 
     def lowest(j):
-        arr = ot.operators[j].entries
+        arr = ops[j]
         return np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))[:m]
 
     fd = (lowest(i + 1) - lowest(i - 1)) / (ts[i + 1] - ts[i - 1])
-    arr = ot.operators[i].entries
-    sym = FockOperator(0.5 * (arr + arr.conj().T))
-    lam, vecs = np.linalg.eigh(sym.entries)
+    arr = ops[i]
+    sym = 0.5 * (arr + arr.conj().T)
+    lam, vecs = np.linalg.eigh(sym)
     alpha, jump = jump_at(model, float(ts[i]))
     kept, drifts = drift_rhs(sym, lam, vecs, jump, alpha, m=m)
     assert kept.size == m
@@ -501,24 +506,23 @@ def test_drift_matches_finite_difference_of_spectrum():
 
 def test_drift_excludes_degenerate_pairs():
     diag = np.array([0.5, 0.5, 1.5, 2.5, 3.5, 4.5])
-    j_op = FockOperator(np.diag(diag).astype(complex))
-    lam, vecs = np.linalg.eigh(j_op.entries)
-    l_op = FockOperator(np.eye(6, dtype=complex))
-    kept, drifts = drift_rhs(j_op, lam, vecs, l_op, 0.1, m=3)
+    j = np.diag(diag).astype(complex)
+    lam, vecs = np.linalg.eigh(j)
+    eye = np.eye(6, dtype=complex)
+    kept, drifts = drift_rhs(j, lam, vecs, eye, 0.1, m=3)
     np.testing.assert_array_equal(kept, [2])
     with pytest.raises(NumericalError):
-        eye = FockOperator(np.eye(6, dtype=complex))
-        lam2, vecs2 = np.linalg.eigh(eye.entries)
-        drift_rhs(eye, lam2, vecs2, l_op, 0.1, m=3)
+        lam2, vecs2 = np.linalg.eigh(eye)
+        drift_rhs(eye, lam2, vecs2, eye, 0.1, m=3)
 
 
 def test_drift_argument_validation():
-    j_op = FockOperator(np.diag([0.5, 1.5, 2.5]).astype(complex))
-    lam, vecs = np.linalg.eigh(j_op.entries)
+    j = np.diag([0.5, 1.5, 2.5]).astype(complex)
+    lam, vecs = np.linalg.eigh(j)
     with pytest.raises(ValidationError):
-        drift_rhs(j_op, lam[::-1], vecs, None, 0.0, m=2)
+        drift_rhs(j, lam[::-1], vecs, None, 0.0, m=2)
     with pytest.raises(ValidationError):
-        drift_rhs(j_op, lam, vecs, None, 0.1, m=2)  # alpha > 0 needs L
+        drift_rhs(j, lam, vecs, None, 0.1, m=2)  # alpha > 0 needs L
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from invariantlab.auxiliary import (
     STAGE_BLOCK_BYTES,
     ErmakovInit,
     _rk4,
+    _step_count,
     adiabatic_rho,
     adiabatic_rhodot,
     solve_auxiliary,
@@ -94,6 +95,11 @@ def modulated_setup(dim, kappa=0.1, t_max=1.0, h=H):
                        adiabatic_rhodot(omega_s, kappa_s, 0.0))
     model = construct(omega_s, kappa_s, init, t_max, h, cfg)
     return omega_s, kappa_s, cfg, cfg.operators[2:], model.sol, model
+
+
+def record_times(t_max, h, every):
+    """The times of a run's records: h times its record nodes."""
+    return h * lindblad._record_nodes(_step_count(t_max, h), every)
 
 
 def quadratic_invariant(gens, sol, t):
@@ -998,10 +1004,10 @@ def test_identity_is_a_fixed_point(dim):
     flow amplifies any rounding residue, the identity stays as it is."""
     *_, model = modulated_setup(dim=dim, t_max=1.0)
     eye = FockOperator(np.eye(dim, dtype=complex))
-    ot = evolve_adjoint_observable(model, eye, 1.0, H, record_every=250)
-    assert len(ot.operators) == 5
-    for op in ot.operators:
-        np.testing.assert_array_equal(op.entries, np.eye(dim))
+    ops = evolve_adjoint_observable(model, eye, 1.0, H, record_every=250)
+    assert ops.shape == (5, dim, dim)
+    for op in ops:
+        np.testing.assert_array_equal(op, np.eye(dim))
 
 
 def test_pairing_with_state_is_conserved(evolve_recording):
@@ -1009,19 +1015,42 @@ def test_pairing_with_state_is_conserved(evolve_recording):
     _, _, cfg, gens, sol, model = modulated_setup(dim=40, t_max=1.0)
     rho0 = build_state(StateSpec(kind="coherent", beta=2 ** -0.5), cfg)
     traj, states = evolve_recording(model, rho0, 1.0, H, 100)
-    ot = evolve_adjoint_observable(model, gens[1], 1.0, H, record_every=100)
-    pair0 = trace_pair(ot.operators[0].entries, states[0].entries).real
-    devs = [abs(trace_pair(ot.operators[i].entries,
-                           states[i].entries).real - pair0)
+    ops = evolve_adjoint_observable(model, gens[1], 1.0, H, record_every=100)
+    assert len(ops) == len(traj.ts)
+    pair0 = trace_pair(ops[0], states[0].entries).real
+    devs = [abs(trace_pair(ops[i], states[i].entries).real - pair0)
             for i in range(len(traj.ts))]
     assert max(devs) <= 1e-7
 
 
-def test_transport_preserves_hermiticity():
+def test_every_record_of_an_amplified_transport_is_exactly_hermitian():
+    """Forward at kappa = 2 on dim 60 the transported K2 grows past 1e200
+    within 0.15 (it overflows by 0.2, ``test_transport_overflow_raises``),
+    and every one of its 151 records is exactly Hermitian: each slope is
+    Y + Y^dag, and the RK4 stages and step combination keep conjugate
+    pairs conjugate."""
+    _, _, cfg, gens, sol, model = modulated_setup(dim=60, kappa=2.0,
+                                                  t_max=0.5)
+    ops = evolve_adjoint_observable(model, gens[1], 0.15, H, record_every=1)
+    assert ops.shape == (151, 60, 60) and ops.dtype == complex
+    assert not ops.flags.writeable
+    assert np.max(np.abs(ops[-1])) > 1e200
+    for op in ops:
+        np.testing.assert_array_equal(op, op.conj().T)
+
+
+def test_a_seed_with_an_anti_hermitian_residue_is_rejected():
+    """K2 plus a 1e-13 anti-Hermitian residue, far inside the operator
+    flag's 1e-12, is refused: the transport takes exactly Hermitian seeds
+    only."""
     _, _, cfg, gens, sol, model = modulated_setup(dim=20, t_max=0.5)
-    ot = evolve_adjoint_observable(model, gens[1], 0.5, H, record_every=100)
-    assert float(np.max(ot.herm_dev)) < 1e-10
-    assert ot.failed_at is None
+    seed = gens[1].entries.copy()
+    seed[0, 2] += 1e-13
+    seed[2, 0] -= 1e-13
+    residue = FockOperator(seed)
+    assert residue.hermitian and residue.herm_deviation() > 0.0
+    with pytest.raises(ValidationError, match="exactly Hermitian"):
+        evolve_adjoint_observable(model, residue, 0.5, H)
 
 
 def test_non_hermitian_seed_rejected():
@@ -1046,10 +1075,10 @@ def test_transported_invariant_tracks_closed_form_without_friction():
     _, _, cfg, gens, sol, model = modulated_setup(dim=40, kappa=0.0,
                                                   t_max=0.5)
     seed = FockOperator(quadratic_invariant(gens, sol, 0.0))
-    ot = evolve_adjoint_observable(model, seed, 0.5, H, record_every=100)
-    devs = [max_abs(interior_block(
-        ot.operators[i].entries - quadratic_invariant(gens, sol, t),
-        cfg.interior_dim)) for i, t in enumerate(ot.ts)]
+    ops = evolve_adjoint_observable(model, seed, 0.5, H, record_every=100)
+    devs = [max_abs(interior_block(op - quadratic_invariant(gens, sol, t),
+                                   cfg.interior_dim))
+            for op, t in zip(ops, record_times(0.5, H, 100), strict=True)]
     assert max(devs) <= 1e-6
 
 
@@ -1062,10 +1091,10 @@ def test_transported_invariant_tracks_closed_form_with_friction():
     _, _, cfg, gens, sol, model = modulated_setup(dim=40, kappa=0.1,
                                                   t_max=0.5)
     seed = FockOperator(quadratic_invariant(gens, sol, 0.0))
-    ot = evolve_adjoint_observable(model, seed, 0.5, H, record_every=100)
-    devs = [max_abs(interior_block(
-        ot.operators[i].entries - quadratic_invariant(gens, sol, t),
-        cfg.interior_dim)) for i, t in enumerate(ot.ts)]
+    ops = evolve_adjoint_observable(model, seed, 0.5, H, record_every=100)
+    devs = [max_abs(interior_block(op - quadratic_invariant(gens, sol, t),
+                                   cfg.interior_dim))
+            for op, t in zip(ops, record_times(0.5, H, 100), strict=True)]
     assert max(devs) <= 2e-2
 
 

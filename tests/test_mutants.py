@@ -149,12 +149,14 @@ def test_a_mutant_fails_exactly_its_checks(monkeypatch, scenario, mutant,
     assert {c.name for c in report.checks if not c.passed} == failing
 
 
-# The battery's resolution: one jump coefficient scaled by (1 + eps) on
-# the BOTH scenario, eps on a fixed ladder, and the exact set of checks
-# that fail at each rung.
-JUMP_COEFFICIENT_INDEX = {"alpha": 0, "a2": 1}
+# The battery's resolution: one coefficient of the model scaled by
+# (1 + eps) on the BOTH scenario, eps on a fixed ladder, and the exact set
+# of checks that fail at each rung.  a3 = -rhodot / (2 rho) is exactly 0
+# on BOTH's equilibrium auxiliary solution (rho = 1, rhodot = 0), so no
+# rung moves it and no check sees it there.
 _A2_FAILS = ("constraint-identities", "invariant-residual",
              "backend-agreement", "conservation")
+_OMEGA_SQ_FAILS = {"invariant-residual", "conservation", "backend-agreement"}
 RESOLUTION_LADDER = [
     ("a2", 1e-8, set(_A2_FAILS[:1])),
     ("a2", 1e-6, set(_A2_FAILS[:2])),
@@ -164,22 +166,38 @@ RESOLUTION_LADDER = [
     ("alpha", 1e-6, {"constraint-identities"}),
     ("alpha", 1e-4, {"constraint-identities", "backend-agreement"}),
     ("alpha", 1e-2, {"constraint-identities", "backend-agreement"}),
+    ("a3", 1e-8, set()),
+    ("a3", 1e-6, set()),
+    ("a3", 1e-4, set()),
+    ("a3", 1e-2, set()),
+    ("omega_sq", 1e-8, set()),
+    ("omega_sq", 1e-6, {"invariant-residual"}),
+    ("omega_sq", 1e-4, _OMEGA_SQ_FAILS),
+    ("omega_sq", 1e-2, _OMEGA_SQ_FAILS),
 ]
+# (owner, function, output index) of each scaled coefficient: a jump
+# coefficient is scaled in ``lindblad._jump_coefficients`` after its own
+# identity check has passed, omega^2 in ``LindbladModel.coefficients``,
+# so every reader of the model's coefficients sees the scaled value.
+MODEL_COEFFICIENT = {
+    "alpha": (lindblad, "_jump_coefficients", 0),
+    "a2": (lindblad, "_jump_coefficients", 1),
+    "a3": (lindblad, "_jump_coefficients", 2),
+    "omega_sq": (lindblad.LindbladModel, "coefficients", 0),
+}
 
 
-def _scaled_jump_coefficient(monkeypatch, name, eps):
-    """``lindblad._jump_coefficients`` with its ``name`` output scaled by
-    1 + eps after its own identity check has passed, so every reader of
-    ``LindbladModel.coefficients`` sees the scaled coefficient."""
-    coefficients = lindblad._jump_coefficients
-    i = JUMP_COEFFICIENT_INDEX[name]
+def _scaled_model_coefficient(monkeypatch, name, eps):
+    """The ``name`` output of its function scaled by 1 + eps."""
+    owner, attr, i = MODEL_COEFFICIENT[name]
+    coefficients = getattr(owner, attr)
 
-    def scaled(kappa, r, v):
-        out = list(coefficients(kappa, r, v))
+    def scaled(*args):
+        out = list(coefficients(*args))
         out[i] = out[i] * (1.0 + eps)
         return tuple(out)
 
-    monkeypatch.setattr(lindblad, "_jump_coefficients", scaled)
+    monkeypatch.setattr(owner, attr, scaled)
 
 
 @pytest.mark.parametrize("name, eps, failing", RESOLUTION_LADDER,
@@ -188,6 +206,6 @@ def _scaled_jump_coefficient(monkeypatch, name, eps):
 def test_a_scaled_jump_coefficient_fails_exactly_its_rungs_checks(
         monkeypatch, name, eps, failing):
     s = _both()
-    _scaled_jump_coefficient(monkeypatch, name, eps)
+    _scaled_model_coefficient(monkeypatch, name, eps)
     report = runner.verify_scenario(s)
     assert {c.name for c in report.checks if not c.passed} == failing

@@ -582,6 +582,30 @@ def test_declared_epsilon_must_match_the_schedule_rate(tmp_path, monkeypatch):
     assert solves == []
 
 
+ZERO_AMPLITUDE = ("omega.kind = sinusoid\nomega.base = 1\n"
+                  "omega.amplitude = 0\nomega.rate = 0.05\n"
+                  "kappa.value = 0.05\nbasis.dim = 20\nrun.t_max = 2\n"
+                  "run.backend = moments\nrun.adiabatic_epsilon = 0.05\n")
+
+
+def test_declared_epsilon_needs_a_moving_sinusoid(tmp_path, monkeypatch,
+                                                 capsys):
+    """On a sinusoid of amplitude 0 omega is constant, the slow-motion
+    series is exact and adiabatic-scaling's ratio would be 0/0: the
+    declared epsilon is refused, naming omega.amplitude, before anything
+    is integrated, and the CLI exits with 2."""
+    solves = []
+    for module in (runner, invariants):
+        monkeypatch.setattr(module, "solve_auxiliary",
+                            lambda *args: solves.append(args))
+    with pytest.raises(ValidationError, match="omega.amplitude"):
+        verify_scenario(load_text(ZERO_AMPLITUDE, tmp_path))
+    assert solves == []
+    cfg = write_cfg(tmp_path, ZERO_AMPLITUDE, "zero.cfg")
+    assert main(["verify", "--config", cfg]) == 2
+    assert "omega.amplitude" in capsys.readouterr().err
+
+
 # ------------------------------------------------------- integration counts
 
 
